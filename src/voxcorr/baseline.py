@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .jsonable import Jsonable
 from .volume import DisplacementField, ScalarVolume, VolumeError, downsample2, trilinear_gather
 
 
@@ -35,21 +36,12 @@ class DvcConfig:
 
 
 @dataclass
-class NodeField:
+class NodeField(Jsonable):
     lattice_dims: tuple[int, int, int]   # nodes per axis (x, y, z)
     positions: np.ndarray                # [n, 3] as (x, y, z), z-major order
     displacements: np.ndarray            # [n, 3] voxels
     correlations: np.ndarray             # [n]
     valid: np.ndarray                    # [n] bool
-
-    def to_json(self) -> dict:
-        return {
-            "lattice_dims": list(self.lattice_dims),
-            "positions": self.positions.tolist(),
-            "displacements": self.displacements.tolist(),
-            "correlations": self.correlations.tolist(),
-            "valid": self.valid.astype(bool).tolist(),
-        }
 
 
 def _axis_nodes(n: int, margin: int, spacing: int) -> list[int]:

@@ -60,11 +60,7 @@ def gaussian_window(patch_size: int, sigma: float | None = None) -> np.ndarray:
 
 
 class BlendAccumulator:
-    """Gaussian-weighted overlap-add of patch outputs into a full grid.
-
-    One accumulator per worker when parallelising; merge() adds elementwise so
-    a fixed worker order keeps results reproducible to round-off.
-    """
+    """Gaussian-weighted overlap-add of patch outputs into a full grid."""
 
     def __init__(self, dims: IVec3, channels: int, patch_size: int, sigma: float | None = None):
         nx, ny, nz = (int(d) for d in dims)
@@ -72,7 +68,6 @@ class BlendAccumulator:
         self.channels = int(channels)
         self.patch_size = int(patch_size)
         self.window = gaussian_window(patch_size, sigma)
-        self.sigma = float(sigma) if sigma is not None else patch_size / 4.0
         self.weighted_sum = np.zeros((self.channels, nz, ny, nx), dtype=np.float64)
         self.weight_sum = np.zeros((nz, ny, nx), dtype=np.float64)
 
@@ -92,10 +87,6 @@ class BlendAccumulator:
         sl = (slice(oz, oz + p), slice(oy, oy + p), slice(ox, ox + p))
         self.weighted_sum[(slice(None),) + sl] += self.window * patch_data
         self.weight_sum[sl] += self.window
-
-    def merge(self, other: "BlendAccumulator") -> None:
-        self.weighted_sum += other.weighted_sum
-        self.weight_sum += other.weight_sum
 
     def finalize(self) -> np.ndarray:
         """Weighted mean per voxel; [nz, ny, nx] for 1 channel else [c, nz, ny, nx]."""

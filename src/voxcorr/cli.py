@@ -3,25 +3,36 @@
 
 Each command runs exactly one stage, reads/writes artifacts under the
 workspace and appends a JSON line (timestamp, stage, params, duration) to
-<workspace>/run_log.jsonl. Exit codes: 0 success, 2 validation failure
-(bad flags, missing inputs), 1 runtime error.
+<workspace>/run_log.jsonl.
+
+Each flag is one row of FLAGS: name, commands, the dotted RunConfig paths it
+sets (the seed sets both `seed` and `train.seed`), value parser and help. The
+table builds the argparse subcommands and applies the flags, in table order,
+with dataclasses.replace on top of the --config file (overlaid onto RunConfig(),
+see RunConfig.from_json) or of RunConfig(). Rows without a path are arguments
+of the command's handler in COMMANDS.
+
+Exit codes: 0 success; 2 validation failure (bad flags; a config file that is
+missing, malformed or has an unknown key or a wrong type; a flag value the
+config rejects; missing inputs); 1 runtime error.
 """
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from .baseline import multiscale_dvc
 from .config import RunConfig, assign_splits
 from .inference import sliding_register
+from .jsonable import to_json
 from .metrics import evaluate_pair
 from .figures import export_bdm_slices, export_displacement_magnitude, export_overlay_slices
 from .model import CheckpointError, checkpoint_load, checkpoint_save
@@ -36,15 +47,67 @@ class CliError(Exception):
     """Validation failure; maps to exit code 2."""
 
 
-def _thread_cap(n: int | None):
-    if n is None:
-        return contextlib.nullcontext()
-    try:
-        from threadpoolctl import threadpool_limits
+def float_list(s: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in s.split(","))
 
-        return threadpool_limits(limits=int(n))
-    except ImportError:
-        return contextlib.nullcontext()
+
+def int_triple(s: str) -> tuple[int, int, int]:
+    dims = tuple(int(v) for v in s.split(","))
+    if len(dims) != 3:
+        raise argparse.ArgumentTypeError(f"expected nx,ny,nz, got {s!r}")
+    return dims
+
+
+@dataclass(frozen=True)
+class Flag:
+    name: str
+    commands: tuple[str, ...]
+    paths: tuple[str, ...]  # dotted RunConfig fields; () for a handler argument
+    parse: Callable[[str], object]
+    help: str
+    choices: tuple[str, ...] | None = None
+
+    @property
+    def dest(self) -> str:
+        return self.name[2:].replace("-", "_")
+
+
+_ALL = ("generate", "preprocess", "train", "register", "baseline", "evaluate", "info")
+_PICK = ("register", "baseline", "evaluate")
+
+FLAGS = (
+    Flag("--workspace", _ALL, ("workspace",), str, "workspace directory"),
+    Flag("--seed", _ALL, ("seed", "train.seed"), int, "master seed"),
+    Flag("--c-values", ("generate",), ("c_values",), float_list,
+         "comma-separated level-set offsets (default: 0..-0.6 sweep)"),
+    Flag("--voxel-um", ("generate",), ("tpms.voxel_size",), float, "voxel pitch in micrometers"),
+    Flag("--extent-mm", ("generate",), ("tpms.part_extent",), float, "part extent per axis in mm"),
+    Flag("--plate-voxels", ("generate",), ("plate_voxels",), int, "base plate thickness in voxels"),
+    Flag("--target-dims", ("preprocess",), ("target_dims",), int_triple, "comma-separated nx,ny,nz"),
+    Flag("--manifest", ("train",) + _PICK, ("manifest",), str, "dataset manifest path"),
+    Flag("--checkpoint", ("train", "register"), ("checkpoint",), str,
+         "checkpoint path (train writes it, register reads it)"),
+    Flag("--epochs", ("train",), ("train.epochs",), int, "training epochs"),
+    Flag("--steps-per-epoch", ("train",), ("train.steps_per_epoch",), int, "optimizer steps per epoch"),
+    Flag("--batch-size", ("train",), ("train.batch_size",), int, "patch pairs per step"),
+    Flag("--patch-size", ("train",), ("model.patch_size",), int, "training patch edge length"),
+    Flag("--ncc-window", ("train",), ("train.ncc_window",), int, "NCC window size (odd)"),
+    Flag("--lr", ("train",), ("train.lr",), float, "initial learning rate"),
+    Flag("--lambda-smooth", ("train",), ("train.lambda_smooth",), float, "smoothness weight"),
+    Flag("--node-spacing", ("baseline",), ("dvc.node_spacing",), int, "node lattice spacing"),
+    Flag("--window-halfsize", ("baseline",), ("dvc.window_halfsize",), int, "correlation window half-size"),
+    Flag("--search-radius", ("baseline",), ("dvc.search_radius",), int, "search radius per level"),
+    Flag("--levels", ("baseline",), ("dvc.pyramid_levels",), int, "pyramid levels"),
+    Flag("--sample", _PICK, (), str, "sample id (default: all test samples)"),
+    Flag("--stride", ("register",), (), int, "patch stride (default patch/2)"),
+    Flag("--sigma", ("register",), (), float, "blend window sigma (default patch/4)"),
+    Flag("--method", ("evaluate",), (), str, "registration output to evaluate (default: learned)",
+         ("learned", "baseline", "both")),
+)
+
+
+def _flag_for(path: str) -> str:
+    return next(f.name for f in FLAGS if path in f.paths)
 
 
 def _log_run(cfg: RunConfig, stage: str, params: dict, duration: float) -> None:
@@ -81,8 +144,8 @@ def _mask_extras(cfg: RunConfig, voxel_size):
     return extras
 
 
-def cmd_generate(cfg: RunConfig) -> int:
-    t0 = time.perf_counter()
+def cmd_generate(cfg: RunConfig) -> dict:
+    """synthesize the lattice sample sweep with ground truth"""
     raw_dir = Path(cfg.workspace) / "raw"
     raw_dir.mkdir(parents=True, exist_ok=True)
     seed_base = cfg.seed * 10007
@@ -103,29 +166,20 @@ def cmd_generate(cfg: RunConfig) -> int:
         vvol_write(sdir / "cad.vvol", ScalarVolume(cad_mask.astype(np.float32), vs))
         vvol_write(sdir / "xct.vvol", xct)
         vvol_write(sdir / "gt_disp.vvol", gt)
-        sidecar = {
-            "id": sid,
-            "c_param": c,
-            "specs": {
-                "tpms": asdict(spec),
-                "deform": asdict(deform),
-                "degrade": asdict(degrade),
-                "plate_voxels": cfg.plate_voxels,
-                "marker_spheres": [list(s) for s in cfg.marker_spheres],
-            },
-            "seeds": {"deform": deform.seed, "degrade": degrade.seed},
-        }
+        specs = {"tpms": spec, "deform": deform, "degrade": degrade,
+                 "plate_voxels": cfg.plate_voxels, "marker_spheres": cfg.marker_spheres}
+        seeds = {"deform": deform.seed, "degrade": degrade.seed}
+        sidecar = to_json({"id": sid, "c_param": c, "specs": specs, "seeds": seeds})
         (sdir / "sample.json").write_text(json.dumps(sidecar, indent=2, sort_keys=True))
         print(
             f"{sid}: dims {dims[0]}x{dims[1]}x{dims[2]}, solid {cad_mask.mean():.1%}, "
             f"max |gt| {np.abs(gt.data).max():.2f} vox"
         )
-    _log_run(cfg, "generate", {"c_values": list(cfg.c_values), "seed": cfg.seed}, time.perf_counter() - t0)
-    return 0
+    return {"c_values": list(cfg.c_values), "seed": cfg.seed}
 
 
-def cmd_preprocess(cfg: RunConfig) -> int:
-    t0 = time.perf_counter()
+def cmd_preprocess(cfg: RunConfig) -> dict:
+    """clean, align, shape and normalize raw pairs into a dataset"""
     raw_dir = Path(cfg.workspace) / "raw"
     sidecars = sorted(raw_dir.glob("*/sample.json"))
     if not sidecars:
@@ -153,17 +207,12 @@ def cmd_preprocess(cfg: RunConfig) -> int:
     for entry in manifest.samples:
         print(f"{entry.id}: split {entry.split}")
     print(f"manifest: {cfg.manifest_path()}")
-    _log_run(cfg, "preprocess", {"target_dims": list(target)}, time.perf_counter() - t0)
-    return 0
+    return {"target_dims": list(target)}
 
 
-def cmd_train(cfg: RunConfig) -> int:
-    t0 = time.perf_counter()
-    mpath = cfg.manifest_path()
-    if not mpath.exists():
-        raise CliError(f"manifest not found at {mpath}; run preprocess or pass --manifest")
-    manifest = DatasetManifest.load(mpath)
-    params, history = train(manifest, cfg.model, cfg.train, log_fn=print)
+def cmd_train(cfg: RunConfig) -> dict:
+    """train the registration network on the dataset"""
+    params, history = train(_load_manifest(cfg), cfg.model, cfg.train, log_fn=print)
     ckpt = cfg.checkpoint_path()
     ckpt.parent.mkdir(parents=True, exist_ok=True)
     checkpoint_save(params, cfg.model, ckpt)
@@ -171,36 +220,35 @@ def cmd_train(cfg: RunConfig) -> int:
     hist_path.write_text(json.dumps(history.to_json(), indent=2))
     print(f"checkpoint: {ckpt}")
     print(f"history: {hist_path}")
-    _log_run(
-        cfg,
-        "train",
-        {"epochs": cfg.train.epochs, "steps_per_epoch": cfg.train.steps_per_epoch, "seed": cfg.train.seed},
-        time.perf_counter() - t0,
-    )
-    return 0
+    return {"epochs": cfg.train.epochs, "steps_per_epoch": cfg.train.steps_per_epoch, "seed": cfg.train.seed}
+
+
+def _load_manifest(cfg: RunConfig) -> DatasetManifest:
+    mpath = cfg.manifest_path()
+    if not mpath.exists():
+        raise CliError(f"manifest not found at {mpath}; run preprocess or pass {_flag_for('manifest')}")
+    return DatasetManifest.load(mpath)
 
 
 def _select_samples(cfg: RunConfig, sample: str | None) -> list:
-    mpath = cfg.manifest_path()
-    if not mpath.exists():
-        raise CliError(f"manifest not found at {mpath}; run preprocess first")
-    manifest = DatasetManifest.load(mpath)
+    manifest = _load_manifest(cfg)
     if sample:
         hits = [s for s in manifest.samples if s.id == sample]
         if not hits:
-            raise CliError(f"sample {sample!r} not in manifest {mpath}")
+            raise CliError(f"sample {sample!r} not in manifest {cfg.manifest_path()}")
         return hits
     test = manifest.split("test")
     if not test:
-        raise CliError(f"manifest {mpath} has no test samples; pass --sample")
+        raise CliError(f"manifest {cfg.manifest_path()} has no test samples; pass --sample")
     return test
 
 
-def cmd_register(cfg: RunConfig, sample: str | None, stride: int | None, sigma: float | None) -> int:
-    t0 = time.perf_counter()
+def cmd_register(cfg: RunConfig, sample: str | None = None, stride: int | None = None,
+                 sigma: float | None = None) -> dict:
+    """sliding-window registration of test samples"""
     ckpt = cfg.checkpoint_path()
     if not ckpt.exists():
-        raise CliError(f"checkpoint not found at {ckpt}; pass --checkpoint or run train first")
+        raise CliError(f"checkpoint not found at {ckpt}; pass {_flag_for('checkpoint')} or run train first")
     try:
         params, model_cfg = checkpoint_load(ckpt)
     except CheckpointError as e:
@@ -222,12 +270,11 @@ def cmd_register(cfg: RunConfig, sample: str | None, stride: int | None, sigma: 
             json.dumps({"sample_id": entry.id, "runtime_sec": runtime, "patch_size": model_cfg.patch_size}, indent=2)
         )
         print(f"{entry.id}: registered in {runtime:.1f}s -> {odir}")
-    _log_run(cfg, "register", {"sample": sample}, time.perf_counter() - t0)
-    return 0
+    return {"sample": sample}
 
 
-def cmd_baseline(cfg: RunConfig, sample: str | None) -> int:
-    t0 = time.perf_counter()
+def cmd_baseline(cfg: RunConfig, sample: str | None = None) -> dict:
+    """node-based DVC baseline on test samples"""
     for entry in _select_samples(cfg, sample):
         moving = vvol_read(entry.xct_path)
         fixed = vvol_read(entry.cad_path)
@@ -241,16 +288,16 @@ def cmd_baseline(cfg: RunConfig, sample: str | None) -> int:
         vvol_write(odir / "disp.vvol", disp)
         (odir / "nodes.json").write_text(json.dumps(nodes.to_json(), indent=2))
         (odir / "baseline.json").write_text(
-            json.dumps({"sample_id": entry.id, "runtime_sec": runtime, "dvc": asdict(cfg.dvc)}, indent=2)
+            json.dumps({"sample_id": entry.id, "runtime_sec": runtime, "dvc": to_json(cfg.dvc)}, indent=2)
         )
         valid_pct = 100.0 * nodes.valid.mean()
         print(f"{entry.id}: baseline in {runtime:.1f}s, {valid_pct:.0f}% valid nodes -> {odir}")
-    _log_run(cfg, "baseline", {"sample": sample}, time.perf_counter() - t0)
-    return 0
+    return {"sample": sample}
 
 
-def cmd_evaluate(cfg: RunConfig, sample: str | None, methods: list[str]) -> int:
-    t0 = time.perf_counter()
+def cmd_evaluate(cfg: RunConfig, sample: str | None = None, method: str = "learned") -> dict:
+    """metrics report and figure export for registered samples"""
+    methods = ["learned", "baseline"] if method == "both" else [method]
     method_dirs = {"learned": "registered", "baseline": "baseline"}
     for entry in _select_samples(cfg, sample):
         cad = vvol_read(entry.cad_path)
@@ -284,11 +331,11 @@ def cmd_evaluate(cfg: RunConfig, sample: str | None, methods: list[str]) -> int:
                 f"BDM0 {report.bdm_before['zero']:.1f}% -> {report.bdm_after['zero']:.1f}%, "
                 f"mean EPE {epe} vox, {runtime:.1f}s -> {rdir}"
             )
-    _log_run(cfg, "evaluate", {"sample": sample, "methods": methods}, time.perf_counter() - t0)
-    return 0
+    return {"sample": sample, "methods": methods}
 
 
-def cmd_info(cfg: RunConfig) -> int:
+def cmd_info(cfg: RunConfig) -> None:
+    """print the resolved config and workspace artifacts"""
     print(json.dumps(cfg.to_json(), indent=2, sort_keys=True))
     ws = Path(cfg.workspace)
     artifacts = {
@@ -300,160 +347,69 @@ def cmd_info(cfg: RunConfig) -> int:
         "reports": sorted(str(p.relative_to(ws)) for p in ws.glob("reports/*/*/report.json")),
     }
     print(json.dumps({"artifacts": artifacts}, indent=2, sort_keys=True))
-    return 0
+
+
+# each handler returns the params to record in run_log.jsonl, or None to record nothing
+COMMANDS = {
+    "generate": cmd_generate,
+    "preprocess": cmd_preprocess,
+    "train": cmd_train,
+    "register": cmd_register,
+    "baseline": cmd_baseline,
+    "evaluate": cmd_evaluate,
+    "info": cmd_info,
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    fmt = argparse.ArgumentDefaultsHelpFormatter
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON run config; flags override its fields")
-    common.add_argument("--workspace", help="workspace directory")
-    common.add_argument("--seed", type=int, help="master seed")
-    common.add_argument("--threads", type=int, help="cap BLAS worker threads")
-
-    parser = argparse.ArgumentParser(prog="voxcorr", description=__doc__, formatter_class=fmt)
+    parser = argparse.ArgumentParser(
+        prog="voxcorr", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    g = sub.add_parser("generate", parents=[common], formatter_class=fmt,
-                       help="synthesize the lattice sample sweep with ground truth")
-    g.add_argument("--c-values", help="comma-separated level-set offsets (default: 0..-0.6 sweep)")
-    g.add_argument("--voxel-um", type=float, help="voxel pitch in micrometers")
-    g.add_argument("--extent-mm", type=float, help="part extent per axis in mm")
-    g.add_argument("--plate-voxels", type=int, help="base plate thickness in voxels")
-
-    p = sub.add_parser("preprocess", parents=[common], formatter_class=fmt,
-                       help="clean, align, shape and normalize raw pairs into a dataset")
-    p.add_argument("--target-dims", help="comma-separated nx,ny,nz")
-
-    t = sub.add_parser("train", parents=[common], formatter_class=fmt,
-                       help="train the registration network on the dataset")
-    t.add_argument("--manifest", help="dataset manifest path")
-    t.add_argument("--checkpoint", help="output checkpoint path")
-    t.add_argument("--epochs", type=int, help="training epochs")
-    t.add_argument("--steps-per-epoch", type=int, help="optimizer steps per epoch")
-    t.add_argument("--batch-size", type=int, help="patch pairs per step")
-    t.add_argument("--patch-size", type=int, help="training patch edge length")
-    t.add_argument("--ncc-window", type=int, help="NCC window size (odd)")
-    t.add_argument("--lr", type=float, help="initial learning rate")
-    t.add_argument("--lambda-smooth", type=float, help="smoothness weight")
-
-    r = sub.add_parser("register", parents=[common], formatter_class=fmt,
-                       help="sliding-window registration of test samples")
-    r.add_argument("--checkpoint", help="trained checkpoint path")
-    r.add_argument("--manifest", help="dataset manifest path")
-    r.add_argument("--sample", help="sample id (default: all test samples)")
-    r.add_argument("--stride", type=int, help="patch stride (default patch/2)")
-    r.add_argument("--sigma", type=float, help="blend window sigma (default patch/4)")
-
-    b = sub.add_parser("baseline", parents=[common], formatter_class=fmt,
-                       help="node-based DVC baseline on test samples")
-    b.add_argument("--manifest", help="dataset manifest path")
-    b.add_argument("--sample", help="sample id (default: all test samples)")
-    b.add_argument("--node-spacing", type=int, help="node lattice spacing")
-    b.add_argument("--window-halfsize", type=int, help="correlation window half-size")
-    b.add_argument("--search-radius", type=int, help="search radius per level")
-    b.add_argument("--levels", type=int, help="pyramid levels")
-
-    e = sub.add_parser("evaluate", parents=[common], formatter_class=fmt,
-                       help="metrics report and figure export for registered samples")
-    e.add_argument("--manifest", help="dataset manifest path")
-    e.add_argument("--sample", help="sample id (default: all test samples)")
-    e.add_argument("--method", choices=["learned", "baseline", "both"], default="learned",
-                   help="which registration output to evaluate")
-
-    sub.add_parser("info", parents=[common], formatter_class=fmt,
-                   help="print the resolved config and workspace artifacts")
+    for name, handler in COMMANDS.items():
+        p = sub.add_parser(name, help=handler.__doc__, description=handler.__doc__)
+        p.add_argument("--config", help="JSON run config; flags override its fields")
+        for flag in FLAGS:
+            if name in flag.commands:
+                p.add_argument(flag.name, type=flag.parse, choices=flag.choices, help=flag.help)
     return parser
 
 
-def _resolve_config(args) -> RunConfig:
-    cfg = RunConfig.load(args.config) if args.config else RunConfig()
-    if args.workspace:
-        cfg = cfg.with_updates(workspace=args.workspace)
-    if args.seed is not None:
-        cfg = cfg.with_updates(seed=args.seed, train=replace(cfg.train, seed=args.seed))
-    if args.threads is not None:
-        cfg = cfg.with_updates(threads=args.threads)
+def _override(obj, path: str, value):
+    """replace() the field at dotted `path`, rebuilding each enclosing dataclass."""
+    head, _, rest = path.partition(".")
+    return replace(obj, **{head: _override(getattr(obj, head), rest, value) if rest else value})
 
-    if args.command == "generate":
-        if args.c_values:
-            cfg = cfg.with_updates(c_values=tuple(float(c) for c in args.c_values.split(",")))
-        tpms = cfg.tpms
-        if args.voxel_um:
-            tpms = replace(tpms, voxel_size=args.voxel_um)
-        if args.extent_mm:
-            tpms = replace(tpms, part_extent=args.extent_mm)
-        cfg = cfg.with_updates(tpms=tpms)
-        if args.plate_voxels is not None:
-            cfg = cfg.with_updates(plate_voxels=args.plate_voxels)
-    elif args.command == "preprocess":
-        if args.target_dims:
-            dims = tuple(int(v) for v in args.target_dims.split(","))
-            if len(dims) != 3:
-                raise CliError("--target-dims needs nx,ny,nz")
-            cfg = cfg.with_updates(target_dims=dims)
-    elif args.command == "train":
-        if args.manifest:
-            cfg = cfg.with_updates(manifest=args.manifest)
-        if args.checkpoint:
-            cfg = cfg.with_updates(checkpoint=args.checkpoint)
-        tr, mo = cfg.train, cfg.model
-        if args.epochs is not None:
-            tr = replace(tr, epochs=args.epochs)
-        if args.steps_per_epoch is not None:
-            tr = replace(tr, steps_per_epoch=args.steps_per_epoch)
-        if args.batch_size is not None:
-            tr = replace(tr, batch_size=args.batch_size)
-        if args.ncc_window is not None:
-            tr = replace(tr, ncc_window=args.ncc_window)
-        if args.lr is not None:
-            tr = replace(tr, lr=args.lr)
-        if args.lambda_smooth is not None:
-            tr = replace(tr, lambda_smooth=args.lambda_smooth)
-        if args.patch_size is not None:
-            mo = replace(mo, patch_size=args.patch_size)
-        cfg = cfg.with_updates(train=tr, model=mo)
-    elif args.command in ("register", "baseline", "evaluate"):
-        if getattr(args, "manifest", None):
-            cfg = cfg.with_updates(manifest=args.manifest)
-        if args.command == "register" and args.checkpoint:
-            cfg = cfg.with_updates(checkpoint=args.checkpoint)
-        if args.command == "baseline":
-            dvc = cfg.dvc
-            if args.node_spacing is not None:
-                dvc = replace(dvc, node_spacing=args.node_spacing)
-            if args.window_halfsize is not None:
-                dvc = replace(dvc, window_halfsize=args.window_halfsize)
-            if args.search_radius is not None:
-                dvc = replace(dvc, search_radius=args.search_radius)
-            if args.levels is not None:
-                dvc = replace(dvc, pyramid_levels=args.levels)
-            cfg = cfg.with_updates(dvc=dvc)
+
+def _resolve_config(args) -> RunConfig:
+    try:
+        cfg = RunConfig.load(args.config) if args.config else RunConfig()
+    except (OSError, ValueError) as e:
+        raise CliError(f"config {args.config}: {e}") from e
+    for flag in FLAGS:
+        value = getattr(args, flag.dest, None)
+        for path in flag.paths if value is not None else ():
+            try:
+                cfg = _override(cfg, path, value)
+            except ValueError as e:
+                raise CliError(f"{flag.name} {value}: {e}") from e
     return cfg
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    kwargs = {
+        f.dest: getattr(args, f.dest)
+        for f in FLAGS
+        if not f.paths and args.command in f.commands and getattr(args, f.dest) is not None
+    }
     try:
         cfg = _resolve_config(args)
-        with _thread_cap(cfg.threads):
-            if args.command == "generate":
-                return cmd_generate(cfg)
-            if args.command == "preprocess":
-                return cmd_preprocess(cfg)
-            if args.command == "train":
-                return cmd_train(cfg)
-            if args.command == "register":
-                return cmd_register(cfg, args.sample, args.stride, args.sigma)
-            if args.command == "baseline":
-                return cmd_baseline(cfg, args.sample)
-            if args.command == "evaluate":
-                methods = ["learned", "baseline"] if args.method == "both" else [args.method]
-                return cmd_evaluate(cfg, args.sample, methods)
-            if args.command == "info":
-                return cmd_info(cfg)
-            raise CliError(f"unknown command {args.command!r}")
+        t0 = time.perf_counter()
+        params = COMMANDS[args.command](cfg, **kwargs)
+        if params is not None:
+            _log_run(cfg, args.command, params, time.perf_counter() - t0)
+        return 0
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

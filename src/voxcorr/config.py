@@ -1,16 +1,22 @@
 """Run configuration: one JSON document covering every pipeline stage.
 
 Desk-scale defaults throughout; paper-scale settings (larger grids, patch 128,
-window 9, more epochs) are reachable purely through the config file. Flags
-override individual fields on top of the loaded config.
+window 9, more epochs) are reachable purely through the config file. The JSON
+mirrors the dataclasses field for field (see jsonable). A file may name any
+subset of keys at any depth: each section it names is overlaid onto
+RunConfig()'s own default for that section, so a partial "train" block keeps
+the desk ncc_window. An unknown key, a wrong type or a value a __post_init__
+rejects raises VolumeError, which the CLI reports as exit code 2. Flags
+(cli.FLAGS) override single fields on top of the loaded config.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .baseline import DvcConfig
+from .jsonable import Jsonable, from_json
 from .model import ModelConfig
 from .preprocess import CleanSpec
 from .tpms import DeformSpec, DegradeSpec, TpmsSpec
@@ -21,7 +27,7 @@ PAPER_C_SWEEP = (0.0, -0.1, -0.2, -0.3, -0.4, -0.5, -0.6)
 
 
 @dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Jsonable):
     workspace: str = "workspace"
     manifest: str | None = None         # default: <workspace>/dataset/manifest.json
     checkpoint: str | None = None       # default: <workspace>/checkpoint.vmck
@@ -35,9 +41,8 @@ class RunConfig:
     dvc: DvcConfig = field(default_factory=DvcConfig)
     target_dims: tuple[int, int, int] | None = None  # default: generator grid
     plate_voxels: int = 0
-    marker_spheres: tuple = ()          # ((x, y, z, radius), ...) in voxels
+    marker_spheres: tuple[tuple[float, float, float, float], ...] = ()  # ((x, y, z, radius), ...) in voxels
     seed: int = 0
-    threads: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "c_values", tuple(float(c) for c in self.c_values))
@@ -51,56 +56,11 @@ class RunConfig:
     def checkpoint_path(self) -> Path:
         return Path(self.checkpoint) if self.checkpoint else Path(self.workspace) / "checkpoint.vmck"
 
-    def to_json(self) -> dict:
-        d = {
-            "workspace": self.workspace,
-            "manifest": self.manifest,
-            "checkpoint": self.checkpoint,
-            "c_values": list(self.c_values),
-            "tpms": asdict(self.tpms),
-            "deform": asdict(self.deform),
-            "degrade": asdict(self.degrade),
-            "clean": asdict(self.clean),
-            "model": self.model.to_json(),
-            "train": asdict(self.train),
-            "dvc": asdict(self.dvc),
-            "target_dims": list(self.target_dims) if self.target_dims else None,
-            "plate_voxels": self.plate_voxels,
-            "marker_spheres": [list(s) for s in self.marker_spheres],
-            "seed": self.seed,
-            "threads": self.threads,
-        }
-        return d
-
     @classmethod
     def from_json(cls, d: dict) -> "RunConfig":
-        kw: dict = {}
-        if "workspace" in d:
-            kw["workspace"] = d["workspace"]
-        for key in ("manifest", "checkpoint", "plate_voxels", "seed", "threads"):
-            if key in d and d[key] is not None:
-                kw[key] = d[key]
-        if d.get("c_values") is not None:
-            kw["c_values"] = tuple(d["c_values"])
-        if d.get("tpms"):
-            kw["tpms"] = TpmsSpec(**d["tpms"])
-        if d.get("deform"):
-            kw["deform"] = DeformSpec(**d["deform"])
-        if d.get("degrade"):
-            kw["degrade"] = DegradeSpec(**d["degrade"])
-        if d.get("clean"):
-            kw["clean"] = CleanSpec(**d["clean"])
-        if d.get("model"):
-            kw["model"] = ModelConfig.from_json(d["model"])
-        if d.get("train"):
-            kw["train"] = TrainConfig(**d["train"])
-        if d.get("dvc"):
-            kw["dvc"] = DvcConfig(**d["dvc"])
-        if d.get("target_dims"):
-            kw["target_dims"] = tuple(d["target_dims"])
-        if d.get("marker_spheres"):
-            kw["marker_spheres"] = tuple(tuple(s) for s in d["marker_spheres"])
-        return cls(**kw)
+        """Overlay `d` onto RunConfig(): a key the document leaves out, at any
+        depth, keeps the default, and an unknown key is a VolumeError."""
+        return from_json(cls, d, base=cls())
 
     @classmethod
     def load(cls, path) -> "RunConfig":
@@ -108,9 +68,6 @@ class RunConfig:
 
     def save(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_json(), indent=2, sort_keys=True))
-
-    def with_updates(self, **kwargs) -> "RunConfig":
-        return replace(self, **kwargs)
 
 
 def assign_splits(c_values: list[float]) -> dict[float, str]:

@@ -65,16 +65,20 @@ def conv3d_forward(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray, want_ctx
     return out, None
 
 
+def conv3d_param_grads(gout: np.ndarray, ctx) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients (dkernel, dbias) for conv3d_forward, without the input gradient."""
+    cols, _, kernel = ctx
+    g2 = gout.reshape(kernel.shape[0], -1)
+    return (g2 @ cols.T).reshape(kernel.shape), g2.sum(axis=1)
+
+
 def conv3d_backward(gout: np.ndarray, ctx) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients (dx, dkernel, dbias) for conv3d_forward."""
-    cols, x_shape, kernel = ctx
-    cout, cin, k, _, _ = kernel.shape
-    g2 = gout.reshape(cout, -1)
-    dbias = g2.sum(axis=1)
-    dkernel = (g2 @ cols.T).reshape(kernel.shape)
+    kernel = ctx[2]
+    dkernel, dbias = conv3d_param_grads(gout, ctx)
     # dx: same-padded convolution of gout with the flipped, transposed kernel
     kt = np.ascontiguousarray(kernel[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4))
-    dx, _ = conv3d_forward(gout, kt, np.zeros(cin, dtype=kernel.dtype), want_ctx=False)
+    dx, _ = conv3d_forward(gout, kt, np.zeros(kernel.shape[1], dtype=kernel.dtype), want_ctx=False)
     return dx, dkernel, dbias
 
 

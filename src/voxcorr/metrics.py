@@ -6,8 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .volume import BinaryVolume, DisplacementField, ScalarVolume, VolumeError
+from .jsonable import Jsonable
 from .preprocess import otsu_threshold
+from .volume import BinaryVolume, DisplacementField, ScalarVolume, VolumeError
 
 # int8 sentinel marking voxels outside the foreground union in a BDM map
 BDM_OUTSIDE = np.int8(127)
@@ -77,7 +78,7 @@ def endpoint_error(
 
 
 @dataclass
-class EvalReport:
+class EvalReport(Jsonable):
     sample_id: str
     method: str
     dice_before_pct: float
@@ -87,19 +88,6 @@ class EvalReport:
     mean_epe_vox: float | None
     max_epe_vox: float | None
     runtime_sec: float
-
-    def to_json(self) -> dict:
-        return {
-            "sample_id": self.sample_id,
-            "method": self.method,
-            "dice_before_pct": self.dice_before_pct,
-            "dice_after_pct": self.dice_after_pct,
-            "bdm_before": self.bdm_before,
-            "bdm_after": self.bdm_after,
-            "mean_epe_vox": self.mean_epe_vox,
-            "max_epe_vox": self.max_epe_vox,
-            "runtime_sec": self.runtime_sec,
-        }
 
 
 def _bdm_summary(r: BdmResult) -> dict:

@@ -15,14 +15,16 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .jsonable import Jsonable
 from .layers import (
     conv3d_backward,
     conv3d_forward,
+    conv3d_param_grads,
     leaky_relu_backward,
     leaky_relu_forward,
     maxpool3d_backward,
@@ -34,7 +36,7 @@ from .volume import VolumeError, warp_array
 
 
 @dataclass(frozen=True)
-class ModelConfig:
+class ModelConfig(Jsonable):
     enc_features: tuple[int, ...] = (32, 32, 32, 32)
     dec_features: tuple[int, ...] = (32, 32, 32, 32, 32, 16)
     kernel_size: int = 3
@@ -56,22 +58,6 @@ class ModelConfig:
     @property
     def pool_factor(self) -> int:
         return 2 ** len(self.enc_features)
-
-    def to_json(self) -> dict:
-        d = asdict(self)
-        d["enc_features"] = list(self.enc_features)
-        d["dec_features"] = list(self.dec_features)
-        return d
-
-    @classmethod
-    def from_json(cls, d: dict) -> "ModelConfig":
-        return cls(
-            enc_features=tuple(d["enc_features"]),
-            dec_features=tuple(d["dec_features"]),
-            kernel_size=int(d["kernel_size"]),
-            leaky_slope=float(d["leaky_slope"]),
-            patch_size=int(d["patch_size"]),
-        )
 
 
 def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -203,7 +189,10 @@ def model_backward(tape: dict, d_moved: np.ndarray | None, d_disp: np.ndarray | 
         da = maxpool3d_backward(dx, pctx)
         da += skip_grads[i]
         dy = leaky_relu_backward(da, neg, slope)
-        dx, grads[f"enc{i}.w"], grads[f"enc{i}.b"] = conv3d_backward(dy, cctx)
+        if i:
+            dx, grads[f"enc{i}.w"], grads[f"enc{i}.b"] = conv3d_backward(dy, cctx)
+        else:  # nothing needs the gradient with respect to the input patches
+            grads["enc0.w"], grads["enc0.b"] = conv3d_param_grads(dy, cctx)
     return grads
 
 
@@ -235,45 +224,42 @@ def checkpoint_save(params: dict, cfg: ModelConfig, path) -> None:
 
 
 def checkpoint_load(path) -> tuple[dict[str, np.ndarray], ModelConfig]:
+    """Inverse of checkpoint_save. Raises CheckpointError on a truncated or
+    oversized file, a config that is not a valid ModelConfig, a tensor name or
+    shape that does not match the config, or non-finite weights."""
     blob = Path(path).read_bytes()
-    if len(blob) < 12:
-        raise CheckpointError(f"{path}: truncated header")
-    if blob[:4] != CKPT_MAGIC:
-        raise CheckpointError(f"{path}: bad magic {blob[:4]!r}")
+    off = 0
+
+    def take(n: int, what: str) -> bytes:
+        nonlocal off
+        if len(blob) < off + n:
+            raise CheckpointError(f"{path}: truncated {what}")
+        off += n
+        return blob[off - n : off]
+
+    if (magic := take(12, "header")[:4]) != CKPT_MAGIC:
+        raise CheckpointError(f"{path}: bad magic {magic!r}")
     version, cfg_len = struct.unpack_from("<II", blob, 4)
     if version != CKPT_VERSION:
         raise CheckpointError(f"{path}: unsupported version {version}")
-    off = 12
-    if len(blob) < off + cfg_len:
-        raise CheckpointError(f"{path}: truncated config block")
-    cfg = ModelConfig.from_json(json.loads(blob[off : off + cfg_len].decode("utf-8")))
-    off += cfg_len
+    try:
+        cfg = ModelConfig.from_json(json.loads(take(cfg_len, "config block").decode("utf-8")))
+    except ValueError as e:  # VolumeError, bad JSON or bad UTF-8
+        raise CheckpointError(f"{path}: invalid model config: {e}") from e
     params: dict[str, np.ndarray] = {}
-    expected = param_shapes(cfg)
-    for name, shape in expected.items():
-        if len(blob) < off + 2:
-            raise CheckpointError(f"{path}: truncated before tensor {name!r}")
-        (name_len,) = struct.unpack_from("<H", blob, off)
-        off += 2
-        stored = blob[off : off + name_len].decode("utf-8")
-        off += name_len
+    for name, shape in param_shapes(cfg).items():
+        (name_len,) = struct.unpack("<H", take(2, f"header of {name!r}"))
+        stored = take(name_len, f"name of {name!r}").decode("utf-8", errors="replace")
         if stored != name:
             raise CheckpointError(f"{path}: expected tensor {name!r}, found {stored!r}")
-        if len(blob) < off + 4:
-            raise CheckpointError(f"{path}: truncated rank of {name!r}")
-        (rank,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        if len(blob) < off + 4 * rank:
-            raise CheckpointError(f"{path}: truncated dims of {name!r}")
-        dims = struct.unpack_from(f"<{rank}I", blob, off)
-        off += 4 * rank
+        (rank,) = struct.unpack("<I", take(4, f"rank of {name!r}"))
+        dims = struct.unpack(f"<{rank}I", take(4 * rank, f"dims of {name!r}"))
         if dims != shape:
-            raise CheckpointError(
-                f"{path}: tensor {name!r} has shape {dims}, config requires {shape}"
-            )
-        count = int(np.prod(dims))
-        if len(blob) < off + 4 * count:
-            raise CheckpointError(f"{path}: truncated payload of {name!r}")
-        params[name] = np.frombuffer(blob, dtype="<f4", count=count, offset=off).reshape(dims).copy()
-        off += 4 * count
+            raise CheckpointError(f"{path}: tensor {name!r} has shape {dims}, config requires {shape}")
+        t = np.frombuffer(take(4 * int(np.prod(dims)), f"payload of {name!r}"), dtype="<f4")
+        if not np.all(np.isfinite(t)):
+            raise CheckpointError(f"{path}: tensor {name!r} contains non-finite values")
+        params[name] = t.reshape(dims).copy()
+    if off != len(blob):
+        raise CheckpointError(f"{path}: {len(blob) - off} trailing bytes after the last tensor")
     return params, cfg

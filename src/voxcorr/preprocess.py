@@ -9,13 +9,14 @@ nominal volume, shapes both to a common grid and normalizes intensities.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 from scipy import ndimage
 
+from .jsonable import Jsonable, to_json
 from .volume import BinaryVolume, DisplacementField, IVec3, ScalarVolume, VolumeError, crop_or_pad, minmax_normalize
 from .vvol import vvol_read, vvol_write
 
@@ -198,7 +199,7 @@ class SampleEntry:
 
 
 @dataclass
-class DatasetManifest:
+class DatasetManifest(Jsonable):
     samples: list[SampleEntry]
     target_dims: IVec3
     created_at: str = ""
@@ -210,21 +211,6 @@ class DatasetManifest:
 
     def split(self, name: str) -> list[SampleEntry]:
         return [s for s in self.samples if s.split == name]
-
-    def to_json(self) -> dict:
-        return {
-            "samples": [asdict(s) for s in self.samples],
-            "target_dims": list(self.target_dims),
-            "created_at": self.created_at,
-        }
-
-    @classmethod
-    def from_json(cls, d: dict) -> "DatasetManifest":
-        return cls(
-            samples=[SampleEntry(**s) for s in d["samples"]],
-            target_dims=tuple(d["target_dims"]),
-            created_at=d.get("created_at", ""),
-        )
 
     def save(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_json(), indent=2))
@@ -290,7 +276,7 @@ def build_dataset(
             sidecar = {
                 "id": sid,
                 "c_param": s.get("c_param", 0.0),
-                "clean": asdict(clean_spec),
+                "clean": to_json(clean_spec),
                 "coarse_shift": list(shift),
                 "target_dims": list(target_dims),
             }

@@ -10,7 +10,7 @@ grayscale up to interpolation.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.ndimage import binary_erosion, gaussian_filter
@@ -36,7 +36,6 @@ class TpmsSpec:
 
     c_param: float = 0.0
     cell_size: float = 2.5
-    wall_thickness: float = 0.5
     part_extent: float = 5.12
     voxel_size: float = 40.0
     band_halfwidth: float = 0.7
@@ -44,8 +43,8 @@ class TpmsSpec:
     def __post_init__(self):
         if not (-1.0 <= self.c_param <= 1.0):
             raise VolumeError(f"c_param must lie in [-1, 1], got {self.c_param}")
-        if self.wall_thickness <= 0 or self.voxel_size <= 0 or self.part_extent <= 0:
-            raise VolumeError("wall_thickness, voxel_size and part_extent must be positive")
+        if self.voxel_size <= 0 or self.part_extent <= 0:
+            raise VolumeError("voxel_size and part_extent must be positive")
 
     def grid_dims(self) -> IVec3:
         n = int(round(self.part_extent * 1000.0 / self.voxel_size))
@@ -167,7 +166,7 @@ def calibrate_band(target_thickness_mm: float, spec: TpmsSpec, tolerance: float 
 
     def measured(tau: float) -> float:
         try:
-            solid = tpms_solid(f, _with_tau(spec, tau))
+            solid = tpms_solid(f, replace(spec, band_halfwidth=tau))
         except VolumeError:
             return 0.0
         return measure_wall_thickness(solid)
@@ -188,12 +187,6 @@ def calibrate_band(target_thickness_mm: float, spec: TpmsSpec, tolerance: float 
         else:
             hi = mid
     raise VolumeError("band calibration did not converge to the requested tolerance")
-
-
-def _with_tau(spec: TpmsSpec, tau: float) -> TpmsSpec:
-    return TpmsSpec(
-        spec.c_param, spec.cell_size, spec.wall_thickness, spec.part_extent, spec.voxel_size, tau
-    )
 
 
 def add_base_plate(mask: BinaryVolume, plate_thickness_voxels: int) -> BinaryVolume:
@@ -217,10 +210,11 @@ def add_spheres(mask: BinaryVolume, centers, radii) -> BinaryVolume:
     return BinaryVolume(out, mask.voxel_size)
 
 
-def _stamp_sphere(mask: np.ndarray, center, radius: float, value: bool) -> None:
+def _stamp_sphere(arr: np.ndarray, center, radius: float, value) -> None:
+    """Set every voxel of `arr` within `radius` of (x, y, z) `center` to `value`."""
     cx, cy, cz = center
     r = float(radius)
-    nz, ny, nx = mask.shape
+    nz, ny, nx = arr.shape
     x0, x1 = max(0, int(np.floor(cx - r))), min(nx - 1, int(np.ceil(cx + r)))
     y0, y1 = max(0, int(np.floor(cy - r))), min(ny - 1, int(np.ceil(cy + r)))
     z0, z1 = max(0, int(np.floor(cz - r))), min(nz - 1, int(np.ceil(cz + r)))
@@ -228,7 +222,7 @@ def _stamp_sphere(mask: np.ndarray, center, radius: float, value: bool) -> None:
     yy = np.arange(y0, y1 + 1)[None, :, None] - cy
     xx = np.arange(x0, x1 + 1)[None, None, :] - cx
     ball = zz * zz + yy * yy + xx * xx <= r * r
-    region = mask[z0 : z1 + 1, y0 : y1 + 1, x0 : x1 + 1]
+    region = arr[z0 : z1 + 1, y0 : y1 + 1, x0 : x1 + 1]
     region[ball] = value
 
 
@@ -290,7 +284,7 @@ def degrade_to_xct(
             picks = rng.choice(pore_idx, size=min(spec_deg.pore_close_count, pore_idx.size), replace=False)
             for flat in picks:
                 z, y, x = np.unravel_index(flat, f.shape)
-                _stamp_value_sphere(f, (x, y, z), spec_deg.pore_close_radius, spec_tpms.c_param)
+                _stamp_sphere(f, (x, y, z), spec_deg.pore_close_radius, spec_tpms.c_param)
 
     solid = tpms_solid(ScalarVolume(f.astype(np.float32), cad_field.voxel_size), spec_tpms)
     mask = solid.mask.copy()
@@ -316,17 +310,3 @@ def degrade_to_xct(
     xct = warp_array(gray.astype(np.float64), g_inv.data.astype(np.float64))
     return ScalarVolume(xct.astype(np.float32), cad_field.voxel_size), gt
 
-
-def _stamp_value_sphere(arr: np.ndarray, center, radius: float, value: float) -> None:
-    cx, cy, cz = center
-    r = float(radius)
-    nz, ny, nx = arr.shape
-    x0, x1 = max(0, int(np.floor(cx - r))), min(nx - 1, int(np.ceil(cx + r)))
-    y0, y1 = max(0, int(np.floor(cy - r))), min(ny - 1, int(np.ceil(cy + r)))
-    z0, z1 = max(0, int(np.floor(cz - r))), min(nz - 1, int(np.ceil(cz + r)))
-    zz = np.arange(z0, z1 + 1)[:, None, None] - cz
-    yy = np.arange(y0, y1 + 1)[None, :, None] - cy
-    xx = np.arange(x0, x1 + 1)[None, None, :] - cx
-    ball = zz * zz + yy * yy + xx * xx <= r * r
-    region = arr[z0 : z1 + 1, y0 : y1 + 1, x0 : x1 + 1]
-    region[ball] = value

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .jsonable import Jsonable
 from .losses import total_loss
 from .model import ModelConfig, init_params, model_backward, model_forward
 from .preprocess import DatasetManifest
@@ -49,19 +50,11 @@ class TrainConfig:
 
 
 @dataclass
-class TrainHistory:
+class TrainHistory(Jsonable):
     train_loss: list[float] = field(default_factory=list)
     val_loss: list[float] = field(default_factory=list)
     lr: list[float] = field(default_factory=list)
     wall_time: list[float] = field(default_factory=list)
-
-    def to_json(self) -> dict:
-        return {
-            "train_loss": self.train_loss,
-            "val_loss": self.val_loss,
-            "lr": self.lr,
-            "wall_time": self.wall_time,
-        }
 
 
 def adam_step(
@@ -128,37 +121,28 @@ class PlateauScheduler:
         return self.lr
 
 
-class VolumeCache:
-    """Lazy volume loader keyed by path; patches are sliced on demand."""
-
-    def __init__(self):
-        self._store: dict[str, np.ndarray] = {}
-
-    def get(self, path: str) -> np.ndarray:
-        if path not in self._store:
-            vol = vvol_read(path)
-            self._store[path] = vol.data.astype(np.float32, copy=False)
-        return self._store[path]
-
-
 def sample_training_batch(
     manifest: DatasetManifest,
     split: str,
     batch_size: int,
     patch_size: int,
     rng: np.random.Generator,
-    cache: VolumeCache | None = None,
+    cache: dict[str, np.ndarray] | None = None,
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Random (moving scan, fixed nominal) patch pairs from one split."""
+    """Random (moving scan, fixed nominal) patch pairs from one split.
+
+    Volumes are read on first use into `cache` (path -> float32 data)."""
     entries = manifest.split(split)
     if not entries:
         raise VolumeError(f"split {split!r} is empty")
-    cache = cache or VolumeCache()
+    cache = {} if cache is None else cache
     batch = []
     for _ in range(batch_size):
         entry = entries[int(rng.integers(len(entries)))]
-        moving = cache.get(entry.xct_path)
-        fixed = cache.get(entry.cad_path)
+        for path in (entry.xct_path, entry.cad_path):
+            if path not in cache:
+                cache[path] = vvol_read(path).data.astype(np.float32, copy=False)
+        moving, fixed = cache[entry.xct_path], cache[entry.cad_path]
         nz, ny, nx = moving.shape
         p = patch_size
         if min(nx, ny, nz) < p:
@@ -192,7 +176,7 @@ def train(
         raise VolumeError("train and val splits must be non-empty")
     rng = np.random.default_rng(train_cfg.seed)
     val_rng = np.random.default_rng(train_cfg.seed + 1)
-    cache = VolumeCache()
+    cache: dict[str, np.ndarray] = {}
     p = model_cfg.patch_size
     lam, window = train_cfg.lambda_smooth, train_cfg.ncc_window
 

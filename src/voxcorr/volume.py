@@ -40,6 +40,8 @@ class ScalarVolume:
 
     def __post_init__(self):
         _check_grid(self.data, "data")
+        if not np.all(np.isfinite(self.data)):
+            raise VolumeError("volume data contains non-finite values")
         object.__setattr__(self, "voxel_size", _check_voxel_size(self.voxel_size))
 
     @property

@@ -89,16 +89,3 @@ class TestBlendAccumulator:
         with pytest.raises(VolumeError):
             acc.finalize()
 
-    def test_merge_matches_single_accumulator(self):
-        rng = np.random.default_rng(5)
-        vol = rng.uniform(0, 1, size=(24, 24, 24))
-        grid = make_patch_grid((24, 24, 24), 16, 8)
-        solo = BlendAccumulator((24, 24, 24), 1, 16)
-        a = BlendAccumulator((24, 24, 24), 1, 16)
-        b = BlendAccumulator((24, 24, 24), 1, 16)
-        for i, (x, y, z) in enumerate(grid.origins):
-            patch = vol[z : z + 16, y : y + 16, x : x + 16]
-            solo.add(patch, (x, y, z))
-            (a if i % 2 == 0 else b).add(patch, (x, y, z))
-        a.merge(b)
-        np.testing.assert_allclose(a.finalize(), solo.finalize(), atol=1e-12)

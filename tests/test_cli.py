@@ -1,11 +1,12 @@
 import hashlib
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from voxcorr.cli import main
+from voxcorr.cli import FLAGS, _build_parser, _resolve_config, main
 from voxcorr.config import RunConfig, assign_splits
 from voxcorr.vvol import vvol_read, vvol_write
 
@@ -179,9 +180,10 @@ class TestCliSurface:
         assert "--workspace" in out
 
     def test_unknown_flag_exits_2(self):
-        with pytest.raises(SystemExit) as e:
-            main(["generate", "--bogus"])
-        assert e.value.code == 2
+        for argv in (["generate", "--bogus"], ["train", "--threads", "2"]):  # --threads was removed
+            with pytest.raises(SystemExit) as e:
+                main(argv)
+            assert e.value.code == 2
 
     def test_info_prints_config(self, workspace, capsys):
         rc = main(["info", "--workspace", str(workspace)])
@@ -202,3 +204,81 @@ class TestCliSurface:
         loaded = RunConfig.load(cpath)
         assert loaded.seed == 9
         assert loaded.to_json() == cfg.to_json()
+
+    @pytest.mark.parametrize(
+        "section, partial",
+        [("train", {"val_batch_size": 1}), ("tpms", {"c_param": -0.2}), ("model", {"patch_size": 48})],
+    )
+    def test_partial_section_keeps_run_defaults(self, tmp_path, section, partial):
+        cpath = tmp_path / "cfg.json"
+        cpath.write_text(json.dumps({section: partial}))
+        default = RunConfig()
+        expected = replace(default, **{section: replace(getattr(default, section), **partial)})
+        assert RunConfig.load(cpath) == expected
+
+    @pytest.mark.parametrize(
+        "doc, needle",
+        [
+            ({"threads": 2}, "'threads'"),
+            ({"train": {"ncc_windw": 5}}, "'ncc_windw'"),
+            ({"tpms": {"wall_thickness": 0.5}}, "'wall_thickness'"),
+            ({"model": {"patch_sise": 32}}, "'patch_sise'"),
+            ({"seed": "3"}, "seed"),
+            ({"train": {"ncc_window": 4}}, "ncc_window"),
+            ("[1, 2", "Expecting"),
+        ],
+    )
+    def test_bad_config_exits_2_with_one_error_line(self, tmp_path, capsys, doc, needle):
+        cpath = tmp_path / "cfg.json"
+        cpath.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        assert main(["info", "--config", str(cpath)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and needle in err[0]
+
+    @pytest.mark.parametrize(
+        "argv, needle",
+        [
+            (["info", "--config", "missing.json"], "missing.json"),
+            (["train", "--ncc-window", "4"], "ncc_window"),
+            (["train", "--patch-size", "24"], "patch_size"),
+            (["generate", "--c-values", "0,2"], "c value"),
+        ],
+    )
+    def test_rejected_value_exits_2_with_one_error_line(self, tmp_path, monkeypatch, capsys, argv, needle):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and needle in err[0]
+
+
+# one valid value per flag, different from the RunConfig() default it overrides
+FLAG_VALUES = {
+    "--workspace": "w2", "--seed": "7", "--c-values": "0,-0.5", "--voxel-um": "40",
+    "--extent-mm": "2.56", "--plate-voxels": "2", "--target-dims": "8,8,8",
+    "--manifest": "m.json", "--checkpoint": "c.vmck", "--epochs": "3",
+    "--steps-per-epoch": "2", "--batch-size": "3", "--patch-size": "48", "--ncc-window": "7",
+    "--lr": "0.01", "--lambda-smooth": "0.5", "--node-spacing": "8", "--window-halfsize": "4",
+    "--search-radius": "2", "--levels": "1",
+    "--sample": "c0", "--stride": "8", "--sigma": "4", "--method": "both",
+}
+
+
+def _flatten(d, prefix=""):
+    out = {}
+    for k, v in d.items():
+        if isinstance(v, dict):
+            out.update(_flatten(v, f"{prefix}{k}."))
+        else:
+            out[f"{prefix}{k}"] = v
+    return out
+
+
+@pytest.mark.parametrize(
+    "flag, cmd", [(f, c) for f in FLAGS for c in f.commands], ids=lambda x: getattr(x, "name", x)
+)
+def test_flag_sets_exactly_its_config_paths(flag, cmd):
+    args = _build_parser().parse_args([cmd, flag.name, FLAG_VALUES[flag.name]])
+    assert getattr(args, flag.dest) is not None
+    before = _flatten(RunConfig().to_json())
+    after = _flatten(_resolve_config(args).to_json())
+    assert {k for k in before if before[k] != after[k]} == set(flag.paths)

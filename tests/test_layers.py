@@ -4,6 +4,7 @@ import pytest
 from voxcorr.layers import (
     conv3d_backward,
     conv3d_forward,
+    conv3d_param_grads,
     leaky_relu_backward,
     leaky_relu_forward,
     maxpool3d_backward,
@@ -84,6 +85,17 @@ class TestConv3d:
         fd_check(loss, x, dx, rng)
         fd_check(loss, k, dk, rng)
         fd_check(loss, b, db, rng, n_samples=2)
+
+    def test_param_grads_equal_full_backward(self):
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((2, 6, 6, 6)).astype(np.float32)
+        k = rng.standard_normal((3, 2, 3, 3, 3)).astype(np.float32)
+        _, ctx = conv3d_forward(x, k, np.zeros(3, np.float32))
+        gout = rng.standard_normal((3, 6, 6, 6)).astype(np.float32)
+        _, dk, db = conv3d_backward(gout, ctx)
+        dk2, db2 = conv3d_param_grads(gout, ctx)
+        assert dk2.tobytes() == dk.tobytes()
+        assert db2.tobytes() == db.tobytes()
 
 
 class TestLeakyRelu:

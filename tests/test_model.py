@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -147,6 +150,41 @@ class TestCheckpoint:
         p = tmp_path / "m.vmck"
         p.write_bytes(b"NOPE" + b"\x00" * 64)
         with pytest.raises(CheckpointError):
+            checkpoint_load(p)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        p = tmp_path / "m.vmck"
+        checkpoint_save(init_params(TOY, np.random.default_rng(8)), TOY, p)
+        p.write_bytes(p.read_bytes() + b"\x00")
+        with pytest.raises(CheckpointError, match="trailing"):
+            checkpoint_load(p)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_weights_rejected(self, tmp_path, bad):
+        params = init_params(TOY, np.random.default_rng(8), dtype=np.float32)
+        params["dec2.w"].flat[5] = bad
+        p = tmp_path / "m.vmck"
+        checkpoint_save(params, TOY, p)
+        with pytest.raises(CheckpointError, match="dec2.w"):
+            checkpoint_load(p)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda d: d.pop("kernel_size"),
+            lambda d: d.update(kernel_sise=3),
+            lambda d: d.update(patch_size="16"),
+            lambda d: d.update(kernel_size=2),
+        ],
+        ids=["missing-key", "unknown-key", "wrong-type", "invalid-value"],
+    )
+    def test_invalid_embedded_config_rejected(self, tmp_path, edit):
+        cfg = TOY.to_json()
+        edit(cfg)
+        cfg_bytes = json.dumps(cfg).encode()
+        p = tmp_path / "m.vmck"
+        p.write_bytes(b"VMCK" + struct.pack("<II", 1, len(cfg_bytes)) + cfg_bytes)
+        with pytest.raises(CheckpointError, match="invalid model config"):
             checkpoint_load(p)
 
     def test_shape_mismatch_names_tensor(self, tmp_path):

@@ -28,6 +28,15 @@ def smooth_field(shape_zyx, amplitude, sigma, seed=0):
     return DisplacementField(u)
 
 
+class TestScalarVolume:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite(self, bad):
+        data = np.random.default_rng(0).uniform(size=(16, 16, 16))
+        data[3, 4, 5] = bad  # one such voxel used to give an Otsu threshold of nan
+        with pytest.raises(VolumeError, match="non-finite"):
+            ScalarVolume(data)
+
+
 class TestTrilinearSample:
     def test_lattice_point(self):
         vol = rand_volume((4, 4, 4), seed=1)
