@@ -303,6 +303,7 @@ def cmd_evaluate(cfg: RunConfig, sample: str | None = None, method: str = "learn
         cad = vvol_read(entry.cad_path)
         xct = vvol_read(entry.xct_path)
         gt = vvol_read(entry.gt_disp_path) if entry.gt_disp_path else None
+        _, cad_bin = otsu_threshold(cad)
         for method in methods:
             mdir = Path(cfg.workspace) / method_dirs[method] / entry.id
             moved_path = mdir / "moved.vvol"
@@ -323,7 +324,6 @@ def cmd_evaluate(cfg: RunConfig, sample: str | None = None, method: str = "learn
             export_overlay_slices(cad, moved, rdir, prefix="overlay_after")
             export_bdm_slices(bdm_before, rdir, prefix="bdm_before")
             export_bdm_slices(bdm_after, rdir, prefix="bdm_after")
-            _, cad_bin = otsu_threshold(cad)
             export_displacement_magnitude(disp, cad_bin, rdir, prefix="dispmag")
             epe = "-" if report.mean_epe_vox is None else f"{report.mean_epe_vox:.3f}"
             print(

@@ -2,9 +2,11 @@
 
 Feature grids are channel-first [c, D, H, W] numpy arrays without a batch
 axis; batching is a loop at the training level. Convolutions are direct
-cross-correlations lowered to a single GEMM per call via im2col; every
-backward returns exact analytic gradients. All ops preserve the input dtype,
-so gradient checks can run the whole stack in float64.
+cross-correlations computed as one [cout, cin] x [cin, n] GEMM per kernel tap
+over shifted slices of the padded input, which is all they keep for the
+backward pass; every backward returns exact analytic gradients. All ops
+preserve the input dtype, so gradient checks can run the whole stack in
+float64.
 """
 from __future__ import annotations
 
@@ -12,30 +14,24 @@ import numpy as np
 
 from .volume import VolumeError
 
-# im2col chunk budget (elements); keeps large-volume inference within memory
-_COL_BUDGET = 1 << 26
+
+def _tap_operands(xpad: np.ndarray, k: int, d: int, h: int, w: int):
+    """n, and for each kernel tap (a, b, c) the [cin, n] operand it reads."""
+    cin, _, hp, wp = xpad.shape
+    # Output voxel (z, y, x) sits at flat index (z*hp + y)*wp + x of the padded
+    # grid and tap (a, b, c) reads (a*hp + b)*wp + c further on, so each tap's
+    # operand is one slice of the flattened input: a view, no copy. The n
+    # columns also cover the padding margin (y >= h or x >= w), cropped later.
+    n = (d - 1) * hp * wp + (h - 1) * wp + w
+    flat = xpad.reshape(cin, -1)
+    return n, [((a, b, c), flat[:, (a * hp + b) * wp + c:][:, :n]) for a, b, c in np.ndindex(k, k, k)]
 
 
-def _im2col(xpad: np.ndarray, k: int, z0: int, z1: int) -> np.ndarray:
-    """Columns [cin*k^3, (z1-z0)*H*W] for output slices z in [z0, z1)."""
-    cin = xpad.shape[0]
-    h = xpad.shape[2] - (k - 1)
-    w = xpad.shape[3] - (k - 1)
-    s = xpad.strides
-    view = np.lib.stride_tricks.as_strided(
-        xpad[:, z0:],
-        (cin, k, k, k, z1 - z0, h, w),
-        (s[0], s[1], s[2], s[3], s[1], s[2], s[3]),
-    )
-    return view.reshape(cin * k ** 3, (z1 - z0) * h * w)
-
-
-def conv3d_forward(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray, want_ctx: bool = True):
+def conv3d_forward(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray):
     """Same-padded stride-1 cross-correlation.
 
     x [cin, D, H, W], kernel [cout, cin, k, k, k] with odd k, bias [cout].
-    Returns (out [cout, D, H, W], ctx); ctx is None when want_ctx is False
-    (inference path, which also chunks the im2col to bound memory).
+    Returns (out [cout, D, H, W], ctx) with ctx = (padded x, kernel).
     """
     cout, cin, k, k2, k3 = kernel.shape
     if k != k2 or k != k3 or k % 2 == 0:
@@ -47,38 +43,39 @@ def conv3d_forward(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray, want_ctx
     _, d, h, w = x.shape
     p = (k - 1) // 2
     xpad = np.pad(x, ((0, 0), (p, p), (p, p), (p, p)))
-    w2 = kernel.reshape(cout, cin * k ** 3)
-
-    if want_ctx:
-        cols = _im2col(xpad, k, 0, d)
-        out = (w2 @ cols).reshape(cout, d, h, w)
-        out += bias[:, None, None, None]
-        return out, (cols, x.shape, kernel)
-
-    out = np.empty((cout, d, h, w), dtype=np.result_type(x, kernel))
-    step = max(1, _COL_BUDGET // (cin * k ** 3 * h * w))
-    for z0 in range(0, d, step):
-        z1 = min(z0 + step, d)
-        cols = _im2col(xpad, k, z0, z1)
-        out[:, z0:z1] = (w2 @ cols).reshape(cout, z1 - z0, h, w)
-    out += bias[:, None, None, None]
-    return out, None
+    hp, wp = xpad.shape[2:]
+    n, operands = _tap_operands(xpad, k, d, h, w)
+    wtap = np.ascontiguousarray(kernel.transpose(2, 3, 4, 0, 1))  # [k, k, k, cout, cin]
+    acc = np.zeros((cout, d * hp * wp), dtype=np.result_type(x, kernel))
+    for (a, b, c), cols in operands:
+        acc[:, :n] += wtap[a, b, c] @ cols
+    out = acc.reshape(cout, d, hp, wp)[:, :, :h, :w] + bias[:, None, None, None]
+    return out, (xpad, kernel)
 
 
 def conv3d_param_grads(gout: np.ndarray, ctx) -> tuple[np.ndarray, np.ndarray]:
     """Gradients (dkernel, dbias) for conv3d_forward, without the input gradient."""
-    cols, _, kernel = ctx
-    g2 = gout.reshape(kernel.shape[0], -1)
-    return (g2 @ cols.T).reshape(kernel.shape), g2.sum(axis=1)
+    xpad, kernel = ctx
+    cout, d, h, w = gout.shape
+    hp, wp = xpad.shape[2:]
+    n, operands = _tap_operands(xpad, kernel.shape[2], d, h, w)
+    # gout laid out like the forward accumulator; the margin columns stay zero
+    gpad = np.zeros((cout, d, hp, wp), dtype=gout.dtype)
+    gpad[:, :, :h, :w] = gout
+    g2 = gpad.reshape(cout, -1)[:, :n]
+    dkernel = np.empty(kernel.shape, dtype=np.result_type(gout, xpad))
+    for (a, b, c), cols in operands:
+        dkernel[:, :, a, b, c] = g2 @ cols.T
+    return dkernel, gout.sum(axis=(1, 2, 3))
 
 
 def conv3d_backward(gout: np.ndarray, ctx) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients (dx, dkernel, dbias) for conv3d_forward."""
-    kernel = ctx[2]
+    kernel = ctx[1]
     dkernel, dbias = conv3d_param_grads(gout, ctx)
     # dx: same-padded convolution of gout with the flipped, transposed kernel
-    kt = np.ascontiguousarray(kernel[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4))
-    dx, _ = conv3d_forward(gout, kt, np.zeros(kernel.shape[1], dtype=kernel.dtype), want_ctx=False)
+    kt = kernel[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4)
+    dx, _ = conv3d_forward(gout, kt, np.zeros(kernel.shape[1], dtype=kernel.dtype))
     return dx, dkernel, dbias
 
 

@@ -127,7 +127,7 @@ def model_forward(params: dict, cfg: ModelConfig, moving: np.ndarray, fixed: np.
     x = np.stack([moving, fixed])
     enc_tape, dec_tape, skips = [], [], []
     for i in range(n_up):
-        y, cctx = conv3d_forward(x, params[f"enc{i}.w"], params[f"enc{i}.b"], want_ctx=want_tape)
+        y, cctx = conv3d_forward(x, params[f"enc{i}.w"], params[f"enc{i}.b"])
         a, neg = leaky_relu_forward(y, slope)
         skips.append(a)
         x, pctx = maxpool3d_forward(a, 2)
@@ -140,13 +140,13 @@ def model_forward(params: dict, cfg: ModelConfig, moving: np.ndarray, fixed: np.
             split = up.shape[0]
         else:
             split = None
-        y, cctx = conv3d_forward(x, params[f"dec{j}.w"], params[f"dec{j}.b"], want_ctx=want_tape)
+        y, cctx = conv3d_forward(x, params[f"dec{j}.w"], params[f"dec{j}.b"])
         x, neg = leaky_relu_forward(y, slope)
         dec_tape.append((cctx, neg, split))
-    disp, head_ctx = conv3d_forward(x, params["head.w"], params["head.b"], want_ctx=want_tape)
-    moved, warp_grads = warp_array(moving, disp, with_grad=True)
+    disp, head_ctx = conv3d_forward(x, params["head.w"], params["head.b"])
     if not want_tape:
-        return disp, moved, None
+        return disp, warp_array(moving, disp), None
+    moved, warp_grads = warp_array(moving, disp, with_grad=True)
     tape = {
         "enc": enc_tape,
         "dec": dec_tape,

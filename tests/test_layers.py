@@ -60,38 +60,55 @@ class TestConv3d:
         with pytest.raises(VolumeError):
             conv3d_forward(np.zeros((3, 4, 4, 4)), np.zeros((1, 2, 3, 3, 3)), np.zeros(1))
 
-    def test_chunked_matches_full(self):
+    @pytest.mark.parametrize("k", [1, 3, 5], ids=["k1", "k3", "k5"])
+    def test_matches_direct_sum_over_taps(self, k):
         rng = np.random.default_rng(2)
-        x = rng.standard_normal((3, 9, 5, 5))
-        k = rng.standard_normal((2, 3, 3, 3, 3))
-        b = rng.standard_normal(2)
-        full, _ = conv3d_forward(x, k, b, want_ctx=True)
-        chunked, _ = conv3d_forward(x, k, b, want_ctx=False)
-        np.testing.assert_allclose(chunked, full, atol=1e-12)
+        x = rng.standard_normal((2, 5, 6, 7))
+        kern = rng.standard_normal((3, 2, k, k, k))
+        b = rng.standard_normal(3)
+        p = k // 2
+        xpad = np.pad(x, ((0, 0), (p, p), (p, p), (p, p)))
+        ref = np.zeros((3, 5, 6, 7)) + b[:, None, None, None]
+        for a, bb, c in np.ndindex(k, k, k):
+            ref += np.einsum("oi,izyx->ozyx", kern[:, :, a, bb, c], xpad[:, a:a + 5, bb:bb + 6, c:c + 7])
+        out, _ = conv3d_forward(x, kern, b)
+        np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-12)
 
-    def test_gradients_match_finite_differences(self):
+    def test_ctx_is_no_larger_than_padded_input(self):
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((4, 8, 9, 10)).astype(np.float32)
+        k = rng.standard_normal((4, 4, 3, 3, 3)).astype(np.float32)
+        _, ctx = conv3d_forward(x, k, np.zeros(4, np.float32))
+        padded = 4 * 10 * 11 * 12 * x.itemsize
+        assert all(a.nbytes <= padded for a in ctx)
+
+    @pytest.mark.parametrize("k", [1, 3, 5], ids=["k1", "k3", "k5"])
+    @pytest.mark.parametrize("cin, cout, dims", [(1, 2, (6, 6, 6)), (2, 3, (5, 6, 7))], ids=["cube", "unequal"])
+    def test_gradients_match_finite_differences(self, k, cin, cout, dims):
         rng = np.random.default_rng(3)
-        x = rng.standard_normal((1, 6, 6, 6))
-        k = rng.standard_normal((2, 1, 3, 3, 3))
-        b = rng.standard_normal(2)
-        proj = rng.standard_normal((2, 6, 6, 6))
+        x = rng.standard_normal((cin,) + dims)
+        kern = rng.standard_normal((cout, cin, k, k, k))
+        b = rng.standard_normal(cout)
+        proj = rng.standard_normal((cout,) + dims)
 
         def loss():
-            out, _ = conv3d_forward(x, k, b)
+            out, _ = conv3d_forward(x, kern, b)
             return float((out * proj).sum())
 
-        out, ctx = conv3d_forward(x, k, b)
+        out, ctx = conv3d_forward(x, kern, b)
         dx, dk, db = conv3d_backward(proj, ctx)
         fd_check(loss, x, dx, rng)
-        fd_check(loss, k, dk, rng)
+        fd_check(loss, kern, dk, rng)
         fd_check(loss, b, db, rng, n_samples=2)
 
-    def test_param_grads_equal_full_backward(self):
+    @pytest.mark.parametrize("k", [1, 3, 5], ids=["k1", "k3", "k5"])
+    @pytest.mark.parametrize("dims", [(6, 6, 6), (5, 6, 7)], ids=["cube", "unequal"])
+    def test_param_grads_equal_full_backward(self, k, dims):
         rng = np.random.default_rng(4)
-        x = rng.standard_normal((2, 6, 6, 6)).astype(np.float32)
-        k = rng.standard_normal((3, 2, 3, 3, 3)).astype(np.float32)
-        _, ctx = conv3d_forward(x, k, np.zeros(3, np.float32))
-        gout = rng.standard_normal((3, 6, 6, 6)).astype(np.float32)
+        x = rng.standard_normal((2,) + dims).astype(np.float32)
+        kern = rng.standard_normal((3, 2, k, k, k)).astype(np.float32)
+        _, ctx = conv3d_forward(x, kern, np.zeros(3, np.float32))
+        gout = rng.standard_normal((3,) + dims).astype(np.float32)
         _, dk, db = conv3d_backward(gout, ctx)
         dk2, db2 = conv3d_param_grads(gout, ctx)
         assert dk2.tobytes() == dk.tobytes()

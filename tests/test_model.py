@@ -84,8 +84,8 @@ class TestModelForward:
         d1, m1, _ = model_forward(params, TOY, moving, fixed, want_tape=True)
         d2, m2, tape = model_forward(params, TOY, moving, fixed, want_tape=False)
         assert tape is None
-        np.testing.assert_allclose(d1, d2, atol=1e-12)
-        np.testing.assert_allclose(m1, m2, atol=1e-12)
+        np.testing.assert_array_equal(d1, d2)
+        np.testing.assert_array_equal(m1, m2)
 
 
 class TestFullModelGradients:
