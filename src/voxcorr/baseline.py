@@ -222,9 +222,7 @@ def multiscale_dvc(
     px = np.broadcast_to(gx[None, None, :], (nz, ny, nx))
     py = np.broadcast_to(gy[None, :, None], (nz, ny, nx))
     pz = np.broadcast_to(gz[:, None, None], (nz, ny, nx))
-    dense = np.stack(
-        [trilinear_gather(np.ascontiguousarray(disp[..., c]), px, py, pz) for c in range(3)]
-    )
+    dense = trilinear_gather(np.moveaxis(disp, -1, 0), px, py, pz)
     field = DisplacementField(dense.astype(np.float32), moving.voxel_size)
     nodes = NodeField(
         lattice_dims=(nnx, nny, nnz),

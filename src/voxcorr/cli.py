@@ -24,6 +24,7 @@ import sys
 import time
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
+from functools import reduce
 from pathlib import Path
 from typing import Callable
 
@@ -77,7 +78,8 @@ _PICK = ("register", "baseline", "evaluate")
 
 FLAGS = (
     Flag("--workspace", _ALL, ("workspace",), str, "workspace directory"),
-    Flag("--seed", _ALL, ("seed", "train.seed"), int, "master seed"),
+    Flag("--seed", _ALL, ("seed", "train.seed"), int,
+         "seed of generate (phantoms) and train (weights, patches); the other commands ignore it"),
     Flag("--c-values", ("generate",), ("c_values",), float_list,
          "comma-separated level-set offsets (default: 0..-0.6 sweep)"),
     Flag("--voxel-um", ("generate",), ("tpms.voxel_size",), float, "voxel pitch in micrometers"),
@@ -144,8 +146,17 @@ def _mask_extras(cfg: RunConfig, voxel_size):
     return extras
 
 
+# config fields that generate sets per sample, and the flag that drives each
+_PER_SAMPLE = (("tpms.c_param", "--c-values"), ("deform.seed", "--seed"), ("degrade.seed", "--seed"))
+
+
 def cmd_generate(cfg: RunConfig) -> dict:
     """synthesize the lattice sample sweep with ground truth"""
+    default = RunConfig()
+    for path, flag in _PER_SAMPLE:
+        keys = path.split(".")
+        if reduce(getattr, keys, cfg) != reduce(getattr, keys, default):
+            raise CliError(f"{path} is set per sample by generate and cannot come from a config; use {flag}")
     raw_dir = Path(cfg.workspace) / "raw"
     raw_dir.mkdir(parents=True, exist_ok=True)
     seed_base = cfg.seed * 10007

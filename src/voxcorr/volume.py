@@ -4,6 +4,11 @@ All grids are C-ordered numpy arrays indexed [z, y, x] (x fastest), so the
 linear index of voxel (x, y, z) is ((z*ny)+y)*nx + x. Logical dimensions are
 reported as (nx, ny, nz). Displacements are in voxel units; voxel_size is
 metadata in micrometers.
+
+trilinear_gather is the one trilinear sampler. It takes leading channel axes,
+vol[..., z, y, x], and samples every channel at the same points with one set
+of clamped indices and weights: warp_array passes one channel, invert_field
+and the baseline's dense field pass the three displacement channels.
 """
 from __future__ import annotations
 
@@ -101,64 +106,71 @@ def grid_coords(shape_zyx, dtype=np.float64) -> tuple[np.ndarray, np.ndarray, np
     return zz, yy, xx
 
 
-def trilinear_gather(vol: np.ndarray, px, py, pz, with_grad: bool = False):
-    """Trilinear interpolation of vol[z, y, x] at continuous points (px, py, pz).
+def _cell(p: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lower corner index and fraction of the clamped coordinate p on an axis of n voxels."""
+    c = np.clip(p, 0.0, n - 1)
+    i0 = np.zeros(c.shape, np.intp) if n == 1 else np.minimum(np.floor(c).astype(np.intp), n - 2)
+    i0 = np.maximum(i0, 0)  # floor(nan) casts to a negative index
+    return i0, c - i0
 
-    Coordinates are clamped to [0, n-1] per axis (edge policy), which makes the
-    sampling total. With with_grad=True also returns d(value)/d(p) per axis;
-    the clamp zeroes the gradient outside the open interval (0, n-1).
+
+def _lerp(a: np.ndarray, b: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """a + f*(b - a), computed in b's buffer when that keeps the promoted dtype."""
+    if np.result_type(b, f) != b.dtype:  # e.g. float32 corners and float64 fractions
+        return a + f * (b - a)
+    b -= a
+    b *= f
+    b += a
+    return b
+
+
+def trilinear_gather(vol: np.ndarray, px, py, pz, with_grad: bool = False):
+    """Trilinear interpolation of vol[..., z, y, x] at continuous points (px, py, pz).
+
+    Leading axes of vol are channels: every channel is sampled at the same
+    points, sharing one set of indices and weights, and the result has shape
+    vol.shape[:-3] + p.shape. Coordinates are clamped to [0, n-1] per axis
+    (edge policy), which makes the sampling total. With with_grad=True also
+    returns d(value)/d(p) per axis; the clamp zeroes the gradient outside the
+    open interval (0, n-1).
     """
-    nz, ny, nx = vol.shape
+    *lead, nz, ny, nx = vol.shape
     px = np.asarray(px, dtype=np.result_type(px, np.float32))
     py = np.asarray(py, dtype=px.dtype)
     pz = np.asarray(pz, dtype=px.dtype)
+    x0, fx = _cell(px, nx)
+    y0, fy = _cell(py, ny)
+    z0, fz = _cell(pz, nz)
 
-    cx = np.clip(px, 0.0, nx - 1)
-    cy = np.clip(py, 0.0, ny - 1)
-    cz = np.clip(pz, 0.0, nz - 1)
+    # corner (z0+a, y0+b, x0+c) sits at flat index i + a*oz + b*oy + c*ox; an
+    # axis of one voxel reads its only slice twice
+    i = (z0 * ny + y0) * nx + x0
+    ox, oy, oz = int(nx > 1), nx * (ny > 1), nx * ny * (nz > 1)
+    flat = vol.reshape(*lead, nz * ny * nx)
 
-    x0 = np.minimum(np.floor(cx).astype(np.intp), nx - 2) if nx > 1 else np.zeros(cx.shape, np.intp)
-    y0 = np.minimum(np.floor(cy).astype(np.intp), ny - 2) if ny > 1 else np.zeros(cy.shape, np.intp)
-    z0 = np.minimum(np.floor(cz).astype(np.intp), nz - 2) if nz > 1 else np.zeros(cz.shape, np.intp)
-    x0 = np.maximum(x0, 0)
-    y0 = np.maximum(y0, 0)
-    z0 = np.maximum(z0, 0)
-    fx = cx - x0
-    fy = cy - y0
-    fz = cz - z0
-
-    x1 = np.minimum(x0 + 1, nx - 1)
-    y1 = np.minimum(y0 + 1, ny - 1)
-    z1 = np.minimum(z0 + 1, nz - 1)
-
-    v000 = vol[z0, y0, x0]
-    v001 = vol[z0, y0, x1]
-    v010 = vol[z0, y1, x0]
-    v011 = vol[z0, y1, x1]
-    v100 = vol[z1, y0, x0]
-    v101 = vol[z1, y0, x1]
-    v110 = vol[z1, y1, x0]
-    v111 = vol[z1, y1, x1]
-
-    c00 = v000 + fx * (v001 - v000)
-    c01 = v010 + fx * (v011 - v010)
-    c10 = v100 + fx * (v101 - v100)
-    c11 = v110 + fx * (v111 - v110)
-    c0 = c00 + fy * (c01 - c00)
-    c1 = c10 + fy * (c11 - c10)
-    out = c0 + fz * (c1 - c0)
+    def at(o: int) -> np.ndarray:
+        return np.take(flat, i + o, axis=-1)
 
     if not with_grad:
-        return out
+        # corners are read in the order the lerps use them: at most four live at once
+        c0 = _lerp(_lerp(at(0), at(ox), fx), _lerp(at(oy), at(oy + ox), fx), fy)
+        c1 = _lerp(_lerp(at(oz), at(oz + ox), fx), _lerp(at(oz + oy), at(oz + oy + ox), fx), fy)
+        return _lerp(c0, c1, fz)
 
-    # d/dfx: difference of x-neighbours, interpolated along y and z
-    dx00 = v001 - v000
-    dx01 = v011 - v010
-    dx10 = v101 - v100
-    dx11 = v111 - v110
-    gx = (dx00 + fy * (dx01 - dx00)) * (1 - fz) + (dx10 + fy * (dx11 - dx10)) * fz
-    gy = ((c01 - c00) * (1 - fz) + (c11 - c10) * fz)
+    # x-differences of the four x-edges, shared by the x-lerps and d/dfx
+    edges = (0, oy, oz, oz + oy)
+    lo = [at(o) for o in edges]
+    dx00, dx01, dx10, dx11 = (at(o + ox) - v for o, v in zip(edges, lo))
+    c00, c01, c10, c11 = (v + fx * d for v, d in zip(lo, (dx00, dx01, dx10, dx11)))
+    dy0 = c01 - c00
+    dy1 = c11 - c10
+    c0 = c00 + fy * dy0
+    c1 = c10 + fy * dy1
     gz = c1 - c0
+    out = c0 + fz * gz
+
+    gx = (dx00 + fy * (dx01 - dx00)) * (1 - fz) + (dx10 + fy * (dx11 - dx10)) * fz
+    gy = dy0 * (1 - fz) + dy1 * fz
 
     # clamp kills the dependence on p outside the interior
     gx = gx * ((px > 0) & (px < nx - 1))
@@ -197,11 +209,6 @@ def warp(moving: ScalarVolume, disp: DisplacementField) -> ScalarVolume:
     return ScalarVolume(out.astype(moving.data.dtype, copy=False), moving.voxel_size)
 
 
-def sample_field(disp: np.ndarray, px, py, pz) -> np.ndarray:
-    """Sample each channel of disp[3, z, y, x] at continuous points; stacked result."""
-    return np.stack([trilinear_gather(disp[c], px, py, pz) for c in range(3)])
-
-
 def invert_field(disp: DisplacementField, iterations: int = 8) -> DisplacementField:
     """Fixed-point inverse g of u: g(y) = -u(y + g(y)).
 
@@ -214,7 +221,8 @@ def invert_field(disp: DisplacementField, iterations: int = 8) -> DisplacementFi
     zz, yy, xx = grid_coords(u.shape[1:])
     g = -u
     for _ in range(iterations):
-        g = -sample_field(u, xx + g[0], yy + g[1], zz + g[2])
+        g = trilinear_gather(u, xx + g[0], yy + g[1], zz + g[2])
+        np.negative(g, out=g)
     return DisplacementField(g.astype(disp.data.dtype, copy=False), disp.voxel_size)
 
 

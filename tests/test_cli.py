@@ -66,6 +66,25 @@ class TestGenerate:
             assert file_hash(a / rel) == file_hash(b / rel), rel
 
 
+    @pytest.mark.parametrize(
+        "doc, key, flag",
+        [
+            ({"tpms": {"c_param": -0.5}}, "tpms.c_param", "--c-values"),
+            ({"deform": {"seed": 99}}, "deform.seed", "--seed"),
+            ({"degrade": {"seed": 98}}, "degrade.seed", "--seed"),
+        ],
+    )
+    def test_per_sample_config_key_exits_2(self, tmp_path, capsys, doc, key, flag):
+        # generate derives these from --c-values and --seed; a config value used to be dropped
+        cpath = tmp_path / "cfg.json"
+        cpath.write_text(json.dumps(doc))
+        assert main(["generate", "--workspace", str(tmp_path / "w"), "--c-values", "0",
+                     "--config", str(cpath)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and key in err[0] and flag in err[0]
+        assert not (tmp_path / "w").exists()
+
+
 class TestPreprocess:
     def test_builds_manifest_with_splits(self, workspace):
         manifest = json.loads((workspace / "dataset" / "manifest.json").read_text())

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.ndimage import gaussian_filter
+from scipy.ndimage import gaussian_filter, map_coordinates
 
 from voxcorr.volume import (
     DisplacementField,
@@ -8,8 +8,10 @@ from voxcorr.volume import (
     VolumeError,
     crop_or_pad,
     downsample2,
+    grid_coords,
     invert_field,
     minmax_normalize,
+    trilinear_gather,
     trilinear_sample,
     warp,
     warp_array,
@@ -67,6 +69,100 @@ class TestTrilinearSample:
         vol = rand_volume((3, 3, 3))
         with pytest.raises(VolumeError):
             trilinear_sample(vol, (np.nan, 0, 0))
+
+
+def reference_gather(vol, px, py, pz, with_grad=False):
+    """One-channel gather with eight fancy-index reads, the pre-channel-axis
+    implementation: the oracle the flat-index gather must match bit for bit."""
+    nz, ny, nx = vol.shape
+    px = np.asarray(px, dtype=np.result_type(px, np.float32))
+    py = np.asarray(py, dtype=px.dtype)
+    pz = np.asarray(pz, dtype=px.dtype)
+    cx = np.clip(px, 0.0, nx - 1)
+    cy = np.clip(py, 0.0, ny - 1)
+    cz = np.clip(pz, 0.0, nz - 1)
+    x0 = np.minimum(np.floor(cx).astype(np.intp), nx - 2) if nx > 1 else np.zeros(cx.shape, np.intp)
+    y0 = np.minimum(np.floor(cy).astype(np.intp), ny - 2) if ny > 1 else np.zeros(cy.shape, np.intp)
+    z0 = np.minimum(np.floor(cz).astype(np.intp), nz - 2) if nz > 1 else np.zeros(cz.shape, np.intp)
+    x0, y0, z0 = np.maximum(x0, 0), np.maximum(y0, 0), np.maximum(z0, 0)
+    fx, fy, fz = cx - x0, cy - y0, cz - z0
+    x1 = np.minimum(x0 + 1, nx - 1)
+    y1 = np.minimum(y0 + 1, ny - 1)
+    z1 = np.minimum(z0 + 1, nz - 1)
+    v000, v001, v010, v011 = vol[z0, y0, x0], vol[z0, y0, x1], vol[z0, y1, x0], vol[z0, y1, x1]
+    v100, v101, v110, v111 = vol[z1, y0, x0], vol[z1, y0, x1], vol[z1, y1, x0], vol[z1, y1, x1]
+    c00 = v000 + fx * (v001 - v000)
+    c01 = v010 + fx * (v011 - v010)
+    c10 = v100 + fx * (v101 - v100)
+    c11 = v110 + fx * (v111 - v110)
+    c0 = c00 + fy * (c01 - c00)
+    c1 = c10 + fy * (c11 - c10)
+    out = c0 + fz * (c1 - c0)
+    if not with_grad:
+        return out
+    dx00, dx01, dx10, dx11 = v001 - v000, v011 - v010, v101 - v100, v111 - v110
+    gx = (dx00 + fy * (dx01 - dx00)) * (1 - fz) + (dx10 + fy * (dx11 - dx10)) * fz
+    gy = (c01 - c00) * (1 - fz) + (c11 - c10) * fz
+    gz = c1 - c0
+    gx = gx * ((px > 0) & (px < nx - 1))
+    gy = gy * ((py > 0) & (py < ny - 1))
+    gz = gz * ((pz > 0) & (pz < nz - 1))
+    return out, (gx, gy, gz)
+
+
+def gather_case(shape_zyx, vol_dtype, pt_dtype, channels=3, n=200, seed=0):
+    """Random channels x grid volume and points reaching 2.5 voxels past every face."""
+    rng = np.random.default_rng(seed)
+    vol = rng.standard_normal((channels, *shape_zyx)).astype(vol_dtype)
+    hi = np.array(shape_zyx[::-1], dtype=np.float64)[:, None] + 1.5
+    px, py, pz = rng.uniform(-2.5, hi, size=(3, n)).astype(pt_dtype)
+    return vol, px, py, pz
+
+
+GATHER_SHAPES = [(5, 6, 7), (1, 4, 5), (4, 1, 5), (4, 5, 1), (2, 2, 2), (1, 1, 2), (2, 1, 1)]
+FLOATS = [np.float32, np.float64]
+
+
+class TestTrilinearGather:
+    @pytest.mark.parametrize("shape", GATHER_SHAPES)
+    @pytest.mark.parametrize("vol_dtype", FLOATS)
+    @pytest.mark.parametrize("pt_dtype", FLOATS)
+    @pytest.mark.parametrize("with_grad", [False, True])
+    def test_matches_reference_per_channel(self, shape, vol_dtype, pt_dtype, with_grad):
+        def arrays(result):  # out, then gx, gy, gz when with_grad
+            return [result[0], *result[1]] if with_grad else [result]
+
+        vol, px, py, pz = gather_case(shape, vol_dtype, pt_dtype)
+        got = arrays(trilinear_gather(vol, px, py, pz, with_grad=with_grad))
+        for c in range(vol.shape[0]):
+            want = arrays(reference_gather(vol[c], px, py, pz, with_grad=with_grad))
+            one = arrays(trilinear_gather(vol[c], px, py, pz, with_grad=with_grad))
+            for g, w, o in zip(got, want, one, strict=True):
+                assert g.dtype == w.dtype == o.dtype
+                assert np.array_equal(g[c], w)
+                assert np.array_equal(o, w)
+
+    def test_float32_volume_and_points_give_float64(self):
+        # the in-place lerp must not keep the float32 corners' dtype
+        vol, px, py, pz = gather_case((5, 6, 7), np.float32, np.float32, channels=1)
+        assert trilinear_gather(vol[0], px, py, pz).dtype == np.float64
+        out, grads = trilinear_gather(vol[0], px, py, pz, with_grad=True)
+        assert out.dtype == np.float64 and all(g.dtype == np.float64 for g in grads)
+
+    @pytest.mark.parametrize("shape", GATHER_SHAPES)
+    def test_matches_scipy_linear_nearest(self, shape):
+        vol, px, py, pz = gather_case(shape, np.float64, np.float64, channels=2, seed=3)
+        got = trilinear_gather(vol, px, py, pz)
+        for c in range(vol.shape[0]):
+            want = map_coordinates(vol[c], [pz, py, px], order=1, mode="nearest")
+            np.testing.assert_allclose(got[c], want, rtol=0, atol=1e-12)
+
+    def test_leading_axes_and_point_shape(self):
+        vol, px, py, pz = gather_case((4, 5, 6), np.float64, np.float64, channels=6, n=24)
+        pts = [p.reshape(2, 3, 4) for p in (px, py, pz)]
+        out = trilinear_gather(vol.reshape(2, 3, 4, 5, 6), *pts)
+        assert out.shape == (2, 3, 2, 3, 4)
+        np.testing.assert_array_equal(out.reshape(6, 24), trilinear_gather(vol, px, py, pz))
 
 
 class TestWarp:
@@ -128,12 +224,10 @@ class TestInvertField:
 
     def test_residual_small_for_smooth_fields(self):
         # oracle: after inversion, u(x + g(x)) + g(x) should nearly vanish
-        from voxcorr.volume import grid_coords, sample_field
-
         u = smooth_field((32, 32, 32), amplitude=2.0, sigma=8.0, seed=11)
         g = invert_field(u)
         zz, yy, xx = grid_coords(u.data.shape[1:])
-        u_at = sample_field(u.data, xx + g.data[0], yy + g.data[1], zz + g.data[2])
+        u_at = trilinear_gather(u.data, xx + g.data[0], yy + g.data[1], zz + g.data[2])
         residual = np.abs(u_at + g.data).max()
         assert residual <= 0.05
 
