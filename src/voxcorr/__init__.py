@@ -10,7 +10,6 @@ from .volume import (
     downsample2,
     invert_field,
     minmax_normalize,
-    trilinear_sample,
     warp,
 )
 
@@ -23,7 +22,6 @@ __all__ = [
     "downsample2",
     "invert_field",
     "minmax_normalize",
-    "trilinear_sample",
     "warp",
 ]
 

@@ -3,10 +3,15 @@
 Displacement is estimated on a regular lattice of correlation windows: an
 exhaustive integer search maximizes global NCC between the fixed window and
 the shifted moving window, refined per axis by a quadratic fit through the
-three scores around the integer peak. A two-level image pyramid seeds the
-finer search from the coarse result. Low-correlation nodes are inpainted from
-their valid lattice neighbours and the dense field is the trilinear
-interpolation of the lattice, held constant outside its hull.
+three scores around the integer peak. The NCC of every candidate offset comes
+from the moving block that the search covers, with no candidate window copied
+(Lewis, "Fast Normalized Cross-Correlation", 1995): the cross term with the
+mean-free fixed window is one real-FFT correlation over the block, and each
+window's sum and sum of squares come from running sums along each axis. A
+two-level image pyramid seeds the finer search from the coarse result.
+Low-correlation nodes are inpainted from their valid lattice neighbours and
+the dense field is the trilinear interpolation of the lattice, held constant
+outside its hull.
 """
 from __future__ import annotations
 
@@ -33,6 +38,9 @@ class DvcConfig:
             raise VolumeError("pyramid_levels must be >= 1")
         if self.window_halfsize < 1 or self.search_radius < 1:
             raise VolumeError("window_halfsize and search_radius must be >= 1")
+        # an invalid node reports a peak of 0.0, which must never pass as valid
+        if not 0.0 < self.min_correlation <= 1.0:
+            raise VolumeError(f"min_correlation must be in (0, 1], got {self.min_correlation}")
 
 
 @dataclass
@@ -75,12 +83,34 @@ def _quadratic_refine(scores: np.ndarray, peak: tuple[int, int, int]) -> np.ndar
         sl = list(peak)
         sl[axis] = slice(i - 1, i + 2)
         s_lo, s_mid, s_hi = scores[tuple(sl)]
+        if not (np.isfinite(s_lo) and np.isfinite(s_hi)):  # a flat neighbour window scores -inf
+            continue
         denom = s_lo - 2.0 * s_mid + s_hi
         if denom >= 0:  # not a concave peak
             continue
         delta[axis] = float(np.clip(0.5 * (s_lo - s_hi) / denom, -0.5, 0.5))
     # scores is indexed [tz, ty, tx]; report (x, y, z)
     return delta[::-1]
+
+
+def _fft_len(n: int) -> int:
+    """Smallest length >= n with no prime factor above 5."""
+    m = n
+    for p in (2, 3, 5):
+        while m % p == 0:
+            m //= p
+    return n if m == 1 else _fft_len(n + 1)
+
+
+def _window_sums(a: np.ndarray, w: int) -> np.ndarray:
+    """Sums of `a` over every w-wide window of its last three axes ("valid"
+    positions only), from a running sum along each axis in turn."""
+    for axis in range(a.ndim - 3, a.ndim):
+        c = np.moveaxis(np.cumsum(a, axis=axis), axis, 0)
+        s = c[w - 1 :].copy()
+        s[1:] -= c[:-w]
+        a = np.moveaxis(s, 0, axis)
+    return a
 
 
 def correlate_node(
@@ -93,6 +123,13 @@ def correlate_node(
 ) -> tuple[np.ndarray, float]:
     """Best (x, y, z) offset of the moving window against the fixed window at
     `center`, searched over base + [-r, r]^3 (clipped to stay in bounds).
+
+    Scores every offset t at once on the moving block the search covers,
+    centred on its mean: the cross term sum_i block[t + i] * fc[i] against the
+    mean-free fixed window fc is a circular FFT correlation on a grid at least
+    the block's size (valid offsets never wrap), and the window sums of m and
+    m^2 behind var_m = smm - sm^2 / w^3 are running sums along each axis.
+    Offsets whose moving window has zero variance score -inf.
 
     Returns (offset, peak NCC); a zero-variance or unsearchable window is
     flagged invalid as (zeros, 0.0).
@@ -121,21 +158,21 @@ def correlate_node(
         cz + tz0 - h : cz + tz1 + h + 1,
         cy + ty0 - h : cy + ty1 + h + 1,
         cx + tx0 - h : cx + tx1 + h + 1,
-    ].astype(np.float64, copy=False)
-    ntz, nty, ntx = tz1 - tz0 + 1, ty1 - ty0 + 1, tx1 - tx0 + 1
-    s = block.strides
-    wins = np.lib.stride_tricks.as_strided(
-        block, (ntz, nty, ntx, w, w, w), (s[0], s[1], s[2], s[0], s[1], s[2])
-    )
-    mat = wins.reshape(ntz * nty * ntx, w ** 3)
-    cross = mat @ fc.ravel()
-    sm = mat.sum(axis=1)
-    smm = np.einsum("ij,ij->i", mat, mat)
+    ].astype(np.float64)
+    # centred, an intensity offset costs no digits in the FFT or in var_m; the
+    # shift's share of the cross term is added back, as the rounded fc need not sum to 0
+    shift = block.mean()
+    block -= shift
+    fc = fc.astype(np.float64, copy=False)
+    grid = [_fft_len(n) for n in block.shape]
+    spec = np.fft.rfftn(block, grid, axes=(0, 1, 2))
+    spec *= np.conj(np.fft.rfftn(fc, grid, axes=(0, 1, 2)))
+    cross = np.fft.irfftn(spec, grid, axes=(0, 1, 2))[: tz1 - tz0 + 1, : ty1 - ty0 + 1, : tx1 - tx0 + 1]
+    cross += shift * fc.sum()
+    sm, smm = _window_sums(np.stack([block, block * block]), w)
     var_m = smm - sm * sm / w ** 3
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ncc = cross / np.sqrt(var_f * np.maximum(var_m, 1e-12))
-    ncc[var_m <= 1e-12] = -np.inf
-    scores = ncc.reshape(ntz, nty, ntx)
+    scores = cross / np.sqrt(var_f * np.maximum(var_m, 1e-12))
+    scores[var_m <= 1e-12] = -np.inf
     if not np.isfinite(scores).any():
         return np.zeros(3), 0.0
     flat_peak = int(np.argmax(scores))

@@ -286,6 +286,7 @@ def cmd_register(cfg: RunConfig, sample: str | None = None, stride: int | None =
 
 def cmd_baseline(cfg: RunConfig, sample: str | None = None) -> dict:
     """node-based DVC baseline on test samples"""
+    samples = []
     for entry in _select_samples(cfg, sample):
         moving = vvol_read(entry.xct_path)
         fixed = vvol_read(entry.cad_path)
@@ -302,8 +303,16 @@ def cmd_baseline(cfg: RunConfig, sample: str | None = None) -> dict:
             json.dumps({"sample_id": entry.id, "runtime_sec": runtime, "dvc": to_json(cfg.dvc)}, indent=2)
         )
         valid_pct = 100.0 * nodes.valid.mean()
+        samples.append({
+            "sample": entry.id,
+            "nodes": int(nodes.valid.size),
+            "valid_node_pct": float(valid_pct),
+            "min_peak_ncc": float(nodes.correlations.min()),
+            "median_peak_ncc": float(np.median(nodes.correlations)),
+            "runtime_sec": runtime,
+        })
         print(f"{entry.id}: baseline in {runtime:.1f}s, {valid_pct:.0f}% valid nodes -> {odir}")
-    return {"sample": sample}
+    return {"sample": sample, "samples": samples}
 
 
 def cmd_evaluate(cfg: RunConfig, sample: str | None = None, method: str = "learned") -> dict:

@@ -10,7 +10,7 @@ grayscale up to interpolation.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.ndimage import binary_erosion, gaussian_filter
@@ -129,64 +129,6 @@ def tpms_solid(field: ScalarVolume, spec: TpmsSpec) -> BinaryVolume:
     if not mask.any():
         raise VolumeError(f"empty solid: no voxels within |F - {spec.c_param}| <= {tau}")
     return BinaryVolume(mask, field.voxel_size)
-
-
-def measure_wall_thickness(mask: BinaryVolume, max_steps: int = 256) -> float:
-    """Mean wall thickness in voxels from the erosion-depth profile.
-
-    Repeated 6-connected erosions (domain border treated as solid) give each
-    voxel a peel depth; a slab of thickness t has mean depth (t - 2) / 4, so
-    t ~= 4 * mean_depth + 2.
-    """
-    m = mask.mask
-    n0 = int(m.sum())
-    if n0 == 0:
-        return 0.0
-    total = 0
-    for _ in range(max_steps):
-        m = binary_erosion(m, structure=_CROSS6, border_value=1)
-        n = int(m.sum())
-        total += n
-        if n == 0:
-            break
-    return 4.0 * (total / n0) + 2.0
-
-
-def calibrate_band(target_thickness_mm: float, spec: TpmsSpec, tolerance: float = 0.05) -> float:
-    """Bisect the band half-width until the measured mean wall thickness is
-    within `tolerance` of the target. Returns the calibrated half-width."""
-    target_vox = target_thickness_mm * 1000.0 / spec.voxel_size
-    if target_vox < 3.0:
-        raise VolumeError(
-            f"target thickness {target_thickness_mm} mm is under 3 voxels at "
-            f"{spec.voxel_size} µm; not resolvable"
-        )
-    dims = spec.grid_dims()
-    f = gyroid_field(dims, spec.voxel_size, spec.cell_size)
-
-    def measured(tau: float) -> float:
-        try:
-            solid = tpms_solid(f, replace(spec, band_halfwidth=tau))
-        except VolumeError:
-            return 0.0
-        return measure_wall_thickness(solid)
-
-    lo, hi = 1e-3, 1.7
-    if measured(lo) > target_vox * (1 + tolerance) or measured(hi) < target_vox * (1 - tolerance):
-        raise VolumeError(
-            f"wall thickness {target_thickness_mm} mm not bracketed by band widths "
-            f"[{lo}, {hi}] at this resolution"
-        )
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        t = measured(mid)
-        if abs(t - target_vox) <= tolerance * target_vox:
-            return mid
-        if t < target_vox:
-            lo = mid
-        else:
-            hi = mid
-    raise VolumeError("band calibration did not converge to the requested tolerance")
 
 
 def add_base_plate(mask: BinaryVolume, plate_thickness_voxels: int) -> BinaryVolume:

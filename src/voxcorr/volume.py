@@ -179,14 +179,6 @@ def trilinear_gather(vol: np.ndarray, px, py, pz, with_grad: bool = False):
     return out, (gx, gy, gz)
 
 
-def trilinear_sample(vol: ScalarVolume, point) -> float:
-    """Sample one continuous (x, y, z) point in voxel units; edge-clamped."""
-    x, y, z = (float(c) for c in point)
-    if not (np.isfinite(x) and np.isfinite(y) and np.isfinite(z)):
-        raise VolumeError(f"sample point must be finite, got {point}")
-    return float(trilinear_gather(vol.data, np.array([x]), np.array([y]), np.array([z]))[0])
-
-
 def warp_array(moving: np.ndarray, disp: np.ndarray, with_grad: bool = False):
     """Warp moving[z, y, x] by disp[3, z, y, x]: out(x) = moving(x + u(x)).
 

@@ -152,6 +152,23 @@ class TestBaseline:
         nodes = json.loads((out / "nodes.json").read_text())
         assert nodes["lattice_dims"][0] >= 1
 
+    def test_run_log_records_node_statistics(self, workspace):
+        argv = ["baseline", "--workspace", str(workspace), "--node-spacing", "8",
+                "--window-halfsize", "5", "--search-radius", "3", "--levels", "1"]
+        assert main(argv) == 0
+        log = (workspace / "run_log.jsonl").read_text().strip().splitlines()
+        record = json.loads(log[-1])
+        assert record["stage"] == "baseline"
+        (stats,) = record["params"]["samples"]
+        nodes = json.loads((workspace / "baseline" / "c-0.6" / "nodes.json").read_text())
+        corr = np.array(nodes["correlations"])
+        assert stats["sample"] == "c-0.6"
+        assert stats["nodes"] == len(corr) > 1
+        assert stats["valid_node_pct"] == pytest.approx(100.0 * np.mean(nodes["valid"]))
+        assert stats["min_peak_ncc"] == pytest.approx(corr.min())
+        assert stats["median_peak_ncc"] == pytest.approx(np.median(corr))
+        assert 0 < stats["runtime_sec"] <= record["duration_sec"]
+
 
 class TestEvaluate:
     def test_evaluate_learned(self, workspace):
@@ -244,6 +261,8 @@ class TestCliSurface:
             ({"model": {"patch_sise": 32}}, "'patch_sise'"),
             ({"seed": "3"}, "seed"),
             ({"train": {"ncc_window": 4}}, "ncc_window"),
+            ({"dvc": {"min_correlation": 0.0}}, "min_correlation"),
+            ({"dvc": {"min_correlation": -0.2}}, "min_correlation"),
             ("[1, 2", "Expecting"),
         ],
     )

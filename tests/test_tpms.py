@@ -1,5 +1,8 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from scipy.ndimage import binary_erosion, generate_binary_structure
 
 from voxcorr.tpms import (
     DeformSpec,
@@ -7,17 +10,67 @@ from voxcorr.tpms import (
     TpmsSpec,
     add_base_plate,
     add_spheres,
-    calibrate_band,
     degrade_to_xct,
     gyroid_field,
     leveled_grayscale,
-    measure_wall_thickness,
     synth_displacement,
     tpms_solid,
 )
 from voxcorr.volume import BinaryVolume, VolumeError, warp
 
 DESK = TpmsSpec(c_param=0.0, part_extent=5.12, voxel_size=80.0, band_halfwidth=0.69)
+
+
+def measure_wall_thickness(mask: BinaryVolume, max_steps: int = 256) -> float:
+    """Mean wall thickness in voxels from the erosion-depth profile.
+
+    Repeated 6-connected erosions (domain border treated as solid) give each
+    voxel a peel depth; a slab of thickness t has mean depth (t - 2) / 4, so
+    t ~= 4 * mean_depth + 2.
+    """
+    m = mask.mask
+    n0 = int(m.sum())
+    if n0 == 0:
+        return 0.0
+    cross6 = generate_binary_structure(3, 1)
+    total = 0
+    for _ in range(max_steps):
+        m = binary_erosion(m, structure=cross6, border_value=1)
+        n = int(m.sum())
+        total += n
+        if n == 0:
+            break
+    return 4.0 * (total / n0) + 2.0
+
+
+def calibrate_band(target_thickness_mm: float, spec: TpmsSpec, tolerance: float = 0.05) -> float:
+    """Bisect the band half-width until the measured mean wall thickness is
+    within `tolerance` of the target. Returns the calibrated half-width."""
+    target_vox = target_thickness_mm * 1000.0 / spec.voxel_size
+    if target_vox < 3.0:
+        raise VolumeError(f"target thickness {target_thickness_mm} mm is under 3 voxels; not resolvable")
+    f = gyroid_field(spec.grid_dims(), spec.voxel_size, spec.cell_size)
+
+    def measured(tau: float) -> float:
+        try:
+            solid = tpms_solid(f, replace(spec, band_halfwidth=tau))
+        except VolumeError:
+            return 0.0
+        return measure_wall_thickness(solid)
+
+    lo, hi = 1e-3, 1.7
+    if measured(lo) > target_vox * (1 + tolerance) or measured(hi) < target_vox * (1 - tolerance):
+        raise VolumeError(f"wall thickness {target_thickness_mm} mm not bracketed by band widths [{lo}, {hi}]")
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        t = measured(mid)
+        if abs(t - target_vox) <= tolerance * target_vox:
+            return mid
+        if t < target_vox:
+            lo = mid
+        else:
+            hi = mid
+    raise VolumeError("band calibration did not converge to the requested tolerance")
 
 
 def gyroid_function(x, y, z, cell):

@@ -12,7 +12,6 @@ from voxcorr.volume import (
     invert_field,
     minmax_normalize,
     trilinear_gather,
-    trilinear_sample,
     warp,
     warp_array,
 )
@@ -39,36 +38,14 @@ class TestScalarVolume:
             ScalarVolume(data)
 
 
-class TestTrilinearSample:
-    def test_lattice_point(self):
-        vol = rand_volume((4, 4, 4), seed=1)
-        vol.data[1, 1, 1] = 5.0
-        assert trilinear_sample(vol, (1, 1, 1)) == 5.0
-
-    def test_midpoint_average(self):
-        vol = ScalarVolume(np.array([[[0.0, 10.0]]]))  # 2x1x1 in (nx, ny, nz) terms
-        assert trilinear_sample(vol, (0.5, 0, 0)) == pytest.approx(5.0)
-
-    def test_clamp_below(self):
-        vol = ScalarVolume(np.array([[[0.0, 10.0]]]))
-        assert trilinear_sample(vol, (-3.2, 0, 0)) == 0.0
-
-    def test_clamp_above(self):
-        vol = ScalarVolume(np.array([[[0.0, 10.0]]]))
-        assert trilinear_sample(vol, (7.7, 0, 0)) == 10.0
-
-    def test_linear_in_values(self):
-        a = rand_volume((5, 6, 7), seed=2)
-        b = rand_volume((5, 6, 7), seed=3)
-        pt = (3.3, 2.7, 1.2)
-        lhs = trilinear_sample(ScalarVolume(2.0 * a.data + 3.0 * b.data), pt)
-        rhs = 2.0 * trilinear_sample(a, pt) + 3.0 * trilinear_sample(b, pt)
-        assert lhs == pytest.approx(rhs, rel=1e-12)
-
-    def test_rejects_nonfinite(self):
-        vol = rand_volume((3, 3, 3))
-        with pytest.raises(VolumeError):
-            trilinear_sample(vol, (np.nan, 0, 0))
+class TestDisplacementField:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_nonfinite(self, bad):
+        # fields are where sample points enter the gather from outside
+        data = np.zeros((3, 4, 4, 4))
+        data[0, 1, 2, 3] = bad
+        with pytest.raises(VolumeError, match="non-finite"):
+            DisplacementField(data)
 
 
 def reference_gather(vol, px, py, pz, with_grad=False):
@@ -156,6 +133,28 @@ class TestTrilinearGather:
         for c in range(vol.shape[0]):
             want = map_coordinates(vol[c], [pz, py, px], order=1, mode="nearest")
             np.testing.assert_allclose(got[c], want, rtol=0, atol=1e-12)
+
+    def test_exact_at_grid_points(self):
+        vol = rand_volume((4, 5, 6), seed=1).data
+        zz, yy, xx = np.meshgrid(np.arange(4.0), np.arange(5.0), np.arange(6.0), indexing="ij")
+        np.testing.assert_array_equal(trilinear_gather(vol, xx, yy, zz), vol)
+
+    def test_midpoint_average(self):
+        vol = np.array([[[0.0, 10.0]]])  # nx = 2, ny = nz = 1
+        assert trilinear_gather(vol, np.array([0.5]), np.array([0.0]), np.array([0.0]))[0] == pytest.approx(5.0)
+
+    @pytest.mark.parametrize("x, want", [(-3.2, 0.0), (7.7, 10.0)])
+    def test_clamped_outside(self, x, want):
+        vol = np.array([[[0.0, 10.0]]])
+        assert trilinear_gather(vol, np.array([x]), np.array([-1.0]), np.array([2.5]))[0] == want
+
+    def test_linear_in_volume(self):
+        a = rand_volume((5, 6, 7), seed=2).data
+        b = rand_volume((5, 6, 7), seed=3).data
+        pts = np.array([[3.3, 0.2, 6.9], [2.7, 5.5, 0.1], [1.2, 3.9, 4.4]])
+        lhs = trilinear_gather(2.0 * a + 3.0 * b, *pts)
+        rhs = 2.0 * trilinear_gather(a, *pts) + 3.0 * trilinear_gather(b, *pts)
+        np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
 
     def test_leading_axes_and_point_shape(self):
         vol, px, py, pz = gather_case((4, 5, 6), np.float64, np.float64, channels=6, n=24)
