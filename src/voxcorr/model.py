@@ -46,6 +46,10 @@ class ModelConfig(Jsonable):
     def __post_init__(self):
         object.__setattr__(self, "enc_features", tuple(int(f) for f in self.enc_features))
         object.__setattr__(self, "dec_features", tuple(int(f) for f in self.dec_features))
+        object.__setattr__(self, "leaky_slope", float(self.leaky_slope))
+        # the activation is max(x, slope*x), which is LeakyReLU only up to slope 1
+        if not (np.isfinite(self.leaky_slope) and self.leaky_slope <= 1):
+            raise VolumeError(f"leaky_slope must be finite and at most 1, got {self.leaky_slope}")
         if self.kernel_size % 2 == 0:
             raise VolumeError("kernel_size must be odd")
         if len(self.dec_features) < len(self.enc_features):
@@ -159,7 +163,11 @@ def model_forward(params: dict, cfg: ModelConfig, moving: np.ndarray, fixed: np.
 
 
 def model_backward(tape: dict, d_moved: np.ndarray | None, d_disp: np.ndarray | None) -> dict[str, np.ndarray]:
-    """Parameter gradients given upstream gradients for moved and/or disp."""
+    """Parameter gradients given upstream gradients for moved and/or disp.
+
+    Consumes the tape: each block's context is dropped once its gradients are
+    taken, so the pass holds only the contexts still ahead of it.
+    """
     slope = tape["slope"]
     n_up = tape["n_up"]
     gx, gy, gz = tape["warp"]
@@ -173,10 +181,10 @@ def model_backward(tape: dict, d_moved: np.ndarray | None, d_disp: np.ndarray | 
         g_disp[2] += d_moved * gz
 
     grads: dict[str, np.ndarray] = {}
-    dx, grads["head.w"], grads["head.b"] = conv3d_backward(g_disp, tape["head"])
+    dx, grads["head.w"], grads["head.b"] = conv3d_backward(g_disp, tape.pop("head"))
     skip_grads: list[np.ndarray | None] = [None] * n_up
     for j in reversed(range(len(tape["dec"]))):
-        cctx, neg, split = tape["dec"][j]
+        cctx, neg, split = tape["dec"].pop()
         dy = leaky_relu_backward(dx, neg, slope)
         dcat, grads[f"dec{j}.w"], grads[f"dec{j}.b"] = conv3d_backward(dy, cctx)
         if split is None:
@@ -185,7 +193,7 @@ def model_backward(tape: dict, d_moved: np.ndarray | None, d_disp: np.ndarray | 
             skip_grads[n_up - 1 - j] = dcat[split:]
             dx = upsample3d_backward(dcat[:split], 2)
     for i in reversed(range(n_up)):
-        cctx, neg, pctx = tape["enc"][i]
+        cctx, neg, pctx = tape["enc"].pop()
         da = maxpool3d_backward(dx, pctx)
         da += skip_grads[i]
         dy = leaky_relu_backward(da, neg, slope)

@@ -135,7 +135,8 @@ def trilinear_gather(vol: np.ndarray, px, py, pz, with_grad: bool = False):
     open interval (0, n-1).
     """
     *lead, nz, ny, nx = vol.shape
-    px = np.asarray(px, dtype=np.result_type(px, np.float32))
+    px = np.asarray(px)
+    px = px.astype(np.result_type(px.dtype, np.float32), copy=False)
     py = np.asarray(py, dtype=px.dtype)
     pz = np.asarray(pz, dtype=px.dtype)
     x0, fx = _cell(px, nx)

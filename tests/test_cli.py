@@ -263,6 +263,7 @@ class TestCliSurface:
             ({"train": {"ncc_window": 4}}, "ncc_window"),
             ({"dvc": {"min_correlation": 0.0}}, "min_correlation"),
             ({"dvc": {"min_correlation": -0.2}}, "min_correlation"),
+            ({"model": {"leaky_slope": 1.5}}, "leaky_slope"),
             ("[1, 2", "Expecting"),
         ],
     )

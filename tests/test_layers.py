@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,58 @@ from voxcorr.layers import (
     upsample3d_forward,
 )
 from voxcorr.volume import VolumeError
+
+
+# The earlier implementations of LeakyReLU and max pooling, kept as oracles.
+
+def reference_leaky_relu_forward(x, slope):
+    neg = x < 0
+    return np.where(neg, slope * x, x), neg
+
+
+def reference_leaky_relu_backward(gout, neg, slope):
+    return np.where(neg, slope * gout, gout)
+
+
+def to_blocks(x, f):
+    """[c, D, H, W] -> [c, D/f, H/f, W/f, f^3], each block's voxels in (dz, dy, dx) order."""
+    c, d, h, w = x.shape
+    return x.reshape(c, d // f, f, h // f, f, w // f, f).transpose(0, 1, 3, 5, 2, 4, 6).reshape(
+        c, d // f, h // f, w // f, f ** 3
+    )
+
+
+def from_blocks(blocks, f):
+    """Inverse of to_blocks."""
+    c, d, h, w, _ = blocks.shape
+    return blocks.reshape(c, d, h, w, f, f, f).transpose(0, 1, 4, 2, 5, 3, 6).reshape(c, d * f, h * f, w * f)
+
+
+def reference_maxpool3d_forward(x, f):
+    blocks = to_blocks(x, f)
+    idx = blocks.argmax(axis=-1)
+    return np.take_along_axis(blocks, idx[..., None], axis=-1)[..., 0], idx
+
+
+def reference_maxpool3d_backward(gout, idx, f):
+    g = np.zeros(gout.shape + (f ** 3,), dtype=gout.dtype)
+    np.put_along_axis(g, idx[..., None], gout[..., None], axis=-1)
+    return from_blocks(g, f)
+
+
+def special_values(dtype, n=1001, seed=0):
+    """Random normals with signed zeros, subnormals, extremes and infinities
+    spread through them; an odd length exercises the non-vector tail."""
+    info = np.finfo(dtype)
+    specials = [0.0, -0.0, np.inf, -np.inf, info.smallest_subnormal, -info.smallest_subnormal,
+                info.tiny, -info.tiny, info.max, -info.max, 1.0, -1.0]
+    x = np.random.default_rng(seed).standard_normal(n).astype(dtype)
+    x[:: n // len(specials)][: len(specials)] = specials
+    return x
+
+
+def bits(a):
+    return a.view(f"u{a.itemsize}")
 
 
 def fd_check(loss_fn, x, analytic, rng, n_samples=24, h=1e-5, rel=1e-3):
@@ -73,6 +127,25 @@ class TestConv3d:
             ref += np.einsum("oi,izyx->ozyx", kern[:, :, a, bb, c], xpad[:, a:a + 5, bb:bb + 6, c:c + 7])
         out, _ = conv3d_forward(x, kern, b)
         np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("cin", [2, 3], ids=["folded", "per-tap"])  # cin * 27 vs 64
+    def test_float32_matches_float64_direct_sum(self, cin):
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal((cin, 6, 7, 8)).astype(np.float32)
+        kern = rng.standard_normal((4, cin, 3, 3, 3)).astype(np.float32)
+        b = rng.standard_normal(4).astype(np.float32)
+        xpad = np.pad(x.astype(np.float64), ((0, 0), (1, 1), (1, 1), (1, 1)))
+        ref = np.zeros((4, 6, 7, 8)) + b[:, None, None, None]
+        mag = np.zeros((4, 6, 7, 8)) + np.abs(b)[:, None, None, None]
+        for a, bb, c in np.ndindex(3, 3, 3):
+            w = kern[:, :, a, bb, c].astype(np.float64)
+            win = xpad[:, a:a + 6, bb:bb + 7, c:c + 8]
+            ref += np.einsum("oi,izyx->ozyx", w, win)
+            mag += np.einsum("oi,izyx->ozyx", np.abs(w), np.abs(win))
+        out, _ = conv3d_forward(x, kern, b)
+        assert out.dtype == np.float32
+        # float32 summation of cin*27 + 1 terms: error within n*eps of the sum of |terms|
+        assert np.all(np.abs(out - ref) <= (cin * 27 + 1) * np.finfo(np.float32).eps * mag)
 
     def test_ctx_is_no_larger_than_padded_input(self):
         rng = np.random.default_rng(5)
@@ -139,6 +212,102 @@ class TestLeakyRelu:
         _, neg = leaky_relu_forward(x, 0.2)
         g = leaky_relu_backward(proj, neg, 0.2)
         fd_check(loss, x, g, rng, rel=1e-6)
+
+
+class TestLeakyReluMatchesReference:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("slope", [-0.5, 0.0, 0.2, 1.0])
+    def test_forward_bitwise(self, slope, dtype):
+        x = special_values(dtype)
+        with np.errstate(invalid="ignore"):  # 0 * inf at slope 0
+            y, neg = leaky_relu_forward(x, slope)
+            ref, ref_neg = reference_leaky_relu_forward(x, slope)
+        assert y.dtype == ref.dtype
+        np.testing.assert_array_equal(neg, ref_neg)
+        # the documented corner cases of slope <= 0 (see leaky_relu_forward)
+        zero_tie = (x == 0) & (slope < 0)
+        inf_at_0 = (x == np.inf) & (slope == 0)
+        exact = ~(zero_tie | inf_at_0)
+        assert np.array_equal(bits(y[exact]), bits(ref[exact]))
+        assert np.all(y[zero_tie] == 0) and np.all(np.isnan(y[inf_at_0]))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("slope", [-0.5, 0.0, 0.2, 1.0])
+    def test_backward_bitwise(self, slope, dtype):
+        neg = special_values(dtype, seed=1) < 0
+        gout = special_values(dtype, seed=2)
+        with np.errstate(invalid="ignore"):  # 0 * inf at slope 0
+            got = leaky_relu_backward(gout, neg, slope)
+            want = reference_leaky_relu_backward(gout, neg, slope)
+        assert got.dtype == want.dtype
+        assert np.array_equal(bits(got), bits(want))
+
+
+def tied_blocks(dtype, f=2, seed=0):
+    """Input whose channel c has, in every block, its first maximum at block
+    position c (in (dz, dy, dx) order) and copies of it at random later positions."""
+    rng = np.random.default_rng(seed)
+    c = f ** 3
+    blocks = rng.standard_normal((c, 3, 2, 4, c)) - 10.0
+    peak = rng.standard_normal((c, 3, 2, 4))
+    for first in range(c):
+        blocks[first, ..., first] = peak[first]
+        after = blocks[first, ..., first + 1:]
+        after[...] = np.where(rng.random(after.shape) < 0.5, peak[first][..., None], after)
+    return from_blocks(blocks.astype(dtype), f)
+
+
+class TestMaxpoolMatchesReference:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("make", ["random", "ties"])
+    def test_forward_values(self, make, dtype):
+        if make == "random":
+            x = np.random.default_rng(3).standard_normal((5, 6, 8, 4)).astype(dtype)
+        else:
+            x = tied_blocks(dtype)
+        out, _ = maxpool3d_forward(x, 2)
+        ref, _ = reference_maxpool3d_forward(x, 2)
+        assert out.dtype == ref.dtype and np.array_equal(out, ref)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_backward_routes_ties_to_first_maximum(self, dtype):
+        x = tied_blocks(dtype)
+        out, ctx = maxpool3d_forward(x, 2)
+        gout = np.random.default_rng(4).standard_normal(out.shape).astype(dtype)
+        _, idx = reference_maxpool3d_forward(x, 2)
+        assert set(np.unique(idx)) == set(range(8))  # every block position wins somewhere
+        got = maxpool3d_backward(gout, ctx)
+        want = reference_maxpool3d_backward(gout, idx, 2)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_signed_zero_ties(self, dtype):
+        # a block of zeros of either sign: the value may carry either sign,
+        # the gradient still goes to the first zero
+        rng = np.random.default_rng(5)
+        x = np.where(rng.random((3, 4, 4, 6)) < 0.5, -0.0, 0.0).astype(dtype)
+        x[rng.random(x.shape) < 0.3] = -1.0
+        out, ctx = maxpool3d_forward(x, 2)
+        ref, idx = reference_maxpool3d_forward(x, 2)
+        assert np.array_equal(out, ref)
+        gout = rng.standard_normal(out.shape).astype(dtype)
+        assert maxpool3d_backward(gout, ctx).tobytes() == reference_maxpool3d_backward(gout, idx, 2).tobytes()
+
+    def test_backward_memory(self):
+        # the gradient itself is as large as the input; a transposed copy of
+        # the input (or of the gradient) would double that
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal((32, 32, 32, 32)).astype(np.float32)
+        out, ctx = maxpool3d_forward(x, 2)
+        gout = rng.standard_normal(out.shape).astype(np.float32)
+        maxpool3d_backward(gout, ctx)  # warm-up
+        tracemalloc.start()
+        try:
+            maxpool3d_backward(gout, ctx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * x.nbytes
 
 
 class TestMaxpool:

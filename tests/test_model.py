@@ -40,6 +40,15 @@ class TestModelConfig:
         with pytest.raises(VolumeError):
             ModelConfig(patch_size=24)
 
+    @pytest.mark.parametrize("slope", [1.5, float("nan"), float("inf"), float("-inf")])
+    def test_leaky_slope_must_be_finite_and_at_most_1(self, slope):
+        with pytest.raises(VolumeError, match="leaky_slope"):
+            ModelConfig(leaky_slope=slope)
+
+    @pytest.mark.parametrize("slope", [1, 0.0, -0.5])
+    def test_leaky_slope_accepted(self, slope):
+        assert ModelConfig(leaky_slope=slope).leaky_slope == float(slope)
+
     def test_param_count(self):
         shapes = param_shapes(ModelConfig())
         assert len(shapes) == 2 * (4 + 6 + 1)
@@ -175,8 +184,10 @@ class TestCheckpoint:
             lambda d: d.update(kernel_sise=3),
             lambda d: d.update(patch_size="16"),
             lambda d: d.update(kernel_size=2),
+            lambda d: d.update(leaky_slope=1.5),
+            lambda d: d.update(leaky_slope=float("nan")),
         ],
-        ids=["missing-key", "unknown-key", "wrong-type", "invalid-value"],
+        ids=["missing-key", "unknown-key", "wrong-type", "invalid-value", "slope-above-1", "slope-nan"],
     )
     def test_invalid_embedded_config_rejected(self, tmp_path, edit):
         cfg = TOY.to_json()

@@ -156,6 +156,19 @@ class TestTrilinearGather:
         rhs = 2.0 * trilinear_gather(a, *pts) + 3.0 * trilinear_gather(b, *pts)
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
 
+    @pytest.mark.parametrize("seq", [list, tuple])
+    @pytest.mark.parametrize("with_grad", [False, True])
+    def test_python_sequences_match_arrays(self, seq, with_grad):
+        def arrays(result):  # out, then gx, gy, gz when with_grad
+            return [result[0], *result[1]] if with_grad else [result]
+
+        vol = rand_volume((4, 5, 6), seed=5).data
+        pts = [[0.5, 3.25, -1.0], [0.0, 2.5, 4.75], [1, 2, 3]]  # integer z coordinates too
+        got = arrays(trilinear_gather(vol, *map(seq, pts), with_grad=with_grad))
+        want = arrays(trilinear_gather(vol, *map(np.array, pts), with_grad=with_grad))
+        for g, w in zip(got, want, strict=True):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+
     def test_leading_axes_and_point_shape(self):
         vol, px, py, pz = gather_case((4, 5, 6), np.float64, np.float64, channels=6, n=24)
         pts = [p.reshape(2, 3, 4) for p in (px, py, pz)]
