@@ -51,8 +51,8 @@ def gaussian_window(patch_size: int, sigma: float | None = None) -> np.ndarray:
     p = int(patch_size)
     if sigma is None:
         sigma = p / 4.0
-    if sigma <= 0:
-        raise VolumeError(f"sigma must be positive, got {sigma}")
+    if not 0 < sigma < np.inf:  # NaN fails the comparison too
+        raise VolumeError(f"sigma must be positive and finite, got {sigma}")
     i = np.arange(p, dtype=np.float64)
     g = np.exp(-((i - (p - 1) / 2.0) ** 2) / (2.0 * sigma * sigma))
     w = g[:, None, None] * g[None, :, None] * g[None, None, :]

@@ -30,8 +30,8 @@ def sliding_register(
     """
     if moving.dims != fixed.dims:
         raise VolumeError(f"dims mismatch: {moving.dims} vs {fixed.dims}")
-    p = int(patch_size or cfg.patch_size)
-    s = int(stride or max(1, p // 2))
+    p = int(cfg.patch_size if patch_size is None else patch_size)
+    s = int(max(1, p // 2) if stride is None else stride)
     grid = make_patch_grid(moving.dims, p, s)
     acc_moved = BlendAccumulator(moving.dims, 1, p, sigma)
     acc_disp = BlendAccumulator(moving.dims, 3, p, sigma)

@@ -2,15 +2,20 @@
 
 Feature grids are channel-first [c, D, H, W] numpy arrays without a batch
 axis; batching is a loop at the training level. Convolutions are direct
-cross-correlations computed as GEMMs over shifted slices of the padded input,
-which is all they keep for the backward pass. The tap loop takes the k^3
-kernel taps in groups: a conv whose whole inner dimension cin*k^3 is at most
-FOLD_MAX_INNER (the 2-channel input conv) stacks every tap's slice into one
-[cin*k^3, n] operand and runs a single GEMM, and every other conv runs one
-[cout, cin] x [cin, n] GEMM per tap. Max pooling keeps its input and the
-factor as context and finds each block's winner again in the backward pass.
-Every backward returns exact analytic gradients. All ops preserve the input
-dtype, so gradient checks can run the whole stack in float64.
+cross-correlations computed as GEMMs, and keep only their input and kernel
+for the backward pass. One code path walks the output in slabs of SLAB
+z-planes. For each slab it writes the slab's zero-padded input planes into a
+stacked operand once per tap of a group, each copy shifted back by that tap's
+flat offset, so a single view of the stack serves the whole group. A conv
+whose inner dimension cin*k^3 is at most FOLD_MAX_INNER (the 2-channel input
+conv) puts all k^3 taps in one group and runs one GEMM per slab; every other
+conv groups the k x-taps of each (a, b) kernel row and runs k^2
+[cout, k*cin] x [k*cin, n] GEMMs per slab, the first into the slab
+accumulator and the rest added to it. The weight gradient walks the same
+slabs with the same operands. Max pooling keeps its input and the factor as
+context and finds each block's winner again in the backward pass. Every
+backward returns exact analytic gradients. All ops preserve the input dtype,
+so gradient checks can run the whole stack in float64.
 """
 from __future__ import annotations
 
@@ -20,27 +25,61 @@ import numpy as np
 
 from .volume import VolumeError
 
-# largest GEMM inner dimension (cin * k^3) for which one conv folds all its taps into one GEMM
+# largest GEMM inner dimension (cin * k^3) for which a conv stacks all k^3 taps
+# into one operand and runs one GEMM per slab: with a thin inner dimension the
+# passes over the accumulator, not the multiplies, would bound it
 FOLD_MAX_INNER = 64
+# output z-planes per slab; 4, 16 and 32 were slower or took more memory
+SLAB = 8
 
 
-def _tap_operands(xpad: np.ndarray, k: int, d: int, h: int, w: int):
-    """n, and for each kernel tap (a, b, c) the [cin, n] operand it reads."""
-    cin, _, hp, wp = xpad.shape
-    # Output voxel (z, y, x) sits at flat index (z*hp + y)*wp + x of the padded
-    # grid and tap (a, b, c) reads (a*hp + b)*wp + c further on, so each tap's
-    # operand is one slice of the flattened input: a view, no copy. The n
-    # columns also cover the padding margin (y >= h or x >= w), cropped later.
-    n = (d - 1) * hp * wp + (h - 1) * wp + w
-    flat = xpad.reshape(cin, -1)
-    return n, [((a, b, c), flat[:, (a * hp + b) * wp + c:][:, :n]) for a, b, c in np.ndindex(k, k, k)]
+def _tap_group(cin: int, k: int) -> int:
+    """Taps per stacked operand: all k^3 when cin*k^3 is small, else the k x-taps."""
+    return k ** 3 if cin * k ** 3 <= FOLD_MAX_INNER else k
+
+
+def _slab_operands(x: np.ndarray, k: int, group: int, dtype):
+    """Per slab of SLAB output z-planes yield (z0, s, n, operands).
+
+    Output voxel (z0 + z, y, x) sits at flat index (z*hp + y)*wp + x of the
+    slab's zero-padded input planes, and tap (a, b, c) reads (a*hp + b)*wp + c
+    further on. Row block g of the stacked operand holds those padded planes
+    shifted back by the flat offset of tap g of the first group, so one view
+    of the stack at the flat offset o of a group's first tap gives every tap
+    of that group: operands[t] is the [group*cin, n] operand of tap group t,
+    rows in (tap, ci) order. The n columns also cover the padding margin
+    (y >= h or x >= w), cropped later.
+    """
+    cin, d, h, w = x.shape
+    p = (k - 1) // 2
+    hp, wp = h + 2 * p, w + 2 * p
+    offsets = [(a * hp + b) * wp + c for a, b, c in np.ndindex(k, k, k)]
+    shifts = offsets[:group]
+    base = shifts[-1]
+    sp = min(SLAB, d) + 2 * p
+    span = sp * hp * wp
+    stack = np.zeros((group, cin, base + span), dtype=dtype)
+    # the margins are never written, so they stay zero from slab to slab
+    blocks = [stack[g, :, base - sh:base - sh + span].reshape(cin, sp, hp, wp)[:, :, p:p + h, p:p + w]
+              for g, sh in enumerate(shifts)]
+    rows = stack.reshape(group * cin, -1)
+    for z0 in range(0, d, SLAB):
+        s = min(SLAB, d - z0)
+        lo, hi = max(z0 - p, 0), min(z0 + s + p, d)  # input planes the slab reads
+        a0, a1 = lo - (z0 - p), hi - (z0 - p)  # where they sit among the sp padded planes
+        for blk in blocks:
+            blk[:, :a0] = 0
+            blk[:, a0:a1] = x[:, lo:hi]
+            blk[:, a1:] = 0
+        n = (s - 1) * hp * wp + (h - 1) * wp + w
+        yield z0, s, n, [rows[:, base + o:base + o + n] for o in offsets[::group]]
 
 
 def conv3d_forward(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray):
     """Same-padded stride-1 cross-correlation.
 
     x [cin, D, H, W], kernel [cout, cin, k, k, k] with odd k, bias [cout].
-    Returns (out [cout, D, H, W], ctx) with ctx = (padded x, kernel).
+    Returns (out [cout, D, H, W], ctx) with ctx = (x, kernel).
     """
     cout, cin, k, k2, k3 = kernel.shape
     if k != k2 or k != k3 or k % 2 == 0:
@@ -50,39 +89,43 @@ def conv3d_forward(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray):
     if bias.shape != (cout,):
         raise VolumeError(f"bias shape {bias.shape} != ({cout},)")
     _, d, h, w = x.shape
-    p = (k - 1) // 2
-    xpad = np.pad(x, ((0, 0), (p, p), (p, p), (p, p)))
-    hp, wp = xpad.shape[2:]
-    n, operands = _tap_operands(xpad, k, d, h, w)
-    taps = k ** 3
-    # each GEMM adds one pass over acc, which a thin inner dimension cannot
-    # pay for: then a single GEMM takes every tap
-    group = taps if cin * taps <= FOLD_MAX_INNER else 1
-    wtap = np.ascontiguousarray(kernel.transpose(2, 3, 4, 0, 1)).reshape(taps, cout, cin)
-    acc = np.zeros((cout, d * hp * wp), dtype=np.result_type(x, kernel))
-    for t in range(0, taps, group):
-        wt, cols = wtap[t], operands[t][1]
-        if group > 1:  # stacked operand rows (tap, ci) meet weight columns (tap, ci)
-            wt = np.concatenate(wtap[t:t + group], axis=1)
-            cols = np.concatenate([tap_cols for _, tap_cols in operands[t:t + group]])
-        acc[:, :n] += wt @ cols
-    out = acc.reshape(cout, d, hp, wp)[:, :, :h, :w] + bias[:, None, None, None]
-    return out, (xpad, kernel)
+    hp, wp = h + k - 1, w + k - 1
+    dtype = np.result_type(x, kernel)
+    group = _tap_group(cin, k)
+    # weight columns (tap, ci) of each group meet the stacked operand rows (tap, ci)
+    wgroups = kernel.reshape(cout, cin, -1, group).transpose(2, 0, 3, 1).reshape(-1, cout, group * cin)
+    acc = np.empty((cout, min(SLAB, d) * hp * wp), dtype=dtype)
+    tmp = np.empty_like(acc)
+    out = np.empty((cout, d, h, w), dtype=np.result_type(dtype, bias))
+    for z0, s, n, operands in _slab_operands(x, k, group, dtype):
+        acc_n = acc[:, :n]
+        np.matmul(wgroups[0], operands[0], out=acc_n)
+        for wt, cols in zip(wgroups[1:], operands[1:]):
+            acc_n += np.matmul(wt, cols, out=tmp[:, :n])
+        slab = acc[:, :s * hp * wp].reshape(cout, s, hp, wp)[:, :, :h, :w]
+        np.add(slab, bias.reshape(cout, 1, 1, 1), out=out[:, z0:z0 + s])
+    return out, (x, kernel)
 
 
 def conv3d_param_grads(gout: np.ndarray, ctx) -> tuple[np.ndarray, np.ndarray]:
     """Gradients (dkernel, dbias) for conv3d_forward, without the input gradient."""
-    xpad, kernel = ctx
-    cout, d, h, w = gout.shape
-    hp, wp = xpad.shape[2:]
-    n, operands = _tap_operands(xpad, kernel.shape[2], d, h, w)
+    x, kernel = ctx
+    cout, cin, k = kernel.shape[:3]
+    _, d, h, w = gout.shape
+    hp, wp = h + k - 1, w + k - 1
+    dtype = np.result_type(gout, x)
+    group = _tap_group(cin, k)
     # gout laid out like the forward accumulator; the margin columns stay zero
-    gpad = np.zeros((cout, d, hp, wp), dtype=gout.dtype)
-    gpad[:, :, :h, :w] = gout
-    g2 = gpad.reshape(cout, -1)[:, :n]
-    dkernel = np.empty(kernel.shape, dtype=np.result_type(gout, xpad))
-    for (a, b, c), cols in operands:
-        dkernel[:, :, a, b, c] = g2 @ cols.T
+    gpad = np.zeros((cout, min(SLAB, d), hp, wp), dtype=dtype)
+    g2 = gpad.reshape(cout, -1)
+    # dW transposed, [group*cin, cout] per group: OpenBLAS runs this long-inner
+    # GEMM 1.1-1.8x faster as operand @ gout.T than as gout @ operand.T
+    dwt = np.zeros((k ** 3 // group, group * cin, cout), dtype=dtype)
+    for z0, s, n, operands in _slab_operands(x, k, group, dtype):
+        gpad[:, :s, :h, :w] = gout[:, z0:z0 + s]
+        for dw, cols in zip(dwt, operands):
+            dw += cols @ g2[:, :n].T
+    dkernel = dwt.reshape(-1, group, cin, cout).transpose(3, 2, 0, 1).reshape(kernel.shape)
     return dkernel, gout.sum(axis=(1, 2, 3))
 
 

@@ -55,6 +55,11 @@ class TestGaussianWindow:
         expected = np.exp(-3 * 2.0 ** 2 / (2 * 1.25 ** 2))
         assert w[0, 0, 0] == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_sigma_rejected(self, sigma):
+        with pytest.raises(VolumeError, match="sigma"):
+            gaussian_window(8, sigma)
+
     def test_floor(self):
         w = gaussian_window(33, 1.0)
         assert w.min() == 1e-4

@@ -134,6 +134,12 @@ class TestRegister:
         meta = json.loads((out / "register.json").read_text())
         assert meta["runtime_sec"] > 0
 
+    @pytest.mark.parametrize("flag, value", [("--stride", "0"), ("--sigma", "nan")])
+    def test_bad_blend_value_exits_nonzero(self, workspace, capsys, flag, value):
+        rc = main(["register", "--workspace", str(workspace), flag, value])
+        assert rc != 0
+        assert flag[2:] in capsys.readouterr().err
+
     def test_unknown_sample_exits_2(self, workspace):
         rc = main(["register", "--workspace", str(workspace), "--sample", "nope"])
         assert rc == 2
