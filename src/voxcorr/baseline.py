@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jsonable import Jsonable
-from .volume import DisplacementField, ScalarVolume, VolumeError, downsample2, trilinear_gather
+from .volume import DisplacementField, ScalarVolume, VolumeError, downsample2, trilinear_gather, window_sums
 
 
 @dataclass(frozen=True)
@@ -102,17 +102,6 @@ def _fft_len(n: int) -> int:
     return n if m == 1 else _fft_len(n + 1)
 
 
-def _window_sums(a: np.ndarray, w: int) -> np.ndarray:
-    """Sums of `a` over every w-wide window of its last three axes ("valid"
-    positions only), from a running sum along each axis in turn."""
-    for axis in range(a.ndim - 3, a.ndim):
-        c = np.moveaxis(np.cumsum(a, axis=axis), axis, 0)
-        s = c[w - 1 :].copy()
-        s[1:] -= c[:-w]
-        a = np.moveaxis(s, 0, axis)
-    return a
-
-
 def correlate_node(
     moving: np.ndarray,
     fixed: np.ndarray,
@@ -169,7 +158,7 @@ def correlate_node(
     spec *= np.conj(np.fft.rfftn(fc, grid, axes=(0, 1, 2)))
     cross = np.fft.irfftn(spec, grid, axes=(0, 1, 2))[: tz1 - tz0 + 1, : ty1 - ty0 + 1, : tx1 - tx0 + 1]
     cross += shift * fc.sum()
-    sm, smm = _window_sums(np.stack([block, block * block]), w)
+    sm, smm = window_sums(np.stack([block, block * block]), w)
     var_m = smm - sm * sm / w ** 3
     scores = cross / np.sqrt(var_f * np.maximum(var_m, 1e-12))
     scores[var_m <= 1e-12] = -np.inf

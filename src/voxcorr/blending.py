@@ -2,7 +2,9 @@
 
 Patch grids cover the whole volume: origins step by the stride along each axis
 and a clamped final origin at dims - patch_size is appended whenever the
-regular stepping stops short, so inference never needs padding.
+regular stepping stops short, so inference never needs padding. Overlapping
+[c, p, p, p] patches blend with a Gaussian window of sigma p / 4 (every weight
+above exp(-6)).
 """
 from __future__ import annotations
 
@@ -31,6 +33,8 @@ def _axis_origins(n: int, p: int, s: int) -> list[int]:
 def make_patch_grid(dims: IVec3, patch_size: int, stride: int) -> PatchGrid:
     nx, ny, nz = (int(d) for d in dims)
     p, s = int(patch_size), int(stride)
+    if p < 1:
+        raise VolumeError(f"patch size must be >= 1, got {p}")
     if s < 1:
         raise VolumeError(f"stride must be >= 1, got {s}")
     if p > min(nx, ny, nz):
@@ -42,40 +46,31 @@ def make_patch_grid(dims: IVec3, patch_size: int, stride: int) -> PatchGrid:
     return PatchGrid(p, s, origins)
 
 
-def gaussian_window(patch_size: int, sigma: float | None = None) -> np.ndarray:
-    """Separable patch weight [p, p, p], centred at (p-1)/2, continuous peak 1.
-
-    Weights are floored at 1e-4 so accumulated blend weights never vanish.
-    Default sigma is patch_size / 4.
-    """
+def gaussian_window(patch_size: int) -> np.ndarray:
+    """Separable patch weight [p, p, p], centred at (p-1)/2, continuous peak 1,
+    sigma p / 4."""
     p = int(patch_size)
-    if sigma is None:
-        sigma = p / 4.0
-    if not 0 < sigma < np.inf:  # NaN fails the comparison too
-        raise VolumeError(f"sigma must be positive and finite, got {sigma}")
+    sigma = p / 4.0
     i = np.arange(p, dtype=np.float64)
     g = np.exp(-((i - (p - 1) / 2.0) ** 2) / (2.0 * sigma * sigma))
-    w = g[:, None, None] * g[None, :, None] * g[None, None, :]
-    return np.maximum(w, 1e-4)
+    return g[:, None, None] * g[None, :, None] * g[None, None, :]
 
 
 class BlendAccumulator:
-    """Gaussian-weighted overlap-add of patch outputs into a full grid."""
+    """Gaussian-weighted overlap-add of [c, p, p, p] patches into a full grid."""
 
-    def __init__(self, dims: IVec3, channels: int, patch_size: int, sigma: float | None = None):
+    def __init__(self, dims: IVec3, channels: int, patch_size: int):
         nx, ny, nz = (int(d) for d in dims)
         self.dims = (nx, ny, nz)
         self.channels = int(channels)
         self.patch_size = int(patch_size)
-        self.window = gaussian_window(patch_size, sigma)
+        self.window = gaussian_window(patch_size)
         self.weighted_sum = np.zeros((self.channels, nz, ny, nx), dtype=np.float64)
         self.weight_sum = np.zeros((nz, ny, nx), dtype=np.float64)
 
     def add(self, patch_data: np.ndarray, origin: IVec3) -> None:
-        """Accumulate a [p,p,p] or [c,p,p,p] patch at (x, y, z) origin."""
+        """Accumulate a [c, p, p, p] patch at (x, y, z) origin."""
         p = self.patch_size
-        if patch_data.ndim == 3:
-            patch_data = patch_data[None]
         if patch_data.shape != (self.channels, p, p, p):
             raise VolumeError(
                 f"patch shape {patch_data.shape} does not match ({self.channels}, {p}, {p}, {p})"
@@ -89,8 +84,7 @@ class BlendAccumulator:
         self.weight_sum[sl] += self.window
 
     def finalize(self) -> np.ndarray:
-        """Weighted mean per voxel; [nz, ny, nx] for 1 channel else [c, nz, ny, nx]."""
+        """Weighted mean per voxel, [c, nz, ny, nx]."""
         if np.any(self.weight_sum == 0.0):
             raise VolumeError("finalize called with uncovered voxels (zero blend weight)")
-        out = self.weighted_sum / self.weight_sum
-        return out[0] if self.channels == 1 else out
+        return self.weighted_sum / self.weight_sum

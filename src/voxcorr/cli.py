@@ -12,6 +12,10 @@ with dataclasses.replace on top of the --config file (overlaid onto RunConfig(),
 see RunConfig.from_json) or of RunConfig(). Rows without a path are arguments
 of the command's handler in COMMANDS.
 
+register and baseline write moved.vvol (the scan warped by the field),
+disp.vvol and a JSON record into the folders named in METHODS; evaluate reads
+them back and binarizes each volume once for both the metrics and the figures.
+
 Exit codes: 0 success; 2 validation failure (bad flags; a config file that is
 missing, malformed or has an unknown key or a wrong type; a flag value the
 config rejects; missing inputs); 1 runtime error.
@@ -40,7 +44,7 @@ from .model import CheckpointError, checkpoint_load, checkpoint_save
 from .preprocess import DatasetManifest, build_dataset, otsu_threshold
 from .tpms import add_base_plate, add_spheres, degrade_to_xct, gyroid_field, tpms_solid
 from .training import train
-from .volume import BinaryVolume, ScalarVolume, VolumeError, warp
+from .volume import BinaryVolume, DisplacementField, ScalarVolume, VolumeError, warp
 from .vvol import VvolError, vvol_read, vvol_write
 
 
@@ -73,6 +77,10 @@ class Flag:
         return self.name[2:].replace("-", "_")
 
 
+# registration method -> (workspace folder of its per-sample outputs, JSON record file)
+METHODS = {"learned": ("registered", "register.json"), "baseline": ("baseline", "baseline.json")}
+
+
 _ALL = ("generate", "preprocess", "train", "register", "baseline", "evaluate", "info")
 _PICK = ("register", "baseline", "evaluate")
 
@@ -102,9 +110,8 @@ FLAGS = (
     Flag("--levels", ("baseline",), ("dvc.pyramid_levels",), int, "pyramid levels"),
     Flag("--sample", _PICK, (), str, "sample id (default: all test samples)"),
     Flag("--stride", ("register",), (), int, "patch stride (default patch/2)"),
-    Flag("--sigma", ("register",), (), float, "blend window sigma (default patch/4)"),
     Flag("--method", ("evaluate",), (), str, "registration output to evaluate (default: learned)",
-         ("learned", "baseline", "both")),
+         (*METHODS, "both")),
 )
 
 
@@ -254,8 +261,19 @@ def _select_samples(cfg: RunConfig, sample: str | None) -> list:
     return test
 
 
-def cmd_register(cfg: RunConfig, sample: str | None = None, stride: int | None = None,
-                 sigma: float | None = None) -> dict:
+def _write_registration(
+    cfg: RunConfig, method: str, sample_id: str, moved: ScalarVolume, disp: DisplacementField, record: dict
+) -> Path:
+    """Write moved.vvol, disp.vvol and the method's JSON record; returns the folder."""
+    odir = Path(cfg.workspace) / METHODS[method][0] / sample_id
+    odir.mkdir(parents=True, exist_ok=True)
+    vvol_write(odir / "moved.vvol", moved)
+    vvol_write(odir / "disp.vvol", disp)
+    (odir / METHODS[method][1]).write_text(json.dumps({"sample_id": sample_id, **record}, indent=2))
+    return odir
+
+
+def cmd_register(cfg: RunConfig, sample: str | None = None, stride: int | None = None) -> dict:
     """sliding-window registration of test samples"""
     ckpt = cfg.checkpoint_path()
     if not ckpt.exists():
@@ -268,18 +286,10 @@ def cmd_register(cfg: RunConfig, sample: str | None = None, stride: int | None =
         moving = vvol_read(entry.xct_path)
         fixed = vvol_read(entry.cad_path)
         t_reg = time.perf_counter()
-        moved, disp = sliding_register(
-            params, model_cfg, moving, fixed,
-            patch_size=model_cfg.patch_size, stride=stride, sigma=sigma,
-        )
+        moved, disp = sliding_register(params, model_cfg, moving, fixed, stride=stride)
         runtime = time.perf_counter() - t_reg
-        odir = Path(cfg.workspace) / "registered" / entry.id
-        odir.mkdir(parents=True, exist_ok=True)
-        vvol_write(odir / "moved.vvol", moved)
-        vvol_write(odir / "disp.vvol", disp)
-        (odir / "register.json").write_text(
-            json.dumps({"sample_id": entry.id, "runtime_sec": runtime, "patch_size": model_cfg.patch_size}, indent=2)
-        )
+        record = {"runtime_sec": runtime, "patch_size": model_cfg.patch_size}
+        odir = _write_registration(cfg, "learned", entry.id, moved, disp, record)
         print(f"{entry.id}: registered in {runtime:.1f}s -> {odir}")
     return {"sample": sample}
 
@@ -294,14 +304,9 @@ def cmd_baseline(cfg: RunConfig, sample: str | None = None) -> dict:
         disp, nodes = multiscale_dvc(moving, fixed, cfg.dvc)
         moved = warp(moving, disp)
         runtime = time.perf_counter() - t_reg
-        odir = Path(cfg.workspace) / "baseline" / entry.id
-        odir.mkdir(parents=True, exist_ok=True)
-        vvol_write(odir / "moved.vvol", moved)
-        vvol_write(odir / "disp.vvol", disp)
+        record = {"runtime_sec": runtime, "dvc": to_json(cfg.dvc)}
+        odir = _write_registration(cfg, "baseline", entry.id, moved, disp, record)
         (odir / "nodes.json").write_text(json.dumps(nodes.to_json(), indent=2))
-        (odir / "baseline.json").write_text(
-            json.dumps({"sample_id": entry.id, "runtime_sec": runtime, "dvc": to_json(cfg.dvc)}, indent=2)
-        )
         valid_pct = 100.0 * nodes.valid.mean()
         samples.append({
             "sample": entry.id,
@@ -317,31 +322,32 @@ def cmd_baseline(cfg: RunConfig, sample: str | None = None) -> dict:
 
 def cmd_evaluate(cfg: RunConfig, sample: str | None = None, method: str = "learned") -> dict:
     """metrics report and figure export for registered samples"""
-    methods = ["learned", "baseline"] if method == "both" else [method]
-    method_dirs = {"learned": "registered", "baseline": "baseline"}
+    methods = list(METHODS) if method == "both" else [method]
     for entry in _select_samples(cfg, sample):
         cad = vvol_read(entry.cad_path)
         xct = vvol_read(entry.xct_path)
         gt = vvol_read(entry.gt_disp_path) if entry.gt_disp_path else None
         _, cad_bin = otsu_threshold(cad)
+        _, xct_bin = otsu_threshold(xct)
         for method in methods:
-            mdir = Path(cfg.workspace) / method_dirs[method] / entry.id
+            mdir = Path(cfg.workspace) / METHODS[method][0] / entry.id
             moved_path = mdir / "moved.vvol"
             if not moved_path.exists():
                 raise CliError(f"no {method} output for {entry.id}; expected {moved_path}")
             moved = vvol_read(moved_path)
+            _, moved_bin = otsu_threshold(moved)
             disp = vvol_read(mdir / "disp.vvol")
-            meta_file = mdir / ("register.json" if method == "learned" else "baseline.json")
+            meta_file = mdir / METHODS[method][1]
             runtime = json.loads(meta_file.read_text()).get("runtime_sec", 0.0) if meta_file.exists() else 0.0
             report, bdm_before, bdm_after = evaluate_pair(
-                cad, xct, moved, disp, gt_disp=gt,
+                cad_bin, xct_bin, moved_bin, disp, gt_disp=gt,
                 sample_id=entry.id, method=method, runtime_sec=runtime,
             )
             rdir = Path(cfg.workspace) / "reports" / entry.id / method
             rdir.mkdir(parents=True, exist_ok=True)
             (rdir / "report.json").write_text(json.dumps(report.to_json(), indent=2))
-            export_overlay_slices(cad, xct, rdir, prefix="overlay_before")
-            export_overlay_slices(cad, moved, rdir, prefix="overlay_after")
+            export_overlay_slices(cad_bin, xct, xct_bin, rdir, prefix="overlay_before")
+            export_overlay_slices(cad_bin, moved, moved_bin, rdir, prefix="overlay_after")
             export_bdm_slices(bdm_before, rdir, prefix="bdm_before")
             export_bdm_slices(bdm_after, rdir, prefix="bdm_after")
             export_displacement_magnitude(disp, cad_bin, rdir, prefix="dispmag")
@@ -362,8 +368,7 @@ def cmd_info(cfg: RunConfig) -> None:
         "raw samples": sorted(p.parent.name for p in ws.glob("raw/*/sample.json")),
         "manifest": cfg.manifest_path().exists(),
         "checkpoint": cfg.checkpoint_path().exists(),
-        "registered": sorted(p.parent.name for p in ws.glob("registered/*/moved.vvol")),
-        "baseline": sorted(p.parent.name for p in ws.glob("baseline/*/moved.vvol")),
+        **{d: sorted(p.parent.name for p in ws.glob(f"{d}/*/moved.vvol")) for d, _ in METHODS.values()},
         "reports": sorted(str(p.relative_to(ws)) for p in ws.glob("reports/*/*/report.json")),
     }
     print(json.dumps({"artifacts": artifacts}, indent=2, sort_keys=True))

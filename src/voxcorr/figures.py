@@ -3,7 +3,8 @@
 Images are written as binary PPM (P6) / PGM (P5) with maxval 255. For each
 volume the three central orthogonal slices are exported; image dimensions
 equal the slice dimensions (XZ: rows z, cols x; YZ: rows z, cols y; XY:
-rows y, cols x).
+rows y, cols x). Masks come from the caller, which binarizes each volume
+once for both the metrics and the figures.
 """
 from __future__ import annotations
 
@@ -12,7 +13,6 @@ from pathlib import Path
 import numpy as np
 
 from .metrics import BDM_OUTSIDE, BdmResult
-from .preprocess import otsu_threshold
 from .volume import BinaryVolume, DisplacementField, ScalarVolume, VolumeError
 
 GREEN = np.array([0, 200, 0], dtype=np.float64)
@@ -56,27 +56,25 @@ def _to_gray255(slice2d: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return np.clip(g * 255.0, 0, 255)
 
 
-def export_overlay_slices(fixed: ScalarVolume, moving: ScalarVolume, out_dir, prefix: str = "overlay") -> list[str]:
-    """Nominal volume in green over the scan grayscale; overlap blended 50/50."""
-    if fixed.dims != moving.dims:
-        raise VolumeError(f"dims mismatch: {fixed.dims} vs {moving.dims}")
-    _, fixed_bin = otsu_threshold(fixed)
-    try:
-        _, moving_bin = otsu_threshold(moving)
-    except VolumeError:  # constant scan renders as empty foreground
-        moving_bin = BinaryVolume(np.zeros(moving.data.shape, bool), moving.voxel_size)
-    lo, hi = float(moving.data.min()), float(moving.data.max())
+def export_overlay_slices(
+    fixed_bin: BinaryVolume, scan: ScalarVolume, scan_bin: BinaryVolume, out_dir, prefix: str = "overlay"
+) -> list[str]:
+    """Nominal mask in green over the scan grayscale; where the scan mask
+    overlaps it, blended 50/50."""
+    if not (fixed_bin.dims == scan.dims == scan_bin.dims):
+        raise VolumeError(f"dims mismatch: {fixed_bin.dims}, {scan.dims}, {scan_bin.dims}")
+    lo, hi = float(scan.data.min()), float(scan.data.max())
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = []
     f_slices = central_slices(fixed_bin.mask)
-    m_slices = central_slices(moving_bin.mask)
-    g_slices = central_slices(moving.data)
+    s_slices = central_slices(scan_bin.mask)
+    g_slices = central_slices(scan.data)
     for plane in ("xz", "yz", "xy"):
         gray = _to_gray255(g_slices[plane], lo, hi)
         img = np.repeat(gray[:, :, None], 3, axis=2)
-        cad_only = f_slices[plane] & ~m_slices[plane]
-        overlap = f_slices[plane] & m_slices[plane]
+        cad_only = f_slices[plane] & ~s_slices[plane]
+        overlap = f_slices[plane] & s_slices[plane]
         img[cad_only] = GREEN
         img[overlap] = 0.5 * img[overlap] + 0.5 * GREEN
         p = out_dir / f"{prefix}_{plane}.ppm"

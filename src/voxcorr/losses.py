@@ -12,29 +12,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .volume import VolumeError
+from .volume import VolumeError, window_sums
 
 NCC_EPS = 1e-5
-
-
-def _slide_sum(x: np.ndarray, w: int, axis: int) -> np.ndarray:
-    r = w // 2
-    pad = [(0, 0)] * x.ndim
-    pad[axis] = (r + 1, r)  # one extra leading zero doubles as the cumsum base
-    c = np.cumsum(np.pad(x, pad), axis=axis)
-    hi = [slice(None)] * x.ndim
-    lo = [slice(None)] * x.ndim
-    hi[axis] = slice(w, None)
-    lo[axis] = slice(None, -w)
-    return c[tuple(hi)] - c[tuple(lo)]
-
-
-def _boxsum(x: np.ndarray, w: int) -> np.ndarray:
-    """Zero-padded sliding w^3 sum (self-adjoint)."""
-    out = x
-    for axis in range(x.ndim - 3, x.ndim):
-        out = _slide_sum(out, w, axis)
-    return out
 
 
 def ncc_loss(a: np.ndarray, b: np.ndarray, window: int = 9) -> tuple[float, np.ndarray]:
@@ -45,15 +25,20 @@ def ncc_loss(a: np.ndarray, b: np.ndarray, window: int = 9) -> tuple[float, np.n
         raise VolumeError(f"window must be odd and positive, got {window}")
     if window > min(a.shape[-3:]):
         raise VolumeError(f"window {window} exceeds patch extent {a.shape[-3:]}")
+    r = window // 2
+
+    def box(x):  # zero-padded sliding window^3 sum over the last three axes (self-adjoint)
+        return window_sums(np.pad(x, [(0, 0)] * (x.ndim - 3) + [(r, r)] * 3), window)
+
     af = a.astype(np.float64, copy=False)
     bf = b.astype(np.float64, copy=False)
-    n = _boxsum(np.ones(a.shape[-3:]), window)  # in-bounds voxels per window
+    n = box(np.ones(a.shape[-3:]))  # in-bounds voxels per window
 
-    sa = _boxsum(af, window)
-    sb = _boxsum(bf, window)
-    sab = _boxsum(af * bf, window)
-    saa = _boxsum(af * af, window)
-    sbb = _boxsum(bf * bf, window)
+    sa = box(af)
+    sb = box(bf)
+    sab = box(af * bf)
+    saa = box(af * af)
+    sbb = box(bf * bf)
 
     cross = sab - sa * sb / n
     var_a = saa - sa * sa / n
@@ -66,10 +51,10 @@ def ncc_loss(a: np.ndarray, b: np.ndarray, window: int = 9) -> tuple[float, np.n
     alpha = 2.0 * cross / den
     beta = cc * var_b / den  # cross^2 * var_b / den^2
     grad = -(
-        bf * _boxsum(alpha, window)
-        - _boxsum(alpha * (sb / n), window)
-        - 2.0 * af * _boxsum(beta, window)
-        + 2.0 * _boxsum(beta * (sa / n), window)
+        bf * box(alpha)
+        - box(alpha * (sb / n))
+        - 2.0 * af * box(beta)
+        + 2.0 * box(beta * (sa / n))
     ) / m
     return loss, grad.astype(a.dtype, copy=False)
 

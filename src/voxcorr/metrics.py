@@ -1,5 +1,6 @@
 """Registration quality metrics: Dice overlap, binary difference maps and
-endpoint error against synthetic ground truth."""
+endpoint error against synthetic ground truth, on masks that the caller
+binarizes once per volume and shares with the figure exports."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -7,8 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jsonable import Jsonable
-from .preprocess import otsu_threshold
-from .volume import BinaryVolume, DisplacementField, ScalarVolume, VolumeError
+from .volume import BinaryVolume, DisplacementField, VolumeError
 
 # int8 sentinel marking voxels outside the foreground union in a BDM map
 BDM_OUTSIDE = np.int8(127)
@@ -95,27 +95,24 @@ def _bdm_summary(r: BdmResult) -> dict:
 
 
 def evaluate_pair(
-    cad: ScalarVolume,
-    xct: ScalarVolume,
-    moved: ScalarVolume,
+    cad_bin: BinaryVolume,
+    xct_bin: BinaryVolume,
+    moved_bin: BinaryVolume,
     disp: DisplacementField,
     gt_disp: DisplacementField | None = None,
     sample_id: str = "",
     method: str = "learned",
     runtime_sec: float = 0.0,
 ) -> tuple[EvalReport, BdmResult, BdmResult]:
-    """Full before/after evaluation of one registration.
+    """Full before/after evaluation of one registration from the nominal, scan
+    and moved-scan masks.
 
-    All volumes are re-binarized with global Otsu (the warped scan is a fresh
-    grayscale, so its own threshold applies). Endpoint error uses the nominal
-    foreground as evaluation mask and is reported only when ground truth is
-    available. Returns the report plus both BDM maps for figure export.
+    Endpoint error uses the nominal foreground as evaluation mask and is
+    reported only when ground truth is available. Returns the report plus both
+    BDM maps for figure export.
     """
-    if not (cad.dims == xct.dims == moved.dims == disp.dims):
+    if not (cad_bin.dims == xct_bin.dims == moved_bin.dims == disp.dims):
         raise VolumeError("evaluate_pair requires consistent dims")
-    _, cad_bin = otsu_threshold(cad)
-    _, xct_bin = otsu_threshold(xct)
-    _, moved_bin = otsu_threshold(moved)
     bdm_before = bdm(xct_bin, cad_bin)
     bdm_after = bdm(moved_bin, cad_bin)
     mean_epe = max_epe = None

@@ -126,21 +126,7 @@ def largest_component(bin_vol: BinaryVolume, connectivity: int = 6) -> BinaryVol
 
 def fill_enclosed_voids(bin_vol: BinaryVolume) -> BinaryVolume:
     """Fill background regions not 6-connected to any volume face."""
-    bg = ~bin_vol.mask
-    labels, n = ndimage.label(bg, structure=CROSS6)
-    if n == 0:
-        return BinaryVolume(bin_vol.mask.copy(), bin_vol.voxel_size)
-    border = np.unique(
-        np.concatenate(
-            [
-                labels[0].ravel(), labels[-1].ravel(),
-                labels[:, 0].ravel(), labels[:, -1].ravel(),
-                labels[:, :, 0].ravel(), labels[:, :, -1].ravel(),
-            ]
-        )
-    )
-    reachable = np.isin(labels, border[border > 0])
-    return BinaryVolume(bin_vol.mask | (bg & ~reachable), bin_vol.voxel_size)
+    return BinaryVolume(ndimage.binary_fill_holes(bin_vol.mask, structure=CROSS6), bin_vol.voxel_size)
 
 
 def clean_xct(vol: ScalarVolume, spec: CleanSpec) -> tuple[ScalarVolume, BinaryVolume]:

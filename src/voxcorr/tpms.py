@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.ndimage import binary_erosion, gaussian_filter
 
+from .preprocess import CROSS6
 from .volume import (
     BinaryVolume,
     DisplacementField,
@@ -24,10 +25,6 @@ from .volume import (
     invert_field,
     warp_array,
 )
-
-_CROSS6 = np.zeros((3, 3, 3), dtype=bool)
-_CROSS6[1, 1, 1] = _CROSS6[0, 1, 1] = _CROSS6[2, 1, 1] = True
-_CROSS6[1, 0, 1] = _CROSS6[1, 2, 1] = _CROSS6[1, 1, 0] = _CROSS6[1, 1, 2] = True
 
 
 @dataclass(frozen=True)
@@ -234,7 +231,7 @@ def degrade_to_xct(
         mask = mask_extras(mask)
 
     if spec_deg.breakage_count > 0:
-        interior = binary_erosion(mask, structure=_CROSS6, border_value=1)
+        interior = binary_erosion(mask, structure=CROSS6, border_value=1)
         surface_idx = np.flatnonzero(mask & ~interior)
         if surface_idx.size:
             picks = rng.choice(surface_idx, size=min(spec_deg.breakage_count, surface_idx.size), replace=False)

@@ -231,6 +231,18 @@ def downsample2(vol: ScalarVolume) -> ScalarVolume:
     return ScalarVolume(out.astype(vol.data.dtype, copy=False), (2 * vx, 2 * vy, 2 * vz))
 
 
+def window_sums(a: np.ndarray, w: int) -> np.ndarray:
+    """Sums of `a` over every w-wide window of its last three axes ("valid"
+    positions only), from a running sum along each axis in turn; returned
+    C-ordered, so a reduction over it sums in the same order as over a fresh array."""
+    for axis in range(a.ndim - 3, a.ndim):
+        c = np.moveaxis(np.cumsum(a, axis=axis), axis, 0)
+        s = c[w - 1 :].copy()
+        s[1:] -= c[:-w]
+        a = np.moveaxis(s, 0, axis)
+    return np.ascontiguousarray(a)
+
+
 def minmax_normalize(vol: ScalarVolume) -> ScalarVolume:
     lo = float(vol.data.min())
     hi = float(vol.data.max())

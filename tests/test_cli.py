@@ -1,13 +1,17 @@
 import hashlib
 import json
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import voxcorr.cli
 from voxcorr.cli import FLAGS, _build_parser, _resolve_config, main
 from voxcorr.config import RunConfig, assign_splits
+from voxcorr.preprocess import otsu_threshold
+from voxcorr.volume import warp
 from voxcorr.vvol import vvol_read, vvol_write
 
 
@@ -134,7 +138,17 @@ class TestRegister:
         meta = json.loads((out / "register.json").read_text())
         assert meta["runtime_sec"] > 0
 
-    @pytest.mark.parametrize("flag, value", [("--stride", "0"), ("--sigma", "nan")])
+    def test_moved_is_scan_warped_by_field(self, workspace):
+        assert main(["register", "--workspace", str(workspace), "--sample", "c-0.6"]) == 0
+        manifest = json.loads((workspace / "dataset" / "manifest.json").read_text())
+        entry = next(s for s in manifest["samples"] if s["id"] == "c-0.6")
+        out = workspace / "registered" / "c-0.6"
+        moved = vvol_read(out / "moved.vvol")
+        ref = warp(vvol_read(entry["xct_path"]), vvol_read(out / "disp.vvol"))
+        assert moved.data.dtype == ref.data.dtype
+        assert moved.data.tobytes() == ref.data.tobytes()
+
+    @pytest.mark.parametrize("flag, value", [("--stride", "0")])
     def test_bad_blend_value_exits_nonzero(self, workspace, capsys, flag, value):
         rc = main(["register", "--workspace", str(workspace), flag, value])
         assert rc != 0
@@ -204,6 +218,23 @@ class TestEvaluate:
         assert report["dice_after_pct"] == 100.0
         assert report["bdm_after"]["zero"] == 100.0
 
+    @pytest.mark.parametrize("method, calls", [("learned", 3), ("baseline", 3), ("both", 4)])
+    def test_one_otsu_per_volume(self, workspace, monkeypatch, method, calls):
+        # nominal and scan once per sample, each moved scan once per method
+        counted = []
+
+        def counting(*args, **kwargs):
+            counted.append(1)
+            return otsu_threshold(*args, **kwargs)
+
+        for mod in [m for name, m in sys.modules.items() if name.startswith("voxcorr")]:
+            if getattr(mod, "otsu_threshold", None) is otsu_threshold:
+                monkeypatch.setattr(mod, "otsu_threshold", counting)
+        assert voxcorr.cli.otsu_threshold is counting
+        rc = main(["evaluate", "--workspace", str(workspace), "--sample", "c-0.6", "--method", method])
+        assert rc == 0
+        assert len(counted) == calls
+
     def test_missing_method_output_exits_2(self, workspace, tmp_path):
         rc = main(["evaluate", "--workspace", str(workspace), "--sample", "c0",
                    "--method", "baseline"])
@@ -222,7 +253,8 @@ class TestCliSurface:
         assert "--workspace" in out
 
     def test_unknown_flag_exits_2(self):
-        for argv in (["generate", "--bogus"], ["train", "--threads", "2"]):  # --threads was removed
+        # --threads and --sigma were removed
+        for argv in (["generate", "--bogus"], ["train", "--threads", "2"], ["register", "--sigma", "4"]):
             with pytest.raises(SystemExit) as e:
                 main(argv)
             assert e.value.code == 2
@@ -304,7 +336,7 @@ FLAG_VALUES = {
     "--steps-per-epoch": "2", "--batch-size": "3", "--patch-size": "48", "--ncc-window": "7",
     "--lr": "0.01", "--lambda-smooth": "0.5", "--node-spacing": "8", "--window-halfsize": "4",
     "--search-radius": "2", "--levels": "1",
-    "--sample": "c0", "--stride": "8", "--sigma": "4", "--method": "both",
+    "--sample": "c0", "--stride": "8", "--method": "both",
 }
 
 

@@ -42,10 +42,14 @@ class TestWriters:
         np.testing.assert_array_equal(read_pnm(p), img)
 
 
+def mask_of(vol):
+    return BinaryVolume(vol.data > 0.5)
+
+
 class TestOverlay:
     def test_identical_volumes_no_pure_green(self, tmp_path):
         vol = box_volume()
-        paths = export_overlay_slices(vol, vol, tmp_path)
+        paths = export_overlay_slices(mask_of(vol), vol, mask_of(vol), tmp_path)
         assert len(paths) == 3
         for p in paths:
             img = read_pnm(p).astype(int)
@@ -55,14 +59,14 @@ class TestOverlay:
     def test_empty_scan_fully_green_foreground(self, tmp_path):
         cad = box_volume()
         xct = ScalarVolume(np.zeros(cad.data.shape, dtype=np.float32))
-        paths = export_overlay_slices(cad, xct, tmp_path, prefix="empty")
+        paths = export_overlay_slices(mask_of(cad), xct, mask_of(xct), tmp_path, prefix="empty")
         img = read_pnm(paths[2]).astype(int)  # xy plane
         inside = (slice(2, 8), slice(2, 8))
         assert np.all(img[inside] == [0, 200, 0])
 
     def test_image_dims_match_slices(self, tmp_path):
         vol = box_volume(shape=(10, 12, 14))
-        paths = export_overlay_slices(vol, vol, tmp_path, prefix="dims")
+        paths = export_overlay_slices(mask_of(vol), vol, mask_of(vol), tmp_path, prefix="dims")
         xz, yz, xy = (read_pnm(p) for p in paths)
         assert xz.shape[:2] == (10, 14)  # rows z, cols x
         assert yz.shape[:2] == (10, 12)  # rows z, cols y

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from voxcorr.metrics import BDM_OUTSIDE, bdm, dice, endpoint_error, evaluate_pair
+from voxcorr.preprocess import otsu_threshold
 from voxcorr.volume import BinaryVolume, DisplacementField, ScalarVolume, VolumeError
 
 
@@ -139,11 +140,12 @@ class TestEndpointError:
 
 class TestEvaluatePair:
     def _pair(self, seed=0):
+        """Otsu masks of a nominal cube and of a shifted, noisy scan of it."""
         rng = np.random.default_rng(seed)
         cad = np.zeros((12, 12, 12), dtype=np.float32)
         cad[3:9, 3:9, 3:9] = 1.0
         xct = np.roll(cad, 2, axis=2) * 0.8 + rng.normal(0, 0.01, cad.shape).astype(np.float32)
-        return ScalarVolume(cad), ScalarVolume(xct.astype(np.float32))
+        return otsu_threshold(ScalarVolume(cad))[1], otsu_threshold(ScalarVolume(xct.astype(np.float32)))[1]
 
     def test_perfect_registration(self):
         cad, xct = self._pair()

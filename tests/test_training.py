@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -176,7 +178,7 @@ class TestSlidingRegister:
         moving = vvol_read(manifest.samples[0].xct_path)
         fixed = vvol_read(manifest.samples[0].cad_path)
         params = {k: np.zeros(s, dtype=np.float32) for k, s in param_shapes(TOY).items()}
-        moved, disp = sliding_register(params, TOY, moving, fixed, patch_size=16, stride=8)
+        moved, disp = sliding_register(params, TOY, moving, fixed, stride=8)
         assert np.abs(disp.data).max() == 0.0
         np.testing.assert_allclose(moved.data, moving.data, atol=1e-5)
 
@@ -191,9 +193,10 @@ class TestSlidingRegister:
         rng = np.random.default_rng(5)
         params = init_params(TOY, rng, dtype=np.float32)
         params["head.b"] = np.array([0.5, -0.25, 0.1], dtype=np.float32)
-        moved, disp = sliding_register(params, TOY, moving, fixed, patch_size=32, stride=32)
+        cfg = replace(TOY, patch_size=32)
+        moved, disp = sliding_register(params, cfg, moving, fixed, stride=32)
         d2, m2, _ = model_forward(
-            params, TOY, moving.data.astype(np.float32), fixed.data.astype(np.float32), want_tape=False
+            params, cfg, moving.data.astype(np.float32), fixed.data.astype(np.float32), want_tape=False
         )
         np.testing.assert_allclose(moved.data, m2, atol=1e-6)
         np.testing.assert_allclose(disp.data, d2, atol=1e-6)
