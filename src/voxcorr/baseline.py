@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import next_fast_len
 
 from .jsonable import Jsonable
 from .volume import DisplacementField, ScalarVolume, VolumeError, downsample2, trilinear_gather, window_sums
@@ -93,15 +94,6 @@ def _quadratic_refine(scores: np.ndarray, peak: tuple[int, int, int]) -> np.ndar
     return delta[::-1]
 
 
-def _fft_len(n: int) -> int:
-    """Smallest length >= n with no prime factor above 5."""
-    m = n
-    for p in (2, 3, 5):
-        while m % p == 0:
-            m //= p
-    return n if m == 1 else _fft_len(n + 1)
-
-
 def correlate_node(
     moving: np.ndarray,
     fixed: np.ndarray,
@@ -153,7 +145,7 @@ def correlate_node(
     shift = block.mean()
     block -= shift
     fc = fc.astype(np.float64, copy=False)
-    grid = [_fft_len(n) for n in block.shape]
+    grid = [next_fast_len(n, real=True) for n in block.shape]
     spec = np.fft.rfftn(block, grid, axes=(0, 1, 2))
     spec *= np.conj(np.fft.rfftn(fc, grid, axes=(0, 1, 2)))
     cross = np.fft.irfftn(spec, grid, axes=(0, 1, 2))[: tz1 - tz0 + 1, : ty1 - ty0 + 1, : tx1 - tx0 + 1]

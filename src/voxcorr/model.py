@@ -4,19 +4,22 @@ The two input patches (moving scan, fixed nominal volume) are stacked into a
 2-channel grid. Four encoder levels of conv + LeakyReLU + 2x max pooling feed
 a decoder whose first four blocks upsample, concatenate the matching encoder
 activation and convolve; two further full-resolution conv blocks refine the
-features and a final convolution emits the 3-channel displacement field. The
-moving patch warped by that field is returned along with a tape of
-intermediates for the hand-written backward pass.
+features and a final convolution emits the 3-channel displacement field.
+For training, the moving patch warped by that field is returned along with a
+tape of intermediates for the hand-written backward pass; inference returns
+the field only.
 
 The displacement head starts at exactly zero (zero kernel and bias), so an
 untrained network is the identity transform.
+
+A checkpoint is one VVOL file (vvol.py): the ModelConfig as its JSON metadata
+and every parameter tensor, in param_shapes order, as one float32 row. The
+config fixes each tensor's name and shape, so the file stores neither.
 """
 from __future__ import annotations
 
-import json
-import struct
+import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -33,6 +36,7 @@ from .layers import (
     upsample3d_forward,
 )
 from .volume import VolumeError, warp_array
+from .vvol import VvolError, read_raw, write_raw
 
 
 @dataclass(frozen=True)
@@ -50,6 +54,8 @@ class ModelConfig(Jsonable):
         # the activation is max(x, slope*x), which is LeakyReLU only up to slope 1
         if not (np.isfinite(self.leaky_slope) and self.leaky_slope <= 1):
             raise VolumeError(f"leaky_slope must be finite and at most 1, got {self.leaky_slope}")
+        if min(self.kernel_size, self.patch_size, *self.enc_features, *self.dec_features) < 1:
+            raise VolumeError("kernel_size, patch_size and feature counts must be positive")
         if self.kernel_size % 2 == 0:
             raise VolumeError("kernel_size must be odd")
         if len(self.dec_features) < len(self.enc_features):
@@ -117,8 +123,8 @@ def _check_params(params: dict, cfg: ModelConfig) -> None:
 def model_forward(params: dict, cfg: ModelConfig, moving: np.ndarray, fixed: np.ndarray, want_tape: bool = True):
     """Run the network on one patch pair.
 
-    Returns (disp [3, p, p, p], moved [p, p, p], tape); tape is None when
-    want_tape is False (inference).
+    Returns (disp [3, p, p, p], moved [p, p, p], tape) for training; with
+    want_tape False (inference) it returns (disp, None, None).
     """
     if moving.shape != fixed.shape or moving.ndim != 3:
         raise VolumeError(f"patch shapes differ: {moving.shape} vs {fixed.shape}")
@@ -149,7 +155,7 @@ def model_forward(params: dict, cfg: ModelConfig, moving: np.ndarray, fixed: np.
         dec_tape.append((cctx, neg, split))
     disp, head_ctx = conv3d_forward(x, params["head.w"], params["head.b"])
     if not want_tape:
-        return disp, warp_array(moving, disp), None
+        return disp, None, None
     moved, warp_grads = warp_array(moving, disp, with_grad=True)
     tape = {
         "enc": enc_tape,
@@ -162,8 +168,8 @@ def model_forward(params: dict, cfg: ModelConfig, moving: np.ndarray, fixed: np.
     return disp, moved, tape
 
 
-def model_backward(tape: dict, d_moved: np.ndarray | None, d_disp: np.ndarray | None) -> dict[str, np.ndarray]:
-    """Parameter gradients given upstream gradients for moved and/or disp.
+def model_backward(tape: dict, d_moved: np.ndarray, d_disp: np.ndarray) -> dict[str, np.ndarray]:
+    """Parameter gradients given upstream gradients for moved and disp.
 
     Consumes the tape: each block's context is dropped once its gradients are
     taken, so the pass holds only the contexts still ahead of it.
@@ -171,14 +177,10 @@ def model_backward(tape: dict, d_moved: np.ndarray | None, d_disp: np.ndarray | 
     slope = tape["slope"]
     n_up = tape["n_up"]
     gx, gy, gz = tape["warp"]
-    if d_disp is None:
-        g_disp = np.zeros((3,) + gx.shape, dtype=gx.dtype)
-    else:
-        g_disp = d_disp.copy()
-    if d_moved is not None:
-        g_disp[0] += d_moved * gx
-        g_disp[1] += d_moved * gy
-        g_disp[2] += d_moved * gz
+    g_disp = d_disp.copy()
+    g_disp[0] += d_moved * gx
+    g_disp[1] += d_moved * gy
+    g_disp[2] += d_moved * gz
 
     grads: dict[str, np.ndarray] = {}
     dx, grads["head.w"], grads["head.b"] = conv3d_backward(g_disp, tape.pop("head"))
@@ -206,68 +208,37 @@ def model_backward(tape: dict, d_moved: np.ndarray | None, d_disp: np.ndarray | 
 
 # checkpoint container ---------------------------------------------------------
 
-CKPT_MAGIC = b"VMCK"
-CKPT_VERSION = 1
-
 
 class CheckpointError(IOError):
     pass
 
 
 def checkpoint_save(params: dict, cfg: ModelConfig, path) -> None:
-    """magic | u32 version | u32 cfg JSON length | JSON | tensors in fixed
-    order, each: u16 name length, name, u32 rank, u32 dims..., f32 payload."""
+    """One VVOL file (see vvol.py): the config as metadata and every tensor,
+    in param_shapes order, concatenated into one float32 row."""
     _check_params(params, cfg)
-    cfg_bytes = json.dumps(cfg.to_json(), sort_keys=True).encode("utf-8")
-    chunks = [CKPT_MAGIC, struct.pack("<I", CKPT_VERSION), struct.pack("<I", len(cfg_bytes)), cfg_bytes]
-    for name in param_shapes(cfg):
-        t = np.ascontiguousarray(params[name], dtype="<f4")
-        nb = name.encode("utf-8")
-        chunks.append(struct.pack("<H", len(nb)))
-        chunks.append(nb)
-        chunks.append(struct.pack("<I", t.ndim))
-        chunks.append(struct.pack(f"<{t.ndim}I", *t.shape))
-        chunks.append(t.tobytes())
-    Path(path).write_bytes(b"".join(chunks))
+    flat = np.concatenate([params[name].ravel() for name in param_shapes(cfg)], dtype=np.float32)
+    write_raw(path, flat.reshape(1, 1, -1), meta=cfg.to_json())
 
 
 def checkpoint_load(path) -> tuple[dict[str, np.ndarray], ModelConfig]:
-    """Inverse of checkpoint_save. Raises CheckpointError on a truncated or
-    oversized file, a config that is not a valid ModelConfig, a tensor name or
-    shape that does not match the config, or non-finite weights."""
-    blob = Path(path).read_bytes()
-    off = 0
-
-    def take(n: int, what: str) -> bytes:
-        nonlocal off
-        if len(blob) < off + n:
-            raise CheckpointError(f"{path}: truncated {what}")
-        off += n
-        return blob[off - n : off]
-
-    if (magic := take(12, "header")[:4]) != CKPT_MAGIC:
-        raise CheckpointError(f"{path}: bad magic {magic!r}")
-    version, cfg_len = struct.unpack_from("<II", blob, 4)
-    if version != CKPT_VERSION:
-        raise CheckpointError(f"{path}: unsupported version {version}")
+    """Inverse of checkpoint_save. Raises CheckpointError on a file read_raw
+    rejects, a config that is not a valid ModelConfig, a payload whose length
+    is not the config's parameter count, or non-finite weights."""
     try:
-        cfg = ModelConfig.from_json(json.loads(take(cfg_len, "config block").decode("utf-8")))
-    except ValueError as e:  # VolumeError, bad JSON or bad UTF-8
+        data, _, meta = read_raw(path)
+        cfg = ModelConfig.from_json(meta)
+    except VvolError as e:
+        raise CheckpointError(str(e)) from e
+    except VolumeError as e:
         raise CheckpointError(f"{path}: invalid model config: {e}") from e
+    shapes = param_shapes(cfg)
+    sizes = [math.prod(shape) for shape in shapes.values()]
+    if data.size != sum(sizes):
+        raise CheckpointError(f"{path}: payload has {data.size} values, config requires {sum(sizes)}")
     params: dict[str, np.ndarray] = {}
-    for name, shape in param_shapes(cfg).items():
-        (name_len,) = struct.unpack("<H", take(2, f"header of {name!r}"))
-        stored = take(name_len, f"name of {name!r}").decode("utf-8", errors="replace")
-        if stored != name:
-            raise CheckpointError(f"{path}: expected tensor {name!r}, found {stored!r}")
-        (rank,) = struct.unpack("<I", take(4, f"rank of {name!r}"))
-        dims = struct.unpack(f"<{rank}I", take(4 * rank, f"dims of {name!r}"))
-        if dims != shape:
-            raise CheckpointError(f"{path}: tensor {name!r} has shape {dims}, config requires {shape}")
-        t = np.frombuffer(take(4 * int(np.prod(dims)), f"payload of {name!r}"), dtype="<f4")
+    for (name, shape), t in zip(shapes.items(), np.split(data.ravel(), np.cumsum(sizes)[:-1])):
         if not np.all(np.isfinite(t)):
             raise CheckpointError(f"{path}: tensor {name!r} contains non-finite values")
-        params[name] = t.reshape(dims).copy()
-    if off != len(blob):
-        raise CheckpointError(f"{path}: {len(blob) - off} trailing bytes after the last tensor")
+        params[name] = t.reshape(shape)
     return params, cfg

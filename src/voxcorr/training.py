@@ -17,7 +17,7 @@ from .jsonable import Jsonable
 from .losses import total_loss
 from .model import ModelConfig, init_params, model_backward, model_forward
 from .preprocess import DatasetManifest
-from .volume import VolumeError
+from .volume import VolumeError, warp_array
 from .vvol import vvol_read
 
 
@@ -86,19 +86,20 @@ def adam_step(
 
 class PlateauScheduler:
     """Cut the learning rate by `factor` after `patience` epochs without the
-    validation loss improving on the best seen by at least min_improvement."""
+    validation loss improving on the best seen, starting from `baseline`, by
+    at least min_improvement."""
 
     def __init__(
         self,
         lr: float,
-        baseline: float | None = None,
+        baseline: float,
         factor: float = 0.5,
         patience: int = 10,
         min_improvement: float = 1e-4,
         min_lr: float = 1e-5,
     ):
         self.lr = float(lr)
-        self.best = np.inf if baseline is None else float(baseline)
+        self.best = float(baseline)
         self.factor = factor
         self.patience = patience
         self.min_improvement = min_improvement
@@ -160,8 +161,8 @@ def sample_training_batch(
 def _batch_eval(params, cfg, batch, lam, window) -> float:
     losses = []
     for moving, fixed in batch:
-        disp, moved, _ = model_forward(params, cfg, moving, fixed, want_tape=False)
-        losses.append(total_loss(moved, fixed, disp, lam, window)[0])
+        disp, _, _ = model_forward(params, cfg, moving, fixed, want_tape=False)
+        losses.append(total_loss(warp_array(moving, disp), fixed, disp, lam, window)[0])
     return float(np.mean(losses))
 
 
@@ -207,7 +208,8 @@ def train(
                 disp, moved, tape = model_forward(params, model_cfg, moving, fixed)
                 loss, d_moved, d_disp = total_loss(moved, fixed, disp, lam, window)
                 losses.append(loss)
-                grads = model_backward(tape, d_moved.astype(np.float32), d_disp.astype(np.float32))
+                # the warp promotes the float32 patch, so d_moved is float64
+                grads = model_backward(tape, d_moved.astype(np.float32), d_disp)
                 for name, g in grads.items():
                     if name in grad_sum:
                         grad_sum[name] += g

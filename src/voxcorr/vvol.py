@@ -1,9 +1,15 @@
-"""Bit-exact container for volumes and displacement fields.
+"""Bit-exact float32 container for volumes, displacement fields and checkpoints.
 
-Layout (little-endian): magic "VVOL" | u32 version=1 | u32 dtype (0=float32,
-1=uint8) | u32 channels | u32 nx | u32 ny | u32 nz | f32 vx | f32 vy | f32 vz
+Layout (little-endian): magic "VVOL" | u32 version=1 | u32 dtype=0 (float32)
+| u32 channels | u32 nx | u32 ny | u32 nz | f32 vx | f32 vy | f32 vz
 (micrometers) | u32 meta_len | meta_len bytes UTF-8 JSON | payload of
-`channels` planes, each nz*ny*nx values indexed ((z*ny)+y)*nx + x.
+`channels` planes, each nz*ny*nx float32 values indexed ((z*ny)+y)*nx + x.
+
+The reader is strict: a file shorter or longer than its header implies, another
+magic, version or dtype code, or metadata that is not UTF-8 JSON raises
+VvolError. A model checkpoint (model.checkpoint_save) is one such file: its
+metadata is the ModelConfig and its payload one row (1 channel, nz = ny = 1)
+holding every parameter tensor in param_shapes order.
 """
 from __future__ import annotations
 
@@ -13,12 +19,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .volume import BinaryVolume, DisplacementField, ScalarVolume
+from .volume import DisplacementField, ScalarVolume
 
 MAGIC = b"VVOL"
 VERSION = 1
-_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("u1")}
-_DTYPE_CODES = {np.dtype("float32"): 0, np.dtype("uint8"): 1}
+FLOAT32 = 0  # the only dtype code
 _HEADER = struct.Struct("<4sII IIII fff I")
 
 
@@ -26,36 +31,19 @@ class VvolError(IOError):
     pass
 
 
-class VvolBadMagic(VvolError):
-    pass
-
-
-class VvolUnsupportedVersion(VvolError):
-    pass
-
-
-class VvolUnsupportedDtype(VvolError):
-    pass
-
-
-class VvolTruncated(VvolError):
-    pass
-
-
 def write_raw(path, data: np.ndarray, voxel_size=(1.0, 1.0, 1.0), meta: dict | None = None) -> None:
-    """Write a [c, nz, ny, nx] (or [nz, ny, nx]) array; dtype must be float32 or uint8."""
+    """Write a float32 [c, nz, ny, nx] (or [nz, ny, nx]) array."""
     if data.ndim == 3:
         data = data[None]
     if data.ndim != 4:
         raise VvolError(f"expected 3D or 4D array, got shape {data.shape}")
-    dt = np.dtype(data.dtype)
-    if dt not in _DTYPE_CODES:
-        raise VvolUnsupportedDtype(f"dtype {dt} not storable; cast to float32 or uint8 first")
+    if data.dtype != np.float32:
+        raise VvolError(f"dtype {data.dtype} not storable; cast to float32 first")
     c, nz, ny, nx = data.shape
     vx, vy, vz = (float(v) for v in voxel_size)
     meta_bytes = json.dumps(meta or {}, sort_keys=True).encode("utf-8")
-    header = _HEADER.pack(MAGIC, VERSION, _DTYPE_CODES[dt], c, nx, ny, nz, vx, vy, vz, len(meta_bytes))
-    payload = np.ascontiguousarray(data, dtype=dt.newbyteorder("<")).tobytes()
+    header = _HEADER.pack(MAGIC, VERSION, FLOAT32, c, nx, ny, nz, vx, vy, vz, len(meta_bytes))
+    payload = np.ascontiguousarray(data, dtype="<f4").tobytes()
     Path(path).write_bytes(header + meta_bytes + payload)
 
 
@@ -63,49 +51,41 @@ def read_raw(path) -> tuple[np.ndarray, tuple[float, float, float], dict]:
     """Read back (data[c, nz, ny, nx], voxel_size, meta)."""
     blob = Path(path).read_bytes()
     if len(blob) < _HEADER.size:
-        raise VvolTruncated(f"{path}: file shorter than header ({len(blob)} bytes)")
+        raise VvolError(f"{path}: truncated, file shorter than header ({len(blob)} bytes)")
     magic, version, dtype_code, c, nx, ny, nz, vx, vy, vz, meta_len = _HEADER.unpack_from(blob)
     if magic != MAGIC:
-        raise VvolBadMagic(f"{path}: bad magic {magic!r}")
+        raise VvolError(f"{path}: bad magic {magic!r}")
     if version != VERSION:
-        raise VvolUnsupportedVersion(f"{path}: unsupported version {version}")
-    if dtype_code not in _DTYPES:
-        raise VvolUnsupportedDtype(f"{path}: unknown dtype code {dtype_code}")
-    dt = _DTYPES[dtype_code]
-    off = _HEADER.size
-    if len(blob) < off + meta_len:
-        raise VvolTruncated(f"{path}: truncated metadata")
-    meta = json.loads(blob[off : off + meta_len].decode("utf-8")) if meta_len else {}
-    off += meta_len
-    count = c * nz * ny * nx
-    if len(blob) - off < count * dt.itemsize:
-        raise VvolTruncated(
-            f"{path}: payload has {len(blob) - off} bytes, expected {count * dt.itemsize}"
-        )
-    data = np.frombuffer(blob, dtype=dt, count=count, offset=off).reshape(c, nz, ny, nx)
+        raise VvolError(f"{path}: unsupported version {version}")
+    if dtype_code != FLOAT32:
+        raise VvolError(f"{path}: unsupported dtype code {dtype_code}")
+    off = _HEADER.size + meta_len
+    end = off + 4 * c * nz * ny * nx
+    if len(blob) < end:
+        raise VvolError(f"{path}: truncated, {len(blob)} bytes where the header implies {end}")
+    if len(blob) > end:
+        raise VvolError(f"{path}: {len(blob) - end} trailing bytes after the payload")
+    try:
+        meta = json.loads(blob[_HEADER.size : off].decode("utf-8")) if meta_len else {}
+    except ValueError as e:  # bad UTF-8 or bad JSON
+        raise VvolError(f"{path}: unreadable metadata: {e}") from e
+    data = np.frombuffer(blob, dtype="<f4", offset=off).reshape(c, nz, ny, nx)
     return data.copy(), (vx, vy, vz), meta
 
 
-def vvol_write(path, obj, meta: dict | None = None) -> None:
-    """Write a ScalarVolume (float32), BinaryVolume (uint8) or DisplacementField."""
-    if isinstance(obj, ScalarVolume):
-        write_raw(path, obj.data.astype(np.float32, copy=False), obj.voxel_size, meta)
-    elif isinstance(obj, BinaryVolume):
-        write_raw(path, obj.mask.astype(np.uint8), obj.voxel_size, meta)
-    elif isinstance(obj, DisplacementField):
-        write_raw(path, obj.data.astype(np.float32, copy=False), obj.voxel_size, meta)
-    else:
+def vvol_write(path, obj: ScalarVolume | DisplacementField) -> None:
+    """Write a ScalarVolume or DisplacementField as float32."""
+    if not isinstance(obj, (ScalarVolume, DisplacementField)):
         raise VvolError(f"cannot serialize object of type {type(obj).__name__}")
+    write_raw(path, obj.data.astype(np.float32, copy=False), obj.voxel_size)
 
 
 def vvol_read(path):
-    """Read a file back into the matching domain type (by dtype and channels)."""
+    """Read a file back into the matching domain type (by channel count)."""
     data, voxel_size, _meta = read_raw(path)
     c = data.shape[0]
-    if c == 1 and data.dtype == np.uint8:
-        return BinaryVolume(data[0] != 0, voxel_size)
     if c == 1:
         return ScalarVolume(data[0], voxel_size)
-    if c == 3 and data.dtype == np.float32:
+    if c == 3:
         return DisplacementField(data, voxel_size)
-    raise VvolError(f"no domain type for {c} channels of {data.dtype}")
+    raise VvolError(f"{path}: no domain type for {c} channels")

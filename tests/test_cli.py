@@ -11,7 +11,7 @@ import voxcorr.cli
 from voxcorr.cli import FLAGS, _build_parser, _resolve_config, main
 from voxcorr.config import RunConfig, assign_splits
 from voxcorr.preprocess import otsu_threshold
-from voxcorr.volume import warp
+from voxcorr.volume import DisplacementField, warp
 from voxcorr.vvol import vvol_read, vvol_write
 
 
@@ -158,6 +158,24 @@ class TestRegister:
         rc = main(["register", "--workspace", str(workspace), "--sample", "nope"])
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "damage, needle",
+        [
+            (lambda b: b[:-16], "truncated"),
+            (lambda b: b"VMCK" + b[4:], "bad magic"),
+            (lambda b: b[:4] + b"\x02" + b[5:], "unsupported version 2"),
+            (lambda b: b + b"\x00", "trailing"),
+            (lambda b: b[:-4] + np.float32(np.nan).tobytes(), "'head.b' contains non-finite"),
+        ],
+        ids=["truncated", "bad-magic", "wrong-version", "trailing-bytes", "nan-weight"],
+    )
+    def test_damaged_checkpoint_exits_2_with_one_error_line(self, workspace, tmp_path, capsys, damage, needle):
+        ckpt = tmp_path / "damaged.vmck"
+        ckpt.write_bytes(damage((workspace / "checkpoint.vmck").read_bytes()))
+        assert main(["register", "--workspace", str(workspace), "--checkpoint", str(ckpt)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and needle in err[0]
+
 
 class TestBaseline:
     def test_baseline_runs_on_test_sample(self, workspace):
@@ -234,6 +252,23 @@ class TestEvaluate:
         rc = main(["evaluate", "--workspace", str(workspace), "--sample", "c-0.6", "--method", method])
         assert rc == 0
         assert len(counted) == calls
+
+    def test_unreadable_field_exits_1_with_one_error_line(self, workspace, tmp_path, capsys):
+        manifest = workspace / "dataset" / "manifest.json"
+        entry = next(s for s in json.loads(manifest.read_text())["samples"] if s["id"] == "c-0.6")
+        odir = tmp_path / "registered" / "c-0.6"
+        odir.mkdir(parents=True)
+        xct = vvol_read(entry["xct_path"])
+        vvol_write(odir / "moved.vvol", xct)
+        vvol_write(odir / "disp.vvol", DisplacementField(np.zeros((3,) + xct.data.shape, np.float32)))
+        blob = bytearray((odir / "disp.vvol").read_bytes())
+        assert blob[44:46] == b"{}"  # the metadata follows the 44-byte header
+        blob[45] = 0xFF  # no longer UTF-8
+        (odir / "disp.vvol").write_bytes(bytes(blob))
+        rc = main(["evaluate", "--workspace", str(tmp_path), "--manifest", str(manifest), "--sample", "c-0.6"])
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "disp.vvol" in err[0]
 
     def test_missing_method_output_exits_2(self, workspace, tmp_path):
         rc = main(["evaluate", "--workspace", str(workspace), "--sample", "c0",

@@ -1,5 +1,5 @@
-import json
-import struct
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +15,8 @@ from voxcorr.model import (
     model_forward,
     param_shapes,
 )
-from voxcorr.volume import VolumeError
+from voxcorr.volume import VolumeError, warp_array
+from voxcorr.vvol import read_raw, write_raw
 
 TOY = ModelConfig(enc_features=(2, 2, 2, 2), dec_features=(2, 2, 2, 2, 2, 2), patch_size=16)
 
@@ -92,9 +93,9 @@ class TestModelForward:
         fixed = rng.uniform(0, 1, (16, 16, 16))
         d1, m1, _ = model_forward(params, TOY, moving, fixed, want_tape=True)
         d2, m2, tape = model_forward(params, TOY, moving, fixed, want_tape=False)
-        assert tape is None
+        assert m2 is None and tape is None
         np.testing.assert_array_equal(d1, d2)
-        np.testing.assert_array_equal(m1, m2)
+        np.testing.assert_array_equal(m1, warp_array(moving, d2))
 
 
 class TestFullModelGradients:
@@ -106,8 +107,8 @@ class TestFullModelGradients:
         lam, window = 0.05, 3
 
         def run_loss():
-            disp, moved, _ = model_forward(params, TOY, moving, fixed, want_tape=False)
-            return total_loss(moved, fixed, disp, lam, window)[0]
+            disp, _, _ = model_forward(params, TOY, moving, fixed, want_tape=False)
+            return total_loss(warp_array(moving, disp), fixed, disp, lam, window)[0]
 
         disp, moved, tape = model_forward(params, TOY, moving, fixed)
         base, d_moved, d_disp = total_loss(moved, fixed, disp, lam, window)
@@ -144,6 +145,9 @@ class TestCheckpoint:
         assert cfg == TOY
         for name in params:
             assert loaded[name].tobytes() == params[name].tobytes()
+        data, _, meta = read_raw(p)  # one row of every tensor, the config as metadata
+        assert data.shape == (1, 1, 1, sum(math.prod(s) for s in param_shapes(TOY).values()))
+        assert meta == TOY.to_json()
 
     def test_truncated_rejected(self, tmp_path):
         rng = np.random.default_rng(8)
@@ -159,6 +163,15 @@ class TestCheckpoint:
         p = tmp_path / "m.vmck"
         p.write_bytes(b"NOPE" + b"\x00" * 64)
         with pytest.raises(CheckpointError):
+            checkpoint_load(p)
+
+    def test_wrong_version_rejected(self, tmp_path):
+        p = tmp_path / "m.vmck"
+        checkpoint_save(init_params(TOY, np.random.default_rng(8)), TOY, p)
+        blob = bytearray(p.read_bytes())
+        blob[4] = 2
+        p.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match="unsupported version 2"):
             checkpoint_load(p)
 
     def test_trailing_bytes_rejected(self, tmp_path):
@@ -186,28 +199,24 @@ class TestCheckpoint:
             lambda d: d.update(kernel_size=2),
             lambda d: d.update(leaky_slope=1.5),
             lambda d: d.update(leaky_slope=float("nan")),
+            lambda d: d.update(enc_features=[2, 0, 2, 2]),
         ],
-        ids=["missing-key", "unknown-key", "wrong-type", "invalid-value", "slope-above-1", "slope-nan"],
+        ids=["missing-key", "unknown-key", "wrong-type", "invalid-value", "slope-above-1", "slope-nan",
+             "zero-features"],
     )
     def test_invalid_embedded_config_rejected(self, tmp_path, edit):
         cfg = TOY.to_json()
         edit(cfg)
-        cfg_bytes = json.dumps(cfg).encode()
         p = tmp_path / "m.vmck"
-        p.write_bytes(b"VMCK" + struct.pack("<II", 1, len(cfg_bytes)) + cfg_bytes)
+        write_raw(p, np.zeros((1, 1, 1), dtype=np.float32), meta=cfg)
         with pytest.raises(CheckpointError, match="invalid model config"):
             checkpoint_load(p)
 
-    def test_shape_mismatch_names_tensor(self, tmp_path):
-        rng = np.random.default_rng(9)
-        params = init_params(TOY, rng)
+    def test_payload_length_mismatch_rejected(self, tmp_path):
         p = tmp_path / "m.vmck"
-        checkpoint_save(params, TOY, p)
-        blob = bytearray(p.read_bytes())
-        # first tensor is enc0.w: corrupt its first dim (u32 right after rank)
-        name_at = blob.find(b"enc0.w")
-        dim_at = name_at + len(b"enc0.w") + 4
-        blob[dim_at] = 9
-        p.write_bytes(bytes(blob))
-        with pytest.raises(CheckpointError, match="enc0.w"):
+        checkpoint_save(init_params(TOY, np.random.default_rng(9)), TOY, p)
+        data, _, _ = read_raw(p)
+        other = replace(TOY, dec_features=(2, 2, 2, 2, 2, 4))  # the same payload, another architecture
+        write_raw(p, data, meta=other.to_json())
+        with pytest.raises(CheckpointError, match=f"payload has {data.size} values"):
             checkpoint_load(p)

@@ -1,3 +1,4 @@
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -14,7 +15,7 @@ from voxcorr.training import (
     sample_training_batch,
     train,
 )
-from voxcorr.volume import ScalarVolume, VolumeError
+from voxcorr.volume import ScalarVolume, VolumeError, warp_array
 from voxcorr.vvol import vvol_write
 
 TOY = ModelConfig(enc_features=(2, 2, 2, 2), dec_features=(2, 2, 2, 2, 2, 2), patch_size=16)
@@ -195,8 +196,28 @@ class TestSlidingRegister:
         params["head.b"] = np.array([0.5, -0.25, 0.1], dtype=np.float32)
         cfg = replace(TOY, patch_size=32)
         moved, disp = sliding_register(params, cfg, moving, fixed, stride=32)
-        d2, m2, _ = model_forward(
-            params, cfg, moving.data.astype(np.float32), fixed.data.astype(np.float32), want_tape=False
-        )
-        np.testing.assert_allclose(moved.data, m2, atol=1e-6)
+        mdata = moving.data.astype(np.float32)
+        d2, _, _ = model_forward(params, cfg, mdata, fixed.data.astype(np.float32), want_tape=False)
+        np.testing.assert_allclose(moved.data, warp_array(mdata, d2), atol=1e-6)
         np.testing.assert_allclose(disp.data, d2, atol=1e-6)
+
+    def test_one_warp_per_call(self, tmp_path, monkeypatch):
+        from voxcorr.inference import sliding_register
+        from voxcorr.vvol import vvol_read
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return warp_array(*args, **kwargs)
+
+        manifest, _ = make_manifest(tmp_path, dims=32)
+        moving = vvol_read(manifest.samples[0].xct_path)
+        fixed = vvol_read(manifest.samples[0].cad_path)
+        params = init_params(TOY, np.random.default_rng(6), dtype=np.float32)
+        for mod in [m for name, m in sys.modules.items() if name.startswith("voxcorr")]:
+            if getattr(mod, "warp_array", None) is warp_array:
+                monkeypatch.setattr(mod, "warp_array", counting)
+        # 27 patches of 16^3; the field is blended once, then the scan is warped once
+        sliding_register(params, TOY, moving, fixed, stride=8)
+        assert len(calls) == 1
