@@ -12,13 +12,18 @@ with dataclasses.replace on top of the --config file (overlaid onto RunConfig(),
 see RunConfig.from_json) or of RunConfig(). Rows without a path are arguments
 of the command's handler in COMMANDS.
 
-register and baseline write moved.vvol (the scan warped by the field),
-disp.vvol and a JSON record into the folders named in METHODS; evaluate reads
-them back and binarizes each volume once for both the metrics and the figures.
+Workspace layout: raw/<id>/ from generate (the id is c<c value>);
+dataset/<id>/ and a manifest.json of ids, c values and splits only, from
+preprocess (see preprocess), so a moved workspace still works;
+checkpoint.vmck and history.json from train; registered/<id>/ and
+baseline/<id>/ (METHODS), where register and baseline write moved.vvol (the
+scan warped by the field), disp.vvol and a JSON record; reports/<id>/<method>/
+from evaluate, which binarizes each volume once for metrics and figures.
 
 Exit codes: 0 success; 2 validation failure (bad flags; a config file that is
 missing, malformed or has an unknown key or a wrong type; a flag value the
-config rejects; missing inputs); 1 runtime error.
+config rejects; c values whose sample ids collide; missing inputs); 1 runtime
+error, including a corrupt side file (manifest, sample.json, a JSON record).
 """
 from __future__ import annotations
 
@@ -35,13 +40,13 @@ from typing import Callable
 import numpy as np
 
 from .baseline import multiscale_dvc
-from .config import RunConfig, assign_splits
+from .config import RunConfig
 from .inference import sliding_register
-from .jsonable import to_json
+from .jsonable import read_json, to_json
 from .metrics import evaluate_pair
 from .figures import export_bdm_slices, export_displacement_magnitude, export_overlay_slices
 from .model import CheckpointError, checkpoint_load, checkpoint_save
-from .preprocess import DatasetManifest, build_dataset, otsu_threshold
+from .preprocess import DatasetManifest, build_dataset, otsu_threshold, sample_paths
 from .tpms import add_base_plate, add_spheres, degrade_to_xct, gyroid_field, tpms_solid
 from .training import train
 from .volume import BinaryVolume, DisplacementField, ScalarVolume, VolumeError, warp
@@ -132,10 +137,6 @@ def _log_run(cfg: RunConfig, stage: str, params: dict, duration: float) -> None:
         f.write(json.dumps(line, sort_keys=True) + "\n")
 
 
-def _sample_id(c: float) -> str:
-    return f"c{c:g}"
-
-
 def _mask_extras(cfg: RunConfig, voxel_size):
     if not cfg.plate_voxels and not cfg.marker_spheres:
         return None
@@ -164,11 +165,15 @@ def cmd_generate(cfg: RunConfig) -> dict:
         keys = path.split(".")
         if reduce(getattr, keys, cfg) != reduce(getattr, keys, default):
             raise CliError(f"{path} is set per sample by generate and cannot come from a config; use {flag}")
+    ids: dict[str, float] = {}  # sample id -> c value
+    for c in cfg.c_values:
+        if (sid := f"c{c:g}") in ids:
+            raise CliError(f"c values {ids[sid]!r} and {c!r} both give sample id {sid!r}")
+        ids[sid] = c
     raw_dir = Path(cfg.workspace) / "raw"
     raw_dir.mkdir(parents=True, exist_ok=True)
     seed_base = cfg.seed * 10007
-    for i, c in enumerate(cfg.c_values):
-        sid = _sample_id(c)
+    for i, (sid, c) in enumerate(ids.items()):
         spec = replace(cfg.tpms, c_param=c)
         dims = spec.grid_dims()
         f = gyroid_field(dims, spec.voxel_size, spec.cell_size)
@@ -179,16 +184,16 @@ def cmd_generate(cfg: RunConfig) -> dict:
         deform = replace(cfg.deform, seed=seed_base + 2 * i)
         degrade = replace(cfg.degrade, seed=seed_base + 2 * i + 1)
         xct, gt = degrade_to_xct(f, spec, deform, degrade, mask_extras=extras)
-        sdir = raw_dir / sid
-        sdir.mkdir(exist_ok=True)
-        vvol_write(sdir / "cad.vvol", ScalarVolume(cad_mask.astype(np.float32), vs))
-        vvol_write(sdir / "xct.vvol", xct)
-        vvol_write(sdir / "gt_disp.vvol", gt)
+        cad_path, xct_path, gt_path = sample_paths(raw_dir, sid)
+        cad_path.parent.mkdir(exist_ok=True)
+        vvol_write(cad_path, ScalarVolume(cad_mask.astype(np.float32), vs))
+        vvol_write(xct_path, xct)
+        vvol_write(gt_path, gt)
         specs = {"tpms": spec, "deform": deform, "degrade": degrade,
                  "plate_voxels": cfg.plate_voxels, "marker_spheres": cfg.marker_spheres}
         seeds = {"deform": deform.seed, "degrade": degrade.seed}
         sidecar = to_json({"id": sid, "c_param": c, "specs": specs, "seeds": seeds})
-        (sdir / "sample.json").write_text(json.dumps(sidecar, indent=2, sort_keys=True))
+        (cad_path.parent / "sample.json").write_text(json.dumps(sidecar, indent=2, sort_keys=True))
         print(
             f"{sid}: dims {dims[0]}x{dims[1]}x{dims[2]}, solid {cad_mask.mean():.1%}, "
             f"max |gt| {np.abs(gt.data).max():.2f} vox"
@@ -199,38 +204,18 @@ def cmd_generate(cfg: RunConfig) -> dict:
 def cmd_preprocess(cfg: RunConfig) -> dict:
     """clean, align, shape and normalize raw pairs into a dataset"""
     raw_dir = Path(cfg.workspace) / "raw"
-    sidecars = sorted(raw_dir.glob("*/sample.json"))
-    if not sidecars:
+    if not any(raw_dir.glob("*/sample.json")):
         raise CliError(f"no generated samples under {raw_dir}; run generate first")
-    samples, cs = [], {}
-    for sc in sidecars:
-        meta = json.loads(sc.read_text())
-        sid = meta["id"]
-        cs[sid] = meta["c_param"]
-        samples.append(
-            {
-                "id": sid,
-                "c_param": meta["c_param"],
-                "cad_path": str(sc.parent / "cad.vvol"),
-                "xct_path": str(sc.parent / "xct.vvol"),
-                "gt_disp_path": str(sc.parent / "gt_disp.vvol"),
-            }
-        )
-    by_c = assign_splits(list(cs.values()))
-    split_assignment = {sid: by_c[c] for sid, c in cs.items()}
-    target = cfg.target_dims or vvol_read(samples[0]["cad_path"]).dims
-    manifest = build_dataset(
-        samples, target, split_assignment, Path(cfg.workspace) / "dataset", clean_spec=cfg.clean
-    )
+    manifest = build_dataset(raw_dir, Path(cfg.workspace) / "dataset", cfg.target_dims, cfg.clean)
     for entry in manifest.samples:
         print(f"{entry.id}: split {entry.split}")
     print(f"manifest: {cfg.manifest_path()}")
-    return {"target_dims": list(target)}
+    return {"target_dims": list(manifest.target_dims)}
 
 
 def cmd_train(cfg: RunConfig) -> dict:
     """train the registration network on the dataset"""
-    params, history = train(_load_manifest(cfg), cfg.model, cfg.train, log_fn=print)
+    params, history = train(_load_manifest(cfg), cfg.manifest_path().parent, cfg.model, cfg.train, log_fn=print)
     ckpt = cfg.checkpoint_path()
     ckpt.parent.mkdir(parents=True, exist_ok=True)
     checkpoint_save(params, cfg.model, ckpt)
@@ -248,17 +233,18 @@ def _load_manifest(cfg: RunConfig) -> DatasetManifest:
     return DatasetManifest.load(mpath)
 
 
-def _select_samples(cfg: RunConfig, sample: str | None) -> list:
+def _select_samples(cfg: RunConfig, sample: str | None) -> list[tuple[str, tuple[Path, Path, Path]]]:
+    """(id, (cad, xct, gt_disp) paths) of the named sample, or of every test sample."""
     manifest = _load_manifest(cfg)
     if sample:
-        hits = [s for s in manifest.samples if s.id == sample]
-        if not hits:
+        entries = [s for s in manifest.samples if s.id == sample]
+        if not entries:
             raise CliError(f"sample {sample!r} not in manifest {cfg.manifest_path()}")
-        return hits
-    test = manifest.split("test")
-    if not test:
-        raise CliError(f"manifest {cfg.manifest_path()} has no test samples; pass --sample")
-    return test
+    else:
+        entries = manifest.split("test")
+        if not entries:
+            raise CliError(f"manifest {cfg.manifest_path()} has no test samples; pass --sample")
+    return [(s.id, sample_paths(cfg.manifest_path().parent, s.id)) for s in entries]
 
 
 def _write_registration(
@@ -282,68 +268,68 @@ def cmd_register(cfg: RunConfig, sample: str | None = None, stride: int | None =
         params, model_cfg = checkpoint_load(ckpt)
     except CheckpointError as e:
         raise CliError(str(e)) from e
-    for entry in _select_samples(cfg, sample):
-        moving = vvol_read(entry.xct_path)
-        fixed = vvol_read(entry.cad_path)
+    for sid, (cad_path, xct_path, _) in _select_samples(cfg, sample):
+        moving = vvol_read(xct_path)
+        fixed = vvol_read(cad_path)
         t_reg = time.perf_counter()
         moved, disp = sliding_register(params, model_cfg, moving, fixed, stride=stride)
         runtime = time.perf_counter() - t_reg
         record = {"runtime_sec": runtime, "patch_size": model_cfg.patch_size}
-        odir = _write_registration(cfg, "learned", entry.id, moved, disp, record)
-        print(f"{entry.id}: registered in {runtime:.1f}s -> {odir}")
+        odir = _write_registration(cfg, "learned", sid, moved, disp, record)
+        print(f"{sid}: registered in {runtime:.1f}s -> {odir}")
     return {"sample": sample}
 
 
 def cmd_baseline(cfg: RunConfig, sample: str | None = None) -> dict:
     """node-based DVC baseline on test samples"""
     samples = []
-    for entry in _select_samples(cfg, sample):
-        moving = vvol_read(entry.xct_path)
-        fixed = vvol_read(entry.cad_path)
+    for sid, (cad_path, xct_path, _) in _select_samples(cfg, sample):
+        moving = vvol_read(xct_path)
+        fixed = vvol_read(cad_path)
         t_reg = time.perf_counter()
         disp, nodes = multiscale_dvc(moving, fixed, cfg.dvc)
         moved = warp(moving, disp)
         runtime = time.perf_counter() - t_reg
         record = {"runtime_sec": runtime, "dvc": to_json(cfg.dvc)}
-        odir = _write_registration(cfg, "baseline", entry.id, moved, disp, record)
+        odir = _write_registration(cfg, "baseline", sid, moved, disp, record)
         (odir / "nodes.json").write_text(json.dumps(nodes.to_json(), indent=2))
         valid_pct = 100.0 * nodes.valid.mean()
         samples.append({
-            "sample": entry.id,
+            "sample": sid,
             "nodes": int(nodes.valid.size),
             "valid_node_pct": float(valid_pct),
             "min_peak_ncc": float(nodes.correlations.min()),
             "median_peak_ncc": float(np.median(nodes.correlations)),
             "runtime_sec": runtime,
         })
-        print(f"{entry.id}: baseline in {runtime:.1f}s, {valid_pct:.0f}% valid nodes -> {odir}")
+        print(f"{sid}: baseline in {runtime:.1f}s, {valid_pct:.0f}% valid nodes -> {odir}")
     return {"sample": sample, "samples": samples}
 
 
 def cmd_evaluate(cfg: RunConfig, sample: str | None = None, method: str = "learned") -> dict:
     """metrics report and figure export for registered samples"""
     methods = list(METHODS) if method == "both" else [method]
-    for entry in _select_samples(cfg, sample):
-        cad = vvol_read(entry.cad_path)
-        xct = vvol_read(entry.xct_path)
-        gt = vvol_read(entry.gt_disp_path) if entry.gt_disp_path else None
+    for sid, (cad_path, xct_path, gt_path) in _select_samples(cfg, sample):
+        cad = vvol_read(cad_path)
+        xct = vvol_read(xct_path)
+        gt = vvol_read(gt_path) if gt_path.exists() else None
         _, cad_bin = otsu_threshold(cad)
         _, xct_bin = otsu_threshold(xct)
         for method in methods:
-            mdir = Path(cfg.workspace) / METHODS[method][0] / entry.id
+            mdir = Path(cfg.workspace) / METHODS[method][0] / sid
             moved_path = mdir / "moved.vvol"
             if not moved_path.exists():
-                raise CliError(f"no {method} output for {entry.id}; expected {moved_path}")
+                raise CliError(f"no {method} output for {sid}; expected {moved_path}")
             moved = vvol_read(moved_path)
             _, moved_bin = otsu_threshold(moved)
             disp = vvol_read(mdir / "disp.vvol")
             meta_file = mdir / METHODS[method][1]
-            runtime = json.loads(meta_file.read_text()).get("runtime_sec", 0.0) if meta_file.exists() else 0.0
+            runtime = read_json(meta_file).get("runtime_sec", 0.0) if meta_file.exists() else 0.0
             report, bdm_before, bdm_after = evaluate_pair(
                 cad_bin, xct_bin, moved_bin, disp, gt_disp=gt,
-                sample_id=entry.id, method=method, runtime_sec=runtime,
+                sample_id=sid, method=method, runtime_sec=runtime,
             )
-            rdir = Path(cfg.workspace) / "reports" / entry.id / method
+            rdir = Path(cfg.workspace) / "reports" / sid / method
             rdir.mkdir(parents=True, exist_ok=True)
             (rdir / "report.json").write_text(json.dumps(report.to_json(), indent=2))
             export_overlay_slices(cad_bin, xct, xct_bin, rdir, prefix="overlay_before")
@@ -353,7 +339,7 @@ def cmd_evaluate(cfg: RunConfig, sample: str | None = None, method: str = "learn
             export_displacement_magnitude(disp, cad_bin, rdir, prefix="dispmag")
             epe = "-" if report.mean_epe_vox is None else f"{report.mean_epe_vox:.3f}"
             print(
-                f"{entry.id} [{method}]: dice {report.dice_before_pct:.1f}% -> {report.dice_after_pct:.1f}%, "
+                f"{sid} [{method}]: dice {report.dice_before_pct:.1f}% -> {report.dice_after_pct:.1f}%, "
                 f"BDM0 {report.bdm_before['zero']:.1f}% -> {report.bdm_after['zero']:.1f}%, "
                 f"mean EPE {epe} vox, {runtime:.1f}s -> {rdir}"
             )

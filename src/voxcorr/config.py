@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .baseline import DvcConfig
-from .jsonable import Jsonable, from_json
+from .jsonable import Jsonable, from_json, read_json
 from .model import ModelConfig
 from .preprocess import CleanSpec
 from .tpms import DeformSpec, DegradeSpec, TpmsSpec
@@ -64,34 +64,8 @@ class RunConfig(Jsonable):
 
     @classmethod
     def load(cls, path) -> "RunConfig":
-        return cls.from_json(json.loads(Path(path).read_text()))
+        return cls.from_json(read_json(path))
 
     def save(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_json(), indent=2, sort_keys=True))
 
-
-def assign_splits(c_values: list[float]) -> dict[float, str]:
-    """Split assignment over a level-set sweep, 60/20/20 by position.
-
-    The seven-sample sweep 0 .. -0.6 gets the canonical assignment (train:
-    0, -0.2, -0.3, -0.5; val: -0.1, -0.4; test: -0.6). Other sweeps follow the
-    same positional pattern on the sorted values, guaranteeing each split is
-    non-empty for three or more samples.
-    """
-    ordered = sorted(c_values, reverse=True)
-    n = len(ordered)
-    out: dict[float, str] = {}
-    if n == 1:
-        return {ordered[0]: "test"}
-    if n == 2:
-        return {ordered[0]: "train", ordered[1]: "val"}
-    for i, c in enumerate(ordered):
-        if i == n - 1:
-            out[c] = "test"
-        elif (i % 3) == 1:
-            out[c] = "val"
-        else:
-            out[c] = "train"
-    if not any(s == "val" for s in out.values()):
-        out[ordered[1]] = "val"
-    return out

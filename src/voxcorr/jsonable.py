@@ -1,16 +1,19 @@
-"""Generic JSON (de)serialisation of the package's config, manifest and report
-dataclasses.
+"""JSON side files and the (de)serialisation of the package's config, manifest
+and report dataclasses.
 
-`to_json` turns a dataclass into plain JSON values. `from_json` rebuilds one
-from its field type hints; a wrong type or an unknown key is a VolumeError that
-names the key. With a `base` instance, keys the document leaves out, at any
-depth, keep the base's values; without one, every key is required.
+`read_json` is the one parser of a JSON side file. `to_json` turns a dataclass
+into plain JSON values. `from_json` rebuilds one from its field type hints; a
+wrong type or an unknown key is a VolumeError that names the key. With a
+`base` instance, keys the document leaves out, at any depth, keep the base's
+values; without one, every key is required.
 """
 from __future__ import annotations
 
+import json
 import types
 import typing
 from dataclasses import fields, is_dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -26,6 +29,18 @@ class Jsonable:
     @classmethod
     def from_json(cls, d: dict):
         return from_json(cls, d)
+
+
+def read_json(path) -> dict:
+    """The JSON object in `path`. Bad UTF-8, bad JSON or another kind of
+    document raises VolumeError naming the file; a missing file, OSError."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as e:  # UnicodeDecodeError and JSONDecodeError
+        raise VolumeError(f"{path}: unreadable JSON: {e}") from e
+    if not isinstance(doc, dict):
+        raise VolumeError(f"{path}: expected a JSON object, got {type(doc).__name__}")
+    return doc
 
 
 def to_json(obj):

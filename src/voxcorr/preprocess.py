@@ -5,6 +5,12 @@ global Otsu binarization, erosion to detach satellite debris, largest
 connected component, dilation to undo the erosion bias, opening, and filling
 of enclosed voids. Dataset building then aligns each cleaned scan to its
 nominal volume, shapes both to a common grid and normalizes intensities.
+
+This module owns the dataset layout. A raw sample is raw/<id>/ with
+sample.json (its c_param) and the volumes that sample_paths names; a sample
+has ground truth exactly when its gt_disp.vvol exists. build_dataset writes
+<dataset>/<id>/ alike, plus preprocess.json, and a manifest.json of ids, c
+values and splits only: readers join the paths onto the manifest's folder.
 """
 from __future__ import annotations
 
@@ -16,7 +22,7 @@ from pathlib import Path
 import numpy as np
 from scipy import ndimage
 
-from .jsonable import Jsonable, to_json
+from .jsonable import Jsonable, from_json, read_json, to_json
 from .volume import BinaryVolume, DisplacementField, IVec3, ScalarVolume, VolumeError, crop_or_pad, minmax_normalize
 from .vvol import vvol_read, vvol_write
 
@@ -174,14 +180,17 @@ def coarse_align(moving: ScalarVolume, fixed: ScalarVolume) -> tuple[ScalarVolum
     return aligned, (int(shift[0]), int(shift[1]), int(shift[2]))
 
 
+def sample_paths(root, sid: str) -> tuple[Path, Path, Path]:
+    """(cad, xct, gt_disp) volume paths of sample `sid` under a raw or dataset folder."""
+    d = Path(root) / sid
+    return d / "cad.vvol", d / "xct.vvol", d / "gt_disp.vvol"
+
+
 @dataclass
 class SampleEntry:
     id: str
     c_param: float
-    cad_path: str
-    xct_path: str
     split: str
-    gt_disp_path: str | None = None
 
 
 @dataclass
@@ -203,80 +212,94 @@ class DatasetManifest(Jsonable):
 
     @classmethod
     def load(cls, path) -> "DatasetManifest":
-        return cls.from_json(json.loads(Path(path).read_text()))
+        return from_json(cls, read_json(path), where=f"{path}: {cls.__name__}")
 
 
-def _crop_field(disp: DisplacementField, target_dims: IVec3) -> DisplacementField:
-    chans = [crop_or_pad(ScalarVolume(disp.data[c], disp.voxel_size), target_dims, 0.0).data for c in range(3)]
-    return DisplacementField(np.stack(chans), disp.voxel_size)
+def assign_splits(c_values: list[float]) -> dict[float, str]:
+    """Split assignment over a level-set sweep, 60/20/20 by position.
+
+    The seven-sample sweep 0 .. -0.6 gets the canonical assignment (train:
+    0, -0.2, -0.3, -0.5; val: -0.1, -0.4; test: -0.6). Other sweeps follow the
+    same positional pattern on the sorted values, guaranteeing each split is
+    non-empty for three or more samples.
+    """
+    ordered = sorted(c_values, reverse=True)
+    n = len(ordered)
+    out: dict[float, str] = {}
+    if n == 1:
+        return {ordered[0]: "test"}
+    if n == 2:
+        return {ordered[0]: "train", ordered[1]: "val"}
+    for i, c in enumerate(ordered):
+        if i == n - 1:
+            out[c] = "test"
+        elif (i % 3) == 1:
+            out[c] = "val"
+        else:
+            out[c] = "train"
+    if not any(s == "val" for s in out.values()):
+        out[ordered[1]] = "val"
+    return out
 
 
 def build_dataset(
-    samples: list[dict],
-    target_dims: IVec3,
-    split_assignment: dict[str, str],
+    raw_dir,
     out_dir,
+    target_dims: IVec3 | None = None,
     clean_spec: CleanSpec = CleanSpec(),
 ) -> DatasetManifest:
-    """Preprocess raw sample pairs into a training-ready dataset.
+    """Preprocess the raw samples under raw_dir into a training-ready dataset.
 
-    Per sample: clean the scan, align it to the nominal volume by foreground
-    centroid, shape both to target_dims, min-max normalize, and write VVOL
-    files plus a sidecar recording the cleaning parameters and alignment
-    shift. The ground-truth field, when present, is shifted and cropped
-    consistently. Deterministic given identical inputs.
+    Every raw_dir/<id>/sample.json names a sample; its c_param picks the split
+    (assign_splits). Per sample: clean the scan, align it to the nominal volume
+    by foreground centroid, shape both to target_dims (default: the first
+    sample's nominal grid), min-max normalize, and write out_dir/<id>/ with a
+    sidecar recording the cleaning parameters and alignment shift. The
+    ground-truth field, when present, is shifted and cropped consistently.
+    Deterministic given identical inputs.
     """
-    if not samples:
-        raise VolumeError("no samples to build")
-    missing = [s["id"] for s in samples if s["id"] not in split_assignment]
-    if missing:
-        raise VolumeError(f"split assignment missing ids: {missing}")
-    out_dir = Path(out_dir)
+    raw_dir, out_dir = Path(raw_dir), Path(out_dir)
+    cs = {}  # id -> c_param
+    for sidecar in raw_dir.glob("*/sample.json"):
+        c = cs[sidecar.parent.name] = read_json(sidecar).get("c_param")
+        if isinstance(c, bool) or not isinstance(c, (int, float)):
+            raise VolumeError(f"{sidecar}: c_param must be a number, got {c!r}")
+    if not cs:
+        raise VolumeError(f"no samples under {raw_dir}")
+    by_c = assign_splits(list(cs.values()))
     out_dir.mkdir(parents=True, exist_ok=True)
     entries = []
-    for s in sorted(samples, key=lambda d: d["id"]):
-        sid = s["id"]
+    for sid in sorted(cs):
+        cad_in, xct_in, gt_in = sample_paths(raw_dir, sid)
+        cad_out, xct_out, gt_out = sample_paths(out_dir, sid)
         try:
-            cad = vvol_read(s["cad_path"])
-            xct = vvol_read(s["xct_path"])
+            cad = vvol_read(cad_in)
+            xct = vvol_read(xct_in)
             if not isinstance(cad, ScalarVolume) or not isinstance(xct, ScalarVolume):
                 raise VolumeError("cad and xct inputs must be scalar volumes")
+            target_dims = target_dims or cad.dims
             xct_gray, _ = clean_xct(xct, clean_spec)
             aligned, shift = coarse_align(xct_gray, cad)
-            cad_out = minmax_normalize(crop_or_pad(cad, target_dims, float(cad.data.min())))
-            xct_out = minmax_normalize(crop_or_pad(aligned, target_dims, float(aligned.data.min())))
-            sdir = out_dir / sid
-            sdir.mkdir(exist_ok=True)
-            vvol_write(sdir / "cad.vvol", cad_out)
-            vvol_write(sdir / "xct.vvol", xct_out)
-            gt_path = None
-            if s.get("gt_disp_path"):
+            cad_out.parent.mkdir(exist_ok=True)
+            vvol_write(cad_out, minmax_normalize(crop_or_pad(cad, target_dims, float(cad.data.min()))))
+            vvol_write(xct_out, minmax_normalize(crop_or_pad(aligned, target_dims, float(aligned.data.min()))))
+            if gt_in.exists():
                 # the field lives on the fixed grid, which alignment does not
                 # move; shifting the scan by s changes the field values by +s
-                gt = vvol_read(s["gt_disp_path"])
-                adj = gt.data.copy()
-                for c in range(3):
-                    adj[c] += shift[c]
-                vvol_write(sdir / "gt_disp.vvol", _crop_field(DisplacementField(adj, gt.voxel_size), target_dims))
-                gt_path = str(sdir / "gt_disp.vvol")
+                gt = vvol_read(gt_in)
+                if not isinstance(gt, DisplacementField):
+                    raise VolumeError("gt_disp input must be a displacement field")
+                gt.data[...] += np.array(shift, dtype=np.float32)[:, None, None, None]
+                vvol_write(gt_out, crop_or_pad(gt, target_dims))
             sidecar = {
                 "id": sid,
-                "c_param": s.get("c_param", 0.0),
+                "c_param": cs[sid],
                 "clean": to_json(clean_spec),
                 "coarse_shift": list(shift),
                 "target_dims": list(target_dims),
             }
-            (sdir / "preprocess.json").write_text(json.dumps(sidecar, indent=2, sort_keys=True))
-            entries.append(
-                SampleEntry(
-                    id=sid,
-                    c_param=float(s.get("c_param", 0.0)),
-                    cad_path=str(sdir / "cad.vvol"),
-                    xct_path=str(sdir / "xct.vvol"),
-                    split=split_assignment[sid],
-                    gt_disp_path=gt_path,
-                )
-            )
+            (cad_out.parent / "preprocess.json").write_text(json.dumps(sidecar, indent=2, sort_keys=True))
+            entries.append(SampleEntry(id=sid, c_param=float(cs[sid]), split=by_c[cs[sid]]))
         except (VolumeError, OSError) as e:
             raise VolumeError(f"preprocessing failed for sample {sid!r}: {e}") from e
     manifest = DatasetManifest(

@@ -16,7 +16,7 @@ import numpy as np
 from .jsonable import Jsonable
 from .losses import total_loss
 from .model import ModelConfig, init_params, model_backward, model_forward
-from .preprocess import DatasetManifest
+from .preprocess import DatasetManifest, sample_paths
 from .volume import VolumeError, warp_array
 from .vvol import vvol_read
 
@@ -124,15 +124,16 @@ class PlateauScheduler:
 
 def sample_training_batch(
     manifest: DatasetManifest,
+    data_dir,
     split: str,
     batch_size: int,
     patch_size: int,
     rng: np.random.Generator,
-    cache: dict[str, np.ndarray] | None = None,
+    cache: dict[str, tuple[np.ndarray, np.ndarray]] | None = None,
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Random (moving scan, fixed nominal) patch pairs from one split.
 
-    Volumes are read on first use into `cache` (path -> float32 data)."""
+    Volumes are read from `data_dir` on first use into `cache` (id -> float32 pair)."""
     entries = manifest.split(split)
     if not entries:
         raise VolumeError(f"split {split!r} is empty")
@@ -140,10 +141,10 @@ def sample_training_batch(
     batch = []
     for _ in range(batch_size):
         entry = entries[int(rng.integers(len(entries)))]
-        for path in (entry.xct_path, entry.cad_path):
-            if path not in cache:
-                cache[path] = vvol_read(path).data.astype(np.float32, copy=False)
-        moving, fixed = cache[entry.xct_path], cache[entry.cad_path]
+        if entry.id not in cache:
+            cad, xct, _ = sample_paths(data_dir, entry.id)
+            cache[entry.id] = tuple(vvol_read(v).data.astype(np.float32, copy=False) for v in (xct, cad))
+        moving, fixed = cache[entry.id]
         nz, ny, nx = moving.shape
         p = patch_size
         if min(nx, ny, nz) < p:
@@ -168,23 +169,24 @@ def _batch_eval(params, cfg, batch, lam, window) -> float:
 
 def train(
     manifest: DatasetManifest,
+    data_dir,
     model_cfg: ModelConfig,
     train_cfg: TrainConfig,
     log_fn=None,
 ) -> tuple[dict, TrainHistory]:
-    """Full training run; returns final parameters and per-epoch history."""
+    """Full training run on the dataset in `data_dir`; returns final parameters and per-epoch history."""
     if not manifest.split("train") or not manifest.split("val"):
         raise VolumeError("train and val splits must be non-empty")
     rng = np.random.default_rng(train_cfg.seed)
     val_rng = np.random.default_rng(train_cfg.seed + 1)
-    cache: dict[str, np.ndarray] = {}
+    cache: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     p = model_cfg.patch_size
     lam, window = train_cfg.lambda_smooth, train_cfg.ncc_window
 
     params = init_params(model_cfg, rng, dtype=np.float32)
     state: dict = {}
     val_batch = sample_training_batch(
-        manifest, "val", train_cfg.val_batch_size, p, val_rng, cache
+        manifest, data_dir, "val", train_cfg.val_batch_size, p, val_rng, cache
     )
     baseline = _batch_eval(params, model_cfg, val_batch, lam, window)
     sched = PlateauScheduler(
@@ -201,7 +203,7 @@ def train(
         t0 = time.perf_counter()
         epoch_losses = []
         for step in range(train_cfg.steps_per_epoch):
-            batch = sample_training_batch(manifest, "train", train_cfg.batch_size, p, rng, cache)
+            batch = sample_training_batch(manifest, data_dir, "train", train_cfg.batch_size, p, rng, cache)
             grad_sum: dict[str, np.ndarray] = {}
             losses = []
             for moving, fixed in batch:  # fixed order keeps reductions deterministic

@@ -252,14 +252,15 @@ def minmax_normalize(vol: ScalarVolume) -> ScalarVolume:
     return ScalarVolume(out, vol.voxel_size)
 
 
-def crop_or_pad(vol: ScalarVolume, target_dims: IVec3, fill: float = 0.0) -> ScalarVolume:
+def crop_or_pad(vol: ScalarVolume | DisplacementField, target_dims: IVec3, fill: float = 0.0):
     """Center-crop axes that are too large, pad symmetrically (extra voxel on the
-    high side) where too small. target_dims is (nx, ny, nz)."""
+    high side) where too small. target_dims is (nx, ny, nz); a displacement
+    field's channels are shaped alike. Returns the input's type."""
     tx, ty, tz = (int(t) for t in target_dims)
     if min(tx, ty, tz) < 1:
         raise VolumeError(f"target dims must be positive, got {target_dims}")
-    out = np.full((tz, ty, tx), fill, dtype=vol.data.dtype)
     src = vol.data
+    out = np.full(src.shape[:-3] + (tz, ty, tx), fill, dtype=src.dtype)
 
     def spans(n: int, t: int) -> tuple[slice, slice]:
         if n >= t:  # crop: keep the central t, favouring the low side on odd excess
@@ -268,10 +269,6 @@ def crop_or_pad(vol: ScalarVolume, target_dims: IVec3, fill: float = 0.0) -> Sca
         p = (t - n) // 2
         return slice(0, n), slice(p, p + n)
 
-    (sz, dz), (sy, dy), (sx, dx) = (
-        spans(src.shape[0], tz),
-        spans(src.shape[1], ty),
-        spans(src.shape[2], tx),
-    )
-    out[dz, dy, dx] = src[sz, sy, sx]
-    return ScalarVolume(out, vol.voxel_size)
+    (sz, dz), (sy, dy), (sx, dx) = (spans(n, t) for n, t in zip(src.shape[-3:], (tz, ty, tx)))
+    out[..., dz, dy, dx] = src[..., sz, sy, sx]
+    return type(vol)(out, vol.voxel_size)

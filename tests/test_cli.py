@@ -1,5 +1,6 @@
 import hashlib
 import json
+import shutil
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -9,8 +10,8 @@ import pytest
 
 import voxcorr.cli
 from voxcorr.cli import FLAGS, _build_parser, _resolve_config, main
-from voxcorr.config import RunConfig, assign_splits
-from voxcorr.preprocess import otsu_threshold
+from voxcorr.config import RunConfig
+from voxcorr.preprocess import assign_splits, otsu_threshold
 from voxcorr.volume import DisplacementField, warp
 from voxcorr.vvol import vvol_read, vvol_write
 
@@ -88,11 +89,20 @@ class TestGenerate:
         assert len(err) == 1 and err[0].startswith("error:") and key in err[0] and flag in err[0]
         assert not (tmp_path / "w").exists()
 
+    def test_colliding_sample_ids_exit_2(self, tmp_path, capsys):
+        # both values print as c-0.3, so one sample would silently replace the other
+        assert main(["generate", "--workspace", str(tmp_path / "w"), "--c-values", "0,-0.3,-0.3000001",
+                     "--extent-mm", "2.56"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "-0.3 and -0.3000001" in err[0]
+        assert not (tmp_path / "w").exists()
+
 
 class TestPreprocess:
     def test_builds_manifest_with_splits(self, workspace):
         manifest = json.loads((workspace / "dataset" / "manifest.json").read_text())
         splits = {s["id"]: s["split"] for s in manifest["samples"]}
+        assert all(set(s) == {"id", "c_param", "split"} for s in manifest["samples"])  # no paths
         assert set(splits.values()) == {"train", "val", "test"}
         assert splits["c-0.6"] == "test"
 
@@ -105,7 +115,7 @@ class TestPreprocess:
 
     def test_volumes_normalized(self, workspace):
         manifest = json.loads((workspace / "dataset" / "manifest.json").read_text())
-        vol = vvol_read(manifest["samples"][0]["xct_path"])
+        vol = vvol_read(workspace / "dataset" / manifest["samples"][0]["id"] / "xct.vvol")
         assert vol.data.min() == 0.0
         assert vol.data.max() == 1.0
 
@@ -140,11 +150,9 @@ class TestRegister:
 
     def test_moved_is_scan_warped_by_field(self, workspace):
         assert main(["register", "--workspace", str(workspace), "--sample", "c-0.6"]) == 0
-        manifest = json.loads((workspace / "dataset" / "manifest.json").read_text())
-        entry = next(s for s in manifest["samples"] if s["id"] == "c-0.6")
         out = workspace / "registered" / "c-0.6"
         moved = vvol_read(out / "moved.vvol")
-        ref = warp(vvol_read(entry["xct_path"]), vvol_read(out / "disp.vvol"))
+        ref = warp(vvol_read(workspace / "dataset" / "c-0.6" / "xct.vvol"), vvol_read(out / "disp.vvol"))
         assert moved.data.dtype == ref.data.dtype
         assert moved.data.tobytes() == ref.data.tobytes()
 
@@ -225,7 +233,7 @@ class TestEvaluate:
     def test_perfect_registration_fixture(self, workspace):
         manifest = json.loads((workspace / "dataset" / "manifest.json").read_text())
         entry = next(s for s in manifest["samples"] if s["split"] == "test")
-        cad = vvol_read(entry["cad_path"])
+        cad = vvol_read(workspace / "dataset" / entry["id"] / "cad.vvol")
         odir = workspace / "registered" / entry["id"]
         vvol_write(odir / "moved.vvol", cad)  # pretend the net was perfect
         rc = main(["evaluate", "--workspace", str(workspace), "--method", "learned"])
@@ -253,27 +261,89 @@ class TestEvaluate:
         assert rc == 0
         assert len(counted) == calls
 
-    def test_unreadable_field_exits_1_with_one_error_line(self, workspace, tmp_path, capsys):
+    @pytest.mark.parametrize("damaged", ["disp.vvol", "register.json"])
+    def test_unreadable_side_file_exits_1_with_one_error_line(self, workspace, tmp_path, capsys, damaged):
         manifest = workspace / "dataset" / "manifest.json"
-        entry = next(s for s in json.loads(manifest.read_text())["samples"] if s["id"] == "c-0.6")
         odir = tmp_path / "registered" / "c-0.6"
         odir.mkdir(parents=True)
-        xct = vvol_read(entry["xct_path"])
+        xct = vvol_read(workspace / "dataset" / "c-0.6" / "xct.vvol")
         vvol_write(odir / "moved.vvol", xct)
         vvol_write(odir / "disp.vvol", DisplacementField(np.zeros((3,) + xct.data.shape, np.float32)))
-        blob = bytearray((odir / "disp.vvol").read_bytes())
-        assert blob[44:46] == b"{}"  # the metadata follows the 44-byte header
-        blob[45] = 0xFF  # no longer UTF-8
-        (odir / "disp.vvol").write_bytes(bytes(blob))
+        (odir / "register.json").write_text('{"sample_id": "c-0.6", "runtime_sec": 1.0}')
+        blob = bytearray((odir / damaged).read_bytes())
+        if damaged == "disp.vvol":
+            assert blob[44:46] == b"{}"  # the metadata follows the 44-byte header
+            blob[45] = 0xFF  # no longer UTF-8
+        else:
+            del blob[-5:]  # truncated JSON
+        (odir / damaged).write_bytes(bytes(blob))
         rc = main(["evaluate", "--workspace", str(tmp_path), "--manifest", str(manifest), "--sample", "c-0.6"])
         assert rc == 1
         err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("error:") and "disp.vvol" in err[0]
+        assert len(err) == 1 and err[0].startswith("error:") and damaged in err[0]
 
     def test_missing_method_output_exits_2(self, workspace, tmp_path):
         rc = main(["evaluate", "--workspace", str(workspace), "--sample", "c0",
                    "--method", "baseline"])
         assert rc == 2
+
+
+def exit_1_error(argv, capsys) -> str:
+    """Run argv, require exit code 1 and one error line; return that line."""
+    assert main(argv) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    return err[0]
+
+
+class TestCorruptSideFiles:
+    @pytest.mark.parametrize("blob", [
+        b'{"id": "c0", "c_param": ',          # truncated
+        b'{"id": "c\xff0", "c_param": 0.0}',  # not UTF-8
+        b'["c0", 0.0]',                       # not an object
+        b'{"id": "c0"}',                      # no c_param
+        b'{"id": "c0", "c_param": "0"}',      # c_param not a number
+    ], ids=["truncated", "not-utf8", "not-object", "no-c_param", "c_param-string"])
+    def test_sample_json(self, tmp_path, capsys, blob):
+        sdir = tmp_path / "raw" / "c0"
+        sdir.mkdir(parents=True)
+        (sdir / "sample.json").write_bytes(blob)
+        assert "raw/c0/sample.json" in exit_1_error(["preprocess", "--workspace", str(tmp_path)], capsys)
+
+    @pytest.mark.parametrize("text, needle", [
+        ('{"samples": [{"id": "c0", ', "unreadable JSON"),
+        # written before the manifest held only ids, c values and splits: re-run preprocess
+        ('{"samples": [{"id": "c0", "c_param": 0.0, "cad_path": "ws/dataset/c0/cad.vvol", '
+         '"xct_path": "ws/dataset/c0/xct.vvol", "split": "test", "gt_disp_path": null}], '
+         '"target_dims": [32, 32, 32], "created_at": ""}', "unknown key 'cad_path'"),
+    ], ids=["truncated", "path-keys"])
+    @pytest.mark.parametrize("cmd", ["train", "baseline"])
+    def test_manifest(self, tmp_path, capsys, text, needle, cmd):
+        mpath = tmp_path / "dataset" / "manifest.json"
+        mpath.parent.mkdir()
+        mpath.write_text(text)
+        err = exit_1_error([cmd, "--workspace", str(tmp_path)], capsys)
+        assert str(mpath) in err and needle in err
+
+
+class TestMovedWorkspace:
+    def test_stages_run_after_move_from_another_directory(self, tmp_path, monkeypatch):
+        # the workspace is made under a relative path, moved, then used through another one
+        (tmp_path / "a").mkdir()
+        monkeypatch.chdir(tmp_path / "a")
+        assert main(["generate", "--workspace", "ws", "--c-values", "0,-0.3,-0.6", "--extent-mm", "2.56"]) == 0
+        assert main(["preprocess", "--workspace", "ws"]) == 0
+        (tmp_path / "b" / "c").mkdir(parents=True)
+        shutil.move(tmp_path / "a" / "ws", tmp_path / "b" / "moved")
+        monkeypatch.chdir(tmp_path / "b" / "c")
+        ws = ["--workspace", "../moved"]
+        assert main(["train", *ws, "--epochs", "1", "--steps-per-epoch", "1", "--batch-size", "1",
+                     "--patch-size", "16", "--ncc-window", "5"]) == 0
+        assert main(["register", *ws]) == 0
+        assert main(["baseline", *ws, "--node-spacing", "8", "--window-halfsize", "5", "--search-radius", "3"]) == 0
+        assert main(["evaluate", *ws, "--method", "both"]) == 0
+        for method in ("learned", "baseline"):
+            assert (tmp_path / "b" / "moved" / "reports" / "c-0.6" / method / "report.json").exists()
 
 
 class TestCliSurface:

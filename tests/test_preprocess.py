@@ -1,3 +1,4 @@
+import json
 from collections import deque
 
 import numpy as np
@@ -19,6 +20,7 @@ from voxcorr.preprocess import (
     translate_int,
 )
 from voxcorr.volume import BinaryVolume, ScalarVolume, VolumeError
+from voxcorr.vvol import vvol_read, vvol_write
 
 
 def otsu_oracle(values, bins=256):
@@ -291,6 +293,7 @@ class TestCoarseAlign:
 
 class TestBuildDataset:
     def _write_raw_samples(self, tmp_path, n=3, dims=24):
+        """raw/s<i>/ with sample.json (c = 0, -0.1, ...) and the three volumes."""
         from voxcorr.tpms import (
             DeformSpec,
             DegradeSpec,
@@ -299,9 +302,8 @@ class TestBuildDataset:
             gyroid_field,
             tpms_solid,
         )
-        from voxcorr.vvol import vvol_write
 
-        samples = []
+        raw = tmp_path / "raw"
         for i in range(n):
             c = -0.1 * i
             spec = TpmsSpec(c_param=c, part_extent=dims * 0.08, voxel_size=80.0, band_halfwidth=0.69)
@@ -310,57 +312,46 @@ class TestBuildDataset:
             xct, gt = degrade_to_xct(
                 f, spec, DeformSpec(0.99, 1.0, 6.0, seed=i), DegradeSpec(seed=i)
             )
-            d = tmp_path / f"raw{i}"
-            d.mkdir()
+            d = raw / f"s{i}"
+            d.mkdir(parents=True)
             vvol_write(d / "cad.vvol", ScalarVolume(cad.mask.astype(np.float32), cad.voxel_size))
             vvol_write(d / "xct.vvol", xct)
-            vvol_write(d / "gt.vvol", gt)
-            samples.append(
-                {
-                    "id": f"s{i}",
-                    "c_param": c,
-                    "cad_path": str(d / "cad.vvol"),
-                    "xct_path": str(d / "xct.vvol"),
-                    "gt_disp_path": str(d / "gt.vvol"),
-                }
-            )
-        return samples
+            vvol_write(d / "gt_disp.vvol", gt)
+            (d / "sample.json").write_text(json.dumps({"id": f"s{i}", "c_param": c}))
+        return raw
 
     def test_split_counts(self, tmp_path):
-        samples = self._write_raw_samples(tmp_path, n=3)
-        split = {"s0": "train", "s1": "val", "s2": "test"}
-        manifest = build_dataset(samples, (24, 24, 24), split, tmp_path / "ds")
-        assert len(manifest.split("train")) == 1
-        assert len(manifest.split("val")) == 1
-        assert len(manifest.split("test")) == 1
+        raw = self._write_raw_samples(tmp_path, n=3)
+        manifest = build_dataset(raw, tmp_path / "ds")  # grid of the first nominal volume
+        assert manifest.target_dims == (24, 24, 24)
+        assert {s.id: s.split for s in manifest.samples} == {"s0": "train", "s1": "val", "s2": "test"}
         for entry in manifest.samples:
-            from voxcorr.vvol import vvol_read
-
-            vol = vvol_read(entry.cad_path)
+            vol = vvol_read(tmp_path / "ds" / entry.id / "cad.vvol")
             assert vol.dims == (24, 24, 24)
             assert vol.data.min() == 0.0 and vol.data.max() == 1.0
+            # the field moves with the scan's alignment shift
+            shift = json.loads((tmp_path / "ds" / entry.id / "preprocess.json").read_text())["coarse_shift"]
+            gt = vvol_read(tmp_path / "ds" / entry.id / "gt_disp.vvol").data
+            raw_gt = vvol_read(raw / entry.id / "gt_disp.vvol").data
+            assert gt.dtype == np.float32
+            for c in range(3):
+                np.testing.assert_array_equal(gt[c], raw_gt[c] + np.float32(shift[c]))
 
     def test_empty_sample_list_rejected(self, tmp_path):
+        (tmp_path / "raw").mkdir()
         with pytest.raises(VolumeError):
-            build_dataset([], (8, 8, 8), {}, tmp_path / "ds")
+            build_dataset(tmp_path / "raw", tmp_path / "ds", (8, 8, 8))
 
     def test_rebuild_is_byte_identical(self, tmp_path):
-        samples = self._write_raw_samples(tmp_path, n=2)
-        split = {"s0": "train", "s1": "val"}
-        m1 = build_dataset(samples, (24, 24, 24), split, tmp_path / "a")
-        m2 = build_dataset(samples, (24, 24, 24), split, tmp_path / "b")
-        for e1, e2 in zip(m1.samples, m2.samples):
-            for attr in ("cad_path", "xct_path", "gt_disp_path"):
-                p1, p2 = getattr(e1, attr), getattr(e2, attr)
-                from pathlib import Path
-
-                assert Path(p1).read_bytes() == Path(p2).read_bytes()
+        raw = self._write_raw_samples(tmp_path, n=2)
+        build_dataset(raw, tmp_path / "a", (24, 24, 24))
+        build_dataset(raw, tmp_path / "b", (24, 24, 24))
+        for sid in ("s0", "s1"):
+            for name in ("cad.vvol", "xct.vvol", "gt_disp.vvol", "preprocess.json"):
+                assert (tmp_path / "a" / sid / name).read_bytes() == (tmp_path / "b" / sid / name).read_bytes()
 
     def test_manifest_roundtrip(self, tmp_path):
-        entries = [
-            SampleEntry("a", 0.0, "x", "y", "train"),
-            SampleEntry("b", -0.1, "x2", "y2", "val", "g2"),
-        ]
+        entries = [SampleEntry("a", 0.0, "train"), SampleEntry("b", -0.1, "val")]
         m = DatasetManifest(entries, (8, 8, 8), created_at="t")
         m.save(tmp_path / "m.json")
         back = DatasetManifest.load(tmp_path / "m.json")
@@ -368,10 +359,7 @@ class TestBuildDataset:
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(VolumeError):
-            DatasetManifest(
-                [SampleEntry("a", 0, "x", "y", "train"), SampleEntry("a", 0, "x", "y", "val")],
-                (8, 8, 8),
-            )
+            DatasetManifest([SampleEntry("a", 0, "train"), SampleEntry("a", 0, "val")], (8, 8, 8))
 
 
 @settings(max_examples=30, deadline=None)

@@ -82,7 +82,7 @@ class TestPlateauScheduler:
 
 
 def make_manifest(tmp_path, dims=32, n=1, seed=0):
-    """Tiny synthetic dataset: same pair under train/val/test ids."""
+    """Tiny synthetic dataset in tmp_path: same pair under train/val/test ids."""
     from voxcorr.tpms import DeformSpec, DegradeSpec, TpmsSpec, degrade_to_xct, gyroid_field, tpms_solid
 
     spec = TpmsSpec(c_param=-0.3, part_extent=dims * 0.08, voxel_size=80.0, band_halfwidth=0.69)
@@ -98,46 +98,44 @@ def make_manifest(tmp_path, dims=32, n=1, seed=0):
         d.mkdir()
         vvol_write(d / "cad.vvol", cad_vol)
         vvol_write(d / "xct.vvol", xct)
-        vvol_write(d / "gt.vvol", gt)
-        entries.append(
-            SampleEntry(f"s{i}", -0.3, str(d / "cad.vvol"), str(d / "xct.vvol"), split, str(d / "gt.vvol"))
-        )
-    return DatasetManifest(entries, (dims, dims, dims), created_at="x"), gt
+        vvol_write(d / "gt_disp.vvol", gt)
+        entries.append(SampleEntry(f"s{i}", -0.3, split))
+    return DatasetManifest(entries, (dims, dims, dims), created_at="x")
 
 
 class TestSampling:
     def test_batch_shapes_and_bounds(self, tmp_path):
-        manifest, _ = make_manifest(tmp_path)
+        manifest = make_manifest(tmp_path)
         rng = np.random.default_rng(0)
-        batch = sample_training_batch(manifest, "train", 4, 16, rng)
+        batch = sample_training_batch(manifest, tmp_path, "train", 4, 16, rng)
         assert len(batch) == 4
         for moving, fixed in batch:
             assert moving.shape == (16, 16, 16)
             assert fixed.shape == (16, 16, 16)
 
     def test_deterministic_given_seed(self, tmp_path):
-        manifest, _ = make_manifest(tmp_path)
-        b1 = sample_training_batch(manifest, "train", 3, 16, np.random.default_rng(7))
-        b2 = sample_training_batch(manifest, "train", 3, 16, np.random.default_rng(7))
+        manifest = make_manifest(tmp_path)
+        b1 = sample_training_batch(manifest, tmp_path, "train", 3, 16, np.random.default_rng(7))
+        b2 = sample_training_batch(manifest, tmp_path, "train", 3, 16, np.random.default_rng(7))
         for (m1, f1), (m2, f2) in zip(b1, b2):
             np.testing.assert_array_equal(m1, m2)
             np.testing.assert_array_equal(f1, f2)
 
     def test_patch_larger_than_volume_rejected(self, tmp_path):
-        manifest, _ = make_manifest(tmp_path)
+        manifest = make_manifest(tmp_path)
         with pytest.raises(VolumeError):
-            sample_training_batch(manifest, "train", 1, 64, np.random.default_rng(0))
+            sample_training_batch(manifest, tmp_path, "train", 1, 64, np.random.default_rng(0))
 
     def test_empty_split_rejected(self, tmp_path):
-        manifest, _ = make_manifest(tmp_path)
+        manifest = make_manifest(tmp_path)
         manifest.samples = [s for s in manifest.samples if s.split != "val"]
         with pytest.raises(VolumeError):
-            sample_training_batch(manifest, "val", 1, 16, np.random.default_rng(0))
+            sample_training_batch(manifest, tmp_path, "val", 1, 16, np.random.default_rng(0))
 
 
 class TestTrain:
     def test_loss_decreases_on_tiny_run(self, tmp_path):
-        manifest, _ = make_manifest(tmp_path)
+        manifest = make_manifest(tmp_path)
         cfg = TrainConfig(
             lr=1e-3, epochs=6, steps_per_epoch=4, batch_size=2, val_batch_size=2,
             ncc_window=5, seed=1,
@@ -145,7 +143,7 @@ class TestTrain:
         model_cfg = ModelConfig(
             enc_features=(4, 4, 4, 4), dec_features=(4, 4, 4, 4, 4, 4), patch_size=16
         )
-        params, history = train(manifest, model_cfg, cfg)
+        params, history = train(manifest, tmp_path, model_cfg, cfg)
         assert len(history.train_loss) == 6
         assert len(history.val_loss) == 6
         assert len(history.lr) == 6
@@ -153,31 +151,31 @@ class TestTrain:
         assert history.val_loss[-1] < history.val_loss[0]
 
     def test_history_deterministic(self, tmp_path):
-        manifest, _ = make_manifest(tmp_path)
+        manifest = make_manifest(tmp_path)
         cfg = TrainConfig(lr=1e-3, epochs=2, steps_per_epoch=2, batch_size=2, val_batch_size=1, ncc_window=5, seed=3)
         model_cfg = ModelConfig(enc_features=(2, 2, 2, 2), dec_features=(2, 2, 2, 2, 2, 2), patch_size=16)
-        p1, h1 = train(manifest, model_cfg, cfg)
-        p2, h2 = train(manifest, model_cfg, cfg)
+        p1, h1 = train(manifest, tmp_path, model_cfg, cfg)
+        p2, h2 = train(manifest, tmp_path, model_cfg, cfg)
         assert h1.to_json() == {**h2.to_json(), "wall_time": h1.wall_time}
         for name in p1:
             assert p1[name].tobytes() == p2[name].tobytes()
 
     def test_requires_nonempty_splits(self, tmp_path):
-        manifest, _ = make_manifest(tmp_path)
+        manifest = make_manifest(tmp_path)
         manifest.samples = [s for s in manifest.samples if s.split == "train"]
         with pytest.raises(VolumeError):
-            train(manifest, TOY, TrainConfig(epochs=1))
+            train(manifest, tmp_path, TOY, TrainConfig(epochs=1))
 
 
 class TestSlidingRegister:
     def test_zero_params_identity(self, tmp_path):
         from voxcorr.inference import sliding_register
 
-        manifest, _ = make_manifest(tmp_path)
+        manifest = make_manifest(tmp_path)
         from voxcorr.vvol import vvol_read
 
-        moving = vvol_read(manifest.samples[0].xct_path)
-        fixed = vvol_read(manifest.samples[0].cad_path)
+        moving = vvol_read(tmp_path / "s0" / "xct.vvol")
+        fixed = vvol_read(tmp_path / "s0" / "cad.vvol")
         params = {k: np.zeros(s, dtype=np.float32) for k, s in param_shapes(TOY).items()}
         moved, disp = sliding_register(params, TOY, moving, fixed, stride=8)
         assert np.abs(disp.data).max() == 0.0
@@ -188,9 +186,9 @@ class TestSlidingRegister:
         from voxcorr.model import model_forward
         from voxcorr.vvol import vvol_read
 
-        manifest, _ = make_manifest(tmp_path, dims=32)
-        moving = vvol_read(manifest.samples[0].xct_path)
-        fixed = vvol_read(manifest.samples[0].cad_path)
+        manifest = make_manifest(tmp_path, dims=32)
+        moving = vvol_read(tmp_path / "s0" / "xct.vvol")
+        fixed = vvol_read(tmp_path / "s0" / "cad.vvol")
         rng = np.random.default_rng(5)
         params = init_params(TOY, rng, dtype=np.float32)
         params["head.b"] = np.array([0.5, -0.25, 0.1], dtype=np.float32)
@@ -211,9 +209,9 @@ class TestSlidingRegister:
             calls.append(1)
             return warp_array(*args, **kwargs)
 
-        manifest, _ = make_manifest(tmp_path, dims=32)
-        moving = vvol_read(manifest.samples[0].xct_path)
-        fixed = vvol_read(manifest.samples[0].cad_path)
+        manifest = make_manifest(tmp_path, dims=32)
+        moving = vvol_read(tmp_path / "s0" / "xct.vvol")
+        fixed = vvol_read(tmp_path / "s0" / "cad.vvol")
         params = init_params(TOY, np.random.default_rng(6), dtype=np.float32)
         for mod in [m for name, m in sys.modules.items() if name.startswith("voxcorr")]:
             if getattr(mod, "warp_array", None) is warp_array:

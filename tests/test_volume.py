@@ -321,3 +321,11 @@ class TestCropOrPad:
         out = crop_or_pad(ScalarVolume(np.ones((2, 2, 2))), (5, 5, 5), fill=0.0)
         assert np.all(out.data[1:3, 1:3, 1:3] == 1.0)
         assert out.data[4, 4, 4] == 0.0
+
+    def test_field_channels_shaped_like_scalars(self):
+        data = np.random.default_rng(3).standard_normal((3, 6, 5, 4)).astype(np.float32)
+        out = crop_or_pad(DisplacementField(data), (5, 4, 7))
+        assert isinstance(out, DisplacementField) and out.dims == (5, 4, 7)
+        assert out.data.dtype == np.float32
+        for c in range(3):
+            np.testing.assert_array_equal(out.data[c], crop_or_pad(ScalarVolume(data[c]), (5, 4, 7)).data)
