@@ -14,7 +14,8 @@ of the command's handler in COMMANDS.
 
 Workspace layout: raw/<id>/ from generate (the id is c<c value>);
 dataset/<id>/ and a manifest.json of ids, c values and splits only, from
-preprocess (see preprocess), so a moved workspace still works;
+preprocess (see preprocess), so a moved workspace still works; a configured
+manifest path moves the sample folders beside it;
 checkpoint.vmck and history.json from train; registered/<id>/ and
 baseline/<id>/ (METHODS), where register and baseline write moved.vvol (the
 scan warped by the field), disp.vvol and a JSON record; reports/<id>/<method>/
@@ -206,7 +207,7 @@ def cmd_preprocess(cfg: RunConfig) -> dict:
     raw_dir = Path(cfg.workspace) / "raw"
     if not any(raw_dir.glob("*/sample.json")):
         raise CliError(f"no generated samples under {raw_dir}; run generate first")
-    manifest = build_dataset(raw_dir, Path(cfg.workspace) / "dataset", cfg.target_dims, cfg.clean)
+    manifest = build_dataset(raw_dir, cfg.manifest_path(), cfg.target_dims, cfg.clean)
     for entry in manifest.samples:
         print(f"{entry.id}: split {entry.split}")
     print(f"manifest: {cfg.manifest_path()}")
@@ -306,6 +307,14 @@ def cmd_baseline(cfg: RunConfig, sample: str | None = None) -> dict:
     return {"sample": sample, "samples": samples}
 
 
+def _read_runtime(meta_file: Path) -> float:
+    """runtime_sec of a register/baseline record; 0 when the record is absent."""
+    runtime = read_json(meta_file).get("runtime_sec", 0.0) if meta_file.exists() else 0.0
+    if isinstance(runtime, bool) or not isinstance(runtime, (int, float)):
+        raise VolumeError(f"{meta_file}: runtime_sec must be a number, got {runtime!r}")
+    return float(runtime)
+
+
 def cmd_evaluate(cfg: RunConfig, sample: str | None = None, method: str = "learned") -> dict:
     """metrics report and figure export for registered samples"""
     methods = list(METHODS) if method == "both" else [method]
@@ -323,8 +332,7 @@ def cmd_evaluate(cfg: RunConfig, sample: str | None = None, method: str = "learn
             moved = vvol_read(moved_path)
             _, moved_bin = otsu_threshold(moved)
             disp = vvol_read(mdir / "disp.vvol")
-            meta_file = mdir / METHODS[method][1]
-            runtime = read_json(meta_file).get("runtime_sec", 0.0) if meta_file.exists() else 0.0
+            runtime = _read_runtime(mdir / METHODS[method][1])
             report, bdm_before, bdm_after = evaluate_pair(
                 cad_bin, xct_bin, moved_bin, disp, gt_disp=gt,
                 sample_id=sid, method=method, runtime_sec=runtime,

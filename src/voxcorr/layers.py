@@ -1,21 +1,43 @@
 """Differentiable 3D building blocks with hand-written backward passes.
 
 Feature grids are channel-first [c, D, H, W] numpy arrays without a batch
-axis; batching is a loop at the training level. Convolutions are direct
-cross-correlations computed as GEMMs, and keep only their input and kernel
-for the backward pass. One code path walks the output in slabs of SLAB
-z-planes. For each slab it writes the slab's zero-padded input planes into a
-stacked operand once per tap of a group, each copy shifted back by that tap's
-flat offset, so a single view of the stack serves the whole group. A conv
-whose inner dimension cin*k^3 is at most FOLD_MAX_INNER (the 2-channel input
-conv) puts all k^3 taps in one group and runs one GEMM per slab; every other
-conv groups the k x-taps of each (a, b) kernel row and runs k^2
-[cout, k*cin] x [k*cin, n] GEMMs per slab, the first into the slab
-accumulator and the rest added to it. The weight gradient walks the same
-slabs with the same operands. Max pooling keeps its input and the factor as
-context and finds each block's winner again in the backward pass. Every
-backward returns exact analytic gradients. All ops preserve the input dtype,
-so gradient checks can run the whole stack in float64.
+axis; batching is a loop at the training level. Convolutions are stride-1
+cross-correlations of the input zero-padded by an explicit pad (by default
+(k-1)/2, same padding, for odd k), computed as GEMMs; they keep only their
+input, kernel and pad for the backward pass. One code path walks the output in
+slabs of SLAB z-planes. For each slab it writes the slab's padded input
+planes into a stacked operand once per tap of a group, each copy shifted back
+by that tap's flat offset, so a single view of the stack serves the whole
+group. A conv with k*cin <= cout (the 2-channel input conv, the decoder's
+parity convs) puts all k^3 taps in one group and runs one [cout, k^3*cin]
+GEMM per slab. Every other conv groups the k x-taps of each (a, b) kernel row,
+and the k groups of one z-tap a share a GEMM: their weights stack on its rows,
+and one wider view of the operand serves them all, since group b starts b
+padded rows after group 0. So a slab takes k [k*cout, k*cin] GEMMs, and
+row block b of each is added into the slab accumulator from column b*wp on.
+The weight gradient walks the same slabs with the same operands, against
+gout shifted by b*wp in row block b. The input gradient is the conv of gout
+with the flipped kernel at pad k-1-pad.
+
+A decoder block, conv(concat(upsample(coarse), skip)) with nearest 2x
+upsampling, runs as two convs (upconv3d_forward). The skip half is a conv of
+the skip input. The upsampled half is a conv of the coarse grid itself: along
+each axis, fine index 2i + r reads coarse indices i + (r + a - p) // 2 for the
+fine taps a = 0..k-1 (p = (k-1)/2), so each of the 8 output parities
+(rz, ry, rx) is a (p+1)^3 kernel on the coarse grid whose taps are sums of the
+k^3 taps (for k = 3: w[0] and w[1] + w[2] at coarse offsets -1 and 0 for even
+r, w[0] + w[1] and w[2] at 0 and +1 for odd r). One conv with 8*cout output
+channels computes all parities, and strided adds place them in the fine
+output. That half costs (p+1)^3 multiply-adds per output voxel and channel
+pair instead of k^3, and no upsampled or concatenated tensor is made. Its
+weight gradient is the adjoint of the tap sums applied to the parity
+kernels' gradient; its output gradient is gathered parity by parity, the
+adjoint of the scatter.
+
+Max pooling keeps its input and the factor as context and finds each block's
+winner again in the backward pass. Every backward returns exact analytic
+gradients. All ops preserve the input dtype, so gradient checks can run the
+whole stack in float64.
 """
 from __future__ import annotations
 
@@ -25,118 +47,234 @@ import numpy as np
 
 from .volume import VolumeError
 
-# largest GEMM inner dimension (cin * k^3) for which a conv stacks all k^3 taps
-# into one operand and runs one GEMM per slab: with a thin inner dimension the
-# passes over the accumulator, not the multiplies, would bound it
-FOLD_MAX_INNER = 64
-# output z-planes per slab; 4, 16 and 32 were slower or took more memory
-SLAB = 8
+# output z-planes per slab: 4 and 5 were slower, and 8 was 2% faster but took
+# 17% more memory in the backward pass of a 64-channel conv
+SLAB = 6
 
 
-def _tap_group(cin: int, k: int) -> int:
-    """Taps per stacked operand: all k^3 when cin*k^3 is small, else the k x-taps."""
-    return k ** 3 if cin * k ** 3 <= FOLD_MAX_INNER else k
+def _tap_groups(cin: int, cout: int, k: int) -> tuple[int, int]:
+    """(group, nb): taps per stacked operand, and tap groups per GEMM.
+
+    All k^3 taps form one group, and a slab takes one GEMM, when k*cin <= cout.
+    Otherwise a group is the k x-taps of one (a, b) kernel row, and the k
+    groups of one z-tap a share a GEMM, their weights stacked on its output
+    rows. Stacking all taps writes k^3 - k more operand rows per input channel;
+    grouping only the x-taps costs k^2 - 1 more accumulator passes per output
+    channel. The first is the cheaper when k*cin <= cout.
+    """
+    return (k ** 3, 1) if k * cin <= cout else (k, k)
 
 
-def _slab_operands(x: np.ndarray, k: int, group: int, dtype):
+def _slab_operands(x: np.ndarray, k: int, pad: int, group: int, nb: int, dtype):
     """Per slab of SLAB output z-planes yield (z0, s, n, operands).
 
-    Output voxel (z0 + z, y, x) sits at flat index (z*hp + y)*wp + x of the
-    slab's zero-padded input planes, and tap (a, b, c) reads (a*hp + b)*wp + c
-    further on. Row block g of the stacked operand holds those padded planes
-    shifted back by the flat offset of tap g of the first group, so one view
-    of the stack at the flat offset o of a group's first tap gives every tap
-    of that group: operands[t] is the [group*cin, n] operand of tap group t,
-    rows in (tap, ci) order. The n columns also cover the padding margin
-    (y >= h or x >= w), cropped later.
+    The input is zero-padded by pad on each side, to hp x wp planes. Output
+    voxel (z0 + z, y, x) sits at flat index (z*hp + y)*wp + x of the slab's
+    padded input planes, and tap (a, b, c) reads (a*hp + b)*wp + c further on.
+    Row block g of the stacked operand holds those padded planes shifted back
+    by the flat offset of tap g of the first group, so one view of the stack
+    at the flat offset o of a group's first tap gives every tap of that group,
+    rows in (tap, ci) order. Group j of a GEMM's nb groups starts j*wp after
+    its first: operands[m] is the [group*cin, n + (nb - 1)*wp] view at the
+    first group of GEMM m, and columns j*wp .. j*wp + n of it are group j's
+    operand. The n columns also cover the margin (y or x past the output
+    size), cropped later.
     """
     cin, d, h, w = x.shape
-    p = (k - 1) // 2
-    hp, wp = h + 2 * p, w + 2 * p
+    hp, wp = h + 2 * pad, w + 2 * pad
+    od, oh, ow = d + 2 * pad - k + 1, hp - k + 1, wp - k + 1
     offsets = [(a * hp + b) * wp + c for a, b, c in np.ndindex(k, k, k)]
     shifts = offsets[:group]
     base = shifts[-1]
-    sp = min(SLAB, d) + 2 * p
+    sp = min(SLAB, od) + k - 1
     span = sp * hp * wp
     stack = np.zeros((group, cin, base + span), dtype=dtype)
     # the margins are never written, so they stay zero from slab to slab
-    blocks = [stack[g, :, base - sh:base - sh + span].reshape(cin, sp, hp, wp)[:, :, p:p + h, p:p + w]
+    blocks = [stack[g, :, base - sh:base - sh + span].reshape(cin, sp, hp, wp)[:, :, pad:pad + h, pad:pad + w]
               for g, sh in enumerate(shifts)]
     rows = stack.reshape(group * cin, -1)
-    for z0 in range(0, d, SLAB):
-        s = min(SLAB, d - z0)
-        lo, hi = max(z0 - p, 0), min(z0 + s + p, d)  # input planes the slab reads
-        a0, a1 = lo - (z0 - p), hi - (z0 - p)  # where they sit among the sp padded planes
+    for z0 in range(0, od, SLAB):
+        s = min(SLAB, od - z0)
+        lo, hi = max(z0 - pad, 0), min(z0 + s + k - 1 - pad, d)  # input planes the slab reads
+        a0, a1 = lo - (z0 - pad), hi - (z0 - pad)  # where they sit among the sp padded planes
         for blk in blocks:
             blk[:, :a0] = 0
             blk[:, a0:a1] = x[:, lo:hi]
             blk[:, a1:] = 0
-        n = (s - 1) * hp * wp + (h - 1) * wp + w
-        yield z0, s, n, [rows[:, base + o:base + o + n] for o in offsets[::group]]
+        n = (s - 1) * hp * wp + (oh - 1) * wp + ow
+        width = n + (nb - 1) * wp
+        yield z0, s, n, [rows[:, base + o:base + o + width] for o in offsets[::group * nb]]
 
 
-def conv3d_forward(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray):
-    """Same-padded stride-1 cross-correlation.
+def conv3d_forward(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray | None = None, pad: int | None = None):
+    """Stride-1 cross-correlation of the input zero-padded by pad on each side.
 
-    x [cin, D, H, W], kernel [cout, cin, k, k, k] with odd k, bias [cout].
-    Returns (out [cout, D, H, W], ctx) with ctx = (x, kernel).
+    x [cin, D, H, W], kernel [cout, cin, k, k, k], bias [cout] or None for
+    no bias (the slabs are then copied out with no add). pad defaults to
+    (k - 1) // 2, same padding, for odd k; an even k needs an explicit pad in
+    [0, k - 1]. Returns (out [cout, D + 2*pad - k + 1, ...], ctx) with
+    ctx = (x, kernel, pad).
     """
     cout, cin, k, k2, k3 = kernel.shape
-    if k != k2 or k != k3 or k % 2 == 0:
-        raise VolumeError(f"kernel must be cubic with odd size, got {kernel.shape}")
-    if x.ndim != 4 or x.shape[0] != cin:
-        raise VolumeError(f"input {x.shape} incompatible with kernel {kernel.shape}")
-    if bias.shape != (cout,):
+    if k != k2 or k != k3:
+        raise VolumeError(f"kernel must be cubic, got {kernel.shape}")
+    if pad is None:
+        if k % 2 == 0:
+            raise VolumeError(f"an even kernel {kernel.shape} needs an explicit pad")
+        pad = (k - 1) // 2
+    if not 0 <= pad <= k - 1:
+        raise VolumeError(f"pad {pad} outside [0, {k - 1}] for kernel size {k}")
+    if x.ndim != 4 or x.shape[0] != cin or min(x.shape[1:]) + 2 * pad < k:
+        raise VolumeError(f"input {x.shape} incompatible with kernel {kernel.shape} at pad {pad}")
+    if bias is not None and bias.shape != (cout,):
         raise VolumeError(f"bias shape {bias.shape} != ({cout},)")
     _, d, h, w = x.shape
-    hp, wp = h + k - 1, w + k - 1
+    hp, wp = h + 2 * pad, w + 2 * pad
+    od, oh, ow = d + 2 * pad - k + 1, hp - k + 1, wp - k + 1
     dtype = np.result_type(x, kernel)
-    group = _tap_group(cin, k)
-    # weight columns (tap, ci) of each group meet the stacked operand rows (tap, ci)
-    wgroups = kernel.reshape(cout, cin, -1, group).transpose(2, 0, 3, 1).reshape(-1, cout, group * cin)
-    acc = np.empty((cout, min(SLAB, d) * hp * wp), dtype=dtype)
-    tmp = np.empty_like(acc)
-    out = np.empty((cout, d, h, w), dtype=np.result_type(dtype, bias))
-    for z0, s, n, operands in _slab_operands(x, k, group, dtype):
+    group, nb = _tap_groups(cin, cout, k)
+    # weight columns (tap, ci) of each group meet the stacked operand rows
+    # (tap, ci); the nb groups of one GEMM stack on its rows
+    wgemms = kernel.reshape(cout, cin, -1, group).transpose(2, 0, 3, 1).reshape(-1, nb * cout, group * cin)
+    acc = np.empty((cout, min(SLAB, od) * hp * wp), dtype=dtype)
+    res = np.empty((nb * cout, acc.shape[1] + (nb - 1) * wp), dtype=dtype) if nb > 1 else None
+    out = np.empty((cout, od, oh, ow), dtype=dtype if bias is None else np.result_type(dtype, bias))
+    for z0, s, n, operands in _slab_operands(x, k, pad, group, nb, dtype):
         acc_n = acc[:, :n]
-        np.matmul(wgroups[0], operands[0], out=acc_n)
-        for wt, cols in zip(wgroups[1:], operands[1:]):
-            acc_n += np.matmul(wt, cols, out=tmp[:, :n])
-        slab = acc[:, :s * hp * wp].reshape(cout, s, hp, wp)[:, :, :h, :w]
-        np.add(slab, bias.reshape(cout, 1, 1, 1), out=out[:, z0:z0 + s])
-    return out, (x, kernel)
+        if nb == 1:  # all taps in one operand: one GEMM gives the slab
+            np.matmul(wgemms[0], operands[0], out=acc_n)
+        else:
+            for m, (wt, cols) in enumerate(zip(wgemms, operands)):
+                # group j's product is row block j, read from column j*wp on
+                r = np.matmul(wt, cols, out=res[:, :cols.shape[1]]).reshape(nb, cout, -1)
+                parts = [r[j, :, j * wp:j * wp + n] for j in range(nb)]
+                if m == 0:
+                    np.add(parts[0], parts[1], out=acc_n)
+                    parts = parts[2:]
+                for part in parts:
+                    acc_n += part
+        slab = acc[:, :s * hp * wp].reshape(cout, s, hp, wp)[:, :, :oh, :ow]
+        if bias is None:
+            out[:, z0:z0 + s] = slab
+        else:
+            np.add(slab, bias.reshape(cout, 1, 1, 1), out=out[:, z0:z0 + s])
+    return out, (x, kernel, pad)
 
 
 def conv3d_param_grads(gout: np.ndarray, ctx) -> tuple[np.ndarray, np.ndarray]:
     """Gradients (dkernel, dbias) for conv3d_forward, without the input gradient."""
-    x, kernel = ctx
+    x, kernel, pad = ctx
     cout, cin, k = kernel.shape[:3]
-    _, d, h, w = gout.shape
-    hp, wp = h + k - 1, w + k - 1
+    _, od, oh, ow = gout.shape
+    hp, wp = x.shape[2] + 2 * pad, x.shape[3] + 2 * pad
     dtype = np.result_type(gout, x)
-    group = _tap_group(cin, k)
-    # gout laid out like the forward accumulator; the margin columns stay zero
-    gpad = np.zeros((cout, min(SLAB, d), hp, wp), dtype=dtype)
-    g2 = gpad.reshape(cout, -1)
-    # dW transposed, [group*cin, cout] per group: OpenBLAS runs this long-inner
-    # GEMM 1.1-1.8x faster as operand @ gout.T than as gout @ operand.T
-    dwt = np.zeros((k ** 3 // group, group * cin, cout), dtype=dtype)
-    for z0, s, n, operands in _slab_operands(x, k, group, dtype):
-        gpad[:, :s, :h, :w] = gout[:, z0:z0 + s]
+    group, nb = _tap_groups(cin, cout, k)
+    # row block j holds gout laid out like the forward accumulator, shifted on
+    # by j*wp to meet group j of a GEMM's operand; the rest stays zero
+    gsh = np.zeros((nb, cout, min(SLAB, od) * hp * wp + (nb - 1) * wp), dtype=dtype)
+    gviews = [gsh[j, :, j * wp:j * wp + min(SLAB, od) * hp * wp].reshape(cout, -1, hp, wp) for j in range(nb)]
+    g2 = gsh.reshape(nb * cout, -1)
+    # dW transposed, [group*cin, nb*cout] per GEMM: OpenBLAS runs this
+    # long-inner GEMM 1.1-1.8x faster as operand @ gout.T than as gout @ operand.T
+    dwt = np.zeros((k ** 3 // (group * nb), group * cin, nb * cout), dtype=dtype)
+    for z0, s, n, operands in _slab_operands(x, k, pad, group, nb, dtype):
+        for gv in gviews:
+            gv[:, :s, :oh, :ow] = gout[:, z0:z0 + s]
         for dw, cols in zip(dwt, operands):
-            dw += cols @ g2[:, :n].T
-    dkernel = dwt.reshape(-1, group, cin, cout).transpose(3, 2, 0, 1).reshape(kernel.shape)
+            dw += cols @ g2[:, :cols.shape[1]].T
+    dkernel = dwt.reshape(-1, group, cin, nb, cout).transpose(4, 2, 0, 3, 1).reshape(kernel.shape)
     return dkernel, gout.sum(axis=(1, 2, 3))
 
 
 def conv3d_backward(gout: np.ndarray, ctx) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients (dx, dkernel, dbias) for conv3d_forward."""
-    kernel = ctx[1]
+    _, kernel, pad = ctx
     dkernel, dbias = conv3d_param_grads(gout, ctx)
-    # dx: same-padded convolution of gout with the flipped, transposed kernel
+    # dx: convolution of gout with the flipped, transposed kernel at pad k - 1 - pad
     kt = kernel[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4)
-    dx, _ = conv3d_forward(gout, kt, np.zeros(kernel.shape[1], dtype=kernel.dtype))
+    dx, _ = conv3d_forward(gout, kt, pad=kernel.shape[2] - 1 - pad)
     return dx, dkernel, dbias
+
+
+@functools.cache
+def _parity_taps(k: int) -> tuple[np.ndarray, int, tuple[int, int]]:
+    """How a k^3 kernel on a 2x nearest-upsampled grid acts on the coarse grid.
+
+    Per axis, with p = (k - 1) // 2, fine index 2i + r (parity r) reads fine
+    offsets -p..p, i.e. coarse indices i + (r + a - p) // 2: p + 1
+    consecutive coarse taps. Returns (m, cpad, shift). m [8*t^3, k^3], t = p + 1,
+    maps the k^3 taps to the t^3 taps of each parity (rz, ry, rx), rows in
+    (parity, tap) order; a parity tap is the sum of the fine taps landing on
+    it. A conv of the coarse grid at pad cpad with those kernels puts parity r
+    of fine index 2i + r at its output index i + shift[r].
+    """
+    p = (k - 1) // 2
+    axis = np.zeros((2, p + 1, k))
+    for r, a in np.ndindex(2, k):
+        axis[r, (r + a - p) // 2 - (r - p) // 2, a] = 1
+    m = np.einsum("zta,yub,xvc->zyxtuvabc", axis, axis, axis).reshape(8 * (p + 1) ** 3, k ** 3)
+    m.flags.writeable = False
+    cpad = (p + 1) // 2
+    return m, cpad, tuple((r - p) // 2 + cpad for r in (0, 1))
+
+
+def _parities(fine: np.ndarray, coarse_dims, shift):
+    """Yield (r, fine view, coarse-output slice) per parity r = (rz, ry, rx):
+    the view is fine's voxels (2i + rz, 2j + ry, 2l + rx), and the slice picks
+    the coarse conv's outputs (i + shift[rz], j + shift[ry], l + shift[rx])."""
+    d, h, w = coarse_dims
+    f6 = fine.reshape(fine.shape[0], d, 2, h, 2, w, 2)
+    for r, (rz, ry, rx) in enumerate(np.ndindex(2, 2, 2)):
+        sz, sy, sx = shift[rz], shift[ry], shift[rx]
+        yield r, f6[:, :, rz, :, ry, :, rx], np.s_[:, sz:sz + d, sy:sy + h, sx:sx + w]
+
+
+def upconv3d_forward(coarse: np.ndarray, skip: np.ndarray, kernel: np.ndarray, bias: np.ndarray):
+    """conv3d_forward(concat(upsample3d_forward(coarse, 2), skip), kernel, bias),
+    computed without the upsampled or concatenated tensors.
+
+    coarse [c, d, h, w], skip [s, 2d, 2h, 2w], kernel [cout, c + s, k, k, k]
+    with odd k. The skip half is a conv of skip with kernel[:, c:]. The
+    upsampled half is one conv of coarse with 8*cout output channels, one
+    (p+1)^3 kernel per output parity whose taps are sums of the k^3 taps
+    (_parity_taps); its outputs are added into the fine grid parity by parity.
+    Returns (out, ctx) with ctx = (coarse conv ctx, skip conv ctx).
+    """
+    c, d, h, w = coarse.shape
+    cout, k = kernel.shape[0], kernel.shape[2]
+    if (skip.ndim != 4 or skip.shape[1:] != (2 * d, 2 * h, 2 * w) or kernel.shape[1] != c + skip.shape[0]
+            or k % 2 == 0):
+        raise VolumeError(f"coarse {coarse.shape} and skip {skip.shape} incompatible with kernel {kernel.shape}")
+    m, cpad, shift = _parity_taps(k)
+    t = k // 2 + 1
+    pk = m.astype(kernel.dtype) @ kernel[:, :c].reshape(cout * c, k ** 3).T
+    pk = pk.reshape(8, t ** 3, cout, c).transpose(0, 2, 3, 1).reshape(8 * cout, c, t, t, t)
+    par, cctx = conv3d_forward(coarse, pk, pad=cpad)
+    out, sctx = conv3d_forward(skip, kernel[:, c:], bias)
+    par = par.reshape(8, cout, *par.shape[1:])
+    for r, view, at in _parities(out, (d, h, w), shift):
+        view += par[r][at]
+    return out, (cctx, sctx)
+
+
+def upconv3d_backward(gout: np.ndarray, ctx):
+    """Gradients (dcoarse, dskip, dkernel, dbias) for upconv3d_forward."""
+    cctx, sctx = ctx
+    coarse, pk, cpad = cctx
+    c, d, h, w = coarse.shape
+    cout, k = gout.shape[0], sctx[1].shape[2]
+    m, _, shift = _parity_taps(k)
+    t = k // 2 + 1
+    # the adjoint of the parity scatter: gout gathered parity-major
+    gpar = np.zeros((8, cout) + tuple(n + 2 * cpad - t + 1 for n in (d, h, w)), dtype=gout.dtype)
+    for r, view, at in _parities(gout, (d, h, w), shift):
+        gpar[r][at] = view
+    dcoarse, dpk, _ = conv3d_backward(gpar.reshape(8 * cout, *gpar.shape[2:]), cctx)
+    dskip, dks, dbias = conv3d_backward(gout, sctx)
+    # the adjoint of the tap sums
+    dku = m.T.astype(dpk.dtype) @ dpk.reshape(8, cout * c, t ** 3).transpose(0, 2, 1).reshape(-1, cout * c)
+    dku = dku.reshape(k ** 3, cout, c).transpose(1, 2, 0).reshape(cout, c, k, k, k)
+    return dcoarse, dskip, np.concatenate([dku, dks], axis=1), dbias
 
 
 def leaky_relu_forward(x: np.ndarray, slope: float = 0.2):

@@ -2,9 +2,14 @@
 
 The two input patches (moving scan, fixed nominal volume) are stacked into a
 2-channel grid. Four encoder levels of conv + LeakyReLU + 2x max pooling feed
-a decoder whose first four blocks upsample, concatenate the matching encoder
-activation and convolve; two further full-resolution conv blocks refine the
-features and a final convolution emits the 3-channel displacement field.
+a decoder whose first four blocks convolve the 2x nearest-upsampled features
+concatenated with the matching encoder activation. Each runs as
+layers.upconv3d_forward: a conv of the skip activation plus a conv of the
+coarse features with one 2x2x2 kernel per output parity (for kernel_size 3),
+so neither the upsampled nor the concatenated tensor is made or taped. The
+k^3 kernels stay the parameters. Two further full-resolution conv blocks
+refine the features and a final convolution emits the 3-channel
+displacement field.
 For training, the moving patch warped by that field is returned along with a
 tape of intermediates for the hand-written backward pass; inference returns
 the field only.
@@ -32,8 +37,8 @@ from .layers import (
     leaky_relu_forward,
     maxpool3d_backward,
     maxpool3d_forward,
-    upsample3d_backward,
-    upsample3d_forward,
+    upconv3d_backward,
+    upconv3d_forward,
 )
 from .volume import VolumeError, warp_array
 from .vvol import VvolError, read_raw, write_raw
@@ -143,16 +148,10 @@ def model_forward(params: dict, cfg: ModelConfig, moving: np.ndarray, fixed: np.
         x, pctx = maxpool3d_forward(a, 2)
         enc_tape.append((cctx, neg, pctx))
     for j in range(len(cfg.dec_features)):
-        if j < n_up:
-            up = upsample3d_forward(x, 2)
-            skip = skips[n_up - 1 - j]
-            x = np.concatenate([up, skip])
-            split = up.shape[0]
-        else:
-            split = None
-        y, cctx = conv3d_forward(x, params[f"dec{j}.w"], params[f"dec{j}.b"])
+        w, b = params[f"dec{j}.w"], params[f"dec{j}.b"]
+        y, cctx = upconv3d_forward(x, skips[n_up - 1 - j], w, b) if j < n_up else conv3d_forward(x, w, b)
         x, neg = leaky_relu_forward(y, slope)
-        dec_tape.append((cctx, neg, split))
+        dec_tape.append((cctx, neg))
     disp, head_ctx = conv3d_forward(x, params["head.w"], params["head.b"])
     if not want_tape:
         return disp, None, None
@@ -186,14 +185,12 @@ def model_backward(tape: dict, d_moved: np.ndarray, d_disp: np.ndarray) -> dict[
     dx, grads["head.w"], grads["head.b"] = conv3d_backward(g_disp, tape.pop("head"))
     skip_grads: list[np.ndarray | None] = [None] * n_up
     for j in reversed(range(len(tape["dec"]))):
-        cctx, neg, split = tape["dec"].pop()
+        cctx, neg = tape["dec"].pop()
         dy = leaky_relu_backward(dx, neg, slope)
-        dcat, grads[f"dec{j}.w"], grads[f"dec{j}.b"] = conv3d_backward(dy, cctx)
-        if split is None:
-            dx = dcat
+        if j < n_up:
+            dx, skip_grads[n_up - 1 - j], grads[f"dec{j}.w"], grads[f"dec{j}.b"] = upconv3d_backward(dy, cctx)
         else:
-            skip_grads[n_up - 1 - j] = dcat[split:]
-            dx = upsample3d_backward(dcat[:split], 2)
+            dx, grads[f"dec{j}.w"], grads[f"dec{j}.b"] = conv3d_backward(dy, cctx)
     for i in reversed(range(n_up)):
         cctx, neg, pctx = tape["enc"].pop()
         da = maxpool3d_backward(dx, pctx)

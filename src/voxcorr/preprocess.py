@@ -9,8 +9,9 @@ nominal volume, shapes both to a common grid and normalizes intensities.
 This module owns the dataset layout. A raw sample is raw/<id>/ with
 sample.json (its c_param) and the volumes that sample_paths names; a sample
 has ground truth exactly when its gt_disp.vvol exists. build_dataset writes
-<dataset>/<id>/ alike, plus preprocess.json, and a manifest.json of ids, c
-values and splits only: readers join the paths onto the manifest's folder.
+the manifest it is given, of ids, c values and splits only, and beside it
+<id>/ alike plus preprocess.json: readers join the paths onto the manifest's
+folder.
 """
 from __future__ import annotations
 
@@ -244,7 +245,7 @@ def assign_splits(c_values: list[float]) -> dict[float, str]:
 
 def build_dataset(
     raw_dir,
-    out_dir,
+    manifest_path,
     target_dims: IVec3 | None = None,
     clean_spec: CleanSpec = CleanSpec(),
 ) -> DatasetManifest:
@@ -253,12 +254,13 @@ def build_dataset(
     Every raw_dir/<id>/sample.json names a sample; its c_param picks the split
     (assign_splits). Per sample: clean the scan, align it to the nominal volume
     by foreground centroid, shape both to target_dims (default: the first
-    sample's nominal grid), min-max normalize, and write out_dir/<id>/ with a
-    sidecar recording the cleaning parameters and alignment shift. The
-    ground-truth field, when present, is shifted and cropped consistently.
-    Deterministic given identical inputs.
+    sample's nominal grid), min-max normalize, and write <id>/ beside
+    manifest_path with a sidecar recording the cleaning parameters and
+    alignment shift. The ground-truth field, when present, is shifted and
+    cropped consistently. Deterministic given identical inputs.
     """
-    raw_dir, out_dir = Path(raw_dir), Path(out_dir)
+    raw_dir, manifest_path = Path(raw_dir), Path(manifest_path)
+    out_dir = manifest_path.parent
     cs = {}  # id -> c_param
     for sidecar in raw_dir.glob("*/sample.json"):
         c = cs[sidecar.parent.name] = read_json(sidecar).get("c_param")
@@ -307,5 +309,5 @@ def build_dataset(
         target_dims=tuple(int(t) for t in target_dims),
         created_at=datetime.now(timezone.utc).isoformat(),
     )
-    manifest.save(out_dir / "manifest.json")
+    manifest.save(manifest_path)
     return manifest

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import voxcorr.cli
-from voxcorr.cli import FLAGS, _build_parser, _resolve_config, main
+from voxcorr.cli import FLAGS, METHODS, _build_parser, _resolve_config, main
 from voxcorr.config import RunConfig
 from voxcorr.preprocess import assign_splits, otsu_threshold
 from voxcorr.volume import DisplacementField, warp
@@ -112,6 +112,21 @@ class TestPreprocess:
         assert [by_c[c] for c in sweep] == [
             "train", "val", "train", "train", "val", "train", "test",
         ]
+
+    def test_writes_the_configured_manifest(self, tmp_path, monkeypatch, capsys):
+        # the sample folders go beside the manifest that every later stage reads
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.json").write_text(json.dumps({"workspace": "ws", "manifest": "elsewhere/m.json"}))
+        cfg = ["--config", "run.json"]
+        assert main(["generate", *cfg, "--c-values", "0,-0.3,-0.6", "--extent-mm", "2.56"]) == 0
+        assert main(["preprocess", *cfg]) == 0
+        assert "manifest: elsewhere/m.json" in capsys.readouterr().out
+        assert (tmp_path / "elsewhere" / "m.json").is_file()
+        assert (tmp_path / "elsewhere" / "c-0.6" / "cad.vvol").is_file()
+        assert not (tmp_path / "ws" / "dataset").exists()
+        assert main(["baseline", *cfg, "--node-spacing", "8", "--window-halfsize", "5", "--search-radius", "3"]) == 0
+        assert main(["evaluate", *cfg, "--method", "baseline"]) == 0
+        assert (tmp_path / "ws" / "reports" / "c-0.6" / "baseline" / "report.json").is_file()
 
     def test_volumes_normalized(self, workspace):
         manifest = json.loads((workspace / "dataset" / "manifest.json").read_text())
@@ -324,6 +339,21 @@ class TestCorruptSideFiles:
         mpath.write_text(text)
         err = exit_1_error([cmd, "--workspace", str(tmp_path)], capsys)
         assert str(mpath) in err and needle in err
+
+    @pytest.mark.parametrize("method", list(METHODS))
+    def test_runtime_not_a_number(self, workspace, tmp_path, capsys, method):
+        folder, record = METHODS[method]
+        odir = tmp_path / folder / "c-0.6"
+        odir.mkdir(parents=True)
+        xct = vvol_read(workspace / "dataset" / "c-0.6" / "xct.vvol")
+        vvol_write(odir / "moved.vvol", xct)
+        vvol_write(odir / "disp.vvol", DisplacementField(np.zeros((3,) + xct.data.shape, np.float32)))
+        (odir / record).write_text('{"sample_id": "c-0.6", "runtime_sec": "x"}')
+        manifest = workspace / "dataset" / "manifest.json"
+        err = exit_1_error(["evaluate", "--workspace", str(tmp_path), "--manifest", str(manifest),
+                            "--sample", "c-0.6", "--method", method], capsys)
+        assert str(odir / record) in err and "runtime_sec" in err
+        assert not (tmp_path / "reports").exists()
 
 
 class TestMovedWorkspace:

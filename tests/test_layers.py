@@ -11,6 +11,8 @@ from voxcorr.layers import (
     leaky_relu_forward,
     maxpool3d_backward,
     maxpool3d_forward,
+    upconv3d_backward,
+    upconv3d_forward,
     upsample3d_backward,
     upsample3d_forward,
 )
@@ -85,9 +87,29 @@ def fd_check(loss_fn, x, analytic, rng, n_samples=24, h=1e-5, rel=1e-3):
         assert g[i] == pytest.approx(fd, rel=rel, abs=1e-8)
 
 
-# depths of one slab, and of two and three slabs of 8 z-planes, the last one partial
+# depths of one slab, and of two and three slabs of layers.SLAB (6) z-planes, the last one partial
 SLAB_DIMS = [(5, 6, 7), (11, 6, 7), (17, 5, 9)]
 SLAB_IDS = ["unequal", "2slabs", "3slabs"]
+# kernel sizes with their pads: same padding for odd k, both pads of the 2-tap parity kernels
+K_PADS = [(1, 0), (3, 1), (5, 2), (2, 0), (2, 1)]
+K_PAD_IDS = ["k1", "k3", "k5", "k2-pad0", "k2-pad1"]
+
+
+def direct_sum(x, kern, b, pad):
+    """Cross-correlation as a sum over taps of per-tap channel products, and
+    the same sum of |terms| (for rounding bounds)."""
+    cout, _, k = kern.shape[:3]
+    out_dims = tuple(n + 2 * pad - k + 1 for n in x.shape[1:])
+    xpad = np.pad(x.astype(np.float64), ((0, 0),) + ((pad, pad),) * 3)
+    ref = np.zeros((cout,) + out_dims) + b[:, None, None, None]
+    mag = np.zeros((cout,) + out_dims) + np.abs(b)[:, None, None, None]
+    d, h, w = out_dims
+    for a, bb, c in np.ndindex(k, k, k):
+        wt = kern[:, :, a, bb, c].astype(np.float64)
+        win = xpad[:, a:a + d, bb:bb + h, c:c + w]
+        ref += np.einsum("oi,izyx->ozyx", wt, win)
+        mag += np.einsum("oi,izyx->ozyx", np.abs(wt), np.abs(win))
+    return ref, mag
 
 
 class TestConv3d:
@@ -111,45 +133,49 @@ class TestConv3d:
         out, _ = conv3d_forward(x, k, np.zeros(4))
         assert out.shape == (4, 5, 6, 7)
 
-    def test_even_kernel_rejected(self):
-        with pytest.raises(VolumeError):
+    def test_even_kernel_needs_explicit_pad(self):
+        with pytest.raises(VolumeError, match="explicit pad"):
             conv3d_forward(np.zeros((1, 4, 4, 4)), np.zeros((1, 1, 2, 2, 2)), np.zeros(1))
+        out, _ = conv3d_forward(np.zeros((1, 4, 4, 4)), np.zeros((1, 1, 2, 2, 2)), np.zeros(1), pad=1)
+        assert out.shape == (1, 5, 5, 5)
+
+    @pytest.mark.parametrize("k, pad", [(3, -1), (3, 3), (2, 2)])
+    def test_pad_outside_kernel_rejected(self, k, pad):
+        with pytest.raises(VolumeError, match="pad"):
+            conv3d_forward(np.zeros((1, 4, 4, 4)), np.zeros((1, 1, k, k, k)), np.zeros(1), pad=pad)
+
+    def test_bias_none_is_zero_bias(self):
+        rng = np.random.default_rng(9)
+        x = rng.standard_normal((2, 5, 6, 7))
+        k = rng.standard_normal((3, 2, 3, 3, 3))
+        out, _ = conv3d_forward(x, k)
+        assert out.tobytes() == conv3d_forward(x, k, np.zeros(3))[0].tobytes()
 
     def test_channel_mismatch_rejected(self):
         with pytest.raises(VolumeError):
             conv3d_forward(np.zeros((3, 4, 4, 4)), np.zeros((1, 2, 3, 3, 3)), np.zeros(1))
 
-    @pytest.mark.parametrize("k", [1, 3, 5], ids=["k1", "k3", "k5"])
-    @pytest.mark.parametrize("cin", [2, 3], ids=["cin2", "cin3"])  # k3: cin * 27 folded (<= 64) or not
+    @pytest.mark.parametrize("k, pad", K_PADS, ids=K_PAD_IDS)
+    # all k^3 taps in one operand when k*cin <= cout: (2, 8) for k <= 3, (3, 4) for k = 1
+    @pytest.mark.parametrize("cin, cout", [(2, 8), (3, 4)], ids=["cin2", "cin3"])
     @pytest.mark.parametrize("dims", SLAB_DIMS, ids=SLAB_IDS)
-    def test_matches_direct_sum_over_taps(self, k, cin, dims):
+    def test_matches_direct_sum_over_taps(self, k, pad, cin, cout, dims):
         rng = np.random.default_rng(2)
         x = rng.standard_normal((cin,) + dims)
-        kern = rng.standard_normal((3, cin, k, k, k))
-        b = rng.standard_normal(3)
-        p = k // 2
-        d, h, w = dims
-        xpad = np.pad(x, ((0, 0), (p, p), (p, p), (p, p)))
-        ref = np.zeros((3,) + dims) + b[:, None, None, None]
-        for a, bb, c in np.ndindex(k, k, k):
-            ref += np.einsum("oi,izyx->ozyx", kern[:, :, a, bb, c], xpad[:, a:a + d, bb:bb + h, c:c + w])
-        out, _ = conv3d_forward(x, kern, b)
+        kern = rng.standard_normal((cout, cin, k, k, k))
+        b = rng.standard_normal(cout)
+        ref, _ = direct_sum(x, kern, b, pad)
+        out, _ = conv3d_forward(x, kern, b, pad)
+        assert out.shape == ref.shape
         np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-12)
 
-    @pytest.mark.parametrize("cin", [2, 3], ids=["folded", "x-fold"])  # cin * 27 vs 64
-    def test_float32_matches_float64_direct_sum(self, cin):
+    @pytest.mark.parametrize("cin, cout", [(2, 8), (3, 4)], ids=["folded", "x-fold"])  # k*cin vs cout
+    def test_float32_matches_float64_direct_sum(self, cin, cout):
         rng = np.random.default_rng(7)
         x = rng.standard_normal((cin, 6, 7, 8)).astype(np.float32)
-        kern = rng.standard_normal((4, cin, 3, 3, 3)).astype(np.float32)
-        b = rng.standard_normal(4).astype(np.float32)
-        xpad = np.pad(x.astype(np.float64), ((0, 0), (1, 1), (1, 1), (1, 1)))
-        ref = np.zeros((4, 6, 7, 8)) + b[:, None, None, None]
-        mag = np.zeros((4, 6, 7, 8)) + np.abs(b)[:, None, None, None]
-        for a, bb, c in np.ndindex(3, 3, 3):
-            w = kern[:, :, a, bb, c].astype(np.float64)
-            win = xpad[:, a:a + 6, bb:bb + 7, c:c + 8]
-            ref += np.einsum("oi,izyx->ozyx", w, win)
-            mag += np.einsum("oi,izyx->ozyx", np.abs(w), np.abs(win))
+        kern = rng.standard_normal((cout, cin, 3, 3, 3)).astype(np.float32)
+        b = rng.standard_normal(cout).astype(np.float32)
+        ref, mag = direct_sum(x, kern, b, 1)
         out, _ = conv3d_forward(x, kern, b)
         assert out.dtype == np.float32
         # float32 summation of cin*27 + 1 terms: error within n*eps of the sum of |terms|
@@ -160,12 +186,12 @@ class TestConv3d:
         x = rng.standard_normal((4, 8, 9, 10)).astype(np.float32)
         k = rng.standard_normal((4, 4, 3, 3, 3)).astype(np.float32)
         _, ctx = conv3d_forward(x, k, np.zeros(4, np.float32))
-        assert ctx[0] is x and ctx[1] is k
+        assert ctx[0] is x and ctx[1] is k and ctx[2] == 1
 
     def test_backward_memory(self):
-        # dec3 at patch 32: dx alone is x.nbytes (8 MiB) and the slab buffers
-        # add 9.2 MiB; the full-volume padded copies and per-tap GEMM
-        # temporaries of the earlier conv path peaked at 23.3 MiB
+        # a 64-channel conv at patch 32: dx alone is x.nbytes (8 MiB) and the
+        # slab buffers add 10.6 MiB; the full-volume padded copies and per-tap
+        # GEMM temporaries of the earlier conv path peaked at 23.3 MiB
         rng = np.random.default_rng(8)
         x = rng.standard_normal((64, 32, 32, 32)).astype(np.float32)
         k = (0.1 * rng.standard_normal((32, 64, 3, 3, 3))).astype(np.float32)
@@ -180,42 +206,125 @@ class TestConv3d:
             tracemalloc.stop()
         assert peak < 2.5 * x.nbytes
 
-    @pytest.mark.parametrize("k", [1, 3, 5], ids=["k1", "k3", "k5"])
+    @pytest.mark.parametrize("k, pad", K_PADS, ids=K_PAD_IDS)
     @pytest.mark.parametrize(
         "cin, cout, dims",
         [(1, 2, (6, 6, 6)), (2, 3, (5, 6, 7)), (2, 3, (11, 6, 7)), (3, 2, (17, 5, 9))],
         ids=["cube", "unequal", "2slabs", "3slabs"],
     )
-    def test_gradients_match_finite_differences(self, k, cin, cout, dims):
+    def test_gradients_match_finite_differences(self, k, pad, cin, cout, dims):
         rng = np.random.default_rng(3)
         x = rng.standard_normal((cin,) + dims)
         kern = rng.standard_normal((cout, cin, k, k, k))
         b = rng.standard_normal(cout)
-        proj = rng.standard_normal((cout,) + dims)
+        proj = rng.standard_normal((cout,) + tuple(n + 2 * pad - k + 1 for n in dims))
 
         def loss():
-            out, _ = conv3d_forward(x, kern, b)
+            out, _ = conv3d_forward(x, kern, b, pad)
             return float((out * proj).sum())
 
-        out, ctx = conv3d_forward(x, kern, b)
+        out, ctx = conv3d_forward(x, kern, b, pad)
         dx, dk, db = conv3d_backward(proj, ctx)
         fd_check(loss, x, dx, rng)
         fd_check(loss, kern, dk, rng)
         fd_check(loss, b, db, rng, n_samples=2)
 
-    @pytest.mark.parametrize("k", [1, 3, 5], ids=["k1", "k3", "k5"])
-    @pytest.mark.parametrize("cin", [2, 3], ids=["cin2", "cin3"])
+    @pytest.mark.parametrize("k, pad", K_PADS, ids=K_PAD_IDS)
+    @pytest.mark.parametrize("cin, cout", [(2, 8), (3, 4)], ids=["cin2", "cin3"])
     @pytest.mark.parametrize("dims", [(6, 6, 6)] + SLAB_DIMS, ids=["cube"] + SLAB_IDS)
-    def test_param_grads_equal_full_backward(self, k, cin, dims):
+    def test_param_grads_equal_full_backward(self, k, pad, cin, cout, dims):
         rng = np.random.default_rng(4)
         x = rng.standard_normal((cin,) + dims).astype(np.float32)
-        kern = rng.standard_normal((3, cin, k, k, k)).astype(np.float32)
-        _, ctx = conv3d_forward(x, kern, np.zeros(3, np.float32))
-        gout = rng.standard_normal((3,) + dims).astype(np.float32)
+        kern = rng.standard_normal((cout, cin, k, k, k)).astype(np.float32)
+        out, ctx = conv3d_forward(x, kern, np.zeros(cout, np.float32), pad)
+        gout = rng.standard_normal(out.shape).astype(np.float32)
         _, dk, db = conv3d_backward(gout, ctx)
         dk2, db2 = conv3d_param_grads(gout, ctx)
         assert dk2.tobytes() == dk.tobytes()
         assert db2.tobytes() == db.tobytes()
+
+
+def upconv_oracle(coarse, skip, kern, b):
+    """The decoder block as it reads: conv of the upsampled coarse grid concatenated with the skip."""
+    return conv3d_forward(np.concatenate([upsample3d_forward(coarse, 2), skip]), kern, b)
+
+
+# coarse dims whose fine grid runs in one slab of 6 z-planes, or in two or three
+UP_DIMS = [(3, 3, 3), (2, 3, 4), (5, 3, 2), (9, 2, 3)]
+UP_IDS = ["cube", "unequal", "2slabs", "3slabs"]
+UP_CHANNELS = [(1, 1, 1), (2, 3, 2), (3, 1, 3), (1, 2, 3)]  # coarse, skip and output channels
+
+
+def upconv_inputs(c, s, cout, k, dims, rng, dtype=np.float64):
+    coarse = rng.standard_normal((c,) + dims).astype(dtype)
+    skip = rng.standard_normal((s,) + tuple(2 * n for n in dims)).astype(dtype)
+    kern = rng.standard_normal((cout, c + s, k, k, k)).astype(dtype)
+    return coarse, skip, kern, rng.standard_normal(cout).astype(dtype)
+
+
+class TestUpconv3d:
+    @pytest.mark.parametrize("k", [1, 3, 5], ids=["k1", "k3", "k5"])
+    @pytest.mark.parametrize("c, s, cout", UP_CHANNELS)
+    @pytest.mark.parametrize("dims", UP_DIMS, ids=UP_IDS)
+    def test_matches_upsample_concat_conv(self, k, c, s, cout, dims):
+        rng = np.random.default_rng(10)
+        args = upconv_inputs(c, s, cout, k, dims, rng)
+        ref, _ = upconv_oracle(*args)
+        out, _ = upconv3d_forward(*args)
+        assert out.shape == ref.shape
+        np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+    # both convs fold all taps into one operand when 2c <= 8*cout and 3s <= cout
+    @pytest.mark.parametrize("c, s, cout", [(9, 3, 2), (3, 2, 24)], ids=["x-fold", "folded"])
+    def test_float32_matches_float64_direct_sum(self, c, s, cout):
+        rng = np.random.default_rng(11)
+        coarse, skip, kern, b = upconv_inputs(c, s, cout, 3, (3, 4, 5), rng, np.float32)
+        x = np.concatenate([upsample3d_forward(coarse, 2), skip])
+        ref, mag = direct_sum(x, kern, b, 1)
+        out, _ = upconv3d_forward(coarse, skip, kern, b)
+        assert out.dtype == np.float32
+        # the parity taps re-associate the same sum: the bound of the conv it replaces holds
+        assert np.all(np.abs(out - ref) <= ((c + s) * 27 + 1) * np.finfo(np.float32).eps * mag)
+
+    @pytest.mark.parametrize("k", [1, 3, 5], ids=["k1", "k3", "k5"])
+    @pytest.mark.parametrize("c, s, cout", UP_CHANNELS)
+    @pytest.mark.parametrize("dims", UP_DIMS, ids=UP_IDS)
+    def test_backward_matches_upsample_concat_conv(self, k, c, s, cout, dims):
+        rng = np.random.default_rng(12)
+        args = upconv_inputs(c, s, cout, k, dims, rng)
+        ref, rctx = upconv_oracle(*args)
+        gout = rng.standard_normal(ref.shape)
+        dcat, dk_ref, db_ref = conv3d_backward(gout, rctx)
+        _, ctx = upconv3d_forward(*args)
+        dcoarse, dskip, dk, db = upconv3d_backward(gout, ctx)
+        for got, want in [(dcoarse, upsample3d_backward(dcat[:c], 2)), (dskip, dcat[c:]), (dk, dk_ref), (db, db_ref)]:
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+    @pytest.mark.parametrize("dims", UP_DIMS, ids=UP_IDS)
+    def test_gradients_match_finite_differences(self, dims):
+        rng = np.random.default_rng(13)
+        coarse, skip, kern, b = upconv_inputs(2, 3, 2, 3, dims, rng)
+        proj = rng.standard_normal((2,) + skip.shape[1:])
+
+        def loss():
+            out, _ = upconv3d_forward(coarse, skip, kern, b)
+            return float((out * proj).sum())
+
+        _, ctx = upconv3d_forward(coarse, skip, kern, b)
+        dcoarse, dskip, dk, db = upconv3d_backward(proj, ctx)
+        fd_check(loss, coarse, dcoarse, rng)
+        fd_check(loss, skip, dskip, rng)
+        fd_check(loss, kern, dk, rng)
+        fd_check(loss, b, db, rng, n_samples=2)
+
+    @pytest.mark.parametrize("skip_shape, kern_cin, k", [((2, 8, 8, 6), 4, 3), ((2, 8, 8, 8), 5, 3),
+                                                         ((2, 8, 8, 8), 4, 2)],
+                             ids=["skip-not-twice-coarse", "kernel-channels", "even-kernel"])
+    def test_incompatible_shapes_rejected(self, skip_shape, kern_cin, k):
+        with pytest.raises(VolumeError):
+            upconv3d_forward(np.zeros((2, 4, 4, 4)), np.zeros(skip_shape), np.zeros((3, kern_cin, k, k, k)),
+                             np.zeros(3))
 
 
 class TestLeakyRelu:

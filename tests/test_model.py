@@ -4,6 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import voxcorr.model
+from voxcorr.layers import conv3d_forward, upsample3d_forward
 from voxcorr.losses import total_loss
 from voxcorr.model import (
     CheckpointError,
@@ -96,6 +98,40 @@ class TestModelForward:
         assert m2 is None and tape is None
         np.testing.assert_array_equal(d1, d2)
         np.testing.assert_array_equal(m1, warp_array(moving, d2))
+
+    @pytest.mark.parametrize("kernel_size", [1, 3, 5])
+    def test_matches_upsample_concat_decoder(self, monkeypatch, kernel_size):
+        cfg = replace(TOY, kernel_size=kernel_size)
+        rng = np.random.default_rng(14)
+        params = init_params(cfg, rng, dtype=np.float64)
+        params["head.w"] = rng.standard_normal(params["head.w"].shape)
+        moving = rng.uniform(0, 1, (16, 16, 16))
+        fixed = rng.uniform(0, 1, (16, 16, 16))
+        disp, _, _ = model_forward(params, cfg, moving, fixed, want_tape=False)
+
+        def upsample_concat_conv(coarse, skip, kernel, bias):
+            return conv3d_forward(np.concatenate([upsample3d_forward(coarse, 2), skip]), kernel, bias)
+
+        monkeypatch.setattr(voxcorr.model, "upconv3d_forward", upsample_concat_conv)
+        ref, _, _ = model_forward(params, cfg, moving, fixed, want_tape=False)
+        np.testing.assert_allclose(disp, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+    def test_tape_holds_no_concatenated_decoder_input(self):
+        # patch 32 at the default widths: dec3's input would be 32 upsampled + 32 skip channels
+        cfg = ModelConfig(patch_size=32)
+        rng = np.random.default_rng(15)
+        params = init_params(cfg, rng)
+        patch = rng.uniform(0, 1, (32, 32, 32)).astype(np.float32)
+        _, _, tape = model_forward(params, cfg, patch, patch)
+        shapes, todo = [], [tape]
+        while todo:
+            obj = todo.pop()
+            if isinstance(obj, np.ndarray):
+                shapes.append(obj.shape)
+            elif isinstance(obj, (dict, list, tuple)):
+                todo.extend(obj.values() if isinstance(obj, dict) else obj)
+        assert (32, 32, 32, 32) in shapes  # the walk reaches the full-resolution activations
+        assert not [s for s in shapes if s[0] == 64 and s[1:] == (32, 32, 32)]
 
 
 class TestFullModelGradients:

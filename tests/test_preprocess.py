@@ -322,7 +322,7 @@ class TestBuildDataset:
 
     def test_split_counts(self, tmp_path):
         raw = self._write_raw_samples(tmp_path, n=3)
-        manifest = build_dataset(raw, tmp_path / "ds")  # grid of the first nominal volume
+        manifest = build_dataset(raw, tmp_path / "ds" / "manifest.json")  # grid of the first nominal volume
         assert manifest.target_dims == (24, 24, 24)
         assert {s.id: s.split for s in manifest.samples} == {"s0": "train", "s1": "val", "s2": "test"}
         for entry in manifest.samples:
@@ -340,12 +340,12 @@ class TestBuildDataset:
     def test_empty_sample_list_rejected(self, tmp_path):
         (tmp_path / "raw").mkdir()
         with pytest.raises(VolumeError):
-            build_dataset(tmp_path / "raw", tmp_path / "ds", (8, 8, 8))
+            build_dataset(tmp_path / "raw", tmp_path / "ds" / "manifest.json", (8, 8, 8))
 
     def test_rebuild_is_byte_identical(self, tmp_path):
         raw = self._write_raw_samples(tmp_path, n=2)
-        build_dataset(raw, tmp_path / "a", (24, 24, 24))
-        build_dataset(raw, tmp_path / "b", (24, 24, 24))
+        build_dataset(raw, tmp_path / "a" / "manifest.json", (24, 24, 24))
+        build_dataset(raw, tmp_path / "b" / "manifest.json", (24, 24, 24))
         for sid in ("s0", "s1"):
             for name in ("cad.vvol", "xct.vvol", "gt_disp.vvol", "preprocess.json"):
                 assert (tmp_path / "a" / sid / name).read_bytes() == (tmp_path / "b" / sid / name).read_bytes()
