@@ -140,18 +140,28 @@ def model_forward(params: dict, cfg: ModelConfig, moving: np.ndarray, fixed: np.
     slope = cfg.leaky_slope
     n_up = len(cfg.enc_features)
     x = np.stack([moving, fixed])
+    # without a tape each block's context and mask die before the next block
+    # runs, and each skip once its decoder block has used it. The taped forward
+    # keeps its temporaries to the end of the loop body: freeing them earlier let
+    # glibc trim the heap and fault it back in, 40% more minor faults per forward
     enc_tape, dec_tape, skips = [], [], []
     for i in range(n_up):
         y, cctx = conv3d_forward(x, params[f"enc{i}.w"], params[f"enc{i}.b"])
         a, neg = leaky_relu_forward(y, slope)
         skips.append(a)
         x, pctx = maxpool3d_forward(a, 2)
-        enc_tape.append((cctx, neg, pctx))
+        if want_tape:
+            enc_tape.append((cctx, neg, pctx))
+        else:
+            del y, cctx, a, neg, pctx
     for j in range(len(cfg.dec_features)):
         w, b = params[f"dec{j}.w"], params[f"dec{j}.b"]
-        y, cctx = upconv3d_forward(x, skips[n_up - 1 - j], w, b) if j < n_up else conv3d_forward(x, w, b)
+        y, cctx = upconv3d_forward(x, skips.pop(), w, b) if j < n_up else conv3d_forward(x, w, b)
         x, neg = leaky_relu_forward(y, slope)
-        dec_tape.append((cctx, neg))
+        if want_tape:
+            dec_tape.append((cctx, neg))
+        else:
+            del y, cctx, neg
     disp, head_ctx = conv3d_forward(x, params["head.w"], params["head.b"])
     if not want_tape:
         return disp, None, None

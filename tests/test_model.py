@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -132,6 +133,23 @@ class TestModelForward:
                 todo.extend(obj.values() if isinstance(obj, dict) else obj)
         assert (32, 32, 32, 32) in shapes  # the walk reaches the full-resolution activations
         assert not [s for s in shapes if s[0] == 64 and s[1:] == (32, 32, 32)]
+
+    def test_inference_forward_keeps_no_tape(self):
+        # without a tape only the blocks in flight and the skips still ahead stay alive
+        cfg = ModelConfig(patch_size=32)
+        rng = np.random.default_rng(16)
+        params = init_params(cfg, rng)
+        patch = rng.uniform(0, 1, (32, 32, 32)).astype(np.float32)
+
+        def peak(want_tape):
+            tracemalloc.start()
+            try:
+                model_forward(params, cfg, patch, patch, want_tape=want_tape)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(False) <= 0.8 * peak(True)
 
 
 class TestFullModelGradients:

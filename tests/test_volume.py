@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.ndimage import gaussian_filter, map_coordinates
 
+from voxcorr import volume
 from voxcorr.volume import (
     DisplacementField,
     ScalarVolume,
@@ -175,6 +176,69 @@ class TestTrilinearGather:
         out = trilinear_gather(vol.reshape(2, 3, 4, 5, 6), *pts)
         assert out.shape == (2, 3, 2, 3, 4)
         np.testing.assert_array_equal(out.reshape(6, 24), trilinear_gather(vol, px, py, pz))
+
+
+class TestBlocks:
+    """Point counts and shapes against a block of 7 points, so every case
+    spans several blocks or ends in a partial one."""
+
+    @staticmethod
+    def check(vol, px, py, pz, with_grad):
+        got = trilinear_gather(vol, px, py, pz, with_grad=with_grad)
+        got = [got[0], *got[1]] if with_grad else [got]
+        for c in range(vol.shape[0]):
+            want = reference_gather(vol[c], px, py, pz, with_grad=with_grad)
+            want = [want[0], *want[1]] if with_grad else [want]
+            for g, w in zip(got, want, strict=True):
+                assert g.dtype == w.dtype and g[c].shape == np.shape(w)
+                assert np.array_equal(g[c], w)
+
+    @pytest.fixture(autouse=True)
+    def small_block(self, monkeypatch):
+        monkeypatch.setattr(volume, "BLOCK", 7)
+
+    @pytest.mark.parametrize("n", [0, 1, 6, 7, 8, 20, 21, 22])
+    @pytest.mark.parametrize("with_grad", [False, True])
+    def test_point_counts(self, n, with_grad):
+        vol, px, py, pz = gather_case((5, 6, 7), np.float64, np.float32, n=n, seed=n)
+        self.check(vol, px, py, pz, with_grad)
+
+    @pytest.mark.parametrize("with_grad", [False, True])
+    def test_zero_dimensional_points(self, with_grad):
+        vol, px, py, pz = gather_case((5, 6, 7), np.float32, np.float64, n=1, seed=1)
+        self.check(vol, px[0], py[0], pz[0], with_grad)
+        out = trilinear_gather(vol, np.float64(px[0]), np.float64(py[0]), np.float64(pz[0]))
+        assert out.shape == (3,)
+
+    @pytest.mark.parametrize("with_grad", [False, True])
+    def test_broadcast_views(self, with_grad):
+        # the baseline's dense field passes one axis ramp per coordinate, broadcast to the grid
+        vol, _, _, _ = gather_case((4, 5, 6), np.float64, np.float64)
+        shape = (4, 3, 5)
+        gx = np.linspace(-1.0, 6.5, shape[2])[None, None, :]
+        gy = np.linspace(-0.5, 5.2, shape[1])[None, :, None]
+        gz = np.linspace(0.3, 4.1, shape[0])[:, None, None]
+        px, py, pz = (np.broadcast_to(g, shape) for g in (gx, gy, gz))
+        self.check(vol, px, py, pz, with_grad)
+
+    @pytest.mark.parametrize("with_grad", [False, True])
+    def test_multi_axis_points(self, with_grad):
+        vol, px, py, pz = gather_case((4, 5, 6), np.float64, np.float64, n=60, seed=2)
+        self.check(vol, *(p.reshape(3, 4, 5) for p in (px, py, pz)), with_grad)
+        self.check(vol, *(p.reshape(5, 3, 4)[:, ::2].T for p in (px, py, pz)), with_grad)
+
+    def test_invert_field_matches_whole_grid_iteration(self):
+        def whole_grid(u, iterations=8):  # the fixed-point loop over the whole grid at once
+            zz, yy, xx = grid_coords(u.shape[1:])
+            g = -u
+            for _ in range(iterations):
+                g = np.stack([reference_gather(c, xx + g[0], yy + g[1], zz + g[2]) for c in u])
+                np.negative(g, out=g)
+            return g
+
+        u = smooth_field((4, 5, 6), amplitude=2.0, sigma=1.5, seed=17)  # 120 voxels: 17 blocks of 7, then 1
+        got = invert_field(u).data
+        assert got.tobytes() == whole_grid(u.data).tobytes()
 
 
 class TestWarp:
