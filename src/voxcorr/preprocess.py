@@ -59,7 +59,7 @@ def otsu_threshold(vol: ScalarVolume, bins: int = 256) -> tuple[float, BinaryVol
     if hi == lo:
         raise VolumeError("cannot threshold a constant volume")
     edges = np.linspace(lo, hi, bins + 1)
-    idx = np.clip(np.searchsorted(edges, v, side="left") - 1, 0, bins - 1)
+    idx = _bin_indices(v, edges)
     counts = np.bincount(idx, minlength=bins).astype(np.float64)
     sums = np.bincount(idx, weights=v, minlength=bins)
 
@@ -74,6 +74,24 @@ def otsu_threshold(vol: ScalarVolume, bins: int = 256) -> tuple[float, BinaryVol
     best = int(np.argmax(var_b))
     thr = float(edges[best + 1])
     return thr, BinaryVolume(vol.data > thr, vol.voxel_size)
+
+
+def _bin_indices(v: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """clip(searchsorted(edges, v, "left") - 1, 0, bins - 1): bin j holds
+    (edges[j], edges[j + 1]], and bin 0 also holds edges[0].
+
+    Each value's bin is computed by arithmetic and checked against the two
+    edges it must lie between. The values that fail the check, next to an
+    edge or all of them when the edges are only ulps apart, are looked up by
+    searchsorted instead, so the result is exact either way.
+    """
+    bins = edges.size - 1
+    lo, hi = edges[0], edges[-1]
+    idx = np.minimum(((v - lo) / (hi - lo) * bins).astype(np.intp), bins - 1)  # (v - lo) / (hi - lo) stays in [0, 1]
+    miss = (v > edges[idx + 1]) | ((v <= edges[idx]) & (idx > 0))
+    if miss.any():
+        idx[miss] = np.clip(np.searchsorted(edges, v[miss], side="left") - 1, 0, bins - 1)
+    return idx
 
 
 def morph_op(bin_vol: BinaryVolume, op: str, radius: int, connectivity: int = 6) -> BinaryVolume:

@@ -16,9 +16,26 @@ temporaries through memory. Each point's result is computed by the same
 formula as in one pass, so blocking changes no output bit. invert_field runs
 all its fixed-point iterations on one block of voxels before the next: an
 iteration at voxel y reads only that voxel's own estimate and the fixed field.
+
+parallel_map runs independent items on every CPU the process may use. Phantom
+synthesis uses it twice, and both uses are exact, because every item writes
+only its own output: invert_field's blocks may run on any thread in any
+order, since a block reads only its own estimate and the fixed field, and
+synth_displacement smooths its three channels separately. The calling thread
+takes a share of the items itself, so the pool has one thread fewer than
+there are CPUs: each pool thread gets its own glibc malloc arena, and a pool
+of one thread per CPU beside an idle caller raised the peak resident memory
+of phantom synthesis by 7%, against 3-5% with the caller working.
+trilinear_gather itself and the conv layers stay serial. Their train and
+register callers run right after BLAS GEMMs, whose spinning threads still
+hold the other cores then; and two patch threads in register raised its peak
+memory by 27%.
 """
 from __future__ import annotations
 
+import os
+import queue
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +49,49 @@ IVec3 = tuple[int, int, int]
 # against 23.5 ms at 4096 (per-block overhead) and 31.5 ms at 65536 (spills L2),
 # on a 2-core Xeon with 2 MiB of L2 per core.
 BLOCK = 16384
+
+
+# parallel_map's threads: the caller and WORKERS - 1 pool threads, which start on
+# first use; WORKERS is the CPUs this process may run on, and one CPU has no pool
+WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+_POOL = ThreadPoolExecutor(WORKERS - 1, thread_name_prefix="voxcorr") if WORKERS > 1 else None
+
+
+def parallel_map(fn, items) -> list:
+    """[fn(item) for item in items], run on the calling thread and the pool.
+
+    The caller and up to WORKERS - 1 pool threads each take the next untaken
+    item until none is left, so the results come back in item order whichever
+    thread ran each one. If items raised, the first of them in item order is
+    re-raised in the caller once every started item has finished. fn must
+    write nothing that another item reads or writes.
+    """
+    items = list(items)
+    results = [None] * len(items)
+    errors = {}
+    todo = queue.SimpleQueue()
+    for i in range(len(items)):
+        todo.put(i)
+
+    def work() -> None:
+        while True:
+            try:
+                i = todo.get_nowait()
+            except queue.Empty:
+                return
+            try:
+                results[i] = fn(items[i])
+            except Exception as e:  # re-raised in the caller
+                errors[i] = e
+
+    helpers = [_POOL.submit(work) for _ in range(min(WORKERS, len(items)) - 1)] if _POOL else []
+    work()
+    for h in helpers:
+        if not h.cancel():  # one that never started has nothing left to take
+            h.result()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 class VolumeError(ValueError):
@@ -245,7 +305,12 @@ def invert_field(disp: DisplacementField, iterations: int = 8) -> DisplacementFi
 
     The update at voxel y reads only g(y) and the fixed field u, so every
     iteration runs on one block of BLOCK voxels before the next block starts;
-    the result is the same as iterating on the whole grid.
+    the result is the same as iterating on the whole grid. For the same
+    reason the blocks run through parallel_map, on any thread and in any
+    order: a block writes only its own slice of g. The caller works through
+    a share of the blocks, since each extra thread costs a malloc arena of
+    peak memory. The gathers inside a block stay serial (see the module
+    docstring).
     """
     if iterations < 1:
         raise VolumeError("iterations must be >= 1")
@@ -253,7 +318,8 @@ def invert_field(disp: DisplacementField, iterations: int = 8) -> DisplacementFi
     uf = u.reshape(3, -1)
     g = np.empty_like(uf)
     n = uf.shape[1]
-    for s in range(0, n, BLOCK):
+
+    def block(s: int) -> None:
         e = min(s + BLOCK, n)
         z, y, x = np.unravel_index(np.arange(s, e), u.shape[1:])
         gb = -uf[:, s:e]
@@ -261,6 +327,8 @@ def invert_field(disp: DisplacementField, iterations: int = 8) -> DisplacementFi
             gb = trilinear_gather(u, x + gb[0], y + gb[1], z + gb[2])
             np.negative(gb, out=gb)
         g[:, s:e] = gb
+
+    parallel_map(block, range(0, n, BLOCK))
     return DisplacementField(g.reshape(u.shape).astype(disp.data.dtype, copy=False), disp.voxel_size)
 
 

@@ -10,6 +10,7 @@ from voxcorr.preprocess import (
     CleanSpec,
     DatasetManifest,
     SampleEntry,
+    _bin_indices,
     build_dataset,
     clean_xct,
     coarse_align,
@@ -99,6 +100,48 @@ class TestOtsu:
     def test_constant_volume_rejected(self):
         with pytest.raises(VolumeError):
             otsu_threshold(ScalarVolume(np.ones((4, 4, 4))))
+
+
+class TestBinIndices:
+    """The arithmetic bins of otsu_threshold against searchsorted, on values
+    placed where a computed bin could be off."""
+
+    @staticmethod
+    def check(values, bins):
+        v = np.asarray(values, dtype=np.float64)  # otsu_threshold bins float64 values
+        edges = np.linspace(v.min(), v.max(), bins + 1)
+        want = np.clip(np.searchsorted(edges, v, side="left") - 1, 0, bins - 1)
+        assert np.array_equal(_bin_indices(v, edges), want)
+
+    @staticmethod
+    def around(points, dtype=np.float64):
+        """Every point and its nearest neighbours in dtype on both sides."""
+        p = np.asarray(points, dtype=dtype)
+        return np.concatenate([np.nextafter(p, -np.inf), p, np.nextafter(p, np.inf)])
+
+    @pytest.mark.parametrize("bins", [2, 3, 256])
+    @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-3.7, 12.9), (0.1, 0.7), (1e-3, 1e5)])
+    def test_on_and_beside_every_edge(self, lo, hi, bins):
+        edges = np.linspace(lo, hi, bins + 1)
+        inner = self.around(edges)
+        rng = np.random.default_rng(bins)
+        self.check(np.concatenate([[lo, hi], inner[(inner >= lo) & (inner <= hi)], rng.uniform(lo, hi, 500)]), bins)
+
+    @pytest.mark.parametrize("bins", [2, 3, 256])
+    def test_float32_values(self, bins):
+        rng = np.random.default_rng(7)
+        lo, hi = np.float32(0.05), np.float32(0.93)
+        edges32 = np.linspace(lo, hi, bins + 1).astype(np.float32)  # edges rounded to float32 values
+        v = np.concatenate([[lo, hi], self.around(edges32, np.float32), rng.uniform(lo, hi, 2000).astype(np.float32)])
+        self.check(v[(v >= lo) & (v <= hi)], bins)
+
+    @pytest.mark.parametrize("bins", [2, 3, 256])
+    @pytest.mark.parametrize("base, ulps", [(1.0, 4), (1.0, 1), (-2.5, 7), (1e-300, 3)])
+    def test_range_of_a_few_ulps(self, base, ulps, bins):
+        v = [base]
+        for _ in range(ulps):
+            v.append(np.nextafter(v[-1], np.inf))
+        self.check(np.array(v * 3), bins)
 
 
 class TestMorphology:

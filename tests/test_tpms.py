@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.ndimage import binary_erosion, generate_binary_structure
+from scipy.ndimage import binary_erosion, gaussian_filter, generate_binary_structure
 
 from voxcorr.tpms import (
     DeformSpec,
@@ -200,6 +200,23 @@ class TestSynthDisplacement:
         a = synth_displacement((16, 16, 16), spec)
         b = synth_displacement((16, 16, 16), spec)
         np.testing.assert_array_equal(a.data, b.data)
+
+    @pytest.mark.parametrize("dims, spec", [
+        ((13, 17, 20), DeformSpec(0.97, 2.0, 4.0, seed=3)),
+        ((24, 20, 16), DeformSpec(0.98, 3.0, 12.0, seed=1)),  # sigma wider than the grid: reflected tails
+    ])
+    def test_same_bytes_as_one_4d_filter(self, dims, spec):
+        nx, ny, nz = dims
+        s = np.random.default_rng(spec.seed).standard_normal((3, nz, ny, nx))
+        sig = spec.warp_smoothness
+        s = gaussian_filter(s, sigma=(0, sig, sig, sig))
+        s -= s.mean(axis=(1, 2, 3), keepdims=True)
+        s *= spec.warp_amplitude / np.abs(s).max()
+        a = spec.shrink_factor - 1.0
+        s[0] += a * (np.arange(nx, dtype=np.float64) - (nx - 1) / 2.0)[None, None, :]
+        s[1] += a * (np.arange(ny, dtype=np.float64) - (ny - 1) / 2.0)[None, :, None]
+        s[2] += a * (np.arange(nz, dtype=np.float64) - (nz - 1) / 2.0)[:, None, None]
+        assert synth_displacement(dims, spec).data.tobytes() == s.astype(np.float32).tobytes()
 
     def test_smooth_part_near_zero_mean(self):
         u = synth_displacement((48, 48, 48), DeformSpec(1.0, 3.0, 8.0, seed=2))

@@ -1,3 +1,8 @@
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from scipy.ndimage import gaussian_filter, map_coordinates
@@ -12,6 +17,7 @@ from voxcorr.volume import (
     grid_coords,
     invert_field,
     minmax_normalize,
+    parallel_map,
     trilinear_gather,
     warp,
     warp_array,
@@ -316,6 +322,66 @@ class TestInvertField:
         interior = (slice(4, -4),) * 3
         err = np.abs(back.data[interior] - vol.data[interior]).max()
         assert err <= 0.05
+
+
+class TestParallelMap:
+    @pytest.fixture(params=["pool", "one_cpu"])
+    def one_cpu(self, request, monkeypatch):
+        """Runs a test as is and again as on a one-CPU machine, which has no pool."""
+        if request.param == "one_cpu":
+            monkeypatch.setattr(volume, "WORKERS", 1)
+            monkeypatch.setattr(volume, "_POOL", None)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 50])
+    def test_item_order(self, one_cpu, n):
+        def square(i):
+            time.sleep(0.001 * (i % 3))  # later items may finish first
+            return i * i
+
+        assert parallel_map(square, range(n)) == [i * i for i in range(n)]
+
+    def test_first_error_in_item_order(self, one_cpu):
+        def fail(i):
+            raise ValueError(f"item {i}")
+
+        with pytest.raises(ValueError, match="item 0"):
+            parallel_map(fail, range(5))
+
+    @pytest.mark.skipif(volume.WORKERS < 2, reason="one CPU has no pool")
+    def test_pool_thread_error_reaches_caller(self):
+        caller = threading.current_thread()
+        pool_took_one = threading.Event()
+
+        def item(i):
+            if threading.current_thread() is caller:  # hold this item until a pool thread takes the other
+                assert pool_took_one.wait(timeout=60)
+                return i
+            pool_took_one.set()
+            raise ValueError(f"item {i} on {threading.current_thread().name}")
+
+        with pytest.raises(ValueError, match="on voxcorr"):
+            parallel_map(item, range(2))
+
+    def test_every_item_once_under_contention(self, monkeypatch):
+        # more threads than cores, switching as often as the interpreter allows
+        pool = ThreadPoolExecutor(7)
+        monkeypatch.setattr(volume, "WORKERS", 8)
+        monkeypatch.setattr(volume, "_POOL", pool)
+        ran = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                ran.clear()
+                assert parallel_map(lambda i: ran.append(i) or -i, range(100)) == [-i for i in range(100)]
+                assert sorted(ran) == list(range(100))
+        finally:
+            sys.setswitchinterval(interval)
+            pool.shutdown()
+
+    def test_nested_maps_finish(self, one_cpu):
+        got = parallel_map(lambda i: parallel_map(lambda j: 10 * i + j, range(3)), range(3))
+        assert got == [[0, 1, 2], [10, 11, 12], [20, 21, 22]]
 
 
 class TestDownsample2:
