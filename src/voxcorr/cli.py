@@ -92,8 +92,9 @@ _PICK = ("register", "baseline", "evaluate")
 
 FLAGS = (
     Flag("--workspace", _ALL, ("workspace",), str, "workspace directory"),
-    Flag("--seed", _ALL, ("seed", "train.seed"), int,
-         "seed of generate (phantoms) and train (weights, patches); the other commands ignore it"),
+    Flag("--seed", ("generate", "train", "register"), ("seed", "train.seed"), int,
+         "seed of generate (phantoms) and train (weights, patches); register accepts it for the "
+         "benchmark's command line and ignores it"),
     Flag("--c-values", ("generate",), ("c_values",), float_list,
          "comma-separated level-set offsets (default: 0..-0.6 sweep)"),
     Flag("--voxel-um", ("generate",), ("tpms.voxel_size",), float, "voxel pitch in micrometers"),

@@ -394,6 +394,12 @@ class TestCliSurface:
                 main(argv)
             assert e.value.code == 2
 
+    @pytest.mark.parametrize("cmd", ["preprocess", "baseline", "evaluate", "info"])
+    def test_seed_rejected_where_nothing_reads_it(self, cmd):
+        with pytest.raises(SystemExit) as e:
+            main([cmd, "--seed", "1"])
+        assert e.value.code == 2
+
     def test_info_prints_config(self, workspace, capsys):
         rc = main(["info", "--workspace", str(workspace)])
         assert rc == 0
