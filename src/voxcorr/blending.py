@@ -1,10 +1,10 @@
 """Patch tiling and Gaussian-weighted recombination of patch outputs.
 
-Patch grids cover the whole volume: origins step by the stride along each axis
-and a clamped final origin at dims - patch_size is appended whenever the
-regular stepping stops short, so inference never needs padding. Overlapping
-[c, p, p, p] patches blend with a Gaussian window of sigma p / 4 (every weight
-above exp(-6)).
+Patch grids cover the whole volume: origins step by the stride (at most the
+patch size) along each axis and a clamped final origin at dims - patch_size is
+appended whenever the regular stepping stops short, so inference never needs
+padding. Overlapping [c, p, p, p] patches blend with a Gaussian window of
+sigma p / 4 (every weight above exp(-6)).
 """
 from __future__ import annotations
 
@@ -37,6 +37,8 @@ def make_patch_grid(dims: IVec3, patch_size: int, stride: int) -> PatchGrid:
         raise VolumeError(f"patch size must be >= 1, got {p}")
     if s < 1:
         raise VolumeError(f"stride must be >= 1, got {s}")
+    if s > p:
+        raise VolumeError(f"stride {s} exceeds patch size {p}: the grid would leave gaps")
     if p > min(nx, ny, nz):
         raise VolumeError(f"patch size {p} exceeds dims {dims}")
     ax = _axis_origins(nx, p, s)

@@ -49,6 +49,8 @@ class RunConfig(Jsonable):
         for c in self.c_values:
             if not (-1.0 <= c <= 1.0):
                 raise VolumeError(f"c value {c} outside [-1, 1]")
+        if self.target_dims is not None and min(self.target_dims) < 1:
+            raise VolumeError(f"target_dims must be positive, got {self.target_dims}")
 
     def manifest_path(self) -> Path:
         return Path(self.manifest) if self.manifest else Path(self.workspace) / "dataset" / "manifest.json"

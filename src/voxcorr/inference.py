@@ -6,19 +6,17 @@ into a border-free full-volume field, with no padding. The moved volume is the
 scan warped by that field, as for the baseline, so a report's Dice and BDM
 describe the same field as its endpoint error.
 
-Every patch's forward draws its buffers from one layers.Workspace made for
-the call: one arena, the size of one forward's peak of live bytes, laid out
-from the first patch's forward or, at once, from an earlier call's. No patch
-allocates its activations and temporaries again, so the loop's speed does
-not depend on how the allocator returns freed memory to the system. The
-workspace is dropped before the blend and the warp.
+Each patch's forward allocates its buffers anew and frees them before the
+next patch. The malloc policy that cli.main sets (cli.apply_malloc_policy)
+keeps the freed memory in the process's heap, so later patches reuse it
+without faulting pages back in. The outputs do not depend on the policy;
+only the time does.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .blending import BlendAccumulator, make_patch_grid
-from .layers import Workspace
 from .model import ModelConfig, model_forward
 from .volume import DisplacementField, ScalarVolume, VolumeError, warp
 
@@ -42,11 +40,9 @@ def sliding_register(
     acc = BlendAccumulator(moving.dims, 3, p)
     mdata = moving.data.astype(np.float32, copy=False)
     fdata = fixed.data.astype(np.float32, copy=False)
-    ws = Workspace()
     for x, y, z in grid.origins:
         sl = (slice(z, z + p), slice(y, y + p), slice(x, x + p))
-        disp, _, _ = model_forward(params, cfg, mdata[sl], fdata[sl], want_tape=False, ws=ws)
+        disp, _, _ = model_forward(params, cfg, mdata[sl], fdata[sl], want_tape=False)
         acc.add(disp, (x, y, z))
-    del ws  # the arena is one forward's peak: the blend and the warp run without it
     disp = DisplacementField(acc.finalize().astype(np.float32), moving.voxel_size)
     return warp(moving, disp), disp

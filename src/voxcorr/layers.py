@@ -39,148 +39,19 @@ winner again in the backward pass. Every backward returns exact analytic
 gradients. All ops preserve the input dtype, so gradient checks can run the
 whole stack in float64.
 
-The forward ops take an optional Workspace (ws), the inference forward's
-source of buffers: a conv's slab operand stack (handed out zeroed, since its
-margins must be zero), weight layouts, accumulator, GEMM result and output,
-the parity conv's 8*cout output, the pooling stages and the LeakyReLU
-temporary (leaky_relu_inplace). Each op gives its temporaries back before it
-returns, and its caller gives back the output once it dies. The workspace
-lays one pass's buffers out in one arena and serves every later pass with the
-same requests from it, so the sliding window's patches allocate nothing.
-Without a workspace (FRESH) every buffer is new and dies with its last
-reference, as the training forward and every backward need.
+Every op allocates its outputs and temporaries as new numpy arrays, which
+die with their last reference. The sliding window repeats the same
+allocations patch after patch; cli.main fixes glibc's malloc thresholds so
+that freed memory stays in the heap for the next patch (see
+cli.apply_malloc_policy).
 """
 from __future__ import annotations
 
 import functools
-import math
-from typing import NamedTuple
 
 import numpy as np
 
 from .volume import VolumeError
-
-
-class _Layout(NamedTuple):
-    log: list      # a pass's events: (True, nbytes) per request, (False, request) per give
-    offsets: list  # per request, its offset in the arena
-    nbytes: int    # the arena's size
-
-
-def _lay_out(log: list, align: int) -> _Layout:
-    """Place the buffers of a logged pass in one arena, largest first, each at
-    the lowest offset clear of every placed buffer alive at the same time
-    (greedy by size; it meets the pass's peak of live bytes on the U-Net)."""
-    born, spans = [], []
-    for t, (take, v) in enumerate(log):
-        if take:
-            born.append((t, -(-v // align) * align))
-        else:
-            spans.append((born[v][1], born[v][0], t, v))
-    offsets, placed, top = [0] * len(born), [], 0
-    for size, t0, t1, i in sorted(spans, key=lambda sp: -sp[0]):
-        off = 0
-        for lo, hi in sorted((o, o + n) for o, n, a, b in placed if a < t1 and t0 < b):
-            if off + size <= lo:
-                break
-            off = max(off, hi)
-        placed.append((off, size, t0, t1))
-        offsets[i] = off
-        top = max(top, off + size)
-    return _Layout(log, offsets, top)
-
-
-# the layout of the last pass laid out, by its first event, for every
-# workspace: a new workspace whose first pass opens with the same request
-# makes its arena from it at once, so not even its first pass allocates
-# buffers (the sliding window makes one workspace per call)
-_LAYOUTS: dict = {}
-_NO_LAYOUT = _Layout([], [], 0)
-
-
-class Workspace:
-    """One arena for the buffers of a caller's forward passes.
-
-    empty() and zeros() hand out buffers and give() takes them back; the
-    giver must not use a buffer again. A pass runs from a request with no
-    buffer out to the give() that returns the last one, and the workspace
-    logs its requests and gives. A pass that repeats the log of the pass its
-    arena was laid out from gets views of the arena and allocates nothing:
-    the sliding window's patches fault no memory in. Any other pass gets new
-    buffers from its first departure on, and at its end its own log is laid
-    out (_lay_out) for a new arena about the size of the pass's peak of live
-    bytes, made at the next pass's first request. Correct use never depends
-    on the layout matching: every event is checked against it. Not
-    thread-safe: one workspace per thread.
-    """
-
-    ALIGN = 64  # bytes; every buffer starts on a cache line
-
-    def __init__(self):
-        self._layout: _Layout | None = None
-        self._arena: np.ndarray | None = None  # made at the first request after a lay-out
-        self._log: list = []   # this pass's events
-        self._n = 0            # this pass's requests
-        self._replay = True    # this pass has repeated the layout's log so far
-        self._out: dict = {}   # id of each buffer out -> (request, buffer)
-
-    def empty(self, shape, dtype) -> np.ndarray:
-        return self._take(shape, dtype, np.empty)
-
-    def zeros(self, shape, dtype) -> np.ndarray:
-        return self._take(shape, dtype, np.zeros)
-
-    def give(self, *arrays: np.ndarray) -> None:
-        for a in arrays:
-            i, _ = self._out.pop(id(a))
-            self._follows((False, i))
-        if not self._out:  # the pass is over
-            if not (self._replay and len(self._log) == len(self._layout.log)):
-                # the arena waits for the next pass, when this pass's own buffers are gone
-                self._layout = _LAYOUTS[self._log[0]] = _lay_out(self._log, self.ALIGN)
-                self._arena = None
-            self._log, self._n, self._replay = [], 0, True
-
-    def _take(self, shape, dtype, new) -> np.ndarray:
-        dtype = np.dtype(dtype)
-        event = (True, math.prod(shape) * dtype.itemsize)
-        if self._layout is None:
-            self._layout = _LAYOUTS.get(event, _NO_LAYOUT)
-        if self._arena is None:
-            raw = np.empty(self._layout.nbytes + self.ALIGN, np.uint8)
-            skip = -raw.ctypes.data % self.ALIGN
-            self._arena = raw[skip:skip + self._layout.nbytes]
-        i, self._n = self._n, self._n + 1
-        if self._follows(event):
-            off = self._layout.offsets[i]
-            buf = self._arena[off:off + event[1]].view(dtype).reshape(shape)
-            if new is np.zeros:
-                buf.fill(0)
-        else:
-            buf = new(shape, dtype)
-        self._out[id(buf)] = (i, buf)
-        return buf
-
-    def _follows(self, event) -> bool:
-        """Log event; True while this pass repeats the layout's log."""
-        t = len(self._log)
-        self._log.append(event)
-        self._replay = self._replay and t < len(self._layout.log) and self._layout.log[t] == event
-        return self._replay
-
-
-class _Fresh:
-    """No workspace: every buffer is new, and give() drops it."""
-
-    empty = staticmethod(np.empty)
-    zeros = staticmethod(np.zeros)
-
-    @staticmethod
-    def give(*arrays: np.ndarray) -> None:
-        pass
-
-
-FRESH = _Fresh()
 
 # output z-planes per slab: 4 and 5 were slower, and 8 was 2% faster but took
 # 17% more memory in the backward pass of a 64-channel conv
@@ -200,7 +71,7 @@ def _tap_groups(cin: int, cout: int, k: int) -> tuple[int, int]:
     return (k ** 3, 1) if k * cin <= cout else (k, k)
 
 
-def _slab_operands(x: np.ndarray, k: int, pad: int, group: int, nb: int, dtype, ws):
+def _slab_operands(x: np.ndarray, k: int, pad: int, group: int, nb: int, dtype):
     """Per slab of SLAB output z-planes yield (z0, s, n, operands).
 
     The input is zero-padded by pad on each side, to hp x wp planes. Output
@@ -213,8 +84,7 @@ def _slab_operands(x: np.ndarray, k: int, pad: int, group: int, nb: int, dtype, 
     its first: operands[m] is the [group*cin, n + (nb - 1)*wp] view at the
     first group of GEMM m, and columns j*wp .. j*wp + n of it are group j's
     operand. The n columns also cover the margin (y or x past the output
-    size), cropped later. The stack comes zeroed from ws and goes back to it
-    once the last slab is done.
+    size), cropped later.
     """
     cin, d, h, w = x.shape
     hp, wp = h + 2 * pad, w + 2 * pad
@@ -224,7 +94,7 @@ def _slab_operands(x: np.ndarray, k: int, pad: int, group: int, nb: int, dtype, 
     base = shifts[-1]
     sp = min(SLAB, od) + k - 1
     span = sp * hp * wp
-    stack = ws.zeros((group, cin, base + span), dtype)
+    stack = np.zeros((group, cin, base + span), dtype=dtype)
     # the margins are never written, so they stay zero from slab to slab
     blocks = [stack[g, :, base - sh:base - sh + span].reshape(cin, sp, hp, wp)[:, :, pad:pad + h, pad:pad + w]
               for g, sh in enumerate(shifts)]
@@ -240,19 +110,16 @@ def _slab_operands(x: np.ndarray, k: int, pad: int, group: int, nb: int, dtype, 
         n = (s - 1) * hp * wp + (oh - 1) * wp + ow
         width = n + (nb - 1) * wp
         yield z0, s, n, [rows[:, base + o:base + o + width] for o in offsets[::group * nb]]
-    ws.give(stack)
 
 
-def conv3d_forward(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray | None = None, pad: int | None = None,
-                   ws: Workspace | None = None):
+def conv3d_forward(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray | None = None, pad: int | None = None):
     """Stride-1 cross-correlation of the input zero-padded by pad on each side.
 
     x [cin, D, H, W], kernel [cout, cin, k, k, k], bias [cout] or None for
     no bias (the slabs are then copied out with no add). pad defaults to
     (k - 1) // 2, same padding, for odd k; an even k needs an explicit pad in
     [0, k - 1]. Returns (out [cout, D + 2*pad - k + 1, ...], ctx) with
-    ctx = (x, kernel, pad). The slab buffers and out come from ws (by default
-    fresh ones); the slab buffers go back to it.
+    ctx = (x, kernel, pad).
     """
     cout, cin, k, k2, k3 = kernel.shape
     if k != k2 or k != k3:
@@ -267,7 +134,6 @@ def conv3d_forward(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray | None = 
         raise VolumeError(f"input {x.shape} incompatible with kernel {kernel.shape} at pad {pad}")
     if bias is not None and bias.shape != (cout,):
         raise VolumeError(f"bias shape {bias.shape} != ({cout},)")
-    ws = FRESH if ws is None else ws
     _, d, h, w = x.shape
     hp, wp = h + 2 * pad, w + 2 * pad
     od, oh, ow = d + 2 * pad - k + 1, hp - k + 1, wp - k + 1
@@ -275,12 +141,11 @@ def conv3d_forward(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray | None = 
     group, nb = _tap_groups(cin, cout, k)
     # weight columns (tap, ci) of each group meet the stacked operand rows
     # (tap, ci); the nb groups of one GEMM stack on its rows
-    wgemms = ws.empty((k ** 3 // (group * nb), nb * cout, group * cin), kernel.dtype)
-    wgemms.reshape(-1, cout, group, cin)[...] = kernel.reshape(cout, cin, -1, group).transpose(2, 0, 3, 1)
-    acc = ws.empty((cout, min(SLAB, od) * hp * wp), dtype)
-    res = ws.empty((nb * cout, acc.shape[1] + (nb - 1) * wp), dtype) if nb > 1 else None
-    out = ws.empty((cout, od, oh, ow), dtype if bias is None else np.result_type(dtype, bias))
-    for z0, s, n, operands in _slab_operands(x, k, pad, group, nb, dtype, ws):
+    wgemms = kernel.reshape(cout, cin, -1, group).transpose(2, 0, 3, 1).reshape(-1, nb * cout, group * cin)
+    acc = np.empty((cout, min(SLAB, od) * hp * wp), dtype=dtype)
+    res = np.empty((nb * cout, acc.shape[1] + (nb - 1) * wp), dtype=dtype) if nb > 1 else None
+    out = np.empty((cout, od, oh, ow), dtype=dtype if bias is None else np.result_type(dtype, bias))
+    for z0, s, n, operands in _slab_operands(x, k, pad, group, nb, dtype):
         acc_n = acc[:, :n]
         if nb == 1:  # all taps in one operand: one GEMM gives the slab
             np.matmul(wgemms[0], operands[0], out=acc_n)
@@ -299,9 +164,6 @@ def conv3d_forward(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray | None = 
             out[:, z0:z0 + s] = slab
         else:
             np.add(slab, bias.reshape(cout, 1, 1, 1), out=out[:, z0:z0 + s])
-    ws.give(wgemms, acc)
-    if res is not None:
-        ws.give(res)
     return out, (x, kernel, pad)
 
 
@@ -321,7 +183,7 @@ def conv3d_param_grads(gout: np.ndarray, ctx) -> tuple[np.ndarray, np.ndarray]:
     # dW transposed, [group*cin, nb*cout] per GEMM: OpenBLAS runs this
     # long-inner GEMM 1.1-1.8x faster as operand @ gout.T than as gout @ operand.T
     dwt = np.zeros((k ** 3 // (group * nb), group * cin, nb * cout), dtype=dtype)
-    for z0, s, n, operands in _slab_operands(x, k, pad, group, nb, dtype, FRESH):
+    for z0, s, n, operands in _slab_operands(x, k, pad, group, nb, dtype):
         for gv in gviews:
             gv[:, :s, :oh, :ow] = gout[:, z0:z0 + s]
         for dw, cols in zip(dwt, operands):
@@ -373,24 +235,17 @@ def _parities(fine: np.ndarray, coarse_dims, shift):
         yield r, f6[:, :, rz, :, ry, :, rx], np.s_[:, sz:sz + d, sy:sy + h, sx:sx + w]
 
 
-def _parity_kernels(kernel: np.ndarray, ws) -> np.ndarray:
+def _parity_kernels(kernel: np.ndarray) -> np.ndarray:
     """The parity kernels [8*cout, c, t, t, t] of kernel [cout, c, k, k, k]
-    (_parity_taps), in a buffer from ws."""
+    (_parity_taps)."""
     cout, c, k = kernel.shape[:3]
     m = _parity_taps(k)[0]
     t = k // 2 + 1
-    kc = ws.empty(kernel.shape, kernel.dtype)
-    kc[...] = kernel
-    taps = ws.empty((8 * t ** 3, cout * c), kernel.dtype)
-    np.matmul(m.astype(kernel.dtype), kc.reshape(cout * c, k ** 3).T, out=taps)
-    pk = ws.empty((8 * cout, c, t, t, t), kernel.dtype)
-    pk.reshape(8, cout, c, t ** 3)[...] = taps.reshape(8, t ** 3, cout, c).transpose(0, 2, 3, 1)
-    ws.give(kc, taps)
-    return pk
+    taps = m.astype(kernel.dtype) @ kernel.reshape(cout * c, k ** 3).T
+    return taps.reshape(8, t ** 3, cout, c).transpose(0, 2, 3, 1).reshape(8 * cout, c, t, t, t)
 
 
-def upconv3d_forward(coarse: np.ndarray, skip: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
-                     ws: Workspace | None = None):
+def upconv3d_forward(coarse: np.ndarray, skip: np.ndarray, kernel: np.ndarray, bias: np.ndarray):
     """conv3d_forward(concat(upsample3d_forward(coarse, 2), skip), kernel, bias),
     computed without the upsampled or concatenated tensors.
 
@@ -399,23 +254,20 @@ def upconv3d_forward(coarse: np.ndarray, skip: np.ndarray, kernel: np.ndarray, b
     upsampled half is one conv of coarse with 8*cout output channels, one
     (p+1)^3 kernel per output parity whose taps are sums of the k^3 taps
     (_parity_taps); its outputs are added into the fine grid parity by parity.
-    Both convs take their buffers from ws, and the parity output goes back to
-    it. Returns (out, ctx) with ctx = (coarse conv ctx, skip conv ctx).
+    The skip conv runs first, so its buffers are gone before the parity conv
+    makes its own. Returns (out, ctx) with ctx = (coarse conv ctx, skip conv ctx).
     """
     c, d, h, w = coarse.shape
     cout, k = kernel.shape[0], kernel.shape[2]
     if (skip.ndim != 4 or skip.shape[1:] != (2 * d, 2 * h, 2 * w) or kernel.shape[1] != c + skip.shape[0]
             or k % 2 == 0):
         raise VolumeError(f"coarse {coarse.shape} and skip {skip.shape} incompatible with kernel {kernel.shape}")
-    ws = FRESH if ws is None else ws
     _, cpad, shift = _parity_taps(k)
-    out, sctx = conv3d_forward(skip, kernel[:, c:], bias, ws=ws)
-    pk = _parity_kernels(kernel[:, :c], ws)
-    par, cctx = conv3d_forward(coarse, pk, pad=cpad, ws=ws)
-    par8 = par.reshape(8, cout, *par.shape[1:])
+    out, sctx = conv3d_forward(skip, kernel[:, c:], bias)
+    par, cctx = conv3d_forward(coarse, _parity_kernels(kernel[:, :c]), pad=cpad)
+    par = par.reshape(8, cout, *par.shape[1:])
     for r, view, at in _parities(out, (d, h, w), shift):
-        view += par8[r][at]
-    ws.give(pk, par)
+        view += par[r][at]
     return out, (cctx, sctx)
 
 
@@ -439,30 +291,18 @@ def upconv3d_backward(gout: np.ndarray, ctx):
     return dcoarse, dskip, np.concatenate([dku, dks], axis=1), dbias
 
 
-def leaky_relu_forward(x: np.ndarray, slope: float = 0.2):
-    """y = x for x >= 0 else slope*x, computed as max(x, slope*x), which equals
-    it for slope <= 1; the gradient at 0 is defined as 1. Returns (y, x < 0).
+def leaky_relu_forward(x: np.ndarray, slope: float = 0.2) -> np.ndarray:
+    """LeakyReLU written over x, which it returns: y = x for x >= 0 else
+    slope*x, computed as max(x, slope*x), which equals it for slope <= 1. The
+    backward takes the mask x < 0, so a caller that needs it takes it before
+    this call; the gradient at 0 is defined as 1.
 
     For 0 < slope <= 1, y is bit for bit np.where(x < 0, slope*x, x). At
     slope <= 0 two IEEE corner cases may differ: at a negative slope a zero
     input may come out with either sign, and slope 0 turns +inf into NaN
     (0 * inf).
     """
-    neg = x < 0
-    out = slope * x
-    np.maximum(x, out, out=out)
-    return out, neg
-
-
-def leaky_relu_inplace(x: np.ndarray, slope: float, ws: Workspace | None = None) -> np.ndarray:
-    """leaky_relu_forward(x, slope)[0], bit for bit, written over x and with no
-    mask: the inference forward's activation. The slope*x temporary comes from
-    ws and goes back to it."""
-    ws = FRESH if ws is None else ws
-    t = np.multiply(x, slope, out=ws.empty(x.shape, x.dtype))
-    np.maximum(x, t, out=x)
-    ws.give(t)
-    return x
+    return np.maximum(x, slope * x, out=x)
 
 
 def leaky_relu_backward(gout: np.ndarray, neg: np.ndarray, slope: float = 0.2) -> np.ndarray:
@@ -472,25 +312,16 @@ def leaky_relu_backward(gout: np.ndarray, neg: np.ndarray, slope: float = 0.2) -
     return scale
 
 
-def _block_max(x: np.ndarray, f: int, ws) -> np.ndarray:
-    """Max over each f^3 block: pairwise maxima of strided views, one axis at a
-    time. Each stage is a buffer from ws; the first two go back to it."""
-    src = x
+def _block_max(x: np.ndarray, f: int) -> np.ndarray:
+    """Max over each f^3 block: pairwise maxima of strided views, one axis at a time."""
     for axis in (1, 2, 3):
         lead = (slice(None),) * axis
-        first, *rest = [x[lead + (slice(o, None, f),)] for o in range(f)]
-        m = np.maximum(first, rest[0] if rest else first, out=ws.empty(first.shape, x.dtype))
-        for v in rest[1:]:
-            np.maximum(m, v, out=m)
-        if x is not src:
-            ws.give(x)
-        x = m
+        x = functools.reduce(np.maximum, [x[lead + (slice(o, None, f),)] for o in range(f)])
     return x
 
 
-def maxpool3d_forward(x: np.ndarray, factor: int = 2, ws: Workspace | None = None):
-    """Non-overlapping block max. Returns (out, ctx) with ctx = (x, factor);
-    out and the stages before it come from ws.
+def maxpool3d_forward(x: np.ndarray, factor: int = 2):
+    """Non-overlapping block max. Returns (out, ctx) with ctx = (x, factor).
 
     Values equal the block maxima, except that a block whose maximum is a tie
     of -0.0 and +0.0 may return either sign.
@@ -499,14 +330,14 @@ def maxpool3d_forward(x: np.ndarray, factor: int = 2, ws: Workspace | None = Non
     f = factor
     if d % f or h % f or w % f:
         raise VolumeError(f"spatial dims {x.shape[1:]} not divisible by {f}")
-    return _block_max(x, f, FRESH if ws is None else ws), (x, f)
+    return _block_max(x, f), (x, f)
 
 
 def maxpool3d_backward(gout: np.ndarray, ctx) -> np.ndarray:
     """Each block's gradient goes to its first maximum in (dz, dy, dx) order,
     i.e. the lowest linear index with x fastest; a block holding NaN gets none."""
     x, f = ctx
-    m = _block_max(x, f, FRESH)
+    m = _block_max(x, f)
     g = np.empty(x.shape, dtype=gout.dtype)  # the f^3 strided views below tile it
     free = np.ones(m.shape, dtype=bool)  # blocks whose maximum is not yet taken
     hit = np.empty(m.shape, dtype=bool)

@@ -30,14 +30,11 @@ import numpy as np
 
 from .jsonable import Jsonable
 from .layers import (
-    FRESH,
-    Workspace,
     conv3d_backward,
     conv3d_forward,
     conv3d_param_grads,
     leaky_relu_backward,
     leaky_relu_forward,
-    leaky_relu_inplace,
     maxpool3d_backward,
     maxpool3d_forward,
     upconv3d_backward,
@@ -128,16 +125,17 @@ def _check_params(params: dict, cfg: ModelConfig) -> None:
             )
 
 
-def model_forward(params: dict, cfg: ModelConfig, moving: np.ndarray, fixed: np.ndarray, want_tape: bool = True,
-                  ws: Workspace | None = None):
+def model_forward(params: dict, cfg: ModelConfig, moving: np.ndarray, fixed: np.ndarray, want_tape: bool = True):
     """Run the network on one patch pair.
 
     Returns (disp [3, p, p, p], moved [p, p, p], tape) for training; with
-    want_tape False (inference) it returns (disp, None, None). The inference
-    forward takes every layer's buffers from ws and gives each back where it
-    dies, all but disp, which is a new array. A workspace that served one
-    forward serves the next of the same size without allocating. The taped
-    forward keeps its buffers on the tape and takes no workspace.
+    want_tape False (inference) it returns (disp, None, None). Each
+    activation is written over its conv output; the tape keeps the sign mask
+    of each pre-activation instead. Without a tape each block's input dies
+    once the block has run, and each skip once its decoder block has used it.
+    The sliding window frees and allocates those buffers patch after patch;
+    the CLI's malloc policy (cli.apply_malloc_policy) keeps the freed memory
+    in the heap, so no patch faults it back in.
     """
     if moving.shape != fixed.shape or moving.ndim != 3:
         raise VolumeError(f"patch shapes differ: {moving.shape} vs {fixed.shape}")
@@ -145,48 +143,28 @@ def model_forward(params: dict, cfg: ModelConfig, moving: np.ndarray, fixed: np.
         raise VolumeError(
             f"patch dims {moving.shape} must be divisible by {cfg.pool_factor}"
         )
-    if want_tape and ws is not None:
-        raise VolumeError("the taped forward keeps its buffers; it takes no workspace")
-    ws = FRESH if ws is None else ws
     slope = cfg.leaky_slope
     n_up = len(cfg.enc_features)
-    x = np.stack([moving, fixed], out=ws.empty((2, *moving.shape), np.result_type(moving, fixed)))
-    # without a tape each block's input and skip go back to the workspace (or,
-    # with none, die) once the block has used them, and the activation
-    # overwrites the conv output.
-    # The taped forward's buffers outlive it on the tape, so no workspace can
-    # serve them: they are fresh, and it keeps its temporaries to the end of
-    # the loop body, since freeing the pre-activation earlier let glibc trim
-    # the heap and fault it back in (40% more minor faults per training forward)
+    x = np.stack([moving, fixed])
     enc_tape, dec_tape, skips = [], [], []
     for i in range(n_up):
-        y, cctx = conv3d_forward(x, params[f"enc{i}.w"], params[f"enc{i}.b"], ws=ws)
-        if want_tape:
-            a, neg = leaky_relu_forward(y, slope)
-        else:
-            ws.give(x)
-            del cctx
-            a = leaky_relu_inplace(y, slope, ws)
-        skips.append(a)
-        x, pctx = maxpool3d_forward(a, 2, ws=ws)
+        y, cctx = conv3d_forward(x, params[f"enc{i}.w"], params[f"enc{i}.b"])
+        neg = y < 0 if want_tape else None
+        skips.append(leaky_relu_forward(y, slope))
+        x, pctx = maxpool3d_forward(y, 2)
         if want_tape:
             enc_tape.append((cctx, neg, pctx))
+        del cctx  # without a tape, the block's input dies here
     for j in range(len(cfg.dec_features)):
         w, b = params[f"dec{j}.w"], params[f"dec{j}.b"]
-        inputs = (x, skips.pop()) if j < n_up else (x,)
-        y, cctx = upconv3d_forward(*inputs, w, b, ws=ws) if j < n_up else conv3d_forward(x, w, b, ws=ws)
+        y, cctx = upconv3d_forward(x, skips.pop(), w, b) if j < n_up else conv3d_forward(x, w, b)
         if want_tape:
-            x, neg = leaky_relu_forward(y, slope)
-            dec_tape.append((cctx, neg))
-        else:
-            ws.give(*inputs)
-            del cctx, inputs
-            x = leaky_relu_inplace(y, slope, ws)
-    disp, head_ctx = conv3d_forward(x, params["head.w"], params["head.b"], ws=ws)
+            dec_tape.append((cctx, y < 0))
+        del x, cctx  # without a tape, the block's inputs die here
+        x = leaky_relu_forward(y, slope)
+    disp, head_ctx = conv3d_forward(x, params["head.w"], params["head.b"])
     if not want_tape:
-        field = disp.copy()  # the caller's; disp goes back to the workspace
-        ws.give(x, disp)
-        return field, None, None
+        return disp, None, None
     moved, warp_grads = warp_array(moving, disp, with_grad=True)
     tape = {
         "enc": enc_tape,

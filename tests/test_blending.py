@@ -38,6 +38,11 @@ class TestPatchGrid:
         with pytest.raises(VolumeError):
             make_patch_grid((16, 16, 16), 32, 8)
 
+    def test_stride_above_patch_rejected(self):
+        # x origins [0, 48, 96] would leave 32..47 and 80..95 uncovered
+        with pytest.raises(VolumeError, match="stride 48 exceeds patch size 32"):
+            make_patch_grid((128, 128, 128), 32, 48)
+
     @pytest.mark.parametrize("patch_size", [0, -1])
     def test_nonpositive_patch_rejected(self, patch_size):
         with pytest.raises(VolumeError, match=f"patch size must be >= 1, got {patch_size}"):

@@ -1,6 +1,8 @@
 import hashlib
 import json
+import os
 import shutil
+import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -171,7 +173,7 @@ class TestRegister:
         assert moved.data.dtype == ref.data.dtype
         assert moved.data.tobytes() == ref.data.tobytes()
 
-    @pytest.mark.parametrize("flag, value", [("--stride", "0")])
+    @pytest.mark.parametrize("flag, value", [("--stride", "0"), ("--stride", "17")])
     def test_bad_blend_value_exits_nonzero(self, workspace, capsys, flag, value):
         rc = main(["register", "--workspace", str(workspace), flag, value])
         assert rc != 0
@@ -460,6 +462,7 @@ class TestCliSurface:
             (["train", "--ncc-window", "4"], "ncc_window"),
             (["train", "--patch-size", "24"], "patch_size"),
             (["generate", "--c-values", "0,2"], "c value"),
+            (["preprocess", "--target-dims", "0,32,32"], "target_dims"),
         ],
     )
     def test_rejected_value_exits_2_with_one_error_line(self, tmp_path, monkeypatch, capsys, argv, needle):
@@ -467,6 +470,49 @@ class TestCliSurface:
         assert main(argv) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and needle in err[0]
+        assert not any(tmp_path.iterdir())  # rejected before anything is written
+
+
+# applies main's malloc policy, then registers one 32^3 pair with patch 16 (27
+# patches) four times; prints the minor faults of each call, or null where
+# libc has no mallopt
+MALLOC_SCRIPT = """
+import json, sys
+import numpy as np
+from voxcorr.cli import apply_malloc_policy
+from voxcorr.inference import sliding_register
+from voxcorr.model import ModelConfig, init_params
+from voxcorr.volume import ScalarVolume
+
+if not apply_malloc_policy():
+    print("null")
+    sys.exit()
+import resource
+
+rng = np.random.default_rng(0)
+cfg = ModelConfig(patch_size=16)
+params = init_params(cfg, rng)
+moving, fixed = (ScalarVolume(rng.uniform(0, 1, (32, 32, 32)).astype(np.float32)) for _ in range(2))
+faults = []
+for _ in range(4):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    sliding_register(params, cfg, moving, fixed)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(json.dumps(faults))
+"""
+
+
+def test_malloc_policy_keeps_the_patch_loop_fault_free():
+    # without the policy glibc hands the freed patch buffers back to the
+    # system and every call after the first faults about 36k pages back in
+    path = os.pathsep.join(filter(None, [str(Path(voxcorr.cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]))
+    p = subprocess.run([sys.executable, "-c", MALLOC_SCRIPT], capture_output=True, text=True, timeout=120,
+                       env={**os.environ, "PYTHONPATH": path})
+    assert p.returncode == 0, p.stderr
+    faults = json.loads(p.stdout)
+    if faults is None:
+        pytest.skip("libc has no mallopt")
+    assert all(f < 1000 for f in faults[1:]), faults
 
 
 # one valid value per flag, different from the RunConfig() default it overrides

@@ -1,6 +1,4 @@
 import math
-import sys
-import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -8,7 +6,7 @@ import numpy as np
 import pytest
 
 import voxcorr.model
-from voxcorr.layers import Workspace, conv3d_forward, upsample3d_forward
+from voxcorr.layers import conv3d_forward, upsample3d_forward
 from voxcorr.losses import total_loss
 from voxcorr.model import (
     CheckpointError,
@@ -112,7 +110,7 @@ class TestModelForward:
         fixed = rng.uniform(0, 1, (16, 16, 16))
         disp, _, _ = model_forward(params, cfg, moving, fixed, want_tape=False)
 
-        def upsample_concat_conv(coarse, skip, kernel, bias, ws=None):
+        def upsample_concat_conv(coarse, skip, kernel, bias):
             return conv3d_forward(np.concatenate([upsample3d_forward(coarse, 2), skip]), kernel, bias)
 
         monkeypatch.setattr(voxcorr.model, "upconv3d_forward", upsample_concat_conv)
@@ -146,105 +144,12 @@ class TestModelForward:
         def peak(want_tape):
             tracemalloc.start()
             try:
-                # a workspace made under the trace: its arena counts too
-                model_forward(params, cfg, patch, patch, want_tape=want_tape, ws=None if want_tape else Workspace())
+                model_forward(params, cfg, patch, patch, want_tape=want_tape)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
         assert peak(False) <= 0.8 * peak(True)
-
-
-PATCH32 = ModelConfig(patch_size=32)
-
-
-def patch32_inputs(seed):
-    rng = np.random.default_rng(seed)
-    params = init_params(PATCH32, rng)
-    params["head.w"] = rng.normal(0.0, 1.0, params["head.w"].shape).astype(np.float32)
-    return params, [rng.uniform(0, 1, (32, 32, 32)).astype(np.float32) for _ in range(4)]
-
-
-class TestInferenceWorkspace:
-    def test_forward_on_a_filled_workspace_allocates_only_its_field(self):
-        params, (a, b, c, d) = patch32_inputs(17)
-        ws = Workspace()
-        # the first pass is laid out (unless an earlier workspace's layout
-        # served it), and the arena is made at the next pass's first request
-        for _ in range(2):
-            model_forward(params, PATCH32, a, b, want_tape=False, ws=ws)
-        tracemalloc.start()
-        try:
-            disp, _, _ = model_forward(params, PATCH32, c, d, want_tape=False, ws=ws)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # the field and a few KiB of Python objects (views, the pass's log)
-        assert disp.nbytes <= peak <= disp.nbytes + 16 * 1024
-
-    def test_workspace_is_no_larger_than_the_forward_peak(self):
-        params, (a, b, _, _) = patch32_inputs(18)
-        tracemalloc.start()
-        try:
-            model_forward(params, PATCH32, a, b, want_tape=False)
-            fresh_peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        ws = Workspace()
-        for _ in range(2):
-            model_forward(params, PATCH32, a, b, want_tape=False, ws=ws)
-        # the arena rounds each buffer up to a cache line
-        assert 0.5 * fresh_peak < ws._arena.nbytes <= fresh_peak + Workspace.ALIGN * len(ws._layout.offsets)
-
-    def test_returned_fields_stay_the_callers(self):
-        params, (a, b, c, d) = patch32_inputs(19)
-        ws = Workspace()
-        first, _, _ = model_forward(params, PATCH32, a, b, want_tape=False, ws=ws)
-        kept = first.copy()
-        second, _, _ = model_forward(params, PATCH32, c, d, want_tape=False, ws=ws)
-        assert not np.array_equal(second, kept)  # other data, another field
-        assert first.tobytes() == kept.tobytes()
-        for disp in (first, second):
-            assert not np.shares_memory(disp, ws._arena)
-        assert second.tobytes() == model_forward(params, PATCH32, c, d, want_tape=False)[0].tobytes()
-
-    def test_threads_with_their_own_workspaces_match_serial(self):
-        # two models whose passes open with the same request share one entry
-        # of the module's layout memo: every new workspace may start from the
-        # other model's layout, and must depart from it without harm
-        models = [(TOY, toy_params(seed=20, dtype=np.float32))]
-        wide = replace(TOY, dec_features=(4, 2, 2, 2, 2, 2))
-        models.append((wide, init_params(wide, np.random.default_rng(23), dtype=np.float32)))
-        rng = np.random.default_rng(21)
-        pairs = [rng.uniform(0, 1, (2, 16, 16, 16)).astype(np.float32) for _ in range(4)]
-        serial = [[model_forward(p, cfg, m, f, want_tape=False)[0].tobytes() for m, f in pairs] for cfg, p in models]
-        results = {}
-
-        def work(t):
-            cfg, params = models[t % 2]
-            out = []
-            for m, f in pairs:
-                ws = Workspace()  # one per call, as the sliding window makes
-                out += [model_forward(params, cfg, m, f, want_tape=False, ws=ws)[0].tobytes() for _ in range(2)]
-            results[t] = out[::2] if out[::2] == out[1::2] else None
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            threads = [threading.Thread(target=work, args=(t,)) for t in range(6)]
-            for th in threads:
-                th.start()
-            for th in threads:
-                th.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(th.is_alive() for th in threads)
-        assert results == {t: serial[t % 2] for t in range(6)}
-
-    def test_taped_forward_takes_no_workspace(self):
-        params, (a, b, _, _) = patch32_inputs(22)
-        with pytest.raises(VolumeError, match="workspace"):
-            model_forward(params, PATCH32, a, b, want_tape=True, ws=Workspace())
 
 
 class TestFullModelGradients:
