@@ -378,6 +378,19 @@ class TestLeakyReluMatchesReference:
         assert got.dtype == want.dtype
         assert np.array_equal(bits(got), bits(want))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("slope", [-0.5, 0.0, 0.2, 1.0])
+    def test_forward_on_a_view_writes_only_the_view(self, slope, dtype):
+        x = special_values(dtype)
+        buf = x.copy()
+        view = buf[1::2]
+        with np.errstate(invalid="ignore"):  # 0 * inf at slope 0
+            got = leaky_relu_forward(view, slope)
+            want = leaky_relu_forward(x[1::2].copy(), slope)
+        assert got is view
+        assert np.array_equal(bits(buf[1::2]), bits(want))
+        assert np.array_equal(bits(buf[::2]), bits(x[::2]))
+
 
 def tied_blocks(dtype, f=2, seed=0):
     """Input whose channel c has, in every block, its first maximum at block
@@ -503,3 +516,72 @@ class TestUpsample:
         rhs = float((x * upsample3d_backward(y, 2)).sum())
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
+
+
+def _conv_case(cin, cout, k, pad, dims, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((cin,) + dims).astype(np.float32)
+    kern = rng.standard_normal((cout, cin, k, k, k)).astype(np.float32)
+    return x, kern, rng.standard_normal(cout).astype(np.float32), pad
+
+
+def _conv_op(*case):
+    return lambda: conv3d_forward(*_conv_case(*case))[:1]
+
+
+def _conv_backward_op(*case):
+    def op():
+        out, ctx = conv3d_forward(*_conv_case(*case))
+        return conv3d_backward(np.random.default_rng(1).standard_normal(out.shape).astype(np.float32), ctx)
+    return op
+
+
+def _upconv_args():
+    return upconv_inputs(3, 2, 4, 3, (3, 4, 3), np.random.default_rng(11), np.float32)
+
+
+def _upconv_backward_op():
+    out, ctx = upconv3d_forward(*_upconv_args())
+    return upconv3d_backward(np.random.default_rng(2).standard_normal(out.shape).astype(np.float32), ctx)
+
+
+def _pool_input():
+    return np.random.default_rng(12).standard_normal((3, 6, 8, 4)).astype(np.float32)
+
+
+def _pool_backward_op():
+    out, ctx = maxpool3d_forward(_pool_input(), 2)
+    return [maxpool3d_backward(np.random.default_rng(3).standard_normal(out.shape).astype(np.float32), ctx)]
+
+
+# each op returns its output arrays; the conv shapes cover both tap groupings
+DIRTY_OPS = {
+    "conv-xfold": _conv_op(3, 4, 3, 1, (11, 9, 10), 7),    # k*cin > cout: x-tap groups, row-stacked GEMMs
+    "conv-alltaps": _conv_op(2, 8, 3, 1, (7, 6, 8), 8),    # k*cin <= cout: one GEMM per slab
+    "conv-even": _conv_op(3, 5, 2, 1, (5, 7, 6), 9),
+    "conv-xfold-backward": _conv_backward_op(3, 4, 3, 1, (11, 9, 10), 7),
+    "conv-alltaps-backward": _conv_backward_op(2, 8, 3, 1, (7, 6, 8), 8),
+    "upconv": lambda: upconv3d_forward(*_upconv_args())[:1],
+    "upconv-backward": _upconv_backward_op,
+    "pool": lambda: maxpool3d_forward(_pool_input(), 2)[:1],
+    "pool-backward": _pool_backward_op,
+}
+
+
+class TestDirtyMemory:
+    # the CLI's malloc policy keeps freed blocks in the heap, so np.empty hands
+    # a patch the bytes an earlier patch left there: no op may read them
+    @pytest.mark.parametrize("op", DIRTY_OPS.values(), ids=DIRTY_OPS.keys())
+    def test_uninitialised_buffers_give_the_bits_of_clean_ones(self, monkeypatch, op):
+        clean = [a.tobytes() for a in op()]
+
+        def dirty(make):
+            def wrapped(*args, **kwargs):
+                a = make(*args, **kwargs)
+                a.fill(np.nan if a.dtype.kind == "f" else 1)
+                return a
+            return wrapped
+
+        monkeypatch.setattr(np, "empty", dirty(np.empty))
+        monkeypatch.setattr(np, "empty_like", dirty(np.empty_like))
+        assert [a.tobytes() for a in op()] == clean

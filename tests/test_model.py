@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -150,6 +152,45 @@ class TestModelForward:
                 tracemalloc.stop()
 
         assert peak(False) <= 0.8 * peak(True)
+
+    def test_returned_fields_stay_the_callers(self):
+        params = toy_params(seed=19, dtype=np.float32)
+        a, b, c, d = np.random.default_rng(19).uniform(0, 1, (4, 16, 16, 16)).astype(np.float32)
+        first, _, _ = model_forward(params, TOY, a, b, want_tape=False)
+        kept = first.copy()
+        second, _, _ = model_forward(params, TOY, c, d, want_tape=False)
+        assert not np.array_equal(second, kept)  # other data, another field
+        assert first.tobytes() == kept.tobytes()
+        assert not np.shares_memory(first, second)
+
+    def test_threads_match_serial(self):
+        # the forward keeps no module state: concurrent calls on two models
+        # give the bits of serial ones
+        models = [(TOY, toy_params(seed=20, dtype=np.float32))]
+        wide = replace(TOY, dec_features=(4, 2, 2, 2, 2, 2))
+        models.append((wide, init_params(wide, np.random.default_rng(23), dtype=np.float32)))
+        rng = np.random.default_rng(21)
+        pairs = [rng.uniform(0, 1, (2, 16, 16, 16)).astype(np.float32) for _ in range(4)]
+        serial = [[model_forward(p, cfg, m, f, want_tape=False)[0].tobytes() for m, f in pairs] for cfg, p in models]
+        results = {}
+
+        def work(t):
+            cfg, params = models[t % 2]
+            out = [model_forward(params, cfg, m, f, want_tape=False)[0].tobytes() for m, f in pairs for _ in range(2)]
+            results[t] = out[::2] if out[::2] == out[1::2] else None
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(6)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert results == {t: serial[t % 2] for t in range(6)}
 
 
 class TestFullModelGradients:
