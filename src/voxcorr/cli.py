@@ -12,7 +12,9 @@ with dataclasses.replace on top of the --config file (overlaid onto RunConfig(),
 see RunConfig.from_json) or of RunConfig(). Rows without a path are arguments
 of the command's handler in COMMANDS.
 
-Workspace layout: raw/<id>/ from generate (the id is c<c value>);
+Workspace layout: raw/<id>/ from generate (the id is c<c value>), whose
+sample.json records the c value (c_param) and seeds that generate passed to
+tpms.synthesize_sample, beside the sweep's specs;
 dataset/<id>/ and a manifest.json of ids, c values and splits only, from
 preprocess (see preprocess), so a moved workspace still works; a configured
 manifest path moves the sample folders beside it;
@@ -42,7 +44,6 @@ import sys
 import time
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
-from functools import reduce
 from pathlib import Path
 from typing import Callable
 
@@ -56,9 +57,9 @@ from .metrics import evaluate_pair
 from .figures import export_bdm_slices, export_displacement_magnitude, export_overlay_slices
 from .model import CheckpointError, checkpoint_load, checkpoint_save
 from .preprocess import DatasetManifest, build_dataset, otsu_threshold, sample_paths
-from .tpms import add_base_plate, add_spheres, degrade_to_xct, gyroid_field, tpms_solid
+from .tpms import synthesize_sample
 from .training import train
-from .volume import BinaryVolume, DisplacementField, ScalarVolume, VolumeError, warp
+from .volume import DisplacementField, ScalarVolume, VolumeError, warp
 from .vvol import VvolError, vvol_read, vvol_write
 
 
@@ -178,34 +179,8 @@ def _log_run(cfg: RunConfig, stage: str, params: dict, duration: float) -> None:
         f.write(json.dumps(line, sort_keys=True) + "\n")
 
 
-def _mask_extras(cfg: RunConfig, voxel_size):
-    if not cfg.plate_voxels and not cfg.marker_spheres:
-        return None
-
-    def extras(mask):
-        bv = BinaryVolume(mask, voxel_size)
-        if cfg.plate_voxels:
-            bv = add_base_plate(bv, cfg.plate_voxels)
-        if cfg.marker_spheres:
-            centers = [tuple(s[:3]) for s in cfg.marker_spheres]
-            radii = [s[3] for s in cfg.marker_spheres]
-            bv = add_spheres(bv, centers, radii)
-        return bv.mask
-
-    return extras
-
-
-# config fields that generate sets per sample, and the flag that drives each
-_PER_SAMPLE = (("tpms.c_param", "--c-values"), ("deform.seed", "--seed"), ("degrade.seed", "--seed"))
-
-
 def cmd_generate(cfg: RunConfig) -> dict:
     """synthesize the lattice sample sweep with ground truth"""
-    default = RunConfig()
-    for path, flag in _PER_SAMPLE:
-        keys = path.split(".")
-        if reduce(getattr, keys, cfg) != reduce(getattr, keys, default):
-            raise CliError(f"{path} is set per sample by generate and cannot come from a config; use {flag}")
     ids: dict[str, float] = {}  # sample id -> c value
     for c in cfg.c_values:
         if (sid := f"c{c:g}") in ids:
@@ -213,32 +188,23 @@ def cmd_generate(cfg: RunConfig) -> dict:
         ids[sid] = c
     raw_dir = Path(cfg.workspace) / "raw"
     raw_dir.mkdir(parents=True, exist_ok=True)
-    seed_base = cfg.seed * 10007
     for i, (sid, c) in enumerate(ids.items()):
-        spec = replace(cfg.tpms, c_param=c)
-        dims = spec.grid_dims()
-        f = gyroid_field(dims, spec.voxel_size, spec.cell_size)
-        vs = (spec.voxel_size,) * 3
-        extras = _mask_extras(cfg, vs)
-        solid = tpms_solid(f, spec)
-        cad_mask = extras(solid.mask.copy()) if extras else solid.mask
-        deform = replace(cfg.deform, seed=seed_base + 2 * i)
-        degrade = replace(cfg.degrade, seed=seed_base + 2 * i + 1)
-        xct, gt = degrade_to_xct(f, spec, deform, degrade, mask_extras=extras)
+        seed = cfg.seed * 10007 + 2 * i  # the degradations draw from seed + 1
+        cad, xct, gt = synthesize_sample(
+            cfg.tpms, c, cfg.deform, cfg.degrade, seed, cfg.plate_voxels, cfg.marker_spheres
+        )
         cad_path, xct_path, gt_path = sample_paths(raw_dir, sid)
         cad_path.parent.mkdir(exist_ok=True)
-        vvol_write(cad_path, ScalarVolume(cad_mask.astype(np.float32), vs))
+        vvol_write(cad_path, ScalarVolume(cad.mask.astype(np.float32), cad.voxel_size))
         vvol_write(xct_path, xct)
         vvol_write(gt_path, gt)
-        specs = {"tpms": spec, "deform": deform, "degrade": degrade,
+        specs = {"tpms": cfg.tpms, "deform": cfg.deform, "degrade": cfg.degrade,
                  "plate_voxels": cfg.plate_voxels, "marker_spheres": cfg.marker_spheres}
-        seeds = {"deform": deform.seed, "degrade": degrade.seed}
+        seeds = {"deform": seed, "degrade": seed + 1}
         sidecar = to_json({"id": sid, "c_param": c, "specs": specs, "seeds": seeds})
         (cad_path.parent / "sample.json").write_text(json.dumps(sidecar, indent=2, sort_keys=True))
-        print(
-            f"{sid}: dims {dims[0]}x{dims[1]}x{dims[2]}, solid {cad_mask.mean():.1%}, "
-            f"max |gt| {np.abs(gt.data).max():.2f} vox"
-        )
+        nx, ny, nz = cad.dims
+        print(f"{sid}: dims {nx}x{ny}x{nz}, solid {cad.mask.mean():.1%}, max |gt| {np.abs(gt.data).max():.2f} vox")
     return {"c_values": list(cfg.c_values), "seed": cfg.seed}
 
 

@@ -46,6 +46,8 @@ class RunConfig(Jsonable):
 
     def __post_init__(self):
         object.__setattr__(self, "c_values", tuple(float(c) for c in self.c_values))
+        if not self.c_values:
+            raise VolumeError("c_values must name at least one c value")
         for c in self.c_values:
             if not (-1.0 <= c <= 1.0):
                 raise VolumeError(f"c value {c} outside [-1, 1]")

@@ -1,12 +1,17 @@
 """Gyroid lattice phantom synthesis with known ground-truth deformation.
 
-The nominal part is a sheet gyroid: solid where |F - C| <= tau for the
-standard gyroid implicit function F. The simulated scan applies material-level
-defects to the implicit field or mask (roughness, closed pores, breakage),
-converts to grayscale (intensity levels, PSF blur, noise), then deforms
-geometrically. The deformation is generated in the scan->nominal direction, so
-warping the synthetic scan by the returned field reproduces the nominal
-grayscale up to interpolation.
+The nominal part is a sheet gyroid: solid where |F - c| <= tau for the
+standard gyroid implicit function F and the level-set offset c. The simulated
+scan applies material-level defects to the implicit field or mask (roughness,
+closed pores, breakage), converts to grayscale (intensity levels, PSF blur,
+noise), then deforms geometrically. The deformation is generated in the
+scan->nominal direction, so warping the synthetic scan by the returned field
+reproduces the nominal grayscale up to interpolation.
+
+synthesize_sample makes one sample. The specs describe the whole sweep; c and
+the seed are per-sample arguments: the deformation draws from `seed` and the
+degradations from `seed + 1`. A base plate and marker spheres form one mask
+that is OR-ed into both the nominal and the scan's solid mask.
 """
 from __future__ import annotations
 
@@ -30,17 +35,14 @@ from .volume import (
 
 @dataclass(frozen=True)
 class TpmsSpec:
-    """Geometry of one gyroid sample; lengths in mm, voxel_size in µm."""
+    """Geometry of the gyroid samples; lengths in mm, voxel_size in µm."""
 
-    c_param: float = 0.0
     cell_size: float = 2.5
     part_extent: float = 5.12
     voxel_size: float = 40.0
     band_halfwidth: float = 0.7
 
     def __post_init__(self):
-        if not (-1.0 <= self.c_param <= 1.0):
-            raise VolumeError(f"c_param must lie in [-1, 1], got {self.c_param}")
         if self.voxel_size <= 0 or self.part_extent <= 0:
             raise VolumeError("voxel_size and part_extent must be positive")
 
@@ -57,7 +59,6 @@ class DeformSpec:
     shrink_factor: float = 0.98
     warp_amplitude: float = 3.0
     warp_smoothness: float = 12.0
-    seed: int = 0
 
     def __post_init__(self):
         if not (0.9 <= self.shrink_factor <= 1.0):
@@ -81,7 +82,6 @@ class DegradeSpec:
     noise_sigma: float = 0.02
     fg_level: float = 0.85
     bg_level: float = 0.1
-    seed: int = 0
 
     def __post_init__(self):
         vals = (
@@ -118,36 +118,15 @@ def gyroid_field(dims: IVec3, voxel_size: float, cell_size: float) -> ScalarVolu
     return ScalarVolume(f.astype(np.float32), (voxel_size,) * 3)
 
 
-def tpms_solid(field: ScalarVolume, spec: TpmsSpec) -> BinaryVolume:
-    """Sheet-gyroid band: solid where |F - C| <= tau."""
+def tpms_solid(field: ScalarVolume, spec: TpmsSpec, c: float) -> BinaryVolume:
+    """Sheet-gyroid band: solid where |F - c| <= tau."""
     tau = spec.band_halfwidth
     if tau <= 0:
         raise VolumeError(f"band_halfwidth must be positive, got {tau}")
-    mask = np.abs(field.data - spec.c_param) <= tau
+    mask = np.abs(field.data - c) <= tau
     if not mask.any():
-        raise VolumeError(f"empty solid: no voxels within |F - {spec.c_param}| <= {tau}")
+        raise VolumeError(f"empty solid: no voxels within |F - {c}| <= {tau}")
     return BinaryVolume(mask, field.voxel_size)
-
-
-def add_base_plate(mask: BinaryVolume, plate_thickness_voxels: int) -> BinaryVolume:
-    t = int(plate_thickness_voxels)
-    nz = mask.mask.shape[0]
-    if t < 0 or t > nz:
-        raise VolumeError(f"plate thickness {t} outside [0, {nz}]")
-    out = mask.mask.copy()
-    out[:t] = True
-    return BinaryVolume(out, mask.voxel_size)
-
-
-def add_spheres(mask: BinaryVolume, centers, radii) -> BinaryVolume:
-    """Set voxels within each radius of each (x, y, z) centre to solid."""
-    out = mask.mask.copy()
-    nz, ny, nx = out.shape
-    for (cx, cy, cz), r in zip(centers, radii):
-        if not (0 <= cx < nx and 0 <= cy < ny and 0 <= cz < nz):
-            raise VolumeError(f"sphere centre ({cx}, {cy}, {cz}) outside dims {mask.dims}")
-        _stamp_sphere(out, (cx, cy, cz), r, True)
-    return BinaryVolume(out, mask.voxel_size)
 
 
 def _stamp_sphere(arr: np.ndarray, center, radius: float, value) -> None:
@@ -166,7 +145,7 @@ def _stamp_sphere(arr: np.ndarray, center, radius: float, value) -> None:
     region[ball] = value
 
 
-def synth_displacement(dims: IVec3, spec: DeformSpec) -> DisplacementField:
+def synth_displacement(dims: IVec3, spec: DeformSpec, seed: int) -> DisplacementField:
     """u(x) = (shrink - 1) * (x - centre) + s(x), with s smoothed seeded noise
     rescaled so max |s| equals warp_amplitude. Deterministic given the seed.
 
@@ -174,7 +153,7 @@ def synth_displacement(dims: IVec3, spec: DeformSpec) -> DisplacementField:
     three through parallel_map. A filter never mixes channels, so the field is
     bit for bit the one 4-D filter with sigma (0, s, s, s) would give."""
     nx, ny, nz = (int(d) for d in dims)
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(seed)
     s = rng.standard_normal((3, nz, ny, nx))
     if spec.warp_amplitude > 0:
         smooth = np.empty_like(s)
@@ -203,19 +182,22 @@ def leveled_grayscale(mask: BinaryVolume, deg: DegradeSpec) -> ScalarVolume:
 def degrade_to_xct(
     cad_field: ScalarVolume,
     spec_tpms: TpmsSpec,
+    c: float,
     spec_def: DeformSpec,
     spec_deg: DegradeSpec,
-    mask_extras=None,
+    seed: int,
+    markers: np.ndarray,
 ) -> tuple[ScalarVolume, DisplacementField]:
     """Simulate a scan of the as-built part from the nominal implicit field.
 
     Defects are applied before the geometric deformation so they ride along
-    with the material. `mask_extras`, if given, is applied to the solid mask
-    right after solidification (base plate, marker spheres) and must match the
-    extras applied to the nominal mask. Returns (scan volume, ground-truth
-    field); warping the scan by the field recovers the nominal grayscale.
+    with the material. `markers` (base plate, marker spheres) is OR-ed into
+    the solid mask right after solidification, as it is into the nominal
+    mask. The degradations draw from `seed + 1`, the deformation from `seed`.
+    Returns (scan volume, ground-truth field); warping the scan by the field
+    recovers the nominal grayscale.
     """
-    rng = np.random.default_rng(spec_deg.seed)
+    rng = np.random.default_rng(seed + 1)
     f = cad_field.data.astype(np.float64)
 
     if spec_deg.roughness_amplitude > 0:
@@ -224,18 +206,16 @@ def degrade_to_xct(
         f = f + r
 
     if spec_deg.pore_close_count > 0:
-        pores = np.abs(f - spec_tpms.c_param) > spec_tpms.band_halfwidth
+        pores = np.abs(f - c) > spec_tpms.band_halfwidth
         pore_idx = np.flatnonzero(pores)
         if pore_idx.size:
             picks = rng.choice(pore_idx, size=min(spec_deg.pore_close_count, pore_idx.size), replace=False)
             for flat in picks:
                 z, y, x = np.unravel_index(flat, f.shape)
-                _stamp_sphere(f, (x, y, z), spec_deg.pore_close_radius, spec_tpms.c_param)
+                _stamp_sphere(f, (x, y, z), spec_deg.pore_close_radius, c)
 
-    solid = tpms_solid(ScalarVolume(f.astype(np.float32), cad_field.voxel_size), spec_tpms)
-    mask = solid.mask.copy()
-    if mask_extras is not None:
-        mask = mask_extras(mask)
+    mask = tpms_solid(ScalarVolume(f.astype(np.float32), cad_field.voxel_size), spec_tpms, c).mask
+    mask |= markers
 
     if spec_deg.breakage_count > 0:
         interior = binary_erosion(mask, structure=CROSS6, border_value=1)
@@ -250,9 +230,41 @@ def degrade_to_xct(
     if spec_deg.noise_sigma > 0:
         gray = gray + rng.normal(0.0, spec_deg.noise_sigma, gray.shape).astype(np.float32)
 
-    dims = cad_field.dims
-    gt = synth_displacement(dims, spec_def)
+    gt = synth_displacement(cad_field.dims, spec_def, seed)
     g_inv = invert_field(gt)
     xct = warp_array(gray.astype(np.float64), g_inv.data.astype(np.float64))
     return ScalarVolume(xct.astype(np.float32), cad_field.voxel_size), gt
 
+
+def synthesize_sample(
+    spec: TpmsSpec,
+    c: float,
+    deform: DeformSpec,
+    degrade: DegradeSpec,
+    seed: int,
+    plate_voxels: int = 0,
+    marker_spheres=(),
+) -> tuple[BinaryVolume, ScalarVolume, DisplacementField]:
+    """One phantom at level-set offset `c`: (nominal mask, scan, ground-truth field).
+
+    The markers are the bottom `plate_voxels` z-slices (the base plate) and
+    the balls of `marker_spheres`, each (x, y, z, radius) in voxels. Both only
+    set voxels solid, so one mask of them is OR-ed into the nominal mask and,
+    through degrade_to_xct, into the scan's.
+    """
+    dims = spec.grid_dims()
+    nx, ny, nz = dims
+    t = int(plate_voxels)
+    if t < 0 or t > nz:
+        raise VolumeError(f"plate thickness {t} outside [0, {nz}]")
+    markers = np.zeros((nz, ny, nx), dtype=bool)
+    markers[:t] = True
+    for cx, cy, cz, r in marker_spheres:
+        if not (0 <= cx < nx and 0 <= cy < ny and 0 <= cz < nz):
+            raise VolumeError(f"sphere centre ({cx}, {cy}, {cz}) outside dims {dims}")
+        _stamp_sphere(markers, (cx, cy, cz), r, True)
+    f = gyroid_field(dims, spec.voxel_size, spec.cell_size)
+    nominal = tpms_solid(f, spec, c)
+    nominal.mask[markers] = True
+    scan, gt = degrade_to_xct(f, spec, c, deform, degrade, seed, markers)
+    return nominal, scan, gt

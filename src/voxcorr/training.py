@@ -43,8 +43,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.lr <= 0 or self.lambda_smooth < 0:
             raise VolumeError("lr must be positive and lambda_smooth non-negative")
-        if self.ncc_window % 2 == 0:
-            raise VolumeError("ncc_window must be odd")
+        if self.ncc_window < 1 or self.ncc_window % 2 == 0:
+            raise VolumeError(f"ncc_window must be odd and >= 1, got {self.ncc_window}")
+        if self.epochs < 1 or self.steps_per_epoch < 1:
+            raise VolumeError("epochs and steps_per_epoch must be >= 1")
         if self.batch_size < 1 or self.val_batch_size < 1:
             raise VolumeError("batch sizes must be >= 1")
 

@@ -73,24 +73,6 @@ class TestGenerate:
             assert file_hash(a / rel) == file_hash(b / rel), rel
 
 
-    @pytest.mark.parametrize(
-        "doc, key, flag",
-        [
-            ({"tpms": {"c_param": -0.5}}, "tpms.c_param", "--c-values"),
-            ({"deform": {"seed": 99}}, "deform.seed", "--seed"),
-            ({"degrade": {"seed": 98}}, "degrade.seed", "--seed"),
-        ],
-    )
-    def test_per_sample_config_key_exits_2(self, tmp_path, capsys, doc, key, flag):
-        # generate derives these from --c-values and --seed; a config value used to be dropped
-        cpath = tmp_path / "cfg.json"
-        cpath.write_text(json.dumps(doc))
-        assert main(["generate", "--workspace", str(tmp_path / "w"), "--c-values", "0",
-                     "--config", str(cpath)]) == 2
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("error:") and key in err[0] and flag in err[0]
-        assert not (tmp_path / "w").exists()
-
     def test_colliding_sample_ids_exit_2(self, tmp_path, capsys):
         # both values print as c-0.3, so one sample would silently replace the other
         assert main(["generate", "--workspace", str(tmp_path / "w"), "--c-values", "0,-0.3,-0.3000001",
@@ -424,7 +406,7 @@ class TestCliSurface:
 
     @pytest.mark.parametrize(
         "section, partial",
-        [("train", {"val_batch_size": 1}), ("tpms", {"c_param": -0.2}), ("model", {"patch_size": 48})],
+        [("train", {"val_batch_size": 1}), ("tpms", {"cell_size": 3.0}), ("model", {"patch_size": 48})],
     )
     def test_partial_section_keeps_run_defaults(self, tmp_path, section, partial):
         cpath = tmp_path / "cfg.json"
@@ -446,14 +428,24 @@ class TestCliSurface:
             ({"dvc": {"min_correlation": -0.2}}, "min_correlation"),
             ({"model": {"leaky_slope": 1.5}}, "leaky_slope"),
             ("[1, 2", "Expecting"),
+            # c and the seeds are per-sample arguments of synthesis, not config fields
+            ({"tpms": {"c_param": -0.5}}, "tpms: unknown key 'c_param'"),
+            ({"deform": {"seed": 99}}, "deform: unknown key 'seed'"),
+            ({"degrade": {"seed": 98}}, "degrade: unknown key 'seed'"),
+            ({"train": {"ncc_window": -1}}, "ncc_window"),
+            ({"train": {"epochs": 0}}, "epochs"),
+            ({"train": {"steps_per_epoch": 0}}, "steps_per_epoch"),
+            ({"c_values": []}, "c_values"),  # used to create raw/, write no sample and log a run
         ],
     )
-    def test_bad_config_exits_2_with_one_error_line(self, tmp_path, capsys, doc, needle):
+    def test_bad_config_exits_2_with_one_error_line(self, tmp_path, monkeypatch, capsys, doc, needle):
+        monkeypatch.chdir(tmp_path)
         cpath = tmp_path / "cfg.json"
         cpath.write_text(doc if isinstance(doc, str) else json.dumps(doc))
-        assert main(["info", "--config", str(cpath)]) == 2
+        assert main(["generate", "--config", str(cpath)]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and needle in err[0]
+        assert list(tmp_path.iterdir()) == [cpath]  # rejected before anything is written
 
     @pytest.mark.parametrize(
         "argv, needle",
@@ -463,6 +455,7 @@ class TestCliSurface:
             (["train", "--patch-size", "24"], "patch_size"),
             (["generate", "--c-values", "0,2"], "c value"),
             (["preprocess", "--target-dims", "0,32,32"], "target_dims"),
+            (["train", "--steps-per-epoch", "0"], "steps_per_epoch"),
         ],
     )
     def test_rejected_value_exits_2_with_one_error_line(self, tmp_path, monkeypatch, capsys, argv, needle):

@@ -250,9 +250,9 @@ class TestFillEnclosedVoids:
     def test_open_tpms_pores_never_filled(self):
         from voxcorr.tpms import TpmsSpec, gyroid_field, tpms_solid
 
-        spec = TpmsSpec(c_param=0.0, part_extent=2.56, voxel_size=80.0, band_halfwidth=0.69)
+        spec = TpmsSpec(part_extent=2.56, voxel_size=80.0, band_halfwidth=0.69)
         f = gyroid_field(spec.grid_dims(), spec.voxel_size, spec.cell_size)
-        solid = tpms_solid(f, spec)
+        solid = tpms_solid(f, spec, 0.0)
         out = fill_enclosed_voids(solid)
         assert out.count() == solid.count()
 
@@ -262,10 +262,10 @@ class TestCleanXct:
         from voxcorr.tpms import DegradeSpec, TpmsSpec, gyroid_field, leveled_grayscale, tpms_solid
 
         rng = np.random.default_rng(seed)
-        spec = TpmsSpec(c_param=-0.2, part_extent=2.56, voxel_size=80.0, band_halfwidth=0.69)
+        spec = TpmsSpec(part_extent=2.56, voxel_size=80.0, band_halfwidth=0.69)
         f = gyroid_field(spec.grid_dims(), spec.voxel_size, spec.cell_size)
-        solid = tpms_solid(f, spec)
-        deg = DegradeSpec(0, 1, 0, 0, 0, 0, psf_sigma=0.8, noise_sigma=0.0, seed=seed)
+        solid = tpms_solid(f, spec, -0.2)
+        deg = DegradeSpec(0, 1, 0, 0, 0, 0, psf_sigma=0.8, noise_sigma=0.0)
         gray = leveled_grayscale(solid, deg).data.copy()
         if satellites:
             for _ in range(12):
@@ -337,24 +337,13 @@ class TestCoarseAlign:
 class TestBuildDataset:
     def _write_raw_samples(self, tmp_path, n=3, dims=24):
         """raw/s<i>/ with sample.json (c = 0, -0.1, ...) and the three volumes."""
-        from voxcorr.tpms import (
-            DeformSpec,
-            DegradeSpec,
-            TpmsSpec,
-            degrade_to_xct,
-            gyroid_field,
-            tpms_solid,
-        )
+        from voxcorr.tpms import DeformSpec, DegradeSpec, TpmsSpec, synthesize_sample
 
         raw = tmp_path / "raw"
         for i in range(n):
             c = -0.1 * i
-            spec = TpmsSpec(c_param=c, part_extent=dims * 0.08, voxel_size=80.0, band_halfwidth=0.69)
-            f = gyroid_field(spec.grid_dims(), spec.voxel_size, spec.cell_size)
-            cad = tpms_solid(f, spec)
-            xct, gt = degrade_to_xct(
-                f, spec, DeformSpec(0.99, 1.0, 6.0, seed=i), DegradeSpec(seed=i)
-            )
+            spec = TpmsSpec(part_extent=dims * 0.08, voxel_size=80.0, band_halfwidth=0.69)
+            cad, xct, gt = synthesize_sample(spec, c, DeformSpec(0.99, 1.0, 6.0), DegradeSpec(), i)
             d = raw / f"s{i}"
             d.mkdir(parents=True)
             vvol_write(d / "cad.vvol", ScalarVolume(cad.mask.astype(np.float32), cad.voxel_size))

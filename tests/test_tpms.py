@@ -8,17 +8,15 @@ from voxcorr.tpms import (
     DeformSpec,
     DegradeSpec,
     TpmsSpec,
-    add_base_plate,
-    add_spheres,
-    degrade_to_xct,
     gyroid_field,
     leveled_grayscale,
     synth_displacement,
+    synthesize_sample,
     tpms_solid,
 )
 from voxcorr.volume import BinaryVolume, VolumeError, warp
 
-DESK = TpmsSpec(c_param=0.0, part_extent=5.12, voxel_size=80.0, band_halfwidth=0.69)
+DESK = TpmsSpec(part_extent=5.12, voxel_size=80.0, band_halfwidth=0.69)
 
 
 def measure_wall_thickness(mask: BinaryVolume, max_steps: int = 256) -> float:
@@ -53,7 +51,7 @@ def calibrate_band(target_thickness_mm: float, spec: TpmsSpec, tolerance: float 
 
     def measured(tau: float) -> float:
         try:
-            solid = tpms_solid(f, replace(spec, band_halfwidth=tau))
+            solid = tpms_solid(f, replace(spec, band_halfwidth=tau), 0.0)
         except VolumeError:
             return 0.0
         return measure_wall_thickness(solid)
@@ -104,20 +102,20 @@ class TestGyroidField:
 class TestTpmsSolid:
     def test_band_covering_range_is_fully_solid(self):
         f = gyroid_field((16, 16, 16), 80.0, 2.5)
-        spec = TpmsSpec(c_param=0.0, band_halfwidth=1.6)
-        assert tpms_solid(f, spec).mask.all()
+        spec = TpmsSpec(band_halfwidth=1.6)
+        assert tpms_solid(f, spec, 0.0).mask.all()
 
     def test_thin_band_is_sparse_shell(self):
         f = gyroid_field((64, 64, 64), 80.0, 2.5)
-        spec = TpmsSpec(c_param=0.0, band_halfwidth=0.02)
-        mask = tpms_solid(f, spec).mask
+        spec = TpmsSpec(band_halfwidth=0.02)
+        mask = tpms_solid(f, spec, 0.0).mask
         assert 0 < mask.mean() < 0.05
 
     def test_calibrated_band_hits_wall_thickness(self):
         tau = calibrate_band(0.5, DESK)
-        spec = TpmsSpec(c_param=0.0, part_extent=5.12, voxel_size=80.0, band_halfwidth=tau)
+        spec = TpmsSpec(part_extent=5.12, voxel_size=80.0, band_halfwidth=tau)
         f = gyroid_field(spec.grid_dims(), spec.voxel_size, spec.cell_size)
-        thick_vox = measure_wall_thickness(tpms_solid(f, spec))
+        thick_vox = measure_wall_thickness(tpms_solid(f, spec, 0.0))
         assert thick_vox * spec.voxel_size / 1000.0 == pytest.approx(0.5, rel=0.10)
 
 
@@ -132,9 +130,7 @@ class TestCalibrateBand:
         spec = TpmsSpec(part_extent=2.56, voxel_size=80.0)
         tau = calibrate_band(0.5, spec)
         f = gyroid_field(spec.grid_dims(), spec.voxel_size, spec.cell_size)
-        solid = tpms_solid(
-            f, TpmsSpec(part_extent=2.56, voxel_size=80.0, band_halfwidth=tau)
-        )
+        solid = tpms_solid(f, TpmsSpec(part_extent=2.56, voxel_size=80.0, band_halfwidth=tau), 0.0)
         measured_mm = measure_wall_thickness(solid) * spec.voxel_size / 1000.0
         assert measured_mm == pytest.approx(0.5, rel=0.05)
 
@@ -143,71 +139,117 @@ class TestCalibrateBand:
             calibrate_band(0.1, TpmsSpec(voxel_size=80.0))  # 1.25 voxels
 
 
+SMALL = TpmsSpec(part_extent=1.28, voxel_size=80.0, band_halfwidth=0.69)  # 16^3
+STILL = DeformSpec(1.0, 0.0, 12.0)  # identity field
+QUIET = DegradeSpec(0, 1, 0, 0, 0, 0, psf_sigma=1.0, noise_sigma=0)  # levels and blur only
+
+
+def ball(shape, x, y, z, r):
+    """Voxels of a [z, y, x] grid within r of (x, y, z)."""
+    zz, yy, xx = np.indices(shape)
+    return (xx - x) ** 2 + (yy - y) ** 2 + (zz - z) ** 2 <= r * r
+
+
 class TestMaskEdits:
+    """The base plate and the marker spheres reach the nominal mask and the scan."""
+
+    def solid(self, spec=SMALL):
+        return tpms_solid(gyroid_field(spec.grid_dims(), spec.voxel_size, spec.cell_size), spec, 0.0).mask
+
+    def nominal(self, plate=0, spheres=()):
+        cad, _, _ = synthesize_sample(SMALL, 0.0, STILL, QUIET, 0, plate, spheres)
+        return cad.mask
+
     def test_plate_zero_thickness_noop(self):
-        f = gyroid_field((16, 16, 16), 80.0, 2.5)
-        solid = tpms_solid(f, DESK)
-        out = add_base_plate(solid, 0)
-        np.testing.assert_array_equal(out.mask, solid.mask)
+        np.testing.assert_array_equal(self.nominal(0), self.solid())
 
     def test_plate_full_height_solid(self):
-        f = gyroid_field((16, 16, 16), 80.0, 2.5)
-        solid = tpms_solid(f, DESK)
-        assert add_base_plate(solid, 16).mask.all()
+        assert self.nominal(16).all()
 
     def test_plate_fills_exactly_bottom_slab(self):
-        f = gyroid_field((16, 16, 16), 80.0, 2.5)
-        solid = tpms_solid(f, DESK)
-        empty_below = int((~solid.mask[:4]).sum())
-        out = add_base_plate(solid, 4)
-        assert out.count() == solid.count() + empty_below
+        solid = self.solid()
+        out = self.nominal(4)
+        assert out.sum() == solid.sum() + (~solid[:4]).sum()
+        assert out[:4].all()
+        np.testing.assert_array_equal(out[4:], solid[4:])
 
     def test_sphere_radius_zero_single_voxel(self):
-        mask = BinaryVolume(np.zeros((9, 9, 9), bool))
-        out = add_spheres(mask, [(4, 4, 4)], [0.0])
-        assert out.count() == 1
-        assert out.mask[4, 4, 4]
+        solid = self.solid()
+        z, y, x = np.argwhere(~solid)[0]
+        out = self.nominal(spheres=[(x, y, z, 0.0)])
+        assert out.sum() == solid.sum() + 1
+        assert out[z, y, x]
 
     def test_sphere_volume_close_to_analytic(self):
-        mask = BinaryVolume(np.zeros((17, 17, 17), bool))
-        out = add_spheres(mask, [(8, 8, 8)], [4.0])
+        sphere = ball((16, 16, 16), 8, 8, 8, 4.0)
+        np.testing.assert_array_equal(self.nominal(spheres=[(8, 8, 8, 4.0)]), self.solid() | sphere)
         analytic = 4.0 / 3.0 * np.pi * 4.0 ** 3
-        assert abs(out.count() - analytic) <= 0.3 * analytic
+        assert abs(sphere.sum() - analytic) <= 0.3 * analytic
 
     def test_sphere_inside_solid_idempotent(self):
-        mask = BinaryVolume(np.ones((9, 9, 9), bool))
-        out = add_spheres(mask, [(4, 4, 4)], [2.0])
-        np.testing.assert_array_equal(out.mask, mask.mask)
+        np.testing.assert_array_equal(self.nominal(8, [(4, 4, 2, 2.0)]), self.nominal(8))
+
+    def test_nominal_is_solid_or_markers(self):
+        markers = ball((16, 16, 16), 10, 10, 10, 3)
+        markers[:2] = True
+        np.testing.assert_array_equal(self.nominal(2, [(10, 10, 10, 3)]), self.solid() | markers)
+
+    @pytest.mark.parametrize("plate", [-1, 17])
+    def test_plate_out_of_range_rejected(self, plate):
+        with pytest.raises(VolumeError, match="plate thickness"):
+            self.nominal(plate)
+
+    @pytest.mark.parametrize("centre", [(16, 4, 4), (4, -1, 4), (4, 4, 16)])
+    def test_sphere_centre_outside_rejected(self, centre):
+        with pytest.raises(VolumeError, match="sphere centre"):
+            self.nominal(spheres=[(*centre, 2.0)])
+
+    def test_scan_bright_inside_markers(self):
+        # the scan's solid mask gets the markers too: warped back by its own
+        # field, the scan is bright deep inside the plate and the sphere,
+        # where the gyroid alone leaves pores
+        spec = TpmsSpec(part_extent=2.56, voxel_size=80.0, band_halfwidth=0.69)  # 32^3
+        deg = DegradeSpec()
+        plate = np.zeros((32, 32, 32), bool)
+        plate[1:4, 4:-4, 4:-4] = True
+        sphere = ball((32, 32, 32), 16, 16, 20, 3.0)
+        assert not self.solid(spec)[plate].all() and not self.solid(spec)[sphere].all()
+        _, scan, gt = synthesize_sample(spec, 0.0, DeformSpec(0.98, 1.5, 8.0), deg, 7, 5, [(16, 16, 20, 5.0)])
+        assert np.abs(gt.data).max() > 1.0
+        recon = warp(scan, gt).data
+        mid = 0.5 * (deg.fg_level + deg.bg_level)
+        assert recon[plate].min() > mid
+        assert recon[sphere].min() > mid
 
 
 class TestSynthDisplacement:
     def test_identity_spec_gives_zero_field(self):
-        u = synth_displacement((8, 8, 8), DeformSpec(1.0, 0.0, 12.0, seed=0))
+        u = synth_displacement((8, 8, 8), DeformSpec(1.0, 0.0, 12.0), 0)
         assert np.all(u.data == 0.0)
 
     def test_pure_shrink_is_affine(self):
-        u = synth_displacement((9, 9, 9), DeformSpec(0.98, 0.0, 12.0, seed=0))
+        u = synth_displacement((9, 9, 9), DeformSpec(0.98, 0.0, 12.0), 0)
         assert u.data[0, 4, 4, 4] == pytest.approx(0.0, abs=1e-7)
         assert u.data[0, 4, 4, 8] == pytest.approx(-0.02 * 4, abs=1e-6)
         assert u.data[2, 0, 4, 4] == pytest.approx(0.02 * 4, abs=1e-6)
 
     def test_amplitude_rescale_exact(self):
-        u = synth_displacement((24, 24, 24), DeformSpec(1.0, 3.0, 4.0, seed=5))
+        u = synth_displacement((24, 24, 24), DeformSpec(1.0, 3.0, 4.0), 5)
         assert np.abs(u.data).max() == pytest.approx(3.0, rel=1e-6)
 
     def test_deterministic(self):
-        spec = DeformSpec(0.97, 2.0, 6.0, seed=9)
-        a = synth_displacement((16, 16, 16), spec)
-        b = synth_displacement((16, 16, 16), spec)
+        spec = DeformSpec(0.97, 2.0, 6.0)
+        a = synth_displacement((16, 16, 16), spec, 9)
+        b = synth_displacement((16, 16, 16), spec, 9)
         np.testing.assert_array_equal(a.data, b.data)
 
-    @pytest.mark.parametrize("dims, spec", [
-        ((13, 17, 20), DeformSpec(0.97, 2.0, 4.0, seed=3)),
-        ((24, 20, 16), DeformSpec(0.98, 3.0, 12.0, seed=1)),  # sigma wider than the grid: reflected tails
+    @pytest.mark.parametrize("dims, spec, seed", [
+        ((13, 17, 20), DeformSpec(0.97, 2.0, 4.0), 3),
+        ((24, 20, 16), DeformSpec(0.98, 3.0, 12.0), 1),  # sigma wider than the grid: reflected tails
     ])
-    def test_same_bytes_as_one_4d_filter(self, dims, spec):
+    def test_same_bytes_as_one_4d_filter(self, dims, spec, seed):
         nx, ny, nz = dims
-        s = np.random.default_rng(spec.seed).standard_normal((3, nz, ny, nx))
+        s = np.random.default_rng(seed).standard_normal((3, nz, ny, nx))
         sig = spec.warp_smoothness
         s = gaussian_filter(s, sigma=(0, sig, sig, sig))
         s -= s.mean(axis=(1, 2, 3), keepdims=True)
@@ -216,35 +258,34 @@ class TestSynthDisplacement:
         s[0] += a * (np.arange(nx, dtype=np.float64) - (nx - 1) / 2.0)[None, None, :]
         s[1] += a * (np.arange(ny, dtype=np.float64) - (ny - 1) / 2.0)[None, :, None]
         s[2] += a * (np.arange(nz, dtype=np.float64) - (nz - 1) / 2.0)[:, None, None]
-        assert synth_displacement(dims, spec).data.tobytes() == s.astype(np.float32).tobytes()
+        assert synth_displacement(dims, spec, seed).data.tobytes() == s.astype(np.float32).tobytes()
 
     def test_smooth_part_near_zero_mean(self):
-        u = synth_displacement((48, 48, 48), DeformSpec(1.0, 3.0, 8.0, seed=2))
+        u = synth_displacement((48, 48, 48), DeformSpec(1.0, 3.0, 8.0), 2)
         for c in range(3):
             assert abs(float(u.data[c].mean())) <= 0.05 * 3.0
 
 
 class TestDegradeToXct:
-    def spec64(self, c=-0.6):
-        return TpmsSpec(c_param=c, part_extent=5.12, voxel_size=80.0, band_halfwidth=0.69)
+    """The scan and ground truth of synthesize_sample, made by degrade_to_xct."""
+
+    spec = DESK  # 64^3
+    c = -0.6
+
+    def nominal_gray(self, deg):
+        f = gyroid_field(self.spec.grid_dims(), self.spec.voxel_size, self.spec.cell_size)
+        return leveled_grayscale(tpms_solid(f, self.spec, self.c), deg)
 
     def test_identity_pipeline(self):
-        spec = self.spec64()
-        f = gyroid_field(spec.grid_dims(), spec.voxel_size, spec.cell_size)
-        deg = DegradeSpec(0, 1, 0, 0, 0, 0, psf_sigma=1.0, noise_sigma=0, seed=0)
-        dfm = DeformSpec(1.0, 0.0, 12.0, seed=0)
-        xct, gt = degrade_to_xct(f, spec, dfm, deg)
+        deg = DegradeSpec(0, 1, 0, 0, 0, 0, psf_sigma=1.0, noise_sigma=0)
+        _, xct, gt = synthesize_sample(self.spec, self.c, STILL, deg, 0)
         assert np.all(gt.data == 0.0)
-        ref = leveled_grayscale(tpms_solid(f, spec), deg)
-        np.testing.assert_allclose(xct.data, ref.data, atol=1e-6)
+        np.testing.assert_allclose(xct.data, self.nominal_gray(deg).data, atol=1e-6)
 
     def test_translation_roundtrip(self):
-        spec = self.spec64()
-        f = gyroid_field(spec.grid_dims(), spec.voxel_size, spec.cell_size)
-        deg = DegradeSpec(0, 1, 0, 0, 0, 0, psf_sigma=1.5, noise_sigma=0, seed=0)
+        deg = DegradeSpec(0, 1, 0, 0, 0, 0, psf_sigma=1.5, noise_sigma=0)
         # pure translation: shrink 1, amplitude 0, then add the constant by hand
-        dfm = DeformSpec(1.0, 0.0, 12.0, seed=0)
-        xct, gt = degrade_to_xct(f, spec, dfm, deg)
+        _, xct, gt = synthesize_sample(self.spec, self.c, STILL, deg, 0)
         gt2 = gt.data.copy()
         gt2[0] += 2.0
         from voxcorr.volume import DisplacementField, invert_field, warp_array
@@ -252,47 +293,36 @@ class TestDegradeToXct:
         g_inv = invert_field(DisplacementField(gt2))
         xct2 = warp_array(xct.data.astype(np.float64), g_inv.data.astype(np.float64))
         recon = warp_array(xct2, gt2.astype(np.float64))
-        ref = leveled_grayscale(tpms_solid(f, spec), deg).data
+        ref = self.nominal_gray(deg).data
         interior = (slice(6, -6),) * 3
         assert np.abs(recon[interior] - ref[interior]).max() <= 0.02
 
     def test_ground_truth_consistency(self):
-        spec = self.spec64()
-        f = gyroid_field(spec.grid_dims(), spec.voxel_size, spec.cell_size)
-        deg = DegradeSpec(0, 1, 0, 0, 0, 0, psf_sigma=2.0, noise_sigma=0, seed=1)
-        dfm = DeformSpec(0.98, 3.0, 12.0, seed=4)
-        xct, gt = degrade_to_xct(f, spec, dfm, deg)
-        ref = leveled_grayscale(tpms_solid(f, spec), deg)
+        deg = DegradeSpec(0, 1, 0, 0, 0, 0, psf_sigma=2.0, noise_sigma=0)
+        _, xct, gt = synthesize_sample(self.spec, self.c, DeformSpec(0.98, 3.0, 12.0), deg, 4)
         recon = warp(xct, gt)
         interior = (slice(4, -4),) * 3
-        err = np.abs(recon.data[interior].astype(np.float64) - ref.data[interior]).mean()
+        err = np.abs(recon.data[interior].astype(np.float64) - self.nominal_gray(deg).data[interior]).mean()
         assert err <= 0.01
 
     def test_breakage_increases_missing_material(self):
-        spec = self.spec64()
-        f = gyroid_field(spec.grid_dims(), spec.voxel_size, spec.cell_size)
-        dfm = DeformSpec(1.0, 0.0, 12.0, seed=0)
-        base = DegradeSpec(0, 1, 0, 0, 0, 6.0, psf_sigma=1.0, noise_sigma=0, seed=3)
-        broken = DegradeSpec(0, 1, 0, 0, 1, 6.0, psf_sigma=1.0, noise_sigma=0, seed=3)
-        cad = tpms_solid(f, spec)
+        base = DegradeSpec(0, 1, 0, 0, 0, 6.0, psf_sigma=1.0, noise_sigma=0)
+        broken = DegradeSpec(0, 1, 0, 0, 1, 6.0, psf_sigma=1.0, noise_sigma=0)
 
         def bdm_minus1(deg):
             from voxcorr.metrics import bdm
             from voxcorr.preprocess import otsu_threshold
 
-            xct, _ = degrade_to_xct(f, spec, dfm, deg)
+            cad, xct, _ = synthesize_sample(self.spec, self.c, STILL, deg, 2)
             _, xct_bin = otsu_threshold(xct)
             return bdm(xct_bin, cad).bdm_minus1_pct
 
         assert bdm_minus1(broken) > bdm_minus1(base)
 
     def test_determinism(self):
-        spec = self.spec64()
-        f = gyroid_field(spec.grid_dims(), spec.voxel_size, spec.cell_size)
-        deg = DegradeSpec(seed=11)
-        dfm = DeformSpec(seed=12)
-        x1, g1 = degrade_to_xct(f, spec, dfm, deg)
-        x2, g2 = degrade_to_xct(f, spec, dfm, deg)
+        (c1, x1, g1), (c2, x2, g2) = (synthesize_sample(self.spec, self.c, DeformSpec(), DegradeSpec(), 11)
+                                      for _ in range(2))
+        np.testing.assert_array_equal(c1.mask, c2.mask)
         assert x1.data.tobytes() == x2.data.tobytes()
         assert g1.data.tobytes() == g2.data.tobytes()
 
@@ -302,7 +332,6 @@ class TestSweepContinuity:
         f = gyroid_field((64, 64, 64), 80.0, 2.5)
         fracs = []
         for c in [0.0, -0.1, -0.2, -0.3, -0.4, -0.5, -0.6]:
-            spec = TpmsSpec(c_param=c, part_extent=5.12, voxel_size=80.0, band_halfwidth=0.69)
-            fracs.append(tpms_solid(f, spec).mask.mean())
+            fracs.append(tpms_solid(f, DESK, c).mask.mean())
         assert all(0.05 < fr < 0.95 for fr in fracs)
         assert max(abs(a - b) for a, b in zip(fracs, fracs[1:])) < 0.15

@@ -83,14 +83,10 @@ class TestPlateauScheduler:
 
 def make_manifest(tmp_path, dims=32, n=1, seed=0):
     """Tiny synthetic dataset in tmp_path: same pair under train/val/test ids."""
-    from voxcorr.tpms import DeformSpec, DegradeSpec, TpmsSpec, degrade_to_xct, gyroid_field, tpms_solid
+    from voxcorr.tpms import DeformSpec, DegradeSpec, TpmsSpec, synthesize_sample
 
-    spec = TpmsSpec(c_param=-0.3, part_extent=dims * 0.08, voxel_size=80.0, band_halfwidth=0.69)
-    f = gyroid_field(spec.grid_dims(), spec.voxel_size, spec.cell_size)
-    cad = tpms_solid(f, spec)
-    xct, gt = degrade_to_xct(
-        f, spec, DeformSpec(0.99, 1.5, 8.0, seed=seed), DegradeSpec(seed=seed)
-    )
+    spec = TpmsSpec(part_extent=dims * 0.08, voxel_size=80.0, band_halfwidth=0.69)
+    cad, xct, gt = synthesize_sample(spec, -0.3, DeformSpec(0.99, 1.5, 8.0), DegradeSpec(), seed)
     cad_vol = ScalarVolume(cad.mask.astype(np.float32), cad.voxel_size)
     entries = []
     for i, split in enumerate(["train", "val", "test"][: max(3, n)]):
