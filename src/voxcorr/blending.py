@@ -8,19 +8,11 @@ sigma p / 4 (every weight above exp(-6)).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
 from .volume import IVec3, VolumeError
-
-
-@dataclass(frozen=True)
-class PatchGrid:
-    patch_size: int
-    stride: int
-    origins: tuple[IVec3, ...]  # (x, y, z) corners, sorted lexicographically (z, y, x)
 
 
 def _axis_origins(n: int, p: int, s: int) -> list[int]:
@@ -30,7 +22,8 @@ def _axis_origins(n: int, p: int, s: int) -> list[int]:
     return out
 
 
-def make_patch_grid(dims: IVec3, patch_size: int, stride: int) -> PatchGrid:
+def make_patch_grid(dims: IVec3, patch_size: int, stride: int) -> tuple[IVec3, ...]:
+    """Patch origins: (x, y, z) corners, sorted lexicographically (z, y, x)."""
     nx, ny, nz = (int(d) for d in dims)
     p, s = int(patch_size), int(stride)
     if p < 1:
@@ -44,8 +37,7 @@ def make_patch_grid(dims: IVec3, patch_size: int, stride: int) -> PatchGrid:
     ax = _axis_origins(nx, p, s)
     ay = _axis_origins(ny, p, s)
     az = _axis_origins(nz, p, s)
-    origins = tuple((x, y, z) for z, y, x in product(az, ay, ax))
-    return PatchGrid(p, s, origins)
+    return tuple((x, y, z) for z, y, x in product(az, ay, ax))
 
 
 def gaussian_window(patch_size: int) -> np.ndarray:

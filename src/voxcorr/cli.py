@@ -25,8 +25,9 @@ from evaluate, which binarizes each volume once for metrics and figures.
 
 Exit codes: 0 success; 2 validation failure (bad flags; a config file that is
 missing, malformed or has an unknown key or a wrong type; a flag value the
-config rejects; c values whose sample ids collide; missing inputs); 1 runtime
-error, including a corrupt side file (manifest, sample.json, a JSON record).
+config rejects; a plate or sphere off the resolved grid; c values whose
+sample ids collide; missing inputs); 1 runtime error, including a corrupt
+side file (manifest, sample.json, a JSON record).
 
 main runs every command under one malloc policy (apply_malloc_policy): glibc
 serves blocks below 32 MiB from its heap and keeps up to 1 GiB of freed heap
@@ -57,7 +58,7 @@ from .metrics import evaluate_pair
 from .figures import export_bdm_slices, export_displacement_magnitude, export_overlay_slices
 from .model import CheckpointError, checkpoint_load, checkpoint_save
 from .preprocess import DatasetManifest, build_dataset, otsu_threshold, sample_paths
-from .tpms import synthesize_sample
+from .tpms import check_markers, synthesize_sample
 from .training import train
 from .volume import DisplacementField, ScalarVolume, VolumeError, warp
 from .vvol import VvolError, vvol_read, vvol_write
@@ -418,6 +419,11 @@ def _resolve_config(args) -> RunConfig:
                 cfg = _override(cfg, path, value)
             except ValueError as e:
                 raise CliError(f"{flag.name} {value}: {e}") from e
+    # flags set the grid and the markers one replace at a time: check them resolved
+    try:
+        check_markers(cfg.tpms.grid_dims(), cfg.plate_voxels, cfg.marker_spheres)
+    except VolumeError as e:
+        raise CliError(f"config: {e}") from e
     return cfg
 
 

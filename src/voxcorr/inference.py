@@ -36,11 +36,11 @@ def sliding_register(
         raise VolumeError(f"dims mismatch: {moving.dims} vs {fixed.dims}")
     p = int(cfg.patch_size)
     s = int(max(1, p // 2) if stride is None else stride)
-    grid = make_patch_grid(moving.dims, p, s)
+    origins = make_patch_grid(moving.dims, p, s)
     acc = BlendAccumulator(moving.dims, 3, p)
     mdata = moving.data.astype(np.float32, copy=False)
     fdata = fixed.data.astype(np.float32, copy=False)
-    for x, y, z in grid.origins:
+    for x, y, z in origins:
         sl = (slice(z, z + p), slice(y, y + p), slice(x, x + p))
         disp, _, _ = model_forward(params, cfg, mdata[sl], fdata[sl], want_tape=False)
         acc.add(disp, (x, y, z))

@@ -294,8 +294,8 @@ def upconv3d_backward(gout: np.ndarray, ctx):
 def leaky_relu_forward(x: np.ndarray, slope: float = 0.2) -> np.ndarray:
     """LeakyReLU written over x, which it returns: y = x for x >= 0 else
     slope*x, computed as max(x, slope*x), which equals it for slope <= 1. The
-    backward takes the mask x < 0, so a caller that needs it takes it before
-    this call; the gradient at 0 is defined as 1.
+    backward takes the mask x < 0; for 0 < slope <= 1 that is y < 0 except
+    where slope*x underflows to -0. The gradient at 0 is defined as 1.
 
     For 0 < slope <= 1, y is bit for bit np.where(x < 0, slope*x, x). At
     slope <= 0 two IEEE corner cases may differ: at a negative slope a zero

@@ -56,9 +56,9 @@ class ModelConfig(Jsonable):
         object.__setattr__(self, "enc_features", tuple(int(f) for f in self.enc_features))
         object.__setattr__(self, "dec_features", tuple(int(f) for f in self.dec_features))
         object.__setattr__(self, "leaky_slope", float(self.leaky_slope))
-        # the activation is max(x, slope*x), which is LeakyReLU only up to slope 1
-        if not (np.isfinite(self.leaky_slope) and self.leaky_slope <= 1):
-            raise VolumeError(f"leaky_slope must be finite and at most 1, got {self.leaky_slope}")
+        # max(x, slope*x) is LeakyReLU up to slope 1 and keeps x's sign (model_backward) above 0
+        if not 0 < self.leaky_slope <= 1:
+            raise VolumeError(f"leaky_slope must lie in (0, 1], got {self.leaky_slope}")
         if min(self.kernel_size, self.patch_size, *self.enc_features, *self.dec_features) < 1:
             raise VolumeError("kernel_size, patch_size and feature counts must be positive")
         if self.kernel_size % 2 == 0:
@@ -130,9 +130,10 @@ def model_forward(params: dict, cfg: ModelConfig, moving: np.ndarray, fixed: np.
 
     Returns (disp [3, p, p, p], moved [p, p, p], tape) for training; with
     want_tape False (inference) it returns (disp, None, None). Each
-    activation is written over its conv output; the tape keeps the sign mask
-    of each pre-activation instead. Without a tape each block's input dies
-    once the block has run, and each skip once its decoder block has used it.
+    activation is written over its conv output, which the tape keeps anyway
+    as the input of the pool or the next conv, so it tapes no masks. Without
+    a tape each block's input dies once the block has run, and each skip
+    once its decoder block has used it.
     The sliding window frees and allocates those buffers patch after patch;
     the CLI's malloc policy (cli.apply_malloc_policy) keeps the freed memory
     in the heap, so no patch faults it back in.
@@ -149,17 +150,16 @@ def model_forward(params: dict, cfg: ModelConfig, moving: np.ndarray, fixed: np.
     enc_tape, dec_tape, skips = [], [], []
     for i in range(n_up):
         y, cctx = conv3d_forward(x, params[f"enc{i}.w"], params[f"enc{i}.b"])
-        neg = y < 0 if want_tape else None
         skips.append(leaky_relu_forward(y, slope))
         x, pctx = maxpool3d_forward(y, 2)
         if want_tape:
-            enc_tape.append((cctx, neg, pctx))
-        del cctx  # without a tape, the block's input dies here
+            enc_tape.append((cctx, pctx))
+        del cctx, pctx  # without a tape, the block's input dies here, and its skip after use
     for j in range(len(cfg.dec_features)):
         w, b = params[f"dec{j}.w"], params[f"dec{j}.b"]
         y, cctx = upconv3d_forward(x, skips.pop(), w, b) if j < n_up else conv3d_forward(x, w, b)
         if want_tape:
-            dec_tape.append((cctx, y < 0))
+            dec_tape.append(cctx)
         del x, cctx  # without a tape, the block's inputs die here
         x = leaky_relu_forward(y, slope)
     disp, head_ctx = conv3d_forward(x, params["head.w"], params["head.b"])
@@ -181,7 +181,12 @@ def model_backward(tape: dict, d_moved: np.ndarray, d_disp: np.ndarray) -> dict[
     """Parameter gradients given upstream gradients for moved and disp.
 
     Consumes the tape: each block's context is dropped once its gradients are
-    taken, so the pass holds only the contexts still ahead of it.
+    taken, so the pass holds only the contexts still ahead of it. Each
+    LeakyReLU mask is read off the activated output in the context that
+    holds it, just before that context is dropped. For 0 < slope <= 1 the
+    output's sign is the input's, except where slope*x underflows to -0 (at
+    slope 0.2 the two smallest negative subnormals, in float32 and float64):
+    there the backward uses scale 1, as at 0.
     """
     slope = tape["slope"]
     n_up = tape["n_up"]
@@ -192,20 +197,23 @@ def model_backward(tape: dict, d_moved: np.ndarray, d_disp: np.ndarray) -> dict[
     g_disp[2] += d_moved * gz
 
     grads: dict[str, np.ndarray] = {}
-    dx, grads["head.w"], grads["head.b"] = conv3d_backward(g_disp, tape.pop("head"))
+    cctx = tape.pop("head")
+    dx, grads["head.w"], grads["head.b"] = conv3d_backward(g_disp, cctx)
     skip_grads: list[np.ndarray | None] = [None] * n_up
     for j in reversed(range(len(tape["dec"]))):
-        cctx, neg = tape["dec"].pop()
+        neg = (cctx[0][0] if j + 1 < n_up else cctx[0]) < 0  # block j's output: the next block's (coarse) input
+        cctx = tape["dec"].pop()
         dy = leaky_relu_backward(dx, neg, slope)
+        del neg
         if j < n_up:
             dx, skip_grads[n_up - 1 - j], grads[f"dec{j}.w"], grads[f"dec{j}.b"] = upconv3d_backward(dy, cctx)
         else:
             dx, grads[f"dec{j}.w"], grads[f"dec{j}.b"] = conv3d_backward(dy, cctx)
     for i in reversed(range(n_up)):
-        cctx, neg, pctx = tape["enc"].pop()
+        cctx, pctx = tape["enc"].pop()
         da = maxpool3d_backward(dx, pctx)
         da += skip_grads[i]
-        dy = leaky_relu_backward(da, neg, slope)
+        dy = leaky_relu_backward(da, pctx[0] < 0, slope)
         if i:
             dx, grads[f"enc{i}.w"], grads[f"enc{i}.b"] = conv3d_backward(dy, cctx)
         else:  # nothing needs the gradient with respect to the input patches

@@ -43,8 +43,8 @@ class TpmsSpec:
     band_halfwidth: float = 0.7
 
     def __post_init__(self):
-        if self.voxel_size <= 0 or self.part_extent <= 0:
-            raise VolumeError("voxel_size and part_extent must be positive")
+        if min(self.cell_size, self.part_extent, self.voxel_size, self.band_halfwidth) <= 0:
+            raise VolumeError("cell_size, part_extent, voxel_size and band_halfwidth must be positive")
 
     def grid_dims(self) -> IVec3:
         n = int(round(self.part_extent * 1000.0 / self.voxel_size))
@@ -104,10 +104,9 @@ def gyroid_field(dims: IVec3, voxel_size: float, cell_size: float) -> ScalarVolu
     """Standard gyroid implicit function sampled at voxel centres.
 
     F = sin(kx)cos(ky) + sin(ky)cos(kz) + sin(kz)cos(kx), k = 2*pi/cell_size,
-    with voxel i at physical position i * voxel_size.
+    with voxel i at physical position i * voxel_size; cell_size > 0 (TpmsSpec
+    checks it).
     """
-    if cell_size <= 0:
-        raise VolumeError(f"cell_size must be positive, got {cell_size}")
     nx, ny, nz = (int(d) for d in dims)
     k = 2.0 * np.pi / cell_size
     pitch_mm = voxel_size / 1000.0
@@ -121,8 +120,6 @@ def gyroid_field(dims: IVec3, voxel_size: float, cell_size: float) -> ScalarVolu
 def tpms_solid(field: ScalarVolume, spec: TpmsSpec, c: float) -> BinaryVolume:
     """Sheet-gyroid band: solid where |F - c| <= tau."""
     tau = spec.band_halfwidth
-    if tau <= 0:
-        raise VolumeError(f"band_halfwidth must be positive, got {tau}")
     mask = np.abs(field.data - c) <= tau
     if not mask.any():
         raise VolumeError(f"empty solid: no voxels within |F - {c}| <= {tau}")
@@ -143,6 +140,16 @@ def _stamp_sphere(arr: np.ndarray, center, radius: float, value) -> None:
     ball = zz * zz + yy * yy + xx * xx <= r * r
     region = arr[z0 : z1 + 1, y0 : y1 + 1, x0 : x1 + 1]
     region[ball] = value
+
+
+def check_markers(dims: IVec3, plate_voxels: int, marker_spheres) -> None:
+    """Raise VolumeError unless the plate and each (x, y, z, radius) sphere centre fit in the grid."""
+    nx, ny, nz = dims
+    if not 0 <= plate_voxels <= nz:
+        raise VolumeError(f"plate thickness {plate_voxels} outside [0, {nz}]")
+    for cx, cy, cz, _ in marker_spheres:
+        if not (0 <= cx < nx and 0 <= cy < ny and 0 <= cz < nz):
+            raise VolumeError(f"sphere centre ({cx}, {cy}, {cz}) outside dims {dims}")
 
 
 def synth_displacement(dims: IVec3, spec: DeformSpec, seed: int) -> DisplacementField:
@@ -253,15 +260,11 @@ def synthesize_sample(
     through degrade_to_xct, into the scan's.
     """
     dims = spec.grid_dims()
+    check_markers(dims, plate_voxels, marker_spheres)
     nx, ny, nz = dims
-    t = int(plate_voxels)
-    if t < 0 or t > nz:
-        raise VolumeError(f"plate thickness {t} outside [0, {nz}]")
     markers = np.zeros((nz, ny, nx), dtype=bool)
-    markers[:t] = True
+    markers[:plate_voxels] = True
     for cx, cy, cz, r in marker_spheres:
-        if not (0 <= cx < nx and 0 <= cy < ny and 0 <= cz < nz):
-            raise VolumeError(f"sphere centre ({cx}, {cy}, {cz}) outside dims {dims}")
         _stamp_sphere(markers, (cx, cy, cz), r, True)
     f = gyroid_field(dims, spec.voxel_size, spec.cell_size)
     nominal = tpms_solid(f, spec, c)

@@ -49,6 +49,10 @@ class TrainConfig:
             raise VolumeError("epochs and steps_per_epoch must be >= 1")
         if self.batch_size < 1 or self.val_batch_size < 1:
             raise VolumeError("batch sizes must be >= 1")
+        if not (0 < self.plateau_factor < 1 and self.plateau_patience >= 1):
+            raise VolumeError("plateau_factor must lie in (0, 1) and plateau_patience be >= 1")
+        if self.min_lr < 0 or self.plateau_min_improvement < 0:
+            raise VolumeError("min_lr and plateau_min_improvement must be non-negative")
 
 
 @dataclass
@@ -87,36 +91,27 @@ def adam_step(
 
 
 class PlateauScheduler:
-    """Cut the learning rate by `factor` after `patience` epochs without the
-    validation loss improving on the best seen, starting from `baseline`, by
-    at least min_improvement."""
+    """Start at cfg.lr and cut it by cfg.plateau_factor, down to cfg.min_lr,
+    after cfg.plateau_patience epochs without the validation loss improving
+    on the best seen, starting from `baseline`, by at least
+    cfg.plateau_min_improvement."""
 
-    def __init__(
-        self,
-        lr: float,
-        baseline: float,
-        factor: float = 0.5,
-        patience: int = 10,
-        min_improvement: float = 1e-4,
-        min_lr: float = 1e-5,
-    ):
-        self.lr = float(lr)
+    def __init__(self, cfg: TrainConfig, baseline: float):
+        self.cfg = cfg
+        self.lr = float(cfg.lr)
         self.best = float(baseline)
-        self.factor = factor
-        self.patience = patience
-        self.min_improvement = min_improvement
-        self.min_lr = min_lr
         self.bad_epochs = 0
         self.reductions = 0
 
     def step(self, val_loss: float) -> float:
-        if val_loss < self.best - self.min_improvement:
+        cfg = self.cfg
+        if val_loss < self.best - cfg.plateau_min_improvement:
             self.best = float(val_loss)
             self.bad_epochs = 0
         else:
             self.bad_epochs += 1
-            if self.bad_epochs >= self.patience:
-                new_lr = max(self.lr * self.factor, self.min_lr)
+            if self.bad_epochs >= cfg.plateau_patience:
+                new_lr = max(self.lr * cfg.plateau_factor, cfg.min_lr)
                 if new_lr < self.lr:
                     self.reductions += 1
                 self.lr = new_lr
@@ -191,14 +186,7 @@ def train(
         manifest, data_dir, "val", train_cfg.val_batch_size, p, val_rng, cache
     )
     baseline = _batch_eval(params, model_cfg, val_batch, lam, window)
-    sched = PlateauScheduler(
-        train_cfg.lr,
-        baseline=baseline,
-        factor=train_cfg.plateau_factor,
-        patience=train_cfg.plateau_patience,
-        min_improvement=train_cfg.plateau_min_improvement,
-        min_lr=train_cfg.min_lr,
-    )
+    sched = PlateauScheduler(train_cfg, baseline)
     history = TrainHistory()
     t = 0
     for epoch in range(1, train_cfg.epochs + 1):

@@ -7,31 +7,31 @@ from voxcorr.volume import VolumeError
 
 class TestPatchGrid:
     def test_single_patch(self):
-        grid = make_patch_grid((128, 128, 128), 128, 64)
-        assert grid.origins == ((0, 0, 0),)
+        origins = make_patch_grid((128, 128, 128), 128, 64)
+        assert origins == ((0, 0, 0),)
 
     def test_exact_tiling(self):
-        grid = make_patch_grid((192, 192, 192), 128, 64)
-        xs = sorted({o[0] for o in grid.origins})
+        origins = make_patch_grid((192, 192, 192), 128, 64)
+        xs = sorted({o[0] for o in origins})
         assert xs == [0, 64]
 
     def test_clamped_final_origin(self):
-        grid = make_patch_grid((200, 200, 200), 128, 64)
-        xs = sorted({o[0] for o in grid.origins})
+        origins = make_patch_grid((200, 200, 200), 128, 64)
+        xs = sorted({o[0] for o in origins})
         assert xs == [0, 64, 72]
 
     def test_full_coverage_brute_force(self):
         # oracle: union of patches covers every voxel
         for dims in [(200, 130, 129), (64, 64, 64), (37, 41, 53)]:
-            grid = make_patch_grid(dims, 32, 24)
+            origins = make_patch_grid(dims, 32, 24)
             covered = np.zeros(dims[::-1], dtype=bool)
-            for x, y, z in grid.origins:
+            for x, y, z in origins:
                 covered[z : z + 32, y : y + 32, x : x + 32] = True
             assert covered.all()
 
     def test_origins_sorted_zyx(self):
-        grid = make_patch_grid((64, 64, 64), 32, 32)
-        keys = [(z, y, x) for x, y, z in grid.origins]
+        origins = make_patch_grid((64, 64, 64), 32, 32)
+        keys = [(z, y, x) for x, y, z in origins]
         assert keys == sorted(keys)
 
     def test_patch_too_large(self):
@@ -74,8 +74,8 @@ class TestGaussianWindow:
 class TestBlendAccumulator:
     def test_constant_patches(self):
         acc = BlendAccumulator((40, 40, 40), 1, 16)
-        grid = make_patch_grid((40, 40, 40), 16, 8)
-        for origin in grid.origins:
+        origins = make_patch_grid((40, 40, 40), 16, 8)
+        for origin in origins:
             acc.add(np.full((1, 16, 16, 16), 3.25), origin)
         np.testing.assert_allclose(acc.finalize(), 3.25, atol=1e-12)
 
@@ -83,7 +83,7 @@ class TestBlendAccumulator:
         rng = np.random.default_rng(3)
         vol = rng.uniform(0, 1, size=(40, 36, 33))
         acc = BlendAccumulator((33, 36, 40), 1, 16)
-        for x, y, z in make_patch_grid((33, 36, 40), 16, 8).origins:
+        for x, y, z in make_patch_grid((33, 36, 40), 16, 8):
             acc.add(vol[None, z : z + 16, y : y + 16, x : x + 16], (x, y, z))
         np.testing.assert_allclose(acc.finalize()[0], vol, atol=1e-5)
 

@@ -15,7 +15,7 @@ from voxcorr.cli import FLAGS, METHODS, _build_parser, _resolve_config, main
 from voxcorr.config import RunConfig
 from voxcorr.preprocess import assign_splits, otsu_threshold
 from voxcorr.volume import DisplacementField, warp
-from voxcorr.vvol import vvol_read, vvol_write
+from voxcorr.vvol import read_raw, vvol_read, vvol_write, write_raw
 
 
 def file_hash(path):
@@ -182,6 +182,17 @@ class TestRegister:
         assert main(["register", "--workspace", str(workspace), "--checkpoint", str(ckpt)]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and needle in err[0]
+
+
+    @pytest.mark.parametrize("slope", [0.0, -0.5])
+    def test_checkpoint_with_slope_at_most_0_exits_2(self, workspace, tmp_path, capsys, slope):
+        # model_backward reads the activation masks off the outputs, which needs a positive slope
+        data, _, meta = read_raw(workspace / "checkpoint.vmck")
+        ckpt = tmp_path / "slope.vmck"
+        write_raw(ckpt, data, meta={**meta, "leaky_slope": slope})
+        assert main(["register", "--workspace", str(workspace), "--checkpoint", str(ckpt)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "leaky_slope" in err[0]
 
 
 class TestBaseline:
@@ -436,6 +447,17 @@ class TestCliSurface:
             ({"train": {"epochs": 0}}, "epochs"),
             ({"train": {"steps_per_epoch": 0}}, "steps_per_epoch"),
             ({"c_values": []}, "c_values"),  # used to create raw/, write no sample and log a run
+            # each used to fail in synthesis, after raw/ was made
+            ({"plate_voxels": 99}, "plate thickness 99 outside [0, 64]"),
+            ({"plate_voxels": -1}, "plate thickness -1"),
+            ({"marker_spheres": [[100, 1, 1, 2]]}, "sphere centre"),
+            ({"tpms": {"cell_size": 0}}, "cell_size"),
+            ({"tpms": {"band_halfwidth": 0}}, "band_halfwidth"),
+            ({"train": {"plateau_factor": 2.0}}, "plateau_factor"),
+            ({"train": {"plateau_factor": 0}}, "plateau_factor"),
+            ({"train": {"plateau_patience": 0}}, "plateau_patience"),
+            ({"train": {"min_lr": -1}}, "min_lr"),
+            ({"train": {"plateau_min_improvement": -1e-4}}, "plateau_min_improvement"),
         ],
     )
     def test_bad_config_exits_2_with_one_error_line(self, tmp_path, monkeypatch, capsys, doc, needle):
@@ -456,6 +478,9 @@ class TestCliSurface:
             (["generate", "--c-values", "0,2"], "c value"),
             (["preprocess", "--target-dims", "0,32,32"], "target_dims"),
             (["train", "--steps-per-epoch", "0"], "steps_per_epoch"),
+            (["generate", "--c-values", "0", "--extent-mm", "1.28", "--plate-voxels", "99"],
+             "plate thickness 99 outside [0, 16]"),
+            (["generate", "--c-values", "0", "--extent-mm", "1.28", "--plate-voxels", "-1"], "plate thickness -1"),
         ],
     )
     def test_rejected_value_exits_2_with_one_error_line(self, tmp_path, monkeypatch, capsys, argv, needle):
@@ -464,6 +489,16 @@ class TestCliSurface:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and needle in err[0]
         assert not any(tmp_path.iterdir())  # rejected before anything is written
+
+    def test_markers_checked_against_the_resolved_grid(self, tmp_path):
+        # --extent-mm shrinks the grid below the file's plate before --plate-voxels thins it
+        cpath = tmp_path / "cfg.json"
+        cpath.write_text(json.dumps({"plate_voxels": 40}))
+        args = _build_parser().parse_args(
+            ["generate", "--config", str(cpath), "--extent-mm", "1.28", "--plate-voxels", "2"]
+        )
+        cfg = _resolve_config(args)
+        assert cfg.tpms.grid_dims() == (16, 16, 16) and cfg.plate_voxels == 2
 
 
 # applies main's malloc policy, then registers one 32^3 pair with patch 16 (27

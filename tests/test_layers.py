@@ -379,6 +379,18 @@ class TestLeakyReluMatchesReference:
         assert np.array_equal(bits(got), bits(want))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("slope", [1e-3, 0.2, 0.5, 1.0])
+    def test_output_sign_is_input_sign(self, slope, dtype):
+        # model_backward reads the mask off the output; only where slope*x
+        # underflows to -0 does the output's sign differ
+        x = special_values(dtype)
+        underflow = (x < 0) & (slope * x == 0)
+        assert underflow.any() == (slope < 1)  # the smallest negative subnormal is among them
+        y = leaky_relu_forward(x.copy(), slope)
+        np.testing.assert_array_equal((y < 0)[~underflow], (x < 0)[~underflow])
+        assert not (y < 0)[underflow].any()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("slope", [-0.5, 0.0, 0.2, 1.0])
     def test_forward_on_a_view_writes_only_the_view(self, slope, dtype):
         x = special_values(dtype)

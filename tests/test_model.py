@@ -1,14 +1,14 @@
 import math
 import sys
 import threading
-import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import voxcorr.model
-from voxcorr.layers import conv3d_forward, upsample3d_forward
+from voxcorr.layers import conv3d_forward, upconv3d_forward, upsample3d_forward
 from voxcorr.losses import total_loss
 from voxcorr.model import (
     CheckpointError,
@@ -46,12 +46,13 @@ class TestModelConfig:
         with pytest.raises(VolumeError):
             ModelConfig(patch_size=24)
 
-    @pytest.mark.parametrize("slope", [1.5, float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("slope", [1.5, float("nan"), float("inf"), float("-inf"), 0.0, -0.5])
     def test_leaky_slope_must_be_finite_and_at_most_1(self, slope):
+        # at slope <= 0 the output's sign is not the input's, which model_backward reads the mask from
         with pytest.raises(VolumeError, match="leaky_slope"):
             ModelConfig(leaky_slope=slope)
 
-    @pytest.mark.parametrize("slope", [1, 0.0, -0.5])
+    @pytest.mark.parametrize("slope", [1, 0.2, 1e-3])
     def test_leaky_slope_accepted(self, slope):
         assert ModelConfig(leaky_slope=slope).leaky_slope == float(slope)
 
@@ -136,22 +137,44 @@ class TestModelForward:
         assert (32, 32, 32, 32) in shapes  # the walk reaches the full-resolution activations
         assert not [s for s in shapes if s[0] == 64 and s[1:] == (32, 32, 32)]
 
-    def test_inference_forward_keeps_no_tape(self):
-        # without a tape only the blocks in flight and the skips still ahead stay alive
-        cfg = ModelConfig(patch_size=32)
-        rng = np.random.default_rng(16)
-        params = init_params(cfg, rng)
-        patch = rng.uniform(0, 1, (32, 32, 32)).astype(np.float32)
+    def test_tape_holds_no_boolean_array(self):
+        # the activation masks are read off the activated outputs, which the tape holds anyway
+        params = toy_params(seed=17, dtype=np.float32)
+        patch = np.random.default_rng(17).uniform(0, 1, (16, 16, 16)).astype(np.float32)
+        _, _, tape = model_forward(params, TOY, patch, patch)
+        dtypes, todo = set(), [tape]
+        while todo:
+            obj = todo.pop()
+            if isinstance(obj, np.ndarray):
+                dtypes.add(obj.dtype)
+            elif isinstance(obj, (dict, list, tuple)):
+                todo.extend(obj.values() if isinstance(obj, dict) else obj)
+        assert np.dtype(np.float32) in dtypes and np.dtype(bool) not in dtypes
 
-        def peak(want_tape):
-            tracemalloc.start()
-            try:
-                model_forward(params, cfg, patch, patch, want_tape=want_tape)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+    def test_inference_forward_keeps_no_tape(self, monkeypatch):
+        # without a tape no block's input (nor an upconv's skip) is alive once the head runs
+        params = toy_params(seed=16, dtype=np.float32)
+        patch = np.random.default_rng(16).uniform(0, 1, (16, 16, 16)).astype(np.float32)
+        inputs, alive_at_head = [], []
 
-        assert peak(False) <= 0.8 * peak(True)
+        def conv(x, kernel, bias):
+            if kernel is params["head.w"]:
+                alive_at_head.append(sum(any(r() is not None for r in refs) for refs in inputs))
+            else:
+                inputs.append([weakref.ref(x)])
+            return conv3d_forward(x, kernel, bias)
+
+        def upconv(coarse, skip, kernel, bias):
+            inputs.append([weakref.ref(coarse), weakref.ref(skip)])
+            return upconv3d_forward(coarse, skip, kernel, bias)
+
+        monkeypatch.setattr(voxcorr.model, "conv3d_forward", conv)
+        monkeypatch.setattr(voxcorr.model, "upconv3d_forward", upconv)
+        for want_tape in (False, True):
+            inputs.clear()
+            model_forward(params, TOY, patch, patch, want_tape=want_tape)
+        assert len(inputs) == 10
+        assert alive_at_head == [0, 10]  # the taped run shows the probe sees live inputs
 
     def test_returned_fields_stay_the_callers(self):
         params = toy_params(seed=19, dtype=np.float32)
@@ -294,10 +317,12 @@ class TestCheckpoint:
             lambda d: d.update(kernel_size=2),
             lambda d: d.update(leaky_slope=1.5),
             lambda d: d.update(leaky_slope=float("nan")),
+            lambda d: d.update(leaky_slope=0.0),
+            lambda d: d.update(leaky_slope=-0.5),
             lambda d: d.update(enc_features=[2, 0, 2, 2]),
         ],
         ids=["missing-key", "unknown-key", "wrong-type", "invalid-value", "slope-above-1", "slope-nan",
-             "zero-features"],
+             "slope-0", "slope-negative", "zero-features"],
     )
     def test_invalid_embedded_config_rejected(self, tmp_path, edit):
         cfg = TOY.to_json()

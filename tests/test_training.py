@@ -61,20 +61,20 @@ class TestAdam:
 class TestPlateauScheduler:
     def test_never_improving_sequence(self):
         epochs, patience = 50, 10
-        sched = PlateauScheduler(1e-3, baseline=1.0, factor=0.5, patience=patience, min_lr=1e-5)
+        sched = PlateauScheduler(TrainConfig(lr=1e-3, plateau_patience=patience, min_lr=1e-5), baseline=1.0)
         for _ in range(epochs):
             sched.step(1.0)
         assert sched.reductions == epochs // patience
         assert sched.lr == pytest.approx(1e-3 * 0.5 ** 5)
 
     def test_floored_at_min_lr(self):
-        sched = PlateauScheduler(2e-5, baseline=1.0, factor=0.5, patience=1, min_lr=1e-5)
+        sched = PlateauScheduler(TrainConfig(lr=2e-5, plateau_patience=1, min_lr=1e-5), baseline=1.0)
         for _ in range(10):
             sched.step(1.0)
         assert sched.lr == 1e-5
 
     def test_improvement_resets_counter(self):
-        sched = PlateauScheduler(1e-3, baseline=1.0, factor=0.5, patience=3, min_lr=1e-5)
+        sched = PlateauScheduler(TrainConfig(lr=1e-3, plateau_patience=3, min_lr=1e-5), baseline=1.0)
         losses = [0.9, 0.95, 0.95, 0.8, 0.85, 0.85, 0.85]
         for v in losses:
             sched.step(v)
