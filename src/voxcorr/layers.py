@@ -19,6 +19,16 @@ The weight gradient walks the same slabs with the same operands, against
 gout shifted by b*wp in row block b. The input gradient is the conv of gout
 with the flipped kernel at pad k-1-pad.
 
+The slabs run on volume.parallel_map's threads, split into contiguous ranges
+of whole slabs, one per worker and at least two slabs each; a conv with
+fewer (at patch 32, the 8^3 and 4^3 levels) runs on the caller: split in
+two, a 32-channel conv at 4^3 took 0.47 ms instead of 0.23. Each range has
+its own operand stack and accumulator and writes only its own z-planes of
+the output. The weight gradient's ranges return their per-slab products,
+which the caller adds in slab order. A slab computes the same whichever
+range it falls in, so every output is the same bytes on any number of
+workers.
+
 A decoder block, conv(concat(upsample(coarse), skip)) with nearest 2x
 upsampling, runs as two convs (upconv3d_forward). The skip half is a conv of
 the skip input. The upsampled half is a conv of the coarse grid itself: along
@@ -51,11 +61,17 @@ import functools
 
 import numpy as np
 
+from . import volume
 from .volume import VolumeError
 
-# output z-planes per slab: 4 and 5 were slower, and 8 was 2% faster but took
-# 17% more memory in the backward pass of a 64-channel conv
-SLAB = 6
+# output z-planes per slab. The buffers of every range live at once, so they
+# scale with SLAB times the workers. At two workers and patch 32 on a 2-core
+# Xeon with one BLAS thread, 2, 3 and 4 ran 27 inference forwards in 1.5-1.8 s
+# and a training step in 0.18-0.22 s, within the run-to-run spread; a training
+# step peaked at 32.9, 34.8 and 36.8 MiB (tracemalloc), against 34.0 for the
+# serial conv at 6. At 6 the 16^3 convs have too few slabs to split: 1.88 s and
+# 40.8 MiB. 3 keeps the peak near the serial conv's with the larger GEMMs.
+SLAB = 3
 
 
 def _tap_groups(cin: int, cout: int, k: int) -> tuple[int, int]:
@@ -71,12 +87,25 @@ def _tap_groups(cin: int, cout: int, k: int) -> tuple[int, int]:
     return (k ** 3, 1) if k * cin <= cout else (k, k)
 
 
-def _slab_operands(x: np.ndarray, k: int, pad: int, group: int, nb: int, dtype):
-    """Per slab of SLAB output z-planes yield (z0, s, n, operands).
+def _slab_ranges(od: int) -> list[tuple[int, int]]:
+    """Split od output z-planes into contiguous ranges of whole slabs, one
+    per worker (volume.WORKERS, read at call time), each of at least 2 slabs:
+    a conv with fewer slabs than that has fewer ranges, and a single range
+    runs on the caller."""
+    slabs = -(-od // SLAB)
+    parts = max(1, min(volume.WORKERS, slabs // 2))
+    cuts = [SLAB * (slabs * i // parts) for i in range(parts)] + [od]
+    return list(zip(cuts[:-1], cuts[1:]))
 
-    The input is zero-padded by pad on each side, to hp x wp planes. Output
-    voxel (z0 + z, y, x) sits at flat index (z*hp + y)*wp + x of the slab's
-    padded input planes, and tap (a, b, c) reads (a*hp + b)*wp + c further on.
+
+def _slab_operands(x: np.ndarray, k: int, pad: int, group: int, nb: int, dtype, zs: tuple[int, int]):
+    """Per slab of SLAB output z-planes in [zs[0], zs[1]) yield (z0, s, n, operands).
+
+    zs[0] is a multiple of SLAB, so a slab covers the same planes whichever
+    range it falls in. The input is zero-padded by pad on each side, to
+    hp x wp planes. Output voxel (z0 + z, y, x) sits at flat index
+    (z*hp + y)*wp + x of the slab's padded input planes, and tap (a, b, c)
+    reads (a*hp + b)*wp + c further on.
     Row block g of the stacked operand holds those padded planes shifted back
     by the flat offset of tap g of the first group, so one view of the stack
     at the flat offset o of a group's first tap gives every tap of that group,
@@ -88,19 +117,19 @@ def _slab_operands(x: np.ndarray, k: int, pad: int, group: int, nb: int, dtype):
     """
     cin, d, h, w = x.shape
     hp, wp = h + 2 * pad, w + 2 * pad
-    od, oh, ow = d + 2 * pad - k + 1, hp - k + 1, wp - k + 1
+    oh, ow = hp - k + 1, wp - k + 1
     offsets = [(a * hp + b) * wp + c for a, b, c in np.ndindex(k, k, k)]
     shifts = offsets[:group]
     base = shifts[-1]
-    sp = min(SLAB, od) + k - 1
+    sp = min(SLAB, zs[1] - zs[0]) + k - 1
     span = sp * hp * wp
     stack = np.zeros((group, cin, base + span), dtype=dtype)
     # the margins are never written, so they stay zero from slab to slab
     blocks = [stack[g, :, base - sh:base - sh + span].reshape(cin, sp, hp, wp)[:, :, pad:pad + h, pad:pad + w]
               for g, sh in enumerate(shifts)]
     rows = stack.reshape(group * cin, -1)
-    for z0 in range(0, od, SLAB):
-        s = min(SLAB, od - z0)
+    for z0 in range(*zs, SLAB):
+        s = min(SLAB, zs[1] - z0)
         lo, hi = max(z0 - pad, 0), min(z0 + s + k - 1 - pad, d)  # input planes the slab reads
         a0, a1 = lo - (z0 - pad), hi - (z0 - pad)  # where they sit among the sp padded planes
         for blk in blocks:
@@ -142,28 +171,33 @@ def conv3d_forward(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray | None = 
     # weight columns (tap, ci) of each group meet the stacked operand rows
     # (tap, ci); the nb groups of one GEMM stack on its rows
     wgemms = kernel.reshape(cout, cin, -1, group).transpose(2, 0, 3, 1).reshape(-1, nb * cout, group * cin)
-    acc = np.empty((cout, min(SLAB, od) * hp * wp), dtype=dtype)
-    res = np.empty((nb * cout, acc.shape[1] + (nb - 1) * wp), dtype=dtype) if nb > 1 else None
     out = np.empty((cout, od, oh, ow), dtype=dtype if bias is None else np.result_type(dtype, bias))
-    for z0, s, n, operands in _slab_operands(x, k, pad, group, nb, dtype):
-        acc_n = acc[:, :n]
-        if nb == 1:  # all taps in one operand: one GEMM gives the slab
-            np.matmul(wgemms[0], operands[0], out=acc_n)
-        else:
-            for m, (wt, cols) in enumerate(zip(wgemms, operands)):
-                # group j's product is row block j, read from column j*wp on
-                r = np.matmul(wt, cols, out=res[:, :cols.shape[1]]).reshape(nb, cout, -1)
-                parts = [r[j, :, j * wp:j * wp + n] for j in range(nb)]
-                if m == 0:
-                    np.add(parts[0], parts[1], out=acc_n)
-                    parts = parts[2:]
-                for part in parts:
-                    acc_n += part
-        slab = acc[:, :s * hp * wp].reshape(cout, s, hp, wp)[:, :, :oh, :ow]
-        if bias is None:
-            out[:, z0:z0 + s] = slab
-        else:
-            np.add(slab, bias.reshape(cout, 1, 1, 1), out=out[:, z0:z0 + s])
+
+    def run(zs: tuple[int, int]) -> None:
+        acc = np.empty((cout, min(SLAB, zs[1] - zs[0]) * hp * wp), dtype=dtype)
+        res = np.empty((nb * cout, acc.shape[1] + (nb - 1) * wp), dtype=dtype) if nb > 1 else None
+        for z0, s, n, operands in _slab_operands(x, k, pad, group, nb, dtype, zs):
+            acc_n = acc[:, :n]
+            if nb == 1:  # all taps in one operand: one GEMM gives the slab
+                np.matmul(wgemms[0], operands[0], out=acc_n)
+            else:
+                for m, (wt, cols) in enumerate(zip(wgemms, operands)):
+                    # group j's product is row block j, read from column j*wp on
+                    r = np.matmul(wt, cols, out=res[:, :cols.shape[1]]).reshape(nb, cout, -1)
+                    parts = [r[j, :, j * wp:j * wp + n] for j in range(nb)]
+                    if m == 0:
+                        np.add(parts[0], parts[1], out=acc_n)
+                        parts = parts[2:]
+                    for part in parts:
+                        acc_n += part
+            slab = acc[:, :s * hp * wp].reshape(cout, s, hp, wp)[:, :, :oh, :ow]
+            if bias is None:
+                out[:, z0:z0 + s] = slab
+            else:
+                np.add(slab, bias.reshape(cout, 1, 1, 1), out=out[:, z0:z0 + s])
+
+    # each range writes only its own z-planes of out
+    volume.parallel_map(run, _slab_ranges(od))
     return out, (x, kernel, pad)
 
 
@@ -175,19 +209,30 @@ def conv3d_param_grads(gout: np.ndarray, ctx) -> tuple[np.ndarray, np.ndarray]:
     hp, wp = x.shape[2] + 2 * pad, x.shape[3] + 2 * pad
     dtype = np.result_type(gout, x)
     group, nb = _tap_groups(cin, cout, k)
-    # row block j holds gout laid out like the forward accumulator, shifted on
-    # by j*wp to meet group j of a GEMM's operand; the rest stays zero
-    gsh = np.zeros((nb, cout, min(SLAB, od) * hp * wp + (nb - 1) * wp), dtype=dtype)
-    gviews = [gsh[j, :, j * wp:j * wp + min(SLAB, od) * hp * wp].reshape(cout, -1, hp, wp) for j in range(nb)]
-    g2 = gsh.reshape(nb * cout, -1)
-    # dW transposed, [group*cin, nb*cout] per GEMM: OpenBLAS runs this
-    # long-inner GEMM 1.1-1.8x faster as operand @ gout.T than as gout @ operand.T
+
+    def run(zs: tuple[int, int]) -> list[list[np.ndarray]]:
+        """The per-slab products of the range, one per GEMM of a slab."""
+        sz = min(SLAB, zs[1] - zs[0]) * hp * wp
+        # row block j holds gout laid out like the forward accumulator, shifted
+        # on by j*wp to meet group j of a GEMM's operand; the rest stays zero
+        gsh = np.zeros((nb, cout, sz + (nb - 1) * wp), dtype=dtype)
+        gviews = [gsh[j, :, j * wp:j * wp + sz].reshape(cout, -1, hp, wp) for j in range(nb)]
+        g2 = gsh.reshape(nb * cout, -1)
+        prods = []
+        for z0, s, n, operands in _slab_operands(x, k, pad, group, nb, dtype, zs):
+            for gv in gviews:
+                gv[:, :s, :oh, :ow] = gout[:, z0:z0 + s]
+            # dW transposed, [group*cin, nb*cout] per GEMM: OpenBLAS runs this
+            # long-inner GEMM 1.1-1.8x faster as operand @ gout.T than as gout @ operand.T
+            prods.append([cols @ g2[:, :cols.shape[1]].T for cols in operands])
+        return prods
+
+    # added in slab order, so dW is the same sum however the slabs were split
     dwt = np.zeros((k ** 3 // (group * nb), group * cin, nb * cout), dtype=dtype)
-    for z0, s, n, operands in _slab_operands(x, k, pad, group, nb, dtype):
-        for gv in gviews:
-            gv[:, :s, :oh, :ow] = gout[:, z0:z0 + s]
-        for dw, cols in zip(dwt, operands):
-            dw += cols @ g2[:, :cols.shape[1]].T
+    for prods in volume.parallel_map(run, _slab_ranges(od)):
+        for slab in prods:
+            for dw, p in zip(dwt, slab):
+                dw += p
     dkernel = dwt.reshape(-1, group, cin, nb, cout).transpose(4, 2, 0, 3, 1).reshape(kernel.shape)
     return dkernel, gout.sum(axis=(1, 2, 3))
 

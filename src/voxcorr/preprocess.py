@@ -239,8 +239,9 @@ def assign_splits(c_values: list[float]) -> dict[float, str]:
 
     The seven-sample sweep 0 .. -0.6 gets the canonical assignment (train:
     0, -0.2, -0.3, -0.5; val: -0.1, -0.4; test: -0.6). Other sweeps follow the
-    same positional pattern on the sorted values, guaranteeing each split is
-    non-empty for three or more samples.
+    same positional pattern on the sorted values, so for three or more
+    samples each split is non-empty: the first trains, the second validates
+    and the last tests.
     """
     ordered = sorted(c_values, reverse=True)
     n = len(ordered)
@@ -256,8 +257,6 @@ def assign_splits(c_values: list[float]) -> dict[float, str]:
             out[c] = "val"
         else:
             out[c] = "train"
-    if not any(s == "val" for s in out.values()):
-        out[ordered[1]] = "val"
     return out
 
 

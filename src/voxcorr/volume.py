@@ -17,19 +17,27 @@ formula as in one pass, so blocking changes no output bit. invert_field runs
 all its fixed-point iterations on one block of voxels before the next: an
 iteration at voxel y reads only that voxel's own estimate and the fixed field.
 
-parallel_map runs independent items on every CPU the process may use. Phantom
-synthesis uses it twice, and both uses are exact, because every item writes
-only its own output: invert_field's blocks may run on any thread in any
-order, since a block reads only its own estimate and the fixed field, and
-synth_displacement smooths its three channels separately. The calling thread
-takes a share of the items itself, so the pool has one thread fewer than
-there are CPUs: each pool thread gets its own glibc malloc arena, and a pool
-of one thread per CPU beside an idle caller raised the peak resident memory
-of phantom synthesis by 7%, against 3-5% with the caller working.
-trilinear_gather itself and the conv layers stay serial. Their train and
-register callers run right after BLAS GEMMs, whose spinning threads still
-hold the other cores then; and two patch threads in register raised its peak
-memory by 27%.
+parallel_map runs independent items on every CPU the process may use, and
+every use is exact, because every item writes only its own output.
+invert_field's blocks may run on any thread in any order, since a block
+reads only its own estimate and the fixed field; synth_displacement smooths
+its three channels separately; and each conv layer (layers.conv3d_forward,
+layers.conv3d_param_grads) splits its output planes into ranges of whole
+slabs, each computed as it would be on one thread, its weight-gradient
+products summed by the caller in slab order. The calling thread takes a
+share of the items itself, so the pool has one thread fewer than there are
+CPUs: each pool thread gets its own glibc malloc arena, and a pool of one
+thread per CPU beside an idle caller raised the peak resident memory of
+phantom synthesis by 7%, against 3-5% with the caller working.
+
+The conv layers own their parallelism, not BLAS: cli.main sets OpenBLAS to
+one thread (cli.pin_blas_threads). A second BLAS thread split only the
+GEMMs, and spun through the numpy work between them (operand copies,
+accumulator adds, the bias copy-out), which on one thread is 13% of a
+32-channel conv at 32^3 and 36% of a 16-channel one; a slab range runs that
+work on its own core too. trilinear_gather itself stays serial, and so
+does the register patch loop: two patch threads raised its peak memory by
+27%.
 """
 from __future__ import annotations
 

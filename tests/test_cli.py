@@ -1,3 +1,4 @@
+import ctypes
 import hashlib
 import json
 import os
@@ -96,6 +97,14 @@ class TestPreprocess:
         assert [by_c[c] for c in sweep] == [
             "train", "val", "train", "train", "val", "train", "test",
         ]
+
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_every_split_non_empty(self, n):
+        sweep = [-0.1 * i for i in range(n)]
+        by_c = assign_splits(sweep)
+        assert sorted(by_c) == sorted(sweep)
+        assert sorted(set(by_c.values())) == ["test", "train", "val"]
+        assert by_c[min(sweep)] == "test"
 
     def test_writes_the_configured_manifest(self, tmp_path, monkeypatch, capsys):
         # the sample folders go beside the manifest that every later stage reads
@@ -541,6 +550,31 @@ def test_malloc_policy_keeps_the_patch_loop_fault_free():
     if faults is None:
         pytest.skip("libc has no mallopt")
     assert all(f < 1000 for f in faults[1:]), faults
+
+
+def test_blas_pin_leaves_openblas_one_thread():
+    try:
+        with open("/proc/self/maps") as f:
+            mapped = any("openblas" in line for line in f)
+    except OSError:
+        mapped = False
+    if not mapped:
+        pytest.skip("no OpenBLAS loaded")
+    gets = voxcorr.cli._openblas_functions("get_num_threads")
+    sets = voxcorr.cli._openblas_functions("set_num_threads")
+    for fn in gets:
+        fn.argtypes, fn.restype = [], ctypes.c_int
+    for fn in sets:
+        fn.argtypes, fn.restype = [ctypes.c_int], None
+    before = [fn() for fn in gets]
+    try:
+        for fn in sets:  # an earlier main() may have pinned them already
+            fn(2)
+        assert voxcorr.cli.pin_blas_threads() == len(gets) >= 1
+        assert [fn() for fn in gets] == [1] * len(gets)
+    finally:
+        for fn, n in zip(sets, before):
+            fn(n)
 
 
 # one valid value per flag, different from the RunConfig() default it overrides

@@ -1,8 +1,10 @@
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from voxcorr import layers, volume
 from voxcorr.layers import (
     conv3d_backward,
     conv3d_forward,
@@ -87,7 +89,8 @@ def fd_check(loss_fn, x, analytic, rng, n_samples=24, h=1e-5, rel=1e-3):
         assert g[i] == pytest.approx(fd, rel=rel, abs=1e-8)
 
 
-# depths of one slab, and of two and three slabs of layers.SLAB (6) z-planes, the last one partial
+# depths of two slabs of layers.SLAB (3) z-planes, and of two and three slabs
+# per range when two workers split them, the last slab partial
 SLAB_DIMS = [(5, 6, 7), (11, 6, 7), (17, 5, 9)]
 SLAB_IDS = ["unequal", "2slabs", "3slabs"]
 # kernel sizes with their pads: same padding for odd k, both pads of the 2-tap parity kernels
@@ -188,10 +191,13 @@ class TestConv3d:
         _, ctx = conv3d_forward(x, k, np.zeros(4, np.float32))
         assert ctx[0] is x and ctx[1] is k and ctx[2] == 1
 
-    def test_backward_memory(self):
+    def test_backward_memory(self, monkeypatch):
         # a 64-channel conv at patch 32: dx alone is x.nbytes (8 MiB) and the
-        # slab buffers add 10.6 MiB; the full-volume padded copies and per-tap
-        # GEMM temporaries of the earlier conv path peaked at 23.3 MiB
+        # slab buffers of two workers add 11.5 MiB; the full-volume padded
+        # copies and per-tap GEMM temporaries of the earlier conv path peaked
+        # at 23.3 MiB. Two workers whatever the CPU count, so that the bound
+        # means the same on every machine
+        monkeypatch.setattr(volume, "WORKERS", 2)
         rng = np.random.default_rng(8)
         x = rng.standard_normal((64, 32, 32, 32)).astype(np.float32)
         k = (0.1 * rng.standard_normal((32, 64, 3, 3, 3))).astype(np.float32)
@@ -245,12 +251,59 @@ class TestConv3d:
         assert db2.tobytes() == db.tobytes()
 
 
+@pytest.fixture
+def workers(monkeypatch):
+    """Sets volume.WORKERS to n, with a pool of n - 1 threads, whatever the CPU count."""
+    pools = []
+
+    def pin(n):
+        pool = ThreadPoolExecutor(n - 1) if n > 1 else None
+        pools.append(pool)
+        monkeypatch.setattr(volume, "WORKERS", n)
+        monkeypatch.setattr(volume, "_POOL", pool)
+
+    yield pin
+    for pool in filter(None, pools):
+        pool.shutdown()
+
+
+class TestConvWorkers:
+    @pytest.mark.parametrize("od", [1, 3, 4, 5, 6, 7, 12, 13, 32, 64])
+    @pytest.mark.parametrize("n", [1, 2, 3, 8])
+    def test_ranges_are_whole_slabs(self, monkeypatch, od, n):
+        monkeypatch.setattr(volume, "WORKERS", n)
+        ranges = layers._slab_ranges(od)
+        slabs = -(-od // layers.SLAB)
+        assert len(ranges) == max(1, min(n, slabs // 2))
+        assert ranges[0][0] == 0 and ranges[-1][1] == od
+        assert all(hi == lo for (_, hi), (lo, _) in zip(ranges, ranges[1:]))
+        assert all(lo % layers.SLAB == 0 for lo, _ in ranges)
+        assert len(ranges) == 1 or all(hi - lo > layers.SLAB for lo, hi in ranges)
+
+    @pytest.mark.parametrize("k, pad", K_PADS, ids=K_PAD_IDS)
+    @pytest.mark.parametrize("cin, cout", [(2, 8), (3, 4)], ids=["folded", "x-fold"])
+    @pytest.mark.parametrize("dims", SLAB_DIMS[1:], ids=SLAB_IDS[1:])
+    def test_same_bytes_on_1_2_and_8_workers(self, workers, k, pad, cin, cout, dims):
+        rng = np.random.default_rng(13)
+        x = rng.standard_normal((cin,) + dims).astype(np.float32)
+        kern = rng.standard_normal((cout, cin, k, k, k)).astype(np.float32)
+        b = rng.standard_normal(cout).astype(np.float32)
+        gout = rng.standard_normal((cout,) + tuple(n + 2 * pad - k + 1 for n in dims)).astype(np.float32)
+        runs = []
+        for n in (1, 2, 8):
+            workers(n)
+            out, ctx = conv3d_forward(x, kern, b, pad)
+            runs.append([a.tobytes() for a in (out, *conv3d_backward(gout, ctx))])
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
 def upconv_oracle(coarse, skip, kern, b):
     """The decoder block as it reads: conv of the upsampled coarse grid concatenated with the skip."""
     return conv3d_forward(np.concatenate([upsample3d_forward(coarse, 2), skip]), kern, b)
 
 
-# coarse dims whose fine grid runs in one slab of 6 z-planes, or in two or three
+# coarse dims whose fine grid runs in two slabs of 3 z-planes, or in two or
+# three slabs per range at two workers
 UP_DIMS = [(3, 3, 3), (2, 3, 4), (5, 3, 2), (9, 2, 3)]
 UP_IDS = ["cube", "unequal", "2slabs", "3slabs"]
 UP_CHANNELS = [(1, 1, 1), (2, 3, 2), (3, 1, 3), (1, 2, 3)]  # coarse, skip and output channels
