@@ -2,14 +2,16 @@
 | evaluate | info.
 
 Each command runs exactly one stage, reads/writes artifacts under the
-workspace and appends a JSON line (timestamp, stage, params, duration) to
-<workspace>/run_log.jsonl.
+workspace and appends one JSON line to <workspace>/run_log.jsonl: timestamp,
+stage, the resolved `config` (RunConfig.to_json()), the handler `args` given
+(sample, stride, method), `params` (results the config does not hold, such as
+baseline's node statistics) and duration_sec; info logs nothing.
 
-Each flag is one row of FLAGS: name, commands, the dotted RunConfig paths it
-sets (the seed sets both `seed` and `train.seed`), value parser and help. The
-table builds the argparse subcommands and applies the flags, in table order,
-with dataclasses.replace on top of the --config file (overlaid onto RunConfig(),
-see RunConfig.from_json) or of RunConfig(). Rows without a path are arguments
+Each flag is one row of FLAGS: name, commands, the one dotted RunConfig path
+it sets, value parser and help. The table builds the argparse subcommands.
+Given flags write their values at their paths into the --config document (or
+{}), so flags win, and the merged document is decoded once (RunConfig.from_json),
+so every check sees the resolved settings. Rows without a path are arguments
 of the command's handler in COMMANDS.
 
 Workspace layout: raw/<id>/ from generate (the id is c<c value>), whose
@@ -25,8 +27,9 @@ from evaluate, which binarizes each volume once for metrics and figures.
 
 Exit codes: 0 success; 2 validation failure (bad flags; a config file that is
 missing, malformed or has an unknown key or a wrong type; a flag value the
-config rejects; a plate or sphere off the resolved grid; c values whose
-sample ids collide; missing inputs); 1 runtime error, including a corrupt
+config rejects; a generator grid under 2 voxels per axis; a plate or sphere
+off the resolved grid; c values whose sample ids collide; a register stride
+outside [1, patch size]; missing inputs); 1 runtime error, including a corrupt
 side file (manifest, sample.json, a JSON record).
 
 main runs every command under one malloc policy (apply_malloc_policy): glibc
@@ -46,7 +49,7 @@ import functools
 import json
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable
@@ -61,7 +64,7 @@ from .metrics import evaluate_pair
 from .figures import export_bdm_slices, export_displacement_magnitude, export_overlay_slices
 from .model import CheckpointError, checkpoint_load, checkpoint_save
 from .preprocess import DatasetManifest, build_dataset, otsu_threshold, sample_paths
-from .tpms import check_markers, synthesize_sample
+from .tpms import synthesize_sample
 from .training import train
 from .volume import DisplacementField, ScalarVolume, VolumeError, warp
 from .vvol import VvolError, vvol_read, vvol_write
@@ -160,7 +163,7 @@ def int_triple(s: str) -> tuple[int, int, int]:
 class Flag:
     name: str
     commands: tuple[str, ...]
-    paths: tuple[str, ...]  # dotted RunConfig fields; () for a handler argument
+    path: str | None  # dotted RunConfig field; None for a handler argument
     parse: Callable[[str], object]
     help: str
     choices: tuple[str, ...] | None = None
@@ -178,47 +181,45 @@ _ALL = ("generate", "preprocess", "train", "register", "baseline", "evaluate", "
 _PICK = ("register", "baseline", "evaluate")
 
 FLAGS = (
-    Flag("--workspace", _ALL, ("workspace",), str, "workspace directory"),
-    Flag("--seed", ("generate", "train", "register"), ("seed", "train.seed"), int,
+    Flag("--workspace", _ALL, "workspace", str, "workspace directory"),
+    Flag("--seed", ("generate", "train", "register"), "seed", int,
          "seed of generate (phantoms) and train (weights, patches); register accepts it for the "
          "benchmark's command line and ignores it"),
-    Flag("--c-values", ("generate",), ("c_values",), float_list,
+    Flag("--c-values", ("generate",), "c_values", float_list,
          "comma-separated level-set offsets (default: 0..-0.6 sweep)"),
-    Flag("--voxel-um", ("generate",), ("tpms.voxel_size",), float, "voxel pitch in micrometers"),
-    Flag("--extent-mm", ("generate",), ("tpms.part_extent",), float, "part extent per axis in mm"),
-    Flag("--plate-voxels", ("generate",), ("plate_voxels",), int, "base plate thickness in voxels"),
-    Flag("--target-dims", ("preprocess",), ("target_dims",), int_triple, "comma-separated nx,ny,nz"),
-    Flag("--manifest", ("train",) + _PICK, ("manifest",), str, "dataset manifest path"),
-    Flag("--checkpoint", ("train", "register"), ("checkpoint",), str,
+    Flag("--voxel-um", ("generate",), "tpms.voxel_size", float, "voxel pitch in micrometers"),
+    Flag("--extent-mm", ("generate",), "tpms.part_extent", float, "part extent per axis in mm"),
+    Flag("--plate-voxels", ("generate",), "plate_voxels", int, "base plate thickness in voxels"),
+    Flag("--target-dims", ("preprocess",), "target_dims", int_triple, "comma-separated nx,ny,nz"),
+    Flag("--manifest", ("train",) + _PICK, "manifest", str, "dataset manifest path"),
+    Flag("--checkpoint", ("train", "register"), "checkpoint", str,
          "checkpoint path (train writes it, register reads it)"),
-    Flag("--epochs", ("train",), ("train.epochs",), int, "training epochs"),
-    Flag("--steps-per-epoch", ("train",), ("train.steps_per_epoch",), int, "optimizer steps per epoch"),
-    Flag("--batch-size", ("train",), ("train.batch_size",), int, "patch pairs per step"),
-    Flag("--patch-size", ("train",), ("model.patch_size",), int, "training patch edge length"),
-    Flag("--ncc-window", ("train",), ("train.ncc_window",), int, "NCC window size (odd)"),
-    Flag("--lr", ("train",), ("train.lr",), float, "initial learning rate"),
-    Flag("--lambda-smooth", ("train",), ("train.lambda_smooth",), float, "smoothness weight"),
-    Flag("--node-spacing", ("baseline",), ("dvc.node_spacing",), int, "node lattice spacing"),
-    Flag("--window-halfsize", ("baseline",), ("dvc.window_halfsize",), int, "correlation window half-size"),
-    Flag("--search-radius", ("baseline",), ("dvc.search_radius",), int, "search radius per level"),
-    Flag("--levels", ("baseline",), ("dvc.pyramid_levels",), int, "pyramid levels"),
-    Flag("--sample", _PICK, (), str, "sample id (default: all test samples)"),
-    Flag("--stride", ("register",), (), int, "patch stride (default patch/2)"),
-    Flag("--method", ("evaluate",), (), str, "registration output to evaluate (default: learned)",
+    Flag("--epochs", ("train",), "train.epochs", int, "training epochs"),
+    Flag("--steps-per-epoch", ("train",), "train.steps_per_epoch", int, "optimizer steps per epoch"),
+    Flag("--batch-size", ("train",), "train.batch_size", int, "patch pairs per step"),
+    Flag("--patch-size", ("train",), "model.patch_size", int, "training patch edge length"),
+    Flag("--ncc-window", ("train",), "train.ncc_window", int, "NCC window size (odd)"),
+    Flag("--lr", ("train",), "train.lr", float, "initial learning rate"),
+    Flag("--lambda-smooth", ("train",), "train.lambda_smooth", float, "smoothness weight"),
+    Flag("--node-spacing", ("baseline",), "dvc.node_spacing", int, "node lattice spacing"),
+    Flag("--window-halfsize", ("baseline",), "dvc.window_halfsize", int, "correlation window half-size"),
+    Flag("--search-radius", ("baseline",), "dvc.search_radius", int, "search radius per level"),
+    Flag("--levels", ("baseline",), "dvc.pyramid_levels", int, "pyramid levels"),
+    Flag("--sample", _PICK, None, str, "sample id (default: all test samples)"),
+    Flag("--stride", ("register",), None, int, "patch stride (default patch/2)"),
+    Flag("--method", ("evaluate",), None, str, "registration output to evaluate (default: learned)",
          (*METHODS, "both")),
 )
 
 
-def _flag_for(path: str) -> str:
-    return next(f.name for f in FLAGS if path in f.paths)
-
-
-def _log_run(cfg: RunConfig, stage: str, params: dict, duration: float) -> None:
+def _log_run(cfg: RunConfig, stage: str, args: dict, params: dict, duration: float) -> None:
     ws = Path(cfg.workspace)
     ws.mkdir(parents=True, exist_ok=True)
     line = {
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "stage": stage,
+        "config": cfg.to_json(),
+        "args": args,
         "params": params,
         "duration_sec": duration,
     }
@@ -252,7 +253,7 @@ def cmd_generate(cfg: RunConfig) -> dict:
         (cad_path.parent / "sample.json").write_text(json.dumps(sidecar, indent=2, sort_keys=True))
         nx, ny, nz = cad.dims
         print(f"{sid}: dims {nx}x{ny}x{nz}, solid {cad.mask.mean():.1%}, max |gt| {np.abs(gt.data).max():.2f} vox")
-    return {"c_values": list(cfg.c_values), "seed": cfg.seed}
+    return {}
 
 
 def cmd_preprocess(cfg: RunConfig) -> dict:
@@ -264,12 +265,12 @@ def cmd_preprocess(cfg: RunConfig) -> dict:
     for entry in manifest.samples:
         print(f"{entry.id}: split {entry.split}")
     print(f"manifest: {cfg.manifest_path()}")
-    return {"target_dims": list(manifest.target_dims)}
+    return {}
 
 
 def cmd_train(cfg: RunConfig) -> dict:
     """train the registration network on the dataset"""
-    params, history = train(_load_manifest(cfg), cfg.manifest_path().parent, cfg.model, cfg.train, log_fn=print)
+    params, history = train(_load_manifest(cfg), cfg.manifest_path().parent, cfg.model, cfg.train, cfg.seed, print)
     ckpt = cfg.checkpoint_path()
     ckpt.parent.mkdir(parents=True, exist_ok=True)
     checkpoint_save(params, cfg.model, ckpt)
@@ -277,13 +278,13 @@ def cmd_train(cfg: RunConfig) -> dict:
     hist_path.write_text(json.dumps(history.to_json(), indent=2))
     print(f"checkpoint: {ckpt}")
     print(f"history: {hist_path}")
-    return {"epochs": cfg.train.epochs, "steps_per_epoch": cfg.train.steps_per_epoch, "seed": cfg.train.seed}
+    return {}
 
 
 def _load_manifest(cfg: RunConfig) -> DatasetManifest:
     mpath = cfg.manifest_path()
     if not mpath.exists():
-        raise CliError(f"manifest not found at {mpath}; run preprocess or pass {_flag_for('manifest')}")
+        raise CliError(f"manifest not found at {mpath}; run preprocess or pass --manifest")
     return DatasetManifest.load(mpath)
 
 
@@ -317,11 +318,13 @@ def cmd_register(cfg: RunConfig, sample: str | None = None, stride: int | None =
     """sliding-window registration of test samples"""
     ckpt = cfg.checkpoint_path()
     if not ckpt.exists():
-        raise CliError(f"checkpoint not found at {ckpt}; pass {_flag_for('checkpoint')} or run train first")
+        raise CliError(f"checkpoint not found at {ckpt}; pass --checkpoint or run train first")
     try:
         params, model_cfg = checkpoint_load(ckpt)
     except CheckpointError as e:
         raise CliError(str(e)) from e
+    if stride is not None and not 1 <= stride <= model_cfg.patch_size:
+        raise CliError(f"--stride {stride} outside [1, {model_cfg.patch_size}], the checkpoint's patch size")
     for sid, (cad_path, xct_path, _) in _select_samples(cfg, sample):
         moving = vvol_read(xct_path)
         fixed = vvol_read(cad_path)
@@ -331,7 +334,7 @@ def cmd_register(cfg: RunConfig, sample: str | None = None, stride: int | None =
         record = {"runtime_sec": runtime, "patch_size": model_cfg.patch_size}
         odir = _write_registration(cfg, "learned", sid, moved, disp, record)
         print(f"{sid}: registered in {runtime:.1f}s -> {odir}")
-    return {"sample": sample}
+    return {}
 
 
 def cmd_baseline(cfg: RunConfig, sample: str | None = None) -> dict:
@@ -357,7 +360,7 @@ def cmd_baseline(cfg: RunConfig, sample: str | None = None) -> dict:
             "runtime_sec": runtime,
         })
         print(f"{sid}: baseline in {runtime:.1f}s, {valid_pct:.0f}% valid nodes -> {odir}")
-    return {"sample": sample, "samples": samples}
+    return {"samples": samples}
 
 
 def _read_runtime(meta_file: Path) -> float:
@@ -404,7 +407,7 @@ def cmd_evaluate(cfg: RunConfig, sample: str | None = None, method: str = "learn
                 f"BDM0 {report.bdm_before['zero']:.1f}% -> {report.bdm_after['zero']:.1f}%, "
                 f"mean EPE {epe} vox, {runtime:.1f}s -> {rdir}"
             )
-    return {"sample": sample, "methods": methods}
+    return {}
 
 
 def cmd_info(cfg: RunConfig) -> None:
@@ -421,7 +424,7 @@ def cmd_info(cfg: RunConfig) -> None:
     print(json.dumps({"artifacts": artifacts}, indent=2, sort_keys=True))
 
 
-# each handler returns the params to record in run_log.jsonl, or None to record nothing
+# each handler returns its results for run_log.jsonl, or None to log nothing
 COMMANDS = {
     "generate": cmd_generate,
     "preprocess": cmd_preprocess,
@@ -447,30 +450,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _override(obj, path: str, value):
-    """replace() the field at dotted `path`, rebuilding each enclosing dataclass."""
-    head, _, rest = path.partition(".")
-    return replace(obj, **{head: _override(getattr(obj, head), rest, value) if rest else value})
-
-
 def _resolve_config(args) -> RunConfig:
+    """The --config document (or {}) with each given flag written at its path, decoded once."""
+    where = f"config {args.config}" if args.config else "config"
     try:
-        cfg = RunConfig.load(args.config) if args.config else RunConfig()
+        doc = read_json(args.config) if args.config else {}
     except (OSError, ValueError) as e:
-        raise CliError(f"config {args.config}: {e}") from e
+        raise CliError(f"{where}: {e}") from e
     for flag in FLAGS:
         value = getattr(args, flag.dest, None)
-        for path in flag.paths if value is not None else ():
-            try:
-                cfg = _override(cfg, path, value)
-            except ValueError as e:
-                raise CliError(f"{flag.name} {value}: {e}") from e
-    # flags set the grid and the markers one replace at a time: check them resolved
+        if flag.path is None or value is None:
+            continue
+        *sections, key = flag.path.split(".")
+        section = doc
+        for name in sections:
+            section = section.setdefault(name, {}) if isinstance(section, dict) else None
+        if isinstance(section, dict):  # the decode rejects a section that is not an object
+            section[key] = value
     try:
-        check_markers(cfg.tpms.grid_dims(), cfg.plate_voxels, cfg.marker_spheres)
+        return RunConfig.from_json(doc)
     except VolumeError as e:
-        raise CliError(f"config: {e}") from e
-    return cfg
+        raise CliError(f"{where}: {e}") from e
 
 
 def main(argv=None) -> int:
@@ -480,14 +480,14 @@ def main(argv=None) -> int:
     kwargs = {
         f.dest: getattr(args, f.dest)
         for f in FLAGS
-        if not f.paths and args.command in f.commands and getattr(args, f.dest) is not None
+        if f.path is None and args.command in f.commands and getattr(args, f.dest) is not None
     }
     try:
         cfg = _resolve_config(args)
         t0 = time.perf_counter()
         params = COMMANDS[args.command](cfg, **kwargs)
         if params is not None:
-            _log_run(cfg, args.command, params, time.perf_counter() - t0)
+            _log_run(cfg, args.command, kwargs, params, time.perf_counter() - t0)
         return 0
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)

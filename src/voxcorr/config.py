@@ -6,8 +6,9 @@ mirrors the dataclasses field for field (see jsonable). A file may name any
 subset of keys at any depth: each section it names is overlaid onto
 RunConfig()'s own default for that section, so a partial "train" block keeps
 the desk ncc_window. An unknown key, a wrong type or a value a __post_init__
-rejects raises VolumeError, which the CLI reports as exit code 2. Flags
-(cli.FLAGS) override single fields on top of the loaded config.
+rejects raises VolumeError, which the CLI reports as exit code 2. The CLI
+writes its flags (cli.FLAGS) into the document before the one decode, so the
+checks, the marker bounds among them, see the resolved settings.
 """
 from __future__ import annotations
 
@@ -16,10 +17,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .baseline import DvcConfig
-from .jsonable import Jsonable, from_json, read_json
+from .jsonable import Jsonable, from_json
 from .model import ModelConfig
 from .preprocess import CleanSpec
-from .tpms import DeformSpec, DegradeSpec, TpmsSpec
+from .tpms import DeformSpec, DegradeSpec, TpmsSpec, check_markers
 from .training import TrainConfig
 from .volume import VolumeError
 
@@ -42,7 +43,7 @@ class RunConfig(Jsonable):
     target_dims: tuple[int, int, int] | None = None  # default: generator grid
     plate_voxels: int = 0
     marker_spheres: tuple[tuple[float, float, float, float], ...] = ()  # ((x, y, z, radius), ...) in voxels
-    seed: int = 0
+    seed: int = 0  # the run's one seed: generate's phantoms, train's weights and patches
 
     def __post_init__(self):
         object.__setattr__(self, "c_values", tuple(float(c) for c in self.c_values))
@@ -53,6 +54,7 @@ class RunConfig(Jsonable):
                 raise VolumeError(f"c value {c} outside [-1, 1]")
         if self.target_dims is not None and min(self.target_dims) < 1:
             raise VolumeError(f"target_dims must be positive, got {self.target_dims}")
+        check_markers(self.tpms.grid_dims(), self.plate_voxels, self.marker_spheres)
 
     def manifest_path(self) -> Path:
         return Path(self.manifest) if self.manifest else Path(self.workspace) / "dataset" / "manifest.json"
@@ -65,10 +67,6 @@ class RunConfig(Jsonable):
         """Overlay `d` onto RunConfig(): a key the document leaves out, at any
         depth, keeps the default, and an unknown key is a VolumeError."""
         return from_json(cls, d, base=cls())
-
-    @classmethod
-    def load(cls, path) -> "RunConfig":
-        return cls.from_json(read_json(path))
 
     def save(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_json(), indent=2, sort_keys=True))

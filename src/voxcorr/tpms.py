@@ -45,6 +45,8 @@ class TpmsSpec:
     def __post_init__(self):
         if min(self.cell_size, self.part_extent, self.voxel_size, self.band_halfwidth) <= 0:
             raise VolumeError("cell_size, part_extent, voxel_size and band_halfwidth must be positive")
+        if min(self.grid_dims()) < 2:
+            raise VolumeError(f"grid {self.grid_dims()} must have at least 2 voxels per axis")
 
     def grid_dims(self) -> IVec3:
         n = int(round(self.part_extent * 1000.0 / self.voxel_size))

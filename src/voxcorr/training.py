@@ -38,7 +38,6 @@ class TrainConfig:
     plateau_patience: int = 10
     plateau_min_improvement: float = 1e-4
     min_lr: float = 1e-5
-    seed: int = 0
 
     def __post_init__(self):
         if self.lr <= 0 or self.lambda_smooth < 0:
@@ -63,16 +62,11 @@ class TrainHistory(Jsonable):
     wall_time: list[float] = field(default_factory=list)
 
 
-def adam_step(
-    params: dict,
-    grads: dict,
-    state: dict,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-    t: int = 1,
-) -> None:
+# Adam's moment decay rates and denominator guard, the defaults of Kingma and Ba
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
+def adam_step(params: dict, grads: dict, state: dict, lr: float, t: int = 1) -> None:
     """Standard bias-corrected Adam update, in place. t counts from 1."""
     for name, p in params.items():
         g = grads[name]
@@ -81,13 +75,13 @@ def adam_step(
         if name not in state:
             state[name] = (np.zeros_like(p, dtype=np.float64), np.zeros_like(p, dtype=np.float64))
         m, v = state[name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * (g * g)
-        m_hat = m / (1.0 - beta1 ** t)
-        v_hat = v / (1.0 - beta2 ** t)
-        p -= (lr * m_hat / (np.sqrt(v_hat) + eps)).astype(p.dtype)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
+        m_hat = m / (1.0 - ADAM_BETA1 ** t)
+        v_hat = v / (1.0 - ADAM_BETA2 ** t)
+        p -= (lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)).astype(p.dtype)
 
 
 class PlateauScheduler:
@@ -169,13 +163,15 @@ def train(
     data_dir,
     model_cfg: ModelConfig,
     train_cfg: TrainConfig,
+    seed: int,
     log_fn=None,
 ) -> tuple[dict, TrainHistory]:
-    """Full training run on the dataset in `data_dir`; returns final parameters and per-epoch history."""
+    """Full training run on the dataset in `data_dir`; returns final parameters and per-epoch history.
+    `seed` draws the initial weights and training patches, `seed + 1` the fixed validation patches."""
     if not manifest.split("train") or not manifest.split("val"):
         raise VolumeError("train and val splits must be non-empty")
-    rng = np.random.default_rng(train_cfg.seed)
-    val_rng = np.random.default_rng(train_cfg.seed + 1)
+    rng = np.random.default_rng(seed)
+    val_rng = np.random.default_rng(seed + 1)
     cache: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     p = model_cfg.patch_size
     lam, window = train_cfg.lambda_smooth, train_cfg.ncc_window

@@ -138,6 +138,16 @@ class TestTrain:
     def test_missing_manifest_exits_2(self, tmp_path):
         assert main(["train", "--workspace", str(tmp_path)]) == 2
 
+    def test_run_log_tells_two_smoothness_weights_apart(self, workspace, tmp_path):
+        argv = ["train", "--workspace", str(tmp_path), "--manifest", str(workspace / "dataset" / "manifest.json"),
+                "--epochs", "1", "--steps-per-epoch", "1", "--batch-size", "1", "--patch-size", "16",
+                "--ncc-window", "5"]
+        for lam in ("0.05", "0.5"):
+            assert main([*argv, "--lambda-smooth", lam]) == 0
+        records = [json.loads(line) for line in (tmp_path / "run_log.jsonl").read_text().splitlines()]
+        assert [r["config"]["train"]["lambda_smooth"] for r in records] == [0.05, 0.5]
+        assert all(r["stage"] == "train" and r["args"] == {} and r["params"] == {} for r in records)
+
 
 class TestRegister:
     def test_without_checkpoint_exits_2(self, workspace, tmp_path, capsys):
@@ -164,11 +174,16 @@ class TestRegister:
         assert moved.data.dtype == ref.data.dtype
         assert moved.data.tobytes() == ref.data.tobytes()
 
-    @pytest.mark.parametrize("flag, value", [("--stride", "0"), ("--stride", "17")])
-    def test_bad_blend_value_exits_nonzero(self, workspace, capsys, flag, value):
-        rc = main(["register", "--workspace", str(workspace), flag, value])
-        assert rc != 0
-        assert flag[2:] in capsys.readouterr().err
+    @pytest.mark.parametrize("flag, value", [("--stride", "0"), ("--stride", "-3"), ("--stride", "17")])
+    def test_bad_blend_value_exits_nonzero(self, workspace, tmp_path, capsys, flag, value):
+        # the checkpoint's patch is 16: the stride is checked before any sample is read
+        manifest = workspace / "dataset" / "manifest.json"
+        rc = main(["register", "--workspace", str(tmp_path), "--manifest", str(manifest),
+                   "--checkpoint", str(workspace / "checkpoint.vmck"), flag, value])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and flag[2:] in err[0]
+        assert not (tmp_path / "registered").exists()
 
     def test_unknown_sample_exits_2(self, workspace):
         rc = main(["register", "--workspace", str(workspace), "--sample", "nope"])
@@ -416,11 +431,30 @@ class TestCliSurface:
         assert "generate" in stages
         assert "train" in stages
 
+    def test_every_run_log_record_holds_the_resolved_config(self, workspace):
+        records = [json.loads(line) for line in (workspace / "run_log.jsonl").read_text().splitlines()]
+        assert records
+        for record in records:
+            assert set(record) == {"timestamp", "stage", "config", "args", "params", "duration_sec"}
+            cfg = RunConfig.from_json(record["config"])
+            assert cfg.to_json() == record["config"] and cfg.workspace == str(workspace)
+        generate = next(r for r in records if r["stage"] == "generate")
+        assert generate["config"]["seed"] == 3 and generate["config"]["c_values"] == [0.0, -0.3, -0.6]
+        train = next(r for r in records if r["stage"] == "train")
+        assert train["config"]["model"]["patch_size"] == 16 and train["config"]["train"]["epochs"] == 2
+
+    def test_run_log_records_the_handler_arguments(self, workspace, tmp_path):
+        manifest = workspace / "dataset" / "manifest.json"
+        assert main(["register", "--workspace", str(tmp_path), "--manifest", str(manifest),
+                     "--checkpoint", str(workspace / "checkpoint.vmck"), "--sample", "c-0.6", "--stride", "8"]) == 0
+        (record,) = [json.loads(line) for line in (tmp_path / "run_log.jsonl").read_text().splitlines()]
+        assert record["args"] == {"sample": "c-0.6", "stride": 8} and record["params"] == {}
+
     def test_config_file_roundtrip(self, tmp_path):
         cfg = RunConfig(workspace=str(tmp_path / "w"), seed=9)
         cpath = tmp_path / "cfg.json"
         cfg.save(cpath)
-        loaded = RunConfig.load(cpath)
+        loaded = _resolve_config(_build_parser().parse_args(["info", "--config", str(cpath)]))
         assert loaded.seed == 9
         assert loaded.to_json() == cfg.to_json()
 
@@ -433,7 +467,7 @@ class TestCliSurface:
         cpath.write_text(json.dumps({section: partial}))
         default = RunConfig()
         expected = replace(default, **{section: replace(getattr(default, section), **partial)})
-        assert RunConfig.load(cpath) == expected
+        assert _resolve_config(_build_parser().parse_args(["info", "--config", str(cpath)])) == expected
 
     @pytest.mark.parametrize(
         "doc, needle",
@@ -451,6 +485,7 @@ class TestCliSurface:
             # c and the seeds are per-sample arguments of synthesis, not config fields
             ({"tpms": {"c_param": -0.5}}, "tpms: unknown key 'c_param'"),
             ({"deform": {"seed": 99}}, "deform: unknown key 'seed'"),
+            ({"train": {"seed": 1}}, "train: unknown key 'seed'"),  # the run's one seed is `seed`
             ({"degrade": {"seed": 98}}, "degrade: unknown key 'seed'"),
             ({"train": {"ncc_window": -1}}, "ncc_window"),
             ({"train": {"epochs": 0}}, "epochs"),
@@ -490,6 +525,9 @@ class TestCliSurface:
             (["generate", "--c-values", "0", "--extent-mm", "1.28", "--plate-voxels", "99"],
              "plate thickness 99 outside [0, 16]"),
             (["generate", "--c-values", "0", "--extent-mm", "1.28", "--plate-voxels", "-1"], "plate thickness -1"),
+            # grids of 0^3 and 1^3 voxels used to fail in synthesis, after raw/ was made
+            (["generate", "--c-values", "0", "--extent-mm", "0.01"], "grid (0, 0, 0)"),
+            (["generate", "--c-values", "0", "--extent-mm", "0.1"], "grid (1, 1, 1)"),
         ],
     )
     def test_rejected_value_exits_2_with_one_error_line(self, tmp_path, monkeypatch, capsys, argv, needle):
@@ -508,6 +546,24 @@ class TestCliSurface:
         )
         cfg = _resolve_config(args)
         assert cfg.tpms.grid_dims() == (16, 16, 16) and cfg.plate_voxels == 2
+
+    def test_flag_grid_admits_the_file_plate(self, tmp_path):
+        # file and flags decode together: the flag's 128^3 grid holds the file's 99-voxel plate,
+        # which the default 64^3 grid rejects (test_bad_config_exits_2_with_one_error_line)
+        cpath = tmp_path / "cfg.json"
+        cpath.write_text(json.dumps({"plate_voxels": 99}))
+        args = _build_parser().parse_args(["generate", "--config", str(cpath), "--extent-mm", "10.24"])
+        cfg = _resolve_config(args)
+        assert cfg.tpms.grid_dims() == (128, 128, 128) and cfg.plate_voxels == 99
+
+    def test_flag_into_a_section_that_is_not_an_object_exits_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        cpath = tmp_path / "cfg.json"
+        cpath.write_text(json.dumps({"tpms": 3}))
+        assert main(["generate", "--config", str(cpath), "--extent-mm", "1.28"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "tpms: expected an object" in err[0]
+        assert list(tmp_path.iterdir()) == [cpath]
 
 
 # applies main's malloc policy, then registers one 32^3 pair with patch 16 (27
@@ -607,4 +663,4 @@ def test_flag_sets_exactly_its_config_paths(flag, cmd):
     assert getattr(args, flag.dest) is not None
     before = _flatten(RunConfig().to_json())
     after = _flatten(_resolve_config(args).to_json())
-    assert {k for k in before if before[k] != after[k]} == set(flag.paths)
+    assert {k for k in before if before[k] != after[k]} == {flag.path} - {None}

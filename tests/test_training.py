@@ -134,12 +134,12 @@ class TestTrain:
         manifest = make_manifest(tmp_path)
         cfg = TrainConfig(
             lr=1e-3, epochs=6, steps_per_epoch=4, batch_size=2, val_batch_size=2,
-            ncc_window=5, seed=1,
+            ncc_window=5,
         )
         model_cfg = ModelConfig(
             enc_features=(4, 4, 4, 4), dec_features=(4, 4, 4, 4, 4, 4), patch_size=16
         )
-        params, history = train(manifest, tmp_path, model_cfg, cfg)
+        params, history = train(manifest, tmp_path, model_cfg, cfg, seed=1)
         assert len(history.train_loss) == 6
         assert len(history.val_loss) == 6
         assert len(history.lr) == 6
@@ -148,10 +148,10 @@ class TestTrain:
 
     def test_history_deterministic(self, tmp_path):
         manifest = make_manifest(tmp_path)
-        cfg = TrainConfig(lr=1e-3, epochs=2, steps_per_epoch=2, batch_size=2, val_batch_size=1, ncc_window=5, seed=3)
+        cfg = TrainConfig(lr=1e-3, epochs=2, steps_per_epoch=2, batch_size=2, val_batch_size=1, ncc_window=5)
         model_cfg = ModelConfig(enc_features=(2, 2, 2, 2), dec_features=(2, 2, 2, 2, 2, 2), patch_size=16)
-        p1, h1 = train(manifest, tmp_path, model_cfg, cfg)
-        p2, h2 = train(manifest, tmp_path, model_cfg, cfg)
+        p1, h1 = train(manifest, tmp_path, model_cfg, cfg, seed=3)
+        p2, h2 = train(manifest, tmp_path, model_cfg, cfg, seed=3)
         assert h1.to_json() == {**h2.to_json(), "wall_time": h1.wall_time}
         for name in p1:
             assert p1[name].tobytes() == p2[name].tobytes()
@@ -160,7 +160,7 @@ class TestTrain:
         manifest = make_manifest(tmp_path)
         manifest.samples = [s for s in manifest.samples if s.split == "train"]
         with pytest.raises(VolumeError):
-            train(manifest, tmp_path, TOY, TrainConfig(epochs=1))
+            train(manifest, tmp_path, TOY, TrainConfig(epochs=1), seed=0)
 
 
 class TestSlidingRegister:
