@@ -21,7 +21,7 @@ import numpy as np
 from scipy.fft import next_fast_len
 
 from .jsonable import Jsonable
-from .volume import DisplacementField, ScalarVolume, VolumeError, downsample2, trilinear_gather, window_sums
+from .volume import DisplacementField, ScalarVolume, VolumeError, downsample2, trilinear_gather, window_sums, z_chunks
 
 
 @dataclass(frozen=True)
@@ -237,11 +237,11 @@ def multiscale_dvc(
     gx = (np.arange(nx) - xs[0]) / sp_x
     gy = (np.arange(ny) - ys[0]) / sp_y
     gz = (np.arange(nz) - zs[0]) / sp_z
-    px = np.broadcast_to(gx[None, None, :], (nz, ny, nx))
-    py = np.broadcast_to(gy[None, :, None], (nz, ny, nx))
-    pz = np.broadcast_to(gz[:, None, None], (nz, ny, nx))
-    dense = trilinear_gather(np.moveaxis(disp, -1, 0), px, py, pz)
-    field = DisplacementField(dense.astype(np.float32), moving.voxel_size)
+    lattice = np.moveaxis(disp, -1, 0)
+    dense = np.empty((3, nz, ny, nx), np.float32)
+    for z in z_chunks(dense.shape[1:]):  # each chunk cast to float32 as it is made
+        dense[:, z] = trilinear_gather(lattice, gx, gy[:, None], gz[z, None, None])
+    field = DisplacementField(dense, moving.voxel_size)
     nodes = NodeField(
         lattice_dims=(nnx, nny, nnz),
         positions=np.array([(x, y, z) for z in zs for y in ys for x in xs], dtype=np.int64),

@@ -5,7 +5,10 @@ Each command runs exactly one stage, reads/writes artifacts under the
 workspace and appends one JSON line to <workspace>/run_log.jsonl: timestamp,
 stage, the resolved `config` (RunConfig.to_json()), the handler `args` given
 (sample, stride, method), `params` (results the config does not hold, such as
-baseline's node statistics) and duration_sec; info logs nothing.
+baseline's node statistics), duration_sec and peak_rss_mib, the process's
+peak resident memory so far (ru_maxrss) at the end of the stage; info logs
+nothing. A process that runs one stage, as the command line does, logs that
+stage's peak.
 
 Each flag is one row of FLAGS: name, commands, the one dotted RunConfig path
 it sets, value parser and help. The table builds the argparse subcommands.
@@ -27,8 +30,9 @@ from evaluate, which binarizes each volume once for metrics and figures.
 
 Exit codes: 0 success; 2 validation failure (bad flags; a config file that is
 missing, malformed or has an unknown key or a wrong type; a flag value the
-config rejects; a generator grid under 2 voxels per axis; a plate or sphere
-off the resolved grid; c values whose sample ids collide; a register stride
+config rejects; a generator grid or target dims under preprocess.MIN_GRID
+voxels per axis, which preprocessing could not carry; a plate or sphere off
+the resolved grid; c values whose sample ids collide; a register stride
 outside [1, patch size]; missing inputs); 1 runtime error, including a corrupt
 side file (manifest, sample.json, a JSON record).
 
@@ -47,6 +51,7 @@ import argparse
 import ctypes
 import functools
 import json
+import resource
 import sys
 import time
 from dataclasses import dataclass
@@ -66,7 +71,7 @@ from .model import CheckpointError, checkpoint_load, checkpoint_save
 from .preprocess import DatasetManifest, build_dataset, otsu_threshold, sample_paths
 from .tpms import synthesize_sample
 from .training import train
-from .volume import DisplacementField, ScalarVolume, VolumeError, warp
+from .volume import BinaryVolume, DisplacementField, ScalarVolume, VolumeError, warp
 from .vvol import VvolError, vvol_read, vvol_write
 
 
@@ -222,6 +227,7 @@ def _log_run(cfg: RunConfig, stage: str, args: dict, params: dict, duration: flo
         "args": args,
         "params": params,
         "duration_sec": duration,
+        "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,  # KiB on Linux
     }
     with open(ws / "run_log.jsonl", "a") as f:
         f.write(json.dumps(line, sort_keys=True) + "\n")
@@ -253,6 +259,7 @@ def cmd_generate(cfg: RunConfig) -> dict:
         (cad_path.parent / "sample.json").write_text(json.dumps(sidecar, indent=2, sort_keys=True))
         nx, ny, nz = cad.dims
         print(f"{sid}: dims {nx}x{ny}x{nz}, solid {cad.mask.mean():.1%}, max |gt| {np.abs(gt.data).max():.2f} vox")
+        del cad, xct, gt  # written: the next sample need not share the peak with this one
     return {}
 
 
@@ -375,39 +382,47 @@ def cmd_evaluate(cfg: RunConfig, sample: str | None = None, method: str = "learn
     """metrics report and figure export for registered samples"""
     methods = list(METHODS) if method == "both" else [method]
     for sid, (cad_path, xct_path, gt_path) in _select_samples(cfg, sample):
-        cad = vvol_read(cad_path)
+        _, cad_bin = otsu_threshold(vvol_read(cad_path))  # the nominal volume serves only as its mask
         xct = vvol_read(xct_path)
-        gt = vvol_read(gt_path) if gt_path.exists() else None
-        _, cad_bin = otsu_threshold(cad)
         _, xct_bin = otsu_threshold(xct)
-        for method in methods:
-            mdir = Path(cfg.workspace) / METHODS[method][0] / sid
-            moved_path = mdir / "moved.vvol"
-            if not moved_path.exists():
-                raise CliError(f"no {method} output for {sid}; expected {moved_path}")
-            moved = vvol_read(moved_path)
-            _, moved_bin = otsu_threshold(moved)
-            disp = vvol_read(mdir / "disp.vvol")
-            runtime = _read_runtime(mdir / METHODS[method][1])
-            report, bdm_before, bdm_after = evaluate_pair(
-                cad_bin, xct_bin, moved_bin, disp, gt_disp=gt,
-                sample_id=sid, method=method, runtime_sec=runtime,
-            )
-            rdir = Path(cfg.workspace) / "reports" / sid / method
-            rdir.mkdir(parents=True, exist_ok=True)
-            (rdir / "report.json").write_text(json.dumps(report.to_json(), indent=2))
-            export_overlay_slices(cad_bin, xct, xct_bin, rdir, prefix="overlay_before")
-            export_overlay_slices(cad_bin, moved, moved_bin, rdir, prefix="overlay_after")
-            export_bdm_slices(bdm_before, rdir, prefix="bdm_before")
-            export_bdm_slices(bdm_after, rdir, prefix="bdm_after")
-            export_displacement_magnitude(disp, cad_bin, rdir, prefix="dispmag")
-            epe = "-" if report.mean_epe_vox is None else f"{report.mean_epe_vox:.3f}"
-            print(
-                f"{sid} [{method}]: dice {report.dice_before_pct:.1f}% -> {report.dice_after_pct:.1f}%, "
-                f"BDM0 {report.bdm_before['zero']:.1f}% -> {report.bdm_after['zero']:.1f}%, "
-                f"mean EPE {epe} vox, {runtime:.1f}s -> {rdir}"
-            )
+        gt = vvol_read(gt_path) if gt_path.exists() else None
+        for m in methods:
+            _evaluate_method(cfg, sid, m, cad_bin, xct, xct_bin, gt)
     return {}
+
+
+def _evaluate_method(
+    cfg: RunConfig, sid: str, method: str, cad_bin: BinaryVolume, xct: ScalarVolume, xct_bin: BinaryVolume,
+    gt: DisplacementField | None,
+) -> None:
+    """Report and figures of one method's output for sample `sid`; its volumes
+    die on return, before the next method's are read."""
+    mdir = Path(cfg.workspace) / METHODS[method][0] / sid
+    moved_path = mdir / "moved.vvol"
+    if not moved_path.exists():
+        raise CliError(f"no {method} output for {sid}; expected {moved_path}")
+    moved = vvol_read(moved_path)
+    _, moved_bin = otsu_threshold(moved)
+    disp = vvol_read(mdir / "disp.vvol")
+    runtime = _read_runtime(mdir / METHODS[method][1])
+    report, bdm_before, bdm_after = evaluate_pair(
+        cad_bin, xct_bin, moved_bin, disp, gt_disp=gt,
+        sample_id=sid, method=method, runtime_sec=runtime,
+    )
+    rdir = Path(cfg.workspace) / "reports" / sid / method
+    rdir.mkdir(parents=True, exist_ok=True)
+    (rdir / "report.json").write_text(json.dumps(report.to_json(), indent=2))
+    export_overlay_slices(cad_bin, xct, xct_bin, rdir, prefix="overlay_before")
+    export_overlay_slices(cad_bin, moved, moved_bin, rdir, prefix="overlay_after")
+    export_bdm_slices(bdm_before, rdir, prefix="bdm_before")
+    export_bdm_slices(bdm_after, rdir, prefix="bdm_after")
+    export_displacement_magnitude(disp, cad_bin, rdir, prefix="dispmag")
+    epe = "-" if report.mean_epe_vox is None else f"{report.mean_epe_vox:.3f}"
+    print(
+        f"{sid} [{method}]: dice {report.dice_before_pct:.1f}% -> {report.dice_after_pct:.1f}%, "
+        f"BDM0 {report.bdm_before['zero']:.1f}% -> {report.bdm_after['zero']:.1f}%, "
+        f"mean EPE {epe} vox, {runtime:.1f}s -> {rdir}"
+    )
 
 
 def cmd_info(cfg: RunConfig) -> None:

@@ -19,7 +19,7 @@ from pathlib import Path
 from .baseline import DvcConfig
 from .jsonable import Jsonable, from_json
 from .model import ModelConfig
-from .preprocess import CleanSpec
+from .preprocess import MIN_GRID, CleanSpec
 from .tpms import DeformSpec, DegradeSpec, TpmsSpec, check_markers
 from .training import TrainConfig
 from .volume import VolumeError
@@ -52,8 +52,8 @@ class RunConfig(Jsonable):
         for c in self.c_values:
             if not (-1.0 <= c <= 1.0):
                 raise VolumeError(f"c value {c} outside [-1, 1]")
-        if self.target_dims is not None and min(self.target_dims) < 1:
-            raise VolumeError(f"target_dims must be positive, got {self.target_dims}")
+        if self.target_dims is not None and min(self.target_dims) < MIN_GRID:
+            raise VolumeError(f"target_dims must have at least {MIN_GRID} voxels per axis, got {self.target_dims}")
         check_markers(self.tpms.grid_dims(), self.plate_voxels, self.marker_spheres)
 
     def manifest_path(self) -> Path:

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .metrics import BDM_OUTSIDE, BdmResult
+from .metrics import BDM_OUTSIDE, BdmResult, squared_norm
 from .volume import BinaryVolume, DisplacementField, ScalarVolume, VolumeError
 
 GREEN = np.array([0, 200, 0], dtype=np.float64)
@@ -109,20 +109,22 @@ def export_displacement_magnitude(
     """
     if disp.dims != mask.dims:
         raise VolumeError(f"dims mismatch: {disp.dims} vs {mask.dims}")
-    mag = np.sqrt((disp.data.astype(np.float64) ** 2).sum(axis=0))
+    mag = squared_norm(disp.data)
+    np.sqrt(mag, out=mag)
     lo, hi = float(mag.min()), float(mag.max())
-    if hi > lo:
-        scaled = (mag - lo) / (hi - lo) * 255.0
-    elif hi == 0.0:
-        scaled = np.zeros_like(mag)
-    else:
-        scaled = np.full_like(mag, 128.0)
-    scaled[~mask.mask] = 0.0
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = []
-    for plane, sl in central_slices(scaled).items():
+    inside = central_slices(mask.mask)
+    for plane, sl in central_slices(mag).items():  # only the slices are scaled
+        if hi > lo:
+            scaled = (sl - lo) / (hi - lo) * 255.0
+        elif hi == 0.0:
+            scaled = np.zeros_like(sl)
+        else:
+            scaled = np.full_like(sl, 128.0)
+        scaled[~inside[plane]] = 0.0
         p = out_dir / f"{prefix}_{plane}.pgm"
-        write_pgm(p, np.clip(sl, 0, 255).astype(np.uint8))
+        write_pgm(p, np.clip(scaled, 0, 255).astype(np.uint8))
         paths.append(str(p))
     return paths

@@ -64,6 +64,22 @@ def bdm(xct_bin: BinaryVolume, cad_bin: BinaryVolume) -> BdmResult:
     )
 
 
+def squared_norm(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """Per-voxel squared length of a - b (of a without b) over the channel axis
+    0, in float64. The channels are added one at a time in channel order, as
+    the sum over axis 0 of the float64 squares adds them, with one channel's
+    temporaries live instead of all three."""
+    out = np.zeros(a.shape[1:])
+    d = np.empty_like(out)
+    for c in range(a.shape[0]):
+        d[...] = a[c]
+        if b is not None:
+            d -= b[c]
+        d *= d
+        out += d
+    return out
+
+
 def endpoint_error(
     pred: DisplacementField, gt: DisplacementField, mask: BinaryVolume
 ) -> tuple[float, float]:
@@ -72,8 +88,8 @@ def endpoint_error(
         raise VolumeError("field/mask dims mismatch")
     if not mask.mask.any():
         raise VolumeError("empty evaluation mask")
-    d = pred.data.astype(np.float64) - gt.data.astype(np.float64)
-    epe = np.sqrt((d * d).sum(axis=0))[mask.mask]
+    epe = squared_norm(pred.data, gt.data)[mask.mask]
+    np.sqrt(epe, out=epe)
     return float(epe.mean()), float(epe.max())
 
 

@@ -24,13 +24,20 @@ import numpy as np
 from scipy import ndimage
 
 from .jsonable import Jsonable, from_json, read_json, to_json
-from .volume import BinaryVolume, DisplacementField, IVec3, ScalarVolume, VolumeError, crop_or_pad, minmax_normalize
+from .volume import (
+    BLOCK, BinaryVolume, DisplacementField, IVec3, ScalarVolume, VolumeError, crop_or_pad, minmax_normalize,
+)
 from .vvol import vvol_read, vvol_write
 
 CROSS6 = ndimage.generate_binary_structure(3, 1)   # faces only
 CUBE26 = np.ones((3, 3, 3), dtype=bool)
 
 _STRUCTURES = {6: CROSS6, 26: CUBE26}
+
+# the smallest grid, in voxels per axis, that preprocessing carries through: at
+# 2 and 3 the cleaning's erosion can leave no solid voxel, or the centre crop of
+# a nominal volume no void one; every desk sample at 4 passed (seeds 0-5)
+MIN_GRID = 4
 
 
 @dataclass(frozen=True)
@@ -83,14 +90,20 @@ def _bin_indices(v: np.ndarray, edges: np.ndarray) -> np.ndarray:
     Each value's bin is computed by arithmetic and checked against the two
     edges it must lie between. The values that fail the check, next to an
     edge or all of them when the edges are only ulps apart, are looked up by
-    searchsorted instead, so the result is exact either way.
+    searchsorted instead, so the result is exact either way. A value's bin
+    depends on that value alone, so the values go through BLOCK at a time,
+    and only the index array is as long as v.
     """
     bins = edges.size - 1
     lo, hi = edges[0], edges[-1]
-    idx = np.minimum(((v - lo) / (hi - lo) * bins).astype(np.intp), bins - 1)  # (v - lo) / (hi - lo) stays in [0, 1]
-    miss = (v > edges[idx + 1]) | ((v <= edges[idx]) & (idx > 0))
-    if miss.any():
-        idx[miss] = np.clip(np.searchsorted(edges, v[miss], side="left") - 1, 0, bins - 1)
+    idx = np.empty(v.size, np.intp)
+    for s in range(0, v.size, BLOCK):
+        b = v[s : s + BLOCK]
+        i = np.minimum(((b - lo) / (hi - lo) * bins).astype(np.intp), bins - 1)  # (b - lo) / (hi - lo) stays in [0, 1]
+        miss = (b > edges[i + 1]) | ((b <= edges[i]) & (i > 0))
+        if miss.any():
+            i[miss] = np.clip(np.searchsorted(edges, b[miss], side="left") - 1, 0, bins - 1)
+        idx[s : s + BLOCK] = i
     return idx
 
 
@@ -289,38 +302,11 @@ def build_dataset(
     out_dir.mkdir(parents=True, exist_ok=True)
     entries = []
     for sid in sorted(cs):
-        cad_in, xct_in, gt_in = sample_paths(raw_dir, sid)
-        cad_out, xct_out, gt_out = sample_paths(out_dir, sid)
         try:
-            cad = vvol_read(cad_in)
-            xct = vvol_read(xct_in)
-            if not isinstance(cad, ScalarVolume) or not isinstance(xct, ScalarVolume):
-                raise VolumeError("cad and xct inputs must be scalar volumes")
-            target_dims = target_dims or cad.dims
-            xct_gray, _ = clean_xct(xct, clean_spec)
-            aligned, shift = coarse_align(xct_gray, cad)
-            cad_out.parent.mkdir(exist_ok=True)
-            vvol_write(cad_out, minmax_normalize(crop_or_pad(cad, target_dims, float(cad.data.min()))))
-            vvol_write(xct_out, minmax_normalize(crop_or_pad(aligned, target_dims, float(aligned.data.min()))))
-            if gt_in.exists():
-                # the field lives on the fixed grid, which alignment does not
-                # move; shifting the scan by s changes the field values by +s
-                gt = vvol_read(gt_in)
-                if not isinstance(gt, DisplacementField):
-                    raise VolumeError("gt_disp input must be a displacement field")
-                gt.data[...] += np.array(shift, dtype=np.float32)[:, None, None, None]
-                vvol_write(gt_out, crop_or_pad(gt, target_dims))
-            sidecar = {
-                "id": sid,
-                "c_param": cs[sid],
-                "clean": to_json(clean_spec),
-                "coarse_shift": list(shift),
-                "target_dims": list(target_dims),
-            }
-            (cad_out.parent / "preprocess.json").write_text(json.dumps(sidecar, indent=2, sort_keys=True))
-            entries.append(SampleEntry(id=sid, c_param=float(cs[sid]), split=by_c[cs[sid]]))
+            target_dims = _preprocess_sample(raw_dir, out_dir, sid, cs[sid], target_dims, clean_spec)
         except (VolumeError, OSError) as e:
             raise VolumeError(f"preprocessing failed for sample {sid!r}: {e}") from e
+        entries.append(SampleEntry(id=sid, c_param=float(cs[sid]), split=by_c[cs[sid]]))
     manifest = DatasetManifest(
         samples=entries,
         target_dims=tuple(int(t) for t in target_dims),
@@ -328,3 +314,40 @@ def build_dataset(
     )
     manifest.save(manifest_path)
     return manifest
+
+
+def _preprocess_sample(
+    raw_dir: Path, out_dir: Path, sid: str, c: float, target_dims: IVec3 | None, clean_spec: CleanSpec
+) -> IVec3:
+    """Write sample `sid`'s dataset folder (see build_dataset); returns the
+    target dims it used, its nominal grid when none is given. Its volumes die
+    on return, before the next sample's are read."""
+    cad_in, xct_in, gt_in = sample_paths(raw_dir, sid)
+    cad_out, xct_out, gt_out = sample_paths(out_dir, sid)
+    cad = vvol_read(cad_in)
+    xct = vvol_read(xct_in)
+    if not isinstance(cad, ScalarVolume) or not isinstance(xct, ScalarVolume):
+        raise VolumeError("cad and xct inputs must be scalar volumes")
+    target_dims = target_dims or cad.dims
+    xct_gray, _ = clean_xct(xct, clean_spec)
+    aligned, shift = coarse_align(xct_gray, cad)
+    cad_out.parent.mkdir(exist_ok=True)
+    vvol_write(cad_out, minmax_normalize(crop_or_pad(cad, target_dims, float(cad.data.min()))))
+    vvol_write(xct_out, minmax_normalize(crop_or_pad(aligned, target_dims, float(aligned.data.min()))))
+    if gt_in.exists():
+        # the field lives on the fixed grid, which alignment does not
+        # move; shifting the scan by s changes the field values by +s
+        gt = vvol_read(gt_in)
+        if not isinstance(gt, DisplacementField):
+            raise VolumeError("gt_disp input must be a displacement field")
+        gt.data[...] += np.array(shift, dtype=np.float32)[:, None, None, None]
+        vvol_write(gt_out, crop_or_pad(gt, target_dims))
+    sidecar = {
+        "id": sid,
+        "c_param": c,
+        "clean": to_json(clean_spec),
+        "coarse_shift": list(shift),
+        "target_dims": list(target_dims),
+    }
+    (cad_out.parent / "preprocess.json").write_text(json.dumps(sidecar, indent=2, sort_keys=True))
+    return target_dims

@@ -12,6 +12,13 @@ synthesize_sample makes one sample. The specs describe the whole sweep; c and
 the seed are per-sample arguments: the deformation draws from `seed` and the
 degradations from `seed + 1`. A base plate and marker spheres form one mask
 that is OR-ed into both the nominal and the scan's solid mask.
+
+degrade_to_xct holds only what its next step needs. It makes the field first,
+while the least else is held; it drops the float64 implicit field once the
+solid mask is taken; it smooths its noise in place, and finds max |s| as
+max(s.max(), -s.min()), with no |s| array; and it warps the float64 scan by
+the float32 inverse field, whose warp samples as its float64 copy would (see
+volume). The outputs are the bits of the whole-volume float64 formulas.
 """
 from __future__ import annotations
 
@@ -20,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.ndimage import binary_erosion, gaussian_filter
 
-from .preprocess import CROSS6
+from .preprocess import CROSS6, MIN_GRID
 from .volume import (
     BinaryVolume,
     DisplacementField,
@@ -45,8 +52,8 @@ class TpmsSpec:
     def __post_init__(self):
         if min(self.cell_size, self.part_extent, self.voxel_size, self.band_halfwidth) <= 0:
             raise VolumeError("cell_size, part_extent, voxel_size and band_halfwidth must be positive")
-        if min(self.grid_dims()) < 2:
-            raise VolumeError(f"grid {self.grid_dims()} must have at least 2 voxels per axis")
+        if min(self.grid_dims()) < MIN_GRID:
+            raise VolumeError(f"grid {self.grid_dims()} must have at least {MIN_GRID} voxels per axis")
 
     def grid_dims(self) -> IVec3:
         n = int(round(self.part_extent * 1000.0 / self.voxel_size))
@@ -158,20 +165,19 @@ def synth_displacement(dims: IVec3, spec: DeformSpec, seed: int) -> Displacement
     """u(x) = (shrink - 1) * (x - centre) + s(x), with s smoothed seeded noise
     rescaled so max |s| equals warp_amplitude. Deterministic given the seed.
 
-    Each channel of the noise is smoothed by its own 3-D Gaussian filter, the
-    three through parallel_map. A filter never mixes channels, so the field is
-    bit for bit the one 4-D filter with sigma (0, s, s, s) would give."""
+    Each channel of the noise is smoothed in place by its own 3-D Gaussian
+    filter, the three through parallel_map. A filter never mixes channels, and
+    each pass filters a line from a copy of it, so the field is bit for bit the
+    one 4-D filter with sigma (0, s, s, s) into a new array would give."""
     nx, ny, nz = (int(d) for d in dims)
     rng = np.random.default_rng(seed)
     s = rng.standard_normal((3, nz, ny, nx))
     if spec.warp_amplitude > 0:
-        smooth = np.empty_like(s)
-        parallel_map(lambda c: gaussian_filter(s[c], spec.warp_smoothness, output=smooth[c]), range(3))
-        s = smooth
+        parallel_map(lambda c: gaussian_filter(s[c], spec.warp_smoothness, output=s[c]), range(3))
         s -= s.mean(axis=(1, 2, 3), keepdims=True)  # finite-sample mean would otherwise be amplified by the rescale
-        s *= spec.warp_amplitude / np.abs(s).max()
+        s *= spec.warp_amplitude / max(s.max(), -s.min())
     else:
-        s = np.zeros_like(s)
+        s[...] = 0.0
     a = spec.shrink_factor - 1.0
     u = s
     u[0] += a * (np.arange(nx, dtype=np.float64) - (nx - 1) / 2.0)[None, None, :]
@@ -186,6 +192,13 @@ def leveled_grayscale(mask: BinaryVolume, deg: DegradeSpec) -> ScalarVolume:
     if deg.psf_sigma > 0:
         g = gaussian_filter(g, deg.psf_sigma)
     return ScalarVolume(g, mask.voxel_size)
+
+
+def _pick_voxels(rng: np.random.Generator, where: np.ndarray, count: int) -> np.ndarray:
+    """Up to `count` distinct flat indices of the true voxels of `where`, drawn
+    without replacement; the index list of all of them dies on return."""
+    idx = np.flatnonzero(where)
+    return rng.choice(idx, size=min(count, idx.size), replace=False) if idx.size else idx
 
 
 def degrade_to_xct(
@@ -206,42 +219,43 @@ def degrade_to_xct(
     Returns (scan volume, ground-truth field); warping the scan by the field
     recovers the nominal grayscale.
     """
+    gt = synth_displacement(cad_field.dims, spec_def, seed)  # first, while the least else is held
     rng = np.random.default_rng(seed + 1)
     f = cad_field.data.astype(np.float64)
 
     if spec_deg.roughness_amplitude > 0:
-        r = gaussian_filter(rng.standard_normal(f.shape), spec_deg.roughness_smoothness)
-        r *= spec_deg.roughness_amplitude / np.abs(r).max()
-        f = f + r
+        r = rng.standard_normal(f.shape)
+        gaussian_filter(r, spec_deg.roughness_smoothness, output=r)
+        r *= spec_deg.roughness_amplitude / max(r.max(), -r.min())
+        f += r
+        del r
 
     if spec_deg.pore_close_count > 0:
-        pores = np.abs(f - c) > spec_tpms.band_halfwidth
-        pore_idx = np.flatnonzero(pores)
-        if pore_idx.size:
-            picks = rng.choice(pore_idx, size=min(spec_deg.pore_close_count, pore_idx.size), replace=False)
-            for flat in picks:
-                z, y, x = np.unravel_index(flat, f.shape)
-                _stamp_sphere(f, (x, y, z), spec_deg.pore_close_radius, c)
+        for flat in _pick_voxels(rng, np.abs(f - c) > spec_tpms.band_halfwidth, spec_deg.pore_close_count):
+            z, y, x = np.unravel_index(flat, f.shape)
+            _stamp_sphere(f, (x, y, z), spec_deg.pore_close_radius, c)
 
     mask = tpms_solid(ScalarVolume(f.astype(np.float32), cad_field.voxel_size), spec_tpms, c).mask
+    del f  # the scan carries on from the solid mask alone
     mask |= markers
 
     if spec_deg.breakage_count > 0:
-        interior = binary_erosion(mask, structure=CROSS6, border_value=1)
-        surface_idx = np.flatnonzero(mask & ~interior)
-        if surface_idx.size:
-            picks = rng.choice(surface_idx, size=min(spec_deg.breakage_count, surface_idx.size), replace=False)
-            for flat in picks:
-                z, y, x = np.unravel_index(flat, mask.shape)
-                _stamp_sphere(mask, (x, y, z), spec_deg.breakage_radius, False)
+        surface = mask & ~binary_erosion(mask, structure=CROSS6, border_value=1)
+        for flat in _pick_voxels(rng, surface, spec_deg.breakage_count):
+            z, y, x = np.unravel_index(flat, mask.shape)
+            _stamp_sphere(mask, (x, y, z), spec_deg.breakage_radius, False)
 
     gray = leveled_grayscale(BinaryVolume(mask, cad_field.voxel_size), spec_deg).data
+    del mask
     if spec_deg.noise_sigma > 0:
-        gray = gray + rng.normal(0.0, spec_deg.noise_sigma, gray.shape).astype(np.float32)
+        gray += rng.normal(0.0, spec_deg.noise_sigma, gray.shape).astype(np.float32)
 
-    gt = synth_displacement(cad_field.dims, spec_def, seed)
-    g_inv = invert_field(gt)
-    xct = warp_array(gray.astype(np.float64), g_inv.data.astype(np.float64))
+    g_inv = invert_field(gt).data
+    # the float64 scan sets the warp's coordinates to float64, so the float32
+    # inverse samples as its float64 copy would
+    gray = gray.astype(np.float64)
+    xct = warp_array(gray, g_inv)
+    del gray, g_inv
     return ScalarVolume(xct.astype(np.float32), cad_field.voxel_size), gt
 
 

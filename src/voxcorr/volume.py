@@ -10,12 +10,23 @@ vol[..., z, y, x], and samples every channel at the same points with one set
 of clamped indices and weights: warp_array passes one channel, invert_field
 and the baseline's dense field pass the three displacement channels.
 
-The sampler walks its points in blocks of BLOCK, so that each block's indices,
-weights and corner reads stay in cache instead of streaming full-volume
-temporaries through memory. Each point's result is computed by the same
-formula as in one pass, so blocking changes no output bit. invert_field runs
-all its fixed-point iterations on one block of voxels before the next: an
-iteration at voxel y reads only that voxel's own estimate and the fixed field.
+The sampler walks its points in blocks of at most BLOCK, in C order, so that
+each block's indices, weights and corner reads stay in cache instead of
+streaming full-volume temporaries through memory. A strided point array, such
+as the baseline's coordinate ramps broadcast to the grid, is copied one block
+at a time, never flattened whole. Each point's result is computed by the same
+formula as in one pass, so blocking changes no output bit.
+
+No stage holds a coordinate array of the whole volume. warp_array samples a
+chunk of whole z-planes at a time, about BLOCK voxels, and builds only that
+chunk's coordinates, in result_type(moving, disp, float32): a float64 volume
+samples a float32 field as it would the field's float64 copy. The baseline's
+dense field is built per chunk too, each cast to float32 as it is made.
+invert_field samples u in float64 and writes its inverse in u's dtype. It runs
+all its fixed-point iterations on one block of voxels before the next, since
+an iteration at voxel y reads only that voxel's own estimate and the fixed
+field; each of its items, a range of z-planes, reads a float64 copy of only
+the planes of u its points can reach.
 
 parallel_map runs independent items on every CPU the process may use, and
 every use is exact, because every item writes only its own output.
@@ -41,6 +52,7 @@ does the register patch loop: two patch threads raised its peak memory by
 """
 from __future__ import annotations
 
+import math
 import os
 import queue
 from concurrent.futures import ThreadPoolExecutor
@@ -51,11 +63,11 @@ import numpy as np
 Vec3 = tuple[float, float, float]
 IVec3 = tuple[int, int, int]
 
-# points per block of trilinear_gather and voxels per block of invert_field: the
-# indices, weights and corner reads of a 3-channel float64 block fit a 2 MiB L2
-# cache. Gathering 3 float64 channels at 64^3 points took 17.6 ms at 16384,
-# against 23.5 ms at 4096 (per-block overhead) and 31.5 ms at 65536 (spills L2),
-# on a 2-core Xeon with 2 MiB of L2 per core.
+# points per block of trilinear_gather, of invert_field, of warp_array's chunks
+# and of the Otsu binning: the indices, weights and corner reads of a 3-channel
+# float64 block fit a 2 MiB L2 cache. Gathering 3 float64 channels at 64^3
+# points took 17.6 ms at 16384, against 23.5 ms at 4096 (per-block overhead)
+# and 31.5 ms at 65536 (spills L2), on a 2-core Xeon with 2 MiB of L2 per core.
 BLOCK = 16384
 INVERT_ITERATIONS = 8  # fixed-point iterations of invert_field
 
@@ -98,6 +110,9 @@ def parallel_map(fn, items) -> list:
     for h in helpers:
         if not h.cancel():  # one that never started has nothing left to take
             h.result()
+    # a pool thread lets go of a finished helper only when it next runs, and a
+    # cancelled one stays queued: neither may keep fn, or the arrays it holds, alive
+    fn = items = None
     if errors:
         raise errors[min(errors)]
     return results
@@ -217,27 +232,47 @@ def trilinear_gather(vol: np.ndarray, px, py, pz, with_grad: bool = False):
     returns d(value)/d(p) per axis; the clamp zeroes the gradient outside the
     open interval (0, n-1).
 
-    The points are sampled BLOCK at a time (see BLOCK), each by the same
-    per-point formula, so the result does not depend on the block size.
+    The points are sampled at most BLOCK at a time (see BLOCK), each by the
+    same per-point formula, so the result does not depend on the block size.
     """
     *lead, nz, ny, nx = vol.shape
     px = np.asarray(px)
     dtype = np.result_type(px.dtype, np.float32)
     pts = np.broadcast_arrays(px, np.asarray(py), np.asarray(pz))
     shape = pts[0].shape
-    pts = [p.reshape(-1) for p in pts]  # a copy only of a strided view, such as a broadcast one
     n = pts[0].size
     flat = vol.reshape(*lead, nz * ny * nx)
     outs = None
-    for s in range(0, max(n, 1), BLOCK):  # no points still make one (empty) block
-        b = slice(s, s + BLOCK)
-        res = _gather_block(flat, (nz, ny, nx), *(p[b].astype(dtype, copy=False) for p in pts), with_grad)
+    s = 0
+    for idx in _blocks(shape):
+        # a copy only of the block of a strided view, such as a broadcast one
+        bp = [p[idx].reshape(-1).astype(dtype, copy=False) for p in pts]
+        res = _gather_block(flat, (nz, ny, nx), *bp, with_grad)
         if outs is None:  # the dtypes the formula gives
             outs = [np.empty((*lead, n), r.dtype) for r in res]
+        e = s + bp[0].size
         for o, r in zip(outs, res):
-            o[..., b] = r
+            o[..., s:e] = r
+        s = e
     out, *grads = (o.reshape(*lead, *shape) for o in outs)
     return (out, tuple(grads)) if with_grad else out
+
+
+def _blocks(shape):
+    """Index tuples that cut an array of `shape` into blocks of at most BLOCK
+    elements, in C order: a range on one axis under fixed indices on the axes
+    before it. A 0-d or empty shape is one block, so no points still make one
+    (empty) block."""
+    if not shape or 0 in shape:
+        yield ()
+        return
+    axis = 0
+    while math.prod(shape[axis + 1 :]) > BLOCK:
+        axis += 1
+    step = BLOCK // math.prod(shape[axis + 1 :])
+    for prefix in np.ndindex(*shape[:axis]):
+        for s in range(0, shape[axis], step):
+            yield (*prefix, slice(s, s + step))
 
 
 def _gather_block(flat: np.ndarray, dims: IVec3, px, py, pz, with_grad: bool) -> list[np.ndarray]:
@@ -284,6 +319,14 @@ def _gather_block(flat: np.ndarray, dims: IVec3, px, py, pz, with_grad: bool) ->
     return [out, gx, gy, gz]
 
 
+def z_chunks(shape_zyx) -> list[slice]:
+    """Slices of whole z-planes of a [z, y, x] grid, each of about BLOCK voxels
+    and at least one plane; a grid of no planes is one empty chunk."""
+    nz, ny, nx = shape_zyx
+    step = max(1, BLOCK // max(1, ny * nx))
+    return [slice(s, s + step) for s in range(0, max(nz, 1), step)]
+
+
 def warp_array(moving: np.ndarray, disp: np.ndarray, with_grad: bool = False):
     """Warp moving[z, y, x] by disp[3, z, y, x]: out(x) = moving(x + u(x)).
 
@@ -292,11 +335,17 @@ def warp_array(moving: np.ndarray, disp: np.ndarray, with_grad: bool = False):
     """
     if moving.shape != disp.shape[1:]:
         raise VolumeError(f"moving {moving.shape} and displacement {disp.shape[1:]} dims differ")
-    zz, yy, xx = grid_coords(moving.shape, dtype=np.result_type(disp.dtype, np.float32))
-    px = xx + disp[0]
-    py = yy + disp[1]
-    pz = zz + disp[2]
-    return trilinear_gather(moving, px, py, pz, with_grad=with_grad)
+    zz, yy, xx = grid_coords(moving.shape, dtype=np.result_type(moving, disp, np.float32))
+    outs = None
+    for z in z_chunks(moving.shape):
+        res = trilinear_gather(moving, xx + disp[0, z], yy + disp[1, z], zz[z] + disp[2, z], with_grad=with_grad)
+        res = [res[0], *res[1]] if with_grad else [res]
+        if outs is None:  # the dtypes the formula gives
+            outs = [np.empty(moving.shape, r.dtype) for r in res]
+        for o, r in zip(outs, res):
+            o[z] = r
+    out, *grads = outs
+    return (out, tuple(grads)) if with_grad else out
 
 
 def warp(moving: ScalarVolume, disp: DisplacementField) -> ScalarVolume:
@@ -315,28 +364,48 @@ def invert_field(disp: DisplacementField) -> DisplacementField:
     The update at voxel y reads only g(y) and the fixed field u, so every
     iteration runs on one block of BLOCK voxels before the next block starts;
     the result is the same as iterating on the whole grid. For the same
-    reason the blocks run through parallel_map, on any thread and in any
-    order: a block writes only its own slice of g. The caller works through
-    a share of the blocks, since each extra thread costs a malloc arena of
-    peak memory. The gathers inside a block stay serial (see the module
-    docstring).
+    reason the work runs through parallel_map, on any thread and in any
+    order: an item is a range of z-planes, and its blocks write only their
+    own slice of g. The caller works through a share of the items, since
+    each extra thread costs a malloc arena of peak memory. The gathers
+    inside a block stay serial (see the module docstring).
+
+    u is sampled in float64, and g is written in u's dtype. No float64 copy
+    of the whole of u is made: |g_z| <= max |u_z|, since each estimate is a
+    trilinear blend of u's values, so an item's points fall within `reach`
+    planes of its own, and the item samples a float64 copy of those planes
+    only. Its z coordinates are shifted by the slab's first plane `lo`; the
+    shift is exact (z + g_z >= lo, and lo is an integer), so the fractions,
+    corners and results are the bits a whole-grid float64 u would give.
     """
-    u = disp.data.astype(np.float64)
+    u = disp.data
+    nz, ny, nx = u.shape[1:]
+    plane = ny * nx
     uf = u.reshape(3, -1)
-    g = np.empty_like(uf)
-    n = uf.shape[1]
+    g = np.empty(uf.shape, u.dtype)
+    # 2 planes of margin: the corner above a point, and rounding in the blends
+    reach = int(np.ceil(max(u[2].max(), -u[2].min()))) + 2
+    # planes per item: whole blocks, and at least `reach`, so a slab is at most 3 items' planes
+    per_block = max(1, BLOCK // plane)
+    step = per_block * -(-reach // per_block)
 
-    def block(s: int) -> None:
-        e = min(s + BLOCK, n)
-        z, y, x = np.unravel_index(np.arange(s, e), u.shape[1:])
-        gb = -uf[:, s:e]
-        for _ in range(INVERT_ITERATIONS):
-            gb = trilinear_gather(u, x + gb[0], y + gb[1], z + gb[2])
-            np.negative(gb, out=gb)
-        g[:, s:e] = gb
+    def item(z0: int) -> None:
+        z1 = min(z0 + step, nz)
+        lo = max(0, z0 - reach)
+        slab = u[:, lo : min(nz, z1 + reach)].astype(np.float64)
+        for s in range(z0 * plane, z1 * plane, BLOCK):
+            e = min(s + BLOCK, z1 * plane)
+            z, y, x = np.unravel_index(np.arange(s, e), (nz, ny, nx))
+            gb = -uf[:, s:e].astype(np.float64)
+            for _ in range(INVERT_ITERATIONS):
+                pz = z + gb[2]
+                pz -= lo
+                gb = trilinear_gather(slab, x + gb[0], y + gb[1], pz)
+                np.negative(gb, out=gb)
+            g[:, s:e] = gb
 
-    parallel_map(block, range(0, n, BLOCK))
-    return DisplacementField(g.reshape(u.shape).astype(disp.data.dtype, copy=False), disp.voxel_size)
+    parallel_map(item, range(0, nz, step))
+    return DisplacementField(g.reshape(u.shape), disp.voxel_size)
 
 
 def downsample2(vol: ScalarVolume) -> ScalarVolume:

@@ -14,8 +14,8 @@ holding every parameter tensor in param_shapes order.
 from __future__ import annotations
 
 import json
+import os
 import struct
-from pathlib import Path
 
 import numpy as np
 
@@ -43,34 +43,39 @@ def write_raw(path, data: np.ndarray, voxel_size=(1.0, 1.0, 1.0), meta: dict | N
     vx, vy, vz = (float(v) for v in voxel_size)
     meta_bytes = json.dumps(meta or {}, sort_keys=True).encode("utf-8")
     header = _HEADER.pack(MAGIC, VERSION, FLOAT32, c, nx, ny, nz, vx, vy, vz, len(meta_bytes))
-    payload = np.ascontiguousarray(data, dtype="<f4").tobytes()
-    Path(path).write_bytes(header + meta_bytes + payload)
+    with open(path, "wb") as f:
+        f.write(header + meta_bytes)
+        f.write(np.ascontiguousarray(data, dtype="<f4"))  # the payload, with no bytes copy of it
 
 
 def read_raw(path) -> tuple[np.ndarray, tuple[float, float, float], dict]:
-    """Read back (data[c, nz, ny, nx], voxel_size, meta)."""
-    blob = Path(path).read_bytes()
-    if len(blob) < _HEADER.size:
-        raise VvolError(f"{path}: truncated, file shorter than header ({len(blob)} bytes)")
-    magic, version, dtype_code, c, nx, ny, nz, vx, vy, vz, meta_len = _HEADER.unpack_from(blob)
-    if magic != MAGIC:
-        raise VvolError(f"{path}: bad magic {magic!r}")
-    if version != VERSION:
-        raise VvolError(f"{path}: unsupported version {version}")
-    if dtype_code != FLOAT32:
-        raise VvolError(f"{path}: unsupported dtype code {dtype_code}")
-    off = _HEADER.size + meta_len
-    end = off + 4 * c * nz * ny * nx
-    if len(blob) < end:
-        raise VvolError(f"{path}: truncated, {len(blob)} bytes where the header implies {end}")
-    if len(blob) > end:
-        raise VvolError(f"{path}: {len(blob) - end} trailing bytes after the payload")
-    try:
-        meta = json.loads(blob[_HEADER.size : off].decode("utf-8")) if meta_len else {}
-    except ValueError as e:  # bad UTF-8 or bad JSON
-        raise VvolError(f"{path}: unreadable metadata: {e}") from e
-    data = np.frombuffer(blob, dtype="<f4", offset=off).reshape(c, nz, ny, nx)
-    return data.copy(), (vx, vy, vz), meta
+    """Read back (data[c, nz, ny, nx], voxel_size, meta). The payload is read
+    straight into the returned array."""
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        head = f.read(_HEADER.size)
+        if len(head) < _HEADER.size:
+            raise VvolError(f"{path}: truncated, file shorter than header ({len(head)} bytes)")
+        magic, version, dtype_code, c, nx, ny, nz, vx, vy, vz, meta_len = _HEADER.unpack(head)
+        if magic != MAGIC:
+            raise VvolError(f"{path}: bad magic {magic!r}")
+        if version != VERSION:
+            raise VvolError(f"{path}: unsupported version {version}")
+        if dtype_code != FLOAT32:
+            raise VvolError(f"{path}: unsupported dtype code {dtype_code}")
+        end = _HEADER.size + meta_len + 4 * c * nz * ny * nx
+        if size < end:
+            raise VvolError(f"{path}: truncated, {size} bytes where the header implies {end}")
+        if size > end:
+            raise VvolError(f"{path}: {size - end} trailing bytes after the payload")
+        try:
+            meta = json.loads(f.read(meta_len).decode("utf-8")) if meta_len else {}
+        except ValueError as e:  # bad UTF-8 or bad JSON
+            raise VvolError(f"{path}: unreadable metadata: {e}") from e
+        data = np.empty((c, nz, ny, nx), dtype="<f4")
+        if f.readinto(data) != data.nbytes:  # the file shrank since its size was read
+            raise VvolError(f"{path}: truncated while reading the payload")
+    return data, (vx, vy, vz), meta
 
 
 def vvol_write(path, obj: ScalarVolume | DisplacementField) -> None:

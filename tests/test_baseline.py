@@ -11,7 +11,7 @@ from voxcorr.baseline import (
     correlate_node,
     multiscale_dvc,
 )
-from voxcorr.volume import ScalarVolume, VolumeError
+from voxcorr.volume import ScalarVolume, VolumeError, trilinear_gather
 
 
 def textured_volume(n=64, seed=0, sigma=1.5):
@@ -264,6 +264,20 @@ class TestMultiscaleDvc:
         field, nodes = multiscale_dvc(moving, ScalarVolume(fixed_data), DvcConfig())
         for (x, y, z), d in zip(nodes.positions, nodes.displacements):
             np.testing.assert_allclose(field.data[:, z, y, x], d, atol=1e-6)
+
+    def test_dense_field_is_one_gather_on_the_whole_grid(self):
+        # z-chunks of whole planes, each cast to float32, against one gather on
+        # the whole grid's coordinates cast afterwards
+        cfg = DvcConfig(node_spacing=8, window_halfsize=5, search_radius=3)
+        fixed_data = textured_volume(48, seed=7)[:, :40, :44]  # 9 planes per chunk, the last 3
+        moving = ScalarVolume(rolled(fixed_data, (1, -1, 2)))
+        field, nodes = multiscale_dvc(moving, ScalarVolume(fixed_data), cfg)
+        nnx, nny, nnz = nodes.lattice_dims
+        lattice = np.moveaxis(nodes.displacements.reshape(nnz, nny, nnx, 3), -1, 0)
+        axes = [(np.arange(n) - p[0]) / (p[1] - p[0]) for n, p in zip(moving.dims, build_node_grid(moving.dims, cfg))]
+        zz, yy, xx = np.meshgrid(axes[2], axes[1], axes[0], indexing="ij")
+        want = trilinear_gather(lattice, xx, yy, zz).astype(np.float32)
+        assert field.data.dtype == np.float32 and field.data.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("bad", [0.0, -0.5, 1.5, float("nan")])
     def test_min_correlation_must_be_in_unit_interval(self, bad):

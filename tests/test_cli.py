@@ -435,13 +435,23 @@ class TestCliSurface:
         records = [json.loads(line) for line in (workspace / "run_log.jsonl").read_text().splitlines()]
         assert records
         for record in records:
-            assert set(record) == {"timestamp", "stage", "config", "args", "params", "duration_sec"}
+            assert set(record) == {"timestamp", "stage", "config", "args", "params", "duration_sec", "peak_rss_mib"}
             cfg = RunConfig.from_json(record["config"])
             assert cfg.to_json() == record["config"] and cfg.workspace == str(workspace)
         generate = next(r for r in records if r["stage"] == "generate")
         assert generate["config"]["seed"] == 3 and generate["config"]["c_values"] == [0.0, -0.3, -0.6]
         train = next(r for r in records if r["stage"] == "train")
         assert train["config"]["model"]["patch_size"] == 16 and train["config"]["train"]["epochs"] == 2
+
+    def test_every_run_log_record_holds_the_peak_rss(self, workspace):
+        records = [json.loads(line) for line in (workspace / "run_log.jsonl").read_text().splitlines()]
+        assert {r["stage"] for r in records} >= {"generate", "preprocess", "train"}
+        for record in records:
+            peak = record["peak_rss_mib"]
+            assert isinstance(peak, float) and peak > 0
+        # the process's peak so far: one process ran every stage, so it never falls
+        peaks = [r["peak_rss_mib"] for r in records]
+        assert peaks == sorted(peaks)
 
     def test_run_log_records_the_handler_arguments(self, workspace, tmp_path):
         manifest = workspace / "dataset" / "manifest.json"
@@ -528,6 +538,11 @@ class TestCliSurface:
             # grids of 0^3 and 1^3 voxels used to fail in synthesis, after raw/ was made
             (["generate", "--c-values", "0", "--extent-mm", "0.01"], "grid (0, 0, 0)"),
             (["generate", "--c-values", "0", "--extent-mm", "0.1"], "grid (1, 1, 1)"),
+            # grids of 2^3 and 3^3 voxels were generated, then failed preprocessing
+            (["generate", "--c-values", "0", "--extent-mm", "0.16"], "grid (2, 2, 2) must have at least 4"),
+            (["generate", "--c-values", "0", "--extent-mm", "0.24"], "grid (3, 3, 3) must have at least 4"),
+            (["preprocess", "--target-dims", "1,1,1"], "target_dims must have at least 4"),
+            (["preprocess", "--target-dims", "32,3,32"], "target_dims must have at least 4"),
         ],
     )
     def test_rejected_value_exits_2_with_one_error_line(self, tmp_path, monkeypatch, capsys, argv, needle):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from voxcorr.figures import (
+    central_slices,
     export_bdm_slices,
     export_displacement_magnitude,
     export_overlay_slices,
@@ -141,6 +142,27 @@ class TestDisplacementMagnitude:
         paths = export_displacement_magnitude(disp, mask, tmp_path, prefix="scale")
         xy = read_pnm(paths[2])  # central xy plane holds the |u|=3 voxel
         assert xy.max() == 255
+
+    @pytest.mark.parametrize("case", ["random", "constant", "zero"])
+    def test_same_bytes_as_scaling_the_whole_volume(self, tmp_path, case):
+        # the slices-only scaling against the whole-volume formula it replaced
+        rng = np.random.default_rng(2)
+        data = {"random": rng.uniform(-3, 3, (3, 7, 8, 9)), "constant": np.full((3, 7, 8, 9), 0.75),
+                "zero": np.zeros((3, 7, 8, 9))}[case].astype(np.float32)
+        mask = BinaryVolume(rng.random((7, 8, 9)) > 0.4)
+        mag = np.sqrt((data.astype(np.float64) ** 2).sum(axis=0))
+        lo, hi = float(mag.min()), float(mag.max())
+        if hi > lo:
+            scaled = (mag - lo) / (hi - lo) * 255.0
+        elif hi == 0.0:
+            scaled = np.zeros_like(mag)
+        else:
+            scaled = np.full_like(mag, 128.0)
+        scaled[~mask.mask] = 0.0
+        paths = export_displacement_magnitude(DisplacementField(data), mask, tmp_path)
+        for p, (plane, want) in zip(paths, central_slices(scaled).items(), strict=True):
+            assert p.endswith(f"_{plane}.pgm")
+            assert np.array_equal(read_pnm(p), np.clip(want, 0, 255).astype(np.uint8))
 
     def test_background_forced_black(self, tmp_path):
         rng = np.random.default_rng(1)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from voxcorr.metrics import BDM_OUTSIDE, bdm, dice, endpoint_error, evaluate_pair
+from voxcorr.metrics import BDM_OUTSIDE, bdm, dice, endpoint_error, evaluate_pair, squared_norm
 from voxcorr.preprocess import otsu_threshold
 from voxcorr.volume import BinaryVolume, DisplacementField, ScalarVolume, VolumeError
 
@@ -136,6 +136,29 @@ class TestEndpointError:
         u = DisplacementField(np.zeros((3, 3, 3, 3)))
         with pytest.raises(VolumeError):
             endpoint_error(u, u, mask_of(np.zeros((3, 3, 3), bool)))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_same_bits_as_the_three_channel_formula(self, dtype):
+        # the per-channel sum against the float64 3-channel arrays it replaced
+        rng = np.random.default_rng(3)
+        pred = DisplacementField(rng.uniform(-4, 4, (3, 9, 10, 11)).astype(dtype))
+        gt = DisplacementField(rng.uniform(-4, 4, (3, 9, 10, 11)).astype(dtype))
+        m = mask_of(rng.random((9, 10, 11)) > 0.3)
+        d = pred.data.astype(np.float64) - gt.data.astype(np.float64)
+        epe = np.sqrt((d * d).sum(axis=0))[m.mask]
+        assert endpoint_error(pred, gt, m) == (float(epe.mean()), float(epe.max()))
+
+
+class TestSquaredNorm:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_same_bits_as_the_sum_over_channels(self, dtype):
+        rng = np.random.default_rng(4)
+        a = rng.standard_normal((3, 5, 6, 7)).astype(dtype)
+        b = rng.standard_normal((3, 5, 6, 7)).astype(dtype)
+        got = squared_norm(a, b)
+        d = a.astype(np.float64) - b.astype(np.float64)
+        assert got.dtype == np.float64 and got.tobytes() == (d * d).sum(axis=0).tobytes()
+        assert squared_norm(a).tobytes() == (a.astype(np.float64) ** 2).sum(axis=0).tobytes()
 
 
 class TestEvaluatePair:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from voxcorr import preprocess
 from voxcorr.preprocess import (
     CleanSpec,
     DatasetManifest,
@@ -142,6 +143,14 @@ class TestBinIndices:
         for _ in range(ulps):
             v.append(np.nextafter(v[-1], np.inf))
         self.check(np.array(v * 3), bins)
+
+    @pytest.mark.parametrize("block", [1, 7, 500])
+    def test_blocks_of_values(self, monkeypatch, block):
+        # values binned BLOCK at a time, some blocks with look-ups and some without
+        monkeypatch.setattr(preprocess, "BLOCK", block)
+        edges = np.linspace(-1.0, 2.0, 257)
+        v = np.concatenate([self.around(edges)[1:-1], np.random.default_rng(9).uniform(-1.0, 2.0, 1500)])
+        self.check(v, 256)
 
 
 class TestMorphology:

@@ -8,13 +8,15 @@ from voxcorr.tpms import (
     DeformSpec,
     DegradeSpec,
     TpmsSpec,
+    _stamp_sphere,
+    degrade_to_xct,
     gyroid_field,
     leveled_grayscale,
     synth_displacement,
     synthesize_sample,
     tpms_solid,
 )
-from voxcorr.volume import BinaryVolume, VolumeError, warp
+from voxcorr.volume import BinaryVolume, ScalarVolume, VolumeError, grid_coords, trilinear_gather, warp
 
 DESK = TpmsSpec(part_extent=5.12, voxel_size=80.0, band_halfwidth=0.69)
 
@@ -260,6 +262,14 @@ class TestSynthDisplacement:
         s[2] += a * (np.arange(nz, dtype=np.float64) - (nz - 1) / 2.0)[:, None, None]
         assert synth_displacement(dims, spec, seed).data.tobytes() == s.astype(np.float32).tobytes()
 
+    @pytest.mark.parametrize("shape, sigma", [((13, 17, 20), 4.0), ((24, 20, 16), 12.0), ((5, 1, 9), 2.0)])
+    def test_in_place_smoothing_matches_a_separate_output(self, shape, sigma):
+        # synth_displacement and degrade_to_xct filter their noise in its own buffer
+        a = np.random.default_rng(8).standard_normal(shape)
+        want = gaussian_filter(a, sigma, output=np.empty_like(a))
+        gaussian_filter(a, sigma, output=a)
+        assert a.tobytes() == want.tobytes()
+
     def test_smooth_part_near_zero_mean(self):
         u = synth_displacement((48, 48, 48), DeformSpec(1.0, 3.0, 8.0), 2)
         for c in range(3):
@@ -325,6 +335,51 @@ class TestDegradeToXct:
         np.testing.assert_array_equal(c1.mask, c2.mask)
         assert x1.data.tobytes() == x2.data.tobytes()
         assert g1.data.tobytes() == g2.data.tobytes()
+
+    @pytest.mark.parametrize("deg", [
+        DegradeSpec(),
+        DegradeSpec(pore_close_count=3, breakage_count=2, breakage_radius=3.0, noise_sigma=0.05),
+    ])
+    def test_same_bytes_as_whole_grid_float64_synthesis(self, deg):
+        """degrade_to_xct against the whole-volume formulas it replaced: the
+        inverse iterated in float64 on the whole grid, then cast to float32,
+        and the float64 scan warped by one gather on the whole grid's float64
+        coordinates."""
+        spec, c, deform, seed = TpmsSpec(part_extent=1.92, voxel_size=80.0, band_halfwidth=0.69), -0.3, DeformSpec(), 7
+        cad = gyroid_field(spec.grid_dims(), spec.voxel_size, spec.cell_size)  # 24^3
+        markers = np.zeros(cad.data.shape, bool)
+        markers[:2] = True
+
+        rng = np.random.default_rng(seed + 1)
+        f = cad.data.astype(np.float64)
+        r = gaussian_filter(rng.standard_normal(f.shape), deg.roughness_smoothness)
+        r *= deg.roughness_amplitude / np.abs(r).max()
+        f = f + r
+        pore_idx = np.flatnonzero(np.abs(f - c) > spec.band_halfwidth)
+        for flat in rng.choice(pore_idx, size=min(deg.pore_close_count, pore_idx.size), replace=False):
+            z, y, x = np.unravel_index(flat, f.shape)
+            _stamp_sphere(f, (x, y, z), deg.pore_close_radius, c)
+        mask = tpms_solid(ScalarVolume(f.astype(np.float32), cad.voxel_size), spec, c).mask | markers
+        if deg.breakage_count:
+            surface_idx = np.flatnonzero(mask & ~binary_erosion(mask, structure=generate_binary_structure(3, 1),
+                                                               border_value=1))
+            for flat in rng.choice(surface_idx, size=min(deg.breakage_count, surface_idx.size), replace=False):
+                z, y, x = np.unravel_index(flat, mask.shape)
+                _stamp_sphere(mask, (x, y, z), deg.breakage_radius, False)
+        gray = leveled_grayscale(BinaryVolume(mask, cad.voxel_size), deg).data
+        gray = gray + rng.normal(0.0, deg.noise_sigma, gray.shape).astype(np.float32)
+        gt = synth_displacement(cad.dims, deform, seed)
+        u = gt.data.astype(np.float64)
+        zz, yy, xx = grid_coords(u.shape[1:])
+        g = -u
+        for _ in range(8):
+            g = -trilinear_gather(u, xx + g[0], yy + g[1], zz + g[2])
+        g = g.astype(np.float32).astype(np.float64)
+        want = trilinear_gather(gray.astype(np.float64), xx + g[0], yy + g[1], zz + g[2]).astype(np.float32)
+
+        xct, gt_got = degrade_to_xct(cad, spec, c, deform, deg, seed, markers)
+        assert gt_got.data.tobytes() == gt.data.tobytes()
+        assert xct.data.tobytes() == want.tobytes()
 
 
 class TestSweepContinuity:

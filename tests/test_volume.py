@@ -1,6 +1,7 @@
 import sys
 import threading
 import time
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -290,6 +291,102 @@ class TestWarp:
             assert an == pytest.approx(fd, rel=1e-3, abs=1e-9)
 
 
+class TestChunkedWarp:
+    """warp_array samples a chunk of whole z-planes at a time; each chunk must
+    give the bits of one trilinear_gather on the whole grid's coordinates."""
+
+    @staticmethod
+    def whole_grid(moving, disp, with_grad):
+        zz, yy, xx = grid_coords(moving.shape, np.result_type(moving, disp, np.float32))
+        return trilinear_gather(moving, xx + disp[0], yy + disp[1], zz + disp[2], with_grad=with_grad)
+
+    @staticmethod
+    def arrays(result, with_grad):
+        return [result[0], *result[1]] if with_grad else [result]
+
+    @pytest.mark.parametrize("moving_dtype, disp_dtype", [
+        (np.float32, np.float32), (np.float64, np.float64), (np.float64, np.float32), (np.float32, np.float64),
+    ])
+    @pytest.mark.parametrize("with_grad", [False, True])
+    @pytest.mark.parametrize("block", [7, 40, volume.BLOCK])  # 1 plane, 2 planes, the whole grid per chunk
+    def test_matches_one_gather_on_whole_grid(self, monkeypatch, moving_dtype, disp_dtype, with_grad, block):
+        monkeypatch.setattr(volume, "BLOCK", block)
+        rng = np.random.default_rng(21)
+        moving = rng.standard_normal((9, 4, 5)).astype(moving_dtype)
+        disp = rng.uniform(-3.0, 3.0, (3, 9, 4, 5)).astype(disp_dtype)  # reaches past every face
+        got = self.arrays(warp_array(moving, disp, with_grad=with_grad), with_grad)
+        want = self.arrays(self.whole_grid(moving, disp, with_grad), with_grad)
+        for g, w in zip(got, want, strict=True):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
+
+    def test_several_chunks_at_the_default_block(self):
+        rng = np.random.default_rng(22)
+        moving = rng.random((23, 40, 50), dtype=np.float32)  # 8 planes per chunk, the last one short
+        disp = rng.uniform(-2.0, 2.0, (3, 23, 40, 50)).astype(np.float32)
+        assert warp_array(moving, disp).tobytes() == self.whole_grid(moving, disp, False).tobytes()
+
+    def test_float64_volume_takes_a_float32_field_as_its_float64_copy(self):
+        # phantom synthesis passes its float32 inverse field straight to the warp of a float64 scan
+        rng = np.random.default_rng(23)
+        moving = rng.random((6, 7, 8))
+        disp = rng.uniform(-2.0, 2.0, (3, 6, 7, 8)).astype(np.float32)
+        assert warp_array(moving, disp).tobytes() == warp_array(moving, disp.astype(np.float64)).tobytes()
+
+
+class TestInvertFieldSlabs:
+    """invert_field samples float64 slabs of the planes an item's points can
+    reach, and writes g in u's dtype: the bits must be those of the whole-grid
+    iteration on a float64 copy of u, cast to u's dtype."""
+
+    @staticmethod
+    def float64_then_cast(u: np.ndarray) -> np.ndarray:
+        u64 = u.astype(np.float64)
+        zz, yy, xx = grid_coords(u.shape[1:])
+        g = -u64
+        for _ in range(volume.INVERT_ITERATIONS):
+            g = trilinear_gather(u64, xx + g[0], yy + g[1], zz + g[2])
+            np.negative(g, out=g)
+        return g.astype(u.dtype)
+
+    def check(self, u: np.ndarray) -> None:
+        got = invert_field(DisplacementField(u)).data
+        want = self.float64_then_cast(u)
+        assert got.dtype == u.dtype
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("block", [7, 64, volume.BLOCK])
+    def test_smooth_field(self, monkeypatch, dtype, block):
+        monkeypatch.setattr(volume, "BLOCK", block)
+        u = smooth_field((30, 6, 7), amplitude=2.5, sigma=2.0, seed=31).data.astype(dtype)  # items of 5 planes
+        self.check(u)
+
+    @pytest.mark.parametrize("uz", [-4.75, 3.5, 40.0])
+    def test_points_beyond_the_faces(self, monkeypatch, uz):
+        # every point clamps at a face, in the slab exactly as in the whole grid
+        monkeypatch.setattr(volume, "BLOCK", 7)
+        u = smooth_field((20, 5, 6), amplitude=1.0, sigma=1.5, seed=32).data.astype(np.float32)
+        u[2] += np.float32(uz)
+        self.check(u)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("uz", [-2.0, 2.0, -3.0])
+    def test_points_on_the_planes_max_u_z_away(self, monkeypatch, dtype, uz):
+        # g_z = -u_z exactly: the points sit on the farthest planes a slab must
+        # hold without clamping them, as the interior of the whole grid does not
+        monkeypatch.setattr(volume, "BLOCK", 7)
+        u = smooth_field((24, 5, 6), amplitude=1.5, sigma=1.0, seed=34).data.astype(dtype)
+        u[2] = uz
+        self.check(u)
+
+    @pytest.mark.parametrize("shape", [(1, 5, 6), (2, 5, 6), (3, 1, 1), (40, 1, 2)])
+    def test_thin_grids(self, monkeypatch, shape):
+        monkeypatch.setattr(volume, "BLOCK", 7)
+        u = smooth_field(shape, amplitude=1.5, sigma=1.0, seed=33).data.astype(np.float32)
+        self.check(u)
+
+
 class TestInvertField:
     def test_constant_field_negates(self):
         u = np.zeros((3, 8, 8, 8))
@@ -377,6 +474,25 @@ class TestParallelMap:
                 assert sorted(ran) == list(range(100))
         finally:
             sys.setswitchinterval(interval)
+            pool.shutdown()
+
+    def test_a_queued_helper_keeps_nothing_alive(self, monkeypatch):
+        # the pool's one thread is busy, so the helper stays queued, is cancelled,
+        # and its work item outlives the call: it must not hold fn's arrays
+        pool = ThreadPoolExecutor(1)
+        monkeypatch.setattr(volume, "WORKERS", 2)
+        monkeypatch.setattr(volume, "_POOL", pool)
+        release = threading.Event()
+        blocker = pool.submit(release.wait, 60)
+        try:
+            a = np.arange(3.0)
+            ref = weakref.ref(a)
+            assert parallel_map(a.__getitem__, range(3)) == [0.0, 1.0, 2.0]  # fn holds the array itself
+            del a
+            assert ref() is None
+        finally:
+            release.set()
+            assert blocker.result(timeout=60)
             pool.shutdown()
 
     def test_nested_maps_finish(self, one_cpu):

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,6 +29,20 @@ def test_field_roundtrip_preserves_channel_order(tmp_path):
     back = vvol_read(p)
     assert isinstance(back, DisplacementField)
     np.testing.assert_array_equal(back.data, field.data)
+
+
+def test_file_is_header_metadata_and_payload(tmp_path):
+    # the payload streams from the array: the bytes are those of one joined blob
+    data = np.random.default_rng(2).standard_normal((3, 6, 5, 4)).astype(np.float32)
+    view = data.transpose(0, 3, 2, 1)  # not C-contiguous: written in C order of the view
+    p = tmp_path / "x.vvol"
+    write_raw(p, view, (1.5, 2.0, 2.5), meta={"k": [1, 2]})
+    meta = json.dumps({"k": [1, 2]}, sort_keys=True).encode("utf-8")
+    header = struct.pack("<4sII IIII fff I", b"VVOL", 1, 0, 3, 6, 5, 4, 1.5, 2.0, 2.5, len(meta))
+    assert p.read_bytes() == header + meta + np.ascontiguousarray(view).tobytes()
+    back, voxel_size, back_meta = read_raw(p)
+    assert back.tobytes() == np.ascontiguousarray(view).tobytes() and back.flags.writeable
+    assert voxel_size == (1.5, 2.0, 2.5) and back_meta == {"k": [1, 2]}
 
 
 def written(tmp_path, meta=None):
