@@ -33,8 +33,10 @@ missing, malformed or has an unknown key or a wrong type; a flag value the
 config rejects; a generator grid or target dims under preprocess.MIN_GRID
 voxels per axis, which preprocessing could not carry; a plate or sphere off
 the resolved grid; c values whose sample ids collide; a register stride
-outside [1, patch size]; missing inputs); 1 runtime error, including a corrupt
-side file (manifest, sample.json, a JSON record).
+outside [1, patch size]; a training or checkpoint patch, or a DVC node grid,
+that does not fit the manifest's target_dims, checked before any volume is
+read; missing inputs); 1 runtime error, including a corrupt side file
+(manifest, sample.json, a JSON record).
 
 main runs every command under one malloc policy (apply_malloc_policy): glibc
 serves blocks below 32 MiB from its heap and keeps up to 1 GiB of freed heap
@@ -61,7 +63,7 @@ from typing import Callable
 
 import numpy as np
 
-from .baseline import multiscale_dvc
+from .baseline import build_node_grid, multiscale_dvc
 from .config import RunConfig
 from .inference import sliding_register
 from .jsonable import read_json, to_json
@@ -277,7 +279,9 @@ def cmd_preprocess(cfg: RunConfig) -> dict:
 
 def cmd_train(cfg: RunConfig) -> dict:
     """train the registration network on the dataset"""
-    params, history = train(_load_manifest(cfg), cfg.manifest_path().parent, cfg.model, cfg.train, cfg.seed, print)
+    manifest = _load_manifest(cfg)
+    _check_patch_fits(cfg, manifest, cfg.model.patch_size, "training")
+    params, history = train(manifest, cfg.manifest_path().parent, cfg.model, cfg.train, cfg.seed, print)
     ckpt = cfg.checkpoint_path()
     ckpt.parent.mkdir(parents=True, exist_ok=True)
     checkpoint_save(params, cfg.model, ckpt)
@@ -295,9 +299,19 @@ def _load_manifest(cfg: RunConfig) -> DatasetManifest:
     return DatasetManifest.load(mpath)
 
 
-def _select_samples(cfg: RunConfig, sample: str | None) -> list[tuple[str, tuple[Path, Path, Path]]]:
+def _check_patch_fits(cfg: RunConfig, manifest: DatasetManifest, patch_size: int, whose: str) -> None:
+    """Every dataset volume has the manifest's target_dims: a larger patch fails before any is read."""
+    if patch_size > min(manifest.target_dims):
+        raise CliError(
+            f"{whose} patch size {patch_size} exceeds the dataset dims {manifest.target_dims} "
+            f"of {cfg.manifest_path()}"
+        )
+
+
+def _select_samples(
+    cfg: RunConfig, manifest: DatasetManifest, sample: str | None
+) -> list[tuple[str, tuple[Path, Path, Path]]]:
     """(id, (cad, xct, gt_disp) paths) of the named sample, or of every test sample."""
-    manifest = _load_manifest(cfg)
     if sample:
         entries = [s for s in manifest.samples if s.id == sample]
         if not entries:
@@ -332,7 +346,9 @@ def cmd_register(cfg: RunConfig, sample: str | None = None, stride: int | None =
         raise CliError(str(e)) from e
     if stride is not None and not 1 <= stride <= model_cfg.patch_size:
         raise CliError(f"--stride {stride} outside [1, {model_cfg.patch_size}], the checkpoint's patch size")
-    for sid, (cad_path, xct_path, _) in _select_samples(cfg, sample):
+    manifest = _load_manifest(cfg)
+    _check_patch_fits(cfg, manifest, model_cfg.patch_size, f"checkpoint {ckpt}")
+    for sid, (cad_path, xct_path, _) in _select_samples(cfg, manifest, sample):
         moving = vvol_read(xct_path)
         fixed = vvol_read(cad_path)
         t_reg = time.perf_counter()
@@ -346,8 +362,13 @@ def cmd_register(cfg: RunConfig, sample: str | None = None, stride: int | None =
 
 def cmd_baseline(cfg: RunConfig, sample: str | None = None) -> dict:
     """node-based DVC baseline on test samples"""
+    manifest = _load_manifest(cfg)
+    try:  # the node grid of every dataset volume, before any is read
+        build_node_grid(manifest.target_dims, cfg.dvc)
+    except VolumeError as e:
+        raise CliError(f"dataset dims {manifest.target_dims} of {cfg.manifest_path()}: {e}") from e
     samples = []
-    for sid, (cad_path, xct_path, _) in _select_samples(cfg, sample):
+    for sid, (cad_path, xct_path, _) in _select_samples(cfg, manifest, sample):
         moving = vvol_read(xct_path)
         fixed = vvol_read(cad_path)
         t_reg = time.perf_counter()
@@ -381,7 +402,7 @@ def _read_runtime(meta_file: Path) -> float:
 def cmd_evaluate(cfg: RunConfig, sample: str | None = None, method: str = "learned") -> dict:
     """metrics report and figure export for registered samples"""
     methods = list(METHODS) if method == "both" else [method]
-    for sid, (cad_path, xct_path, gt_path) in _select_samples(cfg, sample):
+    for sid, (cad_path, xct_path, gt_path) in _select_samples(cfg, _load_manifest(cfg), sample):
         _, cad_bin = otsu_threshold(vvol_read(cad_path))  # the nominal volume serves only as its mask
         xct = vvol_read(xct_path)
         _, xct_bin = otsu_threshold(xct)

@@ -95,7 +95,6 @@ class PlateauScheduler:
         self.lr = float(cfg.lr)
         self.best = float(baseline)
         self.bad_epochs = 0
-        self.reductions = 0
 
     def step(self, val_loss: float) -> float:
         cfg = self.cfg
@@ -105,10 +104,7 @@ class PlateauScheduler:
         else:
             self.bad_epochs += 1
             if self.bad_epochs >= cfg.plateau_patience:
-                new_lr = max(self.lr * cfg.plateau_factor, cfg.min_lr)
-                if new_lr < self.lr:
-                    self.reductions += 1
-                self.lr = new_lr
+                self.lr = max(self.lr * cfg.plateau_factor, cfg.min_lr)
                 self.bad_epochs = 0
         return self.lr
 
@@ -196,8 +192,7 @@ def train(
                 disp, moved, tape = model_forward(params, model_cfg, moving, fixed)
                 loss, d_moved, d_disp = total_loss(moved, fixed, disp, lam, window)
                 losses.append(loss)
-                # the warp promotes the float32 patch, so d_moved is float64
-                grads = model_backward(tape, d_moved.astype(np.float32), d_disp)
+                grads = model_backward(tape, d_moved, d_disp)
                 for name, g in grads.items():
                     if name in grad_sum:
                         grad_sum[name] += g

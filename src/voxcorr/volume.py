@@ -8,7 +8,11 @@ metadata in micrometers.
 trilinear_gather is the one trilinear sampler. It takes leading channel axes,
 vol[..., z, y, x], and samples every channel at the same points with one set
 of clamped indices and weights: warp_array passes one channel, invert_field
-and the baseline's dense field pass the three displacement channels.
+and the baseline's dense field pass the three displacement channels. Its one
+dtype rule: values and gradients come back in result_type(vol, float32),
+whatever dtype the points have, so a float32 volume stays float32. Each
+fraction is taken in the points' float dtype, where it is exact, and cast
+once to that dtype, in which the corners are read and the lerps run.
 
 The sampler walks its points in blocks of at most BLOCK, in C order, so that
 each block's indices, weights and corner reads stay in cache instead of
@@ -204,18 +208,17 @@ def grid_coords(shape_zyx, dtype=np.float64) -> tuple[np.ndarray, np.ndarray, np
     return zz, yy, xx
 
 
-def _cell(p: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lower corner index and fraction of the clamped coordinate p on an axis of n voxels."""
+def _cell(p: np.ndarray, n: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Lower corner index of the clamped coordinate p on an axis of n voxels, and
+    its fraction: taken in p's dtype, where it is exact, then cast to dtype."""
     c = np.clip(p, 0.0, n - 1)
     i0 = np.zeros(c.shape, np.intp) if n == 1 else np.minimum(np.floor(c).astype(np.intp), n - 2)
     i0 = np.maximum(i0, 0)  # floor(nan) casts to a negative index
-    return i0, c - i0
+    return i0, np.subtract(c, i0, dtype=c.dtype).astype(dtype, copy=False)
 
 
 def _lerp(a: np.ndarray, b: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """a + f*(b - a), computed in b's buffer when that keeps the promoted dtype."""
-    if np.result_type(b, f) != b.dtype:  # e.g. float32 corners and float64 fractions
-        return a + f * (b - a)
+    """a + f*(b - a), computed in b's buffer."""
     b -= a
     b *= f
     b += a
@@ -232,26 +235,25 @@ def trilinear_gather(vol: np.ndarray, px, py, pz, with_grad: bool = False):
     returns d(value)/d(p) per axis; the clamp zeroes the gradient outside the
     open interval (0, n-1).
 
-    The points are sampled at most BLOCK at a time (see BLOCK), each by the
-    same per-point formula, so the result does not depend on the block size.
+    The value and the gradients are in result_type(vol, float32), whatever
+    the points' dtype (see the module docstring). The points are sampled at
+    most BLOCK at a time (see BLOCK), each by the same per-point formula, so
+    the result does not depend on the block size.
     """
     *lead, nz, ny, nx = vol.shape
     px = np.asarray(px)
-    dtype = np.result_type(px.dtype, np.float32)
+    pdtype = np.result_type(px.dtype, np.float32)
+    dtype = np.result_type(vol, np.float32)
     pts = np.broadcast_arrays(px, np.asarray(py), np.asarray(pz))
     shape = pts[0].shape
-    n = pts[0].size
     flat = vol.reshape(*lead, nz * ny * nx)
-    outs = None
+    outs = [np.empty((*lead, pts[0].size), dtype) for _ in range(4 if with_grad else 1)]
     s = 0
     for idx in _blocks(shape):
         # a copy only of the block of a strided view, such as a broadcast one
-        bp = [p[idx].reshape(-1).astype(dtype, copy=False) for p in pts]
-        res = _gather_block(flat, (nz, ny, nx), *bp, with_grad)
-        if outs is None:  # the dtypes the formula gives
-            outs = [np.empty((*lead, n), r.dtype) for r in res]
+        bp = [p[idx].reshape(-1).astype(pdtype, copy=False) for p in pts]
         e = s + bp[0].size
-        for o, r in zip(outs, res):
+        for o, r in zip(outs, _gather_block(flat, (nz, ny, nx), *bp, with_grad, dtype)):
             o[..., s:e] = r
         s = e
     out, *grads = (o.reshape(*lead, *shape) for o in outs)
@@ -275,13 +277,13 @@ def _blocks(shape):
             yield (*prefix, slice(s, s + step))
 
 
-def _gather_block(flat: np.ndarray, dims: IVec3, px, py, pz, with_grad: bool) -> list[np.ndarray]:
+def _gather_block(flat: np.ndarray, dims: IVec3, px, py, pz, with_grad: bool, dtype) -> list[np.ndarray]:
     """[value] or, with with_grad, [value, gx, gy, gz] of trilinear_gather for
-    flat[..., nz*ny*nx] at the 1-D points px, py, pz."""
+    flat[..., nz*ny*nx] at the 1-D points px, py, pz, computed in dtype."""
     nz, ny, nx = dims
-    x0, fx = _cell(px, nx)
-    y0, fy = _cell(py, ny)
-    z0, fz = _cell(pz, nz)
+    x0, fx = _cell(px, nx, dtype)
+    y0, fy = _cell(py, ny, dtype)
+    z0, fz = _cell(pz, nz, dtype)
 
     # corner (z0+a, y0+b, x0+c) sits at flat index i + a*oz + b*oy + c*ox; an
     # axis of one voxel reads its only slice twice
@@ -289,7 +291,7 @@ def _gather_block(flat: np.ndarray, dims: IVec3, px, py, pz, with_grad: bool) ->
     ox, oy, oz = int(nx > 1), nx * (ny > 1), nx * ny * (nz > 1)
 
     def at(o: int) -> np.ndarray:
-        return np.take(flat, i + o, axis=-1)
+        return np.take(flat, i + o, axis=-1).astype(dtype, copy=False)
 
     if not with_grad:
         # corners are read in the order the lerps use them: at most four live at once
@@ -331,18 +333,16 @@ def warp_array(moving: np.ndarray, disp: np.ndarray, with_grad: bool = False):
     """Warp moving[z, y, x] by disp[3, z, y, x]: out(x) = moving(x + u(x)).
 
     With with_grad=True also returns (gx, gy, gz), the per-voxel derivatives of
-    the output w.r.t. the three displacement channels.
+    the output w.r.t. the three displacement channels. All are in the
+    sampler's dtype, result_type(moving, float32).
     """
     if moving.shape != disp.shape[1:]:
         raise VolumeError(f"moving {moving.shape} and displacement {disp.shape[1:]} dims differ")
     zz, yy, xx = grid_coords(moving.shape, dtype=np.result_type(moving, disp, np.float32))
-    outs = None
+    outs = [np.empty(moving.shape, np.result_type(moving, np.float32)) for _ in range(4 if with_grad else 1)]
     for z in z_chunks(moving.shape):
         res = trilinear_gather(moving, xx + disp[0, z], yy + disp[1, z], zz[z] + disp[2, z], with_grad=with_grad)
-        res = [res[0], *res[1]] if with_grad else [res]
-        if outs is None:  # the dtypes the formula gives
-            outs = [np.empty(moving.shape, r.dtype) for r in res]
-        for o, r in zip(outs, res):
+        for o, r in zip(outs, [res[0], *res[1]] if with_grad else [res]):
             o[z] = r
     out, *grads = outs
     return (out, tuple(grads)) if with_grad else out
@@ -351,8 +351,7 @@ def warp_array(moving: np.ndarray, disp: np.ndarray, with_grad: bool = False):
 def warp(moving: ScalarVolume, disp: DisplacementField) -> ScalarVolume:
     if moving.dims != disp.dims:
         raise VolumeError(f"dims mismatch: moving {moving.dims} vs field {disp.dims}")
-    out = warp_array(moving.data, disp.data)
-    return ScalarVolume(out.astype(moving.data.dtype, copy=False), moving.voxel_size)
+    return ScalarVolume(warp_array(moving.data, disp.data), moving.voxel_size)
 
 
 def invert_field(disp: DisplacementField) -> DisplacementField:

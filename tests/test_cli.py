@@ -12,8 +12,10 @@ import numpy as np
 import pytest
 
 import voxcorr.cli
+import voxcorr.training
 from voxcorr.cli import FLAGS, METHODS, _build_parser, _resolve_config, main
 from voxcorr.config import RunConfig
+from voxcorr.model import ModelConfig, checkpoint_save, init_params
 from voxcorr.preprocess import assign_splits, otsu_threshold
 from voxcorr.volume import DisplacementField, warp
 from voxcorr.vvol import read_raw, vvol_read, vvol_write, write_raw
@@ -248,6 +250,46 @@ class TestBaseline:
         assert stats["min_peak_ncc"] == pytest.approx(corr.min())
         assert stats["median_peak_ncc"] == pytest.approx(np.median(corr))
         assert 0 < stats["runtime_sec"] <= record["duration_sec"]
+
+
+@pytest.fixture(scope="module")
+def small_workspace(tmp_path_factory):
+    """3 samples at 24^3, under the default DVC margin (2 * 14 + 1) and patch 32,
+    with a patch-32 checkpoint beside them."""
+    ws = tmp_path_factory.mktemp("ws24")
+    assert main(["generate", "--workspace", str(ws), "--c-values", "0,-0.3,-0.6", "--extent-mm", "1.92"]) == 0
+    assert main(["preprocess", "--workspace", str(ws)]) == 0
+    cfg = ModelConfig(patch_size=32)
+    checkpoint_save(init_params(cfg, np.random.default_rng(0), dtype=np.float32), cfg, ws / "p32.vmck")
+    return ws
+
+
+class TestDimsCheckedBeforeReading:
+    """A stage whose patch or node grid cannot fit the manifest's target_dims
+    exits 2 with one error line before it reads a volume, and writes nothing."""
+
+    @staticmethod
+    def check(ws, argv, needle, monkeypatch, capsys):
+        def no_read(path):
+            raise AssertionError(f"read {path}")
+
+        for mod in (voxcorr.cli, voxcorr.training):
+            monkeypatch.setattr(mod, "vvol_read", no_read)
+        before = {p: p.stat().st_mtime_ns for p in ws.rglob("*")}
+        assert main([*argv, "--workspace", str(ws)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and needle in err[0], err
+        assert {p: p.stat().st_mtime_ns for p in ws.rglob("*")} == before
+
+    def test_baseline(self, small_workspace, monkeypatch, capsys):
+        self.check(small_workspace, ["baseline"], "(24, 24, 24)", monkeypatch, capsys)
+
+    def test_train(self, small_workspace, monkeypatch, capsys):
+        self.check(small_workspace, ["train", "--patch-size", "32"], "patch size 32", monkeypatch, capsys)
+
+    def test_register(self, small_workspace, monkeypatch, capsys):
+        argv = ["register", "--checkpoint", str(small_workspace / "p32.vmck")]
+        self.check(small_workspace, argv, "patch size 32", monkeypatch, capsys)
 
 
 class TestEvaluate:

@@ -35,6 +35,18 @@ def toy_params(seed=0, dtype=np.float64):
     return params
 
 
+def tape_arrays(tape) -> list[np.ndarray]:
+    """Every array reachable from a tape through its dicts, lists and tuples."""
+    arrays, todo = [], [tape]
+    while todo:
+        obj = todo.pop()
+        if isinstance(obj, np.ndarray):
+            arrays.append(obj)
+        elif isinstance(obj, (dict, list, tuple)):
+            todo.extend(obj.values() if isinstance(obj, dict) else obj)
+    return arrays
+
+
 class TestModelConfig:
     def test_defaults_match_architecture(self):
         cfg = ModelConfig()
@@ -127,13 +139,7 @@ class TestModelForward:
         params = init_params(cfg, rng)
         patch = rng.uniform(0, 1, (32, 32, 32)).astype(np.float32)
         _, _, tape = model_forward(params, cfg, patch, patch)
-        shapes, todo = [], [tape]
-        while todo:
-            obj = todo.pop()
-            if isinstance(obj, np.ndarray):
-                shapes.append(obj.shape)
-            elif isinstance(obj, (dict, list, tuple)):
-                todo.extend(obj.values() if isinstance(obj, dict) else obj)
+        shapes = [a.shape for a in tape_arrays(tape)]
         assert (32, 32, 32, 32) in shapes  # the walk reaches the full-resolution activations
         assert not [s for s in shapes if s[0] == 64 and s[1:] == (32, 32, 32)]
 
@@ -142,14 +148,18 @@ class TestModelForward:
         params = toy_params(seed=17, dtype=np.float32)
         patch = np.random.default_rng(17).uniform(0, 1, (16, 16, 16)).astype(np.float32)
         _, _, tape = model_forward(params, TOY, patch, patch)
-        dtypes, todo = set(), [tape]
-        while todo:
-            obj = todo.pop()
-            if isinstance(obj, np.ndarray):
-                dtypes.add(obj.dtype)
-            elif isinstance(obj, (dict, list, tuple)):
-                todo.extend(obj.values() if isinstance(obj, dict) else obj)
+        dtypes = {a.dtype for a in tape_arrays(tape)}
         assert np.dtype(np.float32) in dtypes and np.dtype(bool) not in dtypes
+
+    def test_float32_forward_and_loss_stay_float32(self):
+        # the warp, its gradients on the tape and the loss's gradients keep the model's precision
+        params = toy_params(seed=18, dtype=np.float32)
+        moving, fixed = np.random.default_rng(18).uniform(0, 1, (2, 16, 16, 16)).astype(np.float32)
+        disp, moved, tape = model_forward(params, TOY, moving, fixed)
+        _, d_moved, d_disp = total_loss(moved, fixed, disp, 0.05, 5)
+        arrays = tape_arrays(tape)
+        assert len(arrays) > 3  # the walk reaches past the warp's three gradients
+        assert {a.dtype for a in [*arrays, disp, moved, d_moved, d_disp]} == {np.dtype(np.float32)}
 
     def test_inference_forward_keeps_no_tape(self, monkeypatch):
         # without a tape no block's input (nor an upconv's skip) is alive once the head runs

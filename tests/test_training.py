@@ -62,10 +62,9 @@ class TestPlateauScheduler:
     def test_never_improving_sequence(self):
         epochs, patience = 50, 10
         sched = PlateauScheduler(TrainConfig(lr=1e-3, plateau_patience=patience, min_lr=1e-5), baseline=1.0)
-        for _ in range(epochs):
-            sched.step(1.0)
-        assert sched.reductions == epochs // patience
-        assert sched.lr == pytest.approx(1e-3 * 0.5 ** 5)
+        lrs = [sched.step(1.0) for _ in range(epochs)]
+        # a cut after every `patience` epochs without improvement, the last at epoch 50
+        assert lrs == pytest.approx([1e-3 * 0.5 ** (e // patience) for e in range(1, epochs + 1)])
 
     def test_floored_at_min_lr(self):
         sched = PlateauScheduler(TrainConfig(lr=2e-5, plateau_patience=1, min_lr=1e-5), baseline=1.0)
@@ -76,9 +75,8 @@ class TestPlateauScheduler:
     def test_improvement_resets_counter(self):
         sched = PlateauScheduler(TrainConfig(lr=1e-3, plateau_patience=3, min_lr=1e-5), baseline=1.0)
         losses = [0.9, 0.95, 0.95, 0.8, 0.85, 0.85, 0.85]
-        for v in losses:
-            sched.step(v)
-        assert sched.reductions == 1  # only the trailing three non-improvements
+        lrs = [sched.step(v) for v in losses]
+        assert lrs == [1e-3] * 6 + [5e-4]  # only the trailing three non-improvements cut
 
 
 def make_manifest(tmp_path, dims=32, n=1, seed=0):

@@ -58,8 +58,12 @@ class TestDisplacementField:
 
 def reference_gather(vol, px, py, pz, with_grad=False):
     """One-channel gather with eight fancy-index reads, the pre-channel-axis
-    implementation: the oracle the flat-index gather must match bit for bit."""
+    implementation: the oracle the flat-index gather must match bit for bit.
+    It computes in result_type(vol, float32) from fractions taken in the
+    points' dtype, as the dtype rule of trilinear_gather says."""
     nz, ny, nx = vol.shape
+    dt = np.result_type(vol, np.float32)
+    vol = vol.astype(dt, copy=False)
     px = np.asarray(px, dtype=np.result_type(px, np.float32))
     py = np.asarray(py, dtype=px.dtype)
     pz = np.asarray(pz, dtype=px.dtype)
@@ -70,7 +74,7 @@ def reference_gather(vol, px, py, pz, with_grad=False):
     y0 = np.minimum(np.floor(cy).astype(np.intp), ny - 2) if ny > 1 else np.zeros(cy.shape, np.intp)
     z0 = np.minimum(np.floor(cz).astype(np.intp), nz - 2) if nz > 1 else np.zeros(cz.shape, np.intp)
     x0, y0, z0 = np.maximum(x0, 0), np.maximum(y0, 0), np.maximum(z0, 0)
-    fx, fy, fz = cx - x0, cy - y0, cz - z0
+    fx, fy, fz = ((c - i.astype(c.dtype)).astype(dt) for c, i in ((cx, x0), (cy, y0), (cz, z0)))
     x1 = np.minimum(x0 + 1, nx - 1)
     y1 = np.minimum(y0 + 1, ny - 1)
     z1 = np.minimum(z0 + 1, nz - 1)
@@ -127,12 +131,13 @@ class TestTrilinearGather:
                 assert np.array_equal(g[c], w)
                 assert np.array_equal(o, w)
 
-    def test_float32_volume_and_points_give_float64(self):
-        # the in-place lerp must not keep the float32 corners' dtype
-        vol, px, py, pz = gather_case((5, 6, 7), np.float32, np.float32, channels=1)
-        assert trilinear_gather(vol[0], px, py, pz).dtype == np.float64
+    @pytest.mark.parametrize("vol_dtype", FLOATS)
+    @pytest.mark.parametrize("pt_dtype", FLOATS)
+    def test_output_has_the_volume_dtype(self, vol_dtype, pt_dtype):
+        vol, px, py, pz = gather_case((5, 6, 7), vol_dtype, pt_dtype, channels=1)
+        assert trilinear_gather(vol[0], px, py, pz).dtype == vol_dtype
         out, grads = trilinear_gather(vol[0], px, py, pz, with_grad=True)
-        assert out.dtype == np.float64 and all(g.dtype == np.float64 for g in grads)
+        assert out.dtype == vol_dtype and all(g.dtype == vol_dtype for g in grads)
 
     @pytest.mark.parametrize("shape", GATHER_SHAPES)
     def test_matches_scipy_linear_nearest(self, shape):
