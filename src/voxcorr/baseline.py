@@ -122,7 +122,7 @@ def correlate_node(
     nz, ny, nx = fixed.shape
     if not (h <= cx < nx - h and h <= cy < ny - h and h <= cz < nz - h):
         return np.zeros(3), 0.0
-    f = fixed[cz - h : cz + h + 1, cy - h : cy + h + 1, cx - h : cx + h + 1]
+    f = fixed[cz - h : cz + h + 1, cy - h : cy + h + 1, cx - h : cx + h + 1].astype(np.float64)
     fc = f - f.mean()
     var_f = float((fc * fc).sum())
     if var_f <= 1e-12:
@@ -144,7 +144,6 @@ def correlate_node(
     # shift's share of the cross term is added back, as the rounded fc need not sum to 0
     shift = block.mean()
     block -= shift
-    fc = fc.astype(np.float64, copy=False)
     grid = [next_fast_len(n, real=True) for n in block.shape]
     spec = np.fft.rfftn(block, grid, axes=(0, 1, 2))
     spec *= np.conj(np.fft.rfftn(fc, grid, axes=(0, 1, 2)))
@@ -202,11 +201,12 @@ def multiscale_dvc(
     xs, ys, zs = build_node_grid(moving.dims, cfg)
     nnx, nny, nnz = len(xs), len(ys), len(zs)
 
-    pyr_m = [moving.data.astype(np.float64)]
-    pyr_f = [fixed.data.astype(np.float64)]
+    # level 0 is the input itself, as correlate_node casts its windows to float64;
+    # each coarser level is averaged from a float64 copy
+    pyr_m, pyr_f = [moving.data], [fixed.data]
     for _ in range(cfg.pyramid_levels - 1):
-        pyr_m.append(downsample2(ScalarVolume(pyr_m[-1])).data)
-        pyr_f.append(downsample2(ScalarVolume(pyr_f[-1])).data)
+        pyr_m.append(downsample2(ScalarVolume(pyr_m[-1].astype(np.float64, copy=False))).data)
+        pyr_f.append(downsample2(ScalarVolume(pyr_f[-1].astype(np.float64, copy=False))).data)
 
     disp = np.zeros((nnz, nny, nnx, 3))
     corr = np.zeros((nnz, nny, nnx))

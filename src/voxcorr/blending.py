@@ -4,7 +4,8 @@ Patch grids cover the whole volume: origins step by the stride (at most the
 patch size) along each axis and a clamped final origin at dims - patch_size is
 appended whenever the regular stepping stops short, so inference never needs
 padding. Overlapping [c, p, p, p] patches blend with a Gaussian window of
-sigma p / 4 (every weight above exp(-6)).
+sigma p / 4 (every weight above exp(-6)). The accumulator's float64 sums are
+finalized once, in place, into the weighted mean.
 """
 from __future__ import annotations
 
@@ -78,7 +79,8 @@ class BlendAccumulator:
         self.weight_sum[sl] += self.window
 
     def finalize(self) -> np.ndarray:
-        """Weighted mean per voxel, [c, nz, ny, nx]."""
+        """Weighted mean per voxel, [c, nz, ny, nx], divided in place into the
+        weighted sum: call it once, after the last add."""
         if np.any(self.weight_sum == 0.0):
             raise VolumeError("finalize called with uncovered voxels (zero blend weight)")
-        return self.weighted_sum / self.weight_sum
+        return np.divide(self.weighted_sum, self.weight_sum, out=self.weighted_sum)

@@ -426,7 +426,7 @@ def _evaluate_method(
     _, moved_bin = otsu_threshold(moved)
     disp = vvol_read(mdir / "disp.vvol")
     runtime = _read_runtime(mdir / METHODS[method][1])
-    report, bdm_before, bdm_after = evaluate_pair(
+    report, map_before, map_after = evaluate_pair(
         cad_bin, xct_bin, moved_bin, disp, gt_disp=gt,
         sample_id=sid, method=method, runtime_sec=runtime,
     )
@@ -435,8 +435,8 @@ def _evaluate_method(
     (rdir / "report.json").write_text(json.dumps(report.to_json(), indent=2))
     export_overlay_slices(cad_bin, xct, xct_bin, rdir, prefix="overlay_before")
     export_overlay_slices(cad_bin, moved, moved_bin, rdir, prefix="overlay_after")
-    export_bdm_slices(bdm_before, rdir, prefix="bdm_before")
-    export_bdm_slices(bdm_after, rdir, prefix="bdm_after")
+    export_bdm_slices(map_before, rdir, prefix="bdm_before")
+    export_bdm_slices(map_after, rdir, prefix="bdm_after")
     export_displacement_magnitude(disp, cad_bin, rdir, prefix="dispmag")
     epe = "-" if report.mean_epe_vox is None else f"{report.mean_epe_vox:.3f}"
     print(

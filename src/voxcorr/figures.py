@@ -1,9 +1,11 @@
 """Slice-image exports: overlays, difference maps and displacement magnitude.
 
-Images are written as binary PPM (P6) / PGM (P5) with maxval 255. For each
-volume the three central orthogonal slices are exported; image dimensions
-equal the slice dimensions (XZ: rows z, cols x; YZ: rows z, cols y; XY:
-rows y, cols x). Masks come from the caller, which binarizes each volume
+Images are written by one binary PNM writer with maxval 255: PGM (P5) for a
+2-D gray image, PPM (P6) for an [h, w, 3] colour one. For each volume the
+three central orthogonal slices are exported; image dimensions equal the
+slice dimensions (XZ: rows z, cols x; YZ: rows z, cols y; XY: rows y,
+cols x). A BDM slice is coloured through one 256-entry palette indexed by the
+map's uint8 bits. Masks come from the caller, which binarizes each volume
 once for both the metrics and the figures.
 """
 from __future__ import annotations
@@ -12,30 +14,36 @@ from pathlib import Path
 
 import numpy as np
 
-from .metrics import BDM_OUTSIDE, BdmResult, squared_norm
+from .metrics import squared_norm
 from .volume import BinaryVolume, DisplacementField, ScalarVolume, VolumeError
 
 GREEN = np.array([0, 200, 0], dtype=np.float64)
-BDM_COLORS = {
-    -1: np.array([0, 0, 255], dtype=np.uint8),
-    0: np.array([255, 255, 255], dtype=np.uint8),
-    1: np.array([255, 0, 0], dtype=np.uint8),
-}
-BDM_OUTSIDE_COLOR = np.array([220, 220, 220], dtype=np.uint8)
+# BDM colours by the uint8 bits of the int8 map: blue for -1 (material missing
+# in the scan), white for 0 (match), red for +1 (excess); light gray for
+# BDM_OUTSIDE and any other value
+_BDM_PALETTE = np.full((256, 3), 220, dtype=np.uint8)
+_BDM_PALETTE[np.array([-1, 0, 1], dtype=np.int8).view(np.uint8)] = [[0, 0, 255], [255, 255, 255], [255, 0, 0]]
 
 
-def write_pgm(path, img: np.ndarray) -> None:
-    if img.ndim != 2 or img.dtype != np.uint8:
-        raise VolumeError("PGM output requires a 2D uint8 image")
-    h, w = img.shape
-    Path(path).write_bytes(f"P5\n{w} {h}\n255\n".encode("ascii") + img.tobytes())
+def write_pnm(path, img: np.ndarray) -> None:
+    """Binary PGM (P5) for a 2-D uint8 image, PPM (P6) for an [h, w, 3] one."""
+    if img.dtype != np.uint8 or not (img.ndim == 2 or (img.ndim == 3 and img.shape[2] == 3)):
+        raise VolumeError("PNM output requires a 2-D or an [h, w, 3] uint8 image")
+    h, w = img.shape[:2]
+    magic = "P5" if img.ndim == 2 else "P6"
+    Path(path).write_bytes(f"{magic}\n{w} {h}\n255\n".encode("ascii") + img.tobytes())
 
 
-def write_ppm(path, img: np.ndarray) -> None:
-    if img.ndim != 3 or img.shape[2] != 3 or img.dtype != np.uint8:
-        raise VolumeError("PPM output requires an [h, w, 3] uint8 image")
-    h, w, _ = img.shape
-    Path(path).write_bytes(f"P6\n{w} {h}\n255\n".encode("ascii") + img.tobytes())
+def _export(images: dict[str, np.ndarray], out_dir, prefix: str) -> list[str]:
+    """Write each plane's image to out_dir as {prefix}_{plane}.pgm or .ppm."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    paths = []
+    for plane, img in images.items():
+        p = out_dir / f"{prefix}_{plane}.{'pgm' if img.ndim == 2 else 'ppm'}"
+        write_pnm(p, img)
+        paths.append(str(p))
+    return paths
 
 
 def central_slices(data: np.ndarray) -> dict[str, np.ndarray]:
@@ -64,40 +72,23 @@ def export_overlay_slices(
     if not (fixed_bin.dims == scan.dims == scan_bin.dims):
         raise VolumeError(f"dims mismatch: {fixed_bin.dims}, {scan.dims}, {scan_bin.dims}")
     lo, hi = float(scan.data.min()), float(scan.data.max())
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    paths = []
     f_slices = central_slices(fixed_bin.mask)
     s_slices = central_slices(scan_bin.mask)
-    g_slices = central_slices(scan.data)
-    for plane in ("xz", "yz", "xy"):
-        gray = _to_gray255(g_slices[plane], lo, hi)
-        img = np.repeat(gray[:, :, None], 3, axis=2)
+    images = {}
+    for plane, sl in central_slices(scan.data).items():
+        img = np.repeat(_to_gray255(sl, lo, hi)[:, :, None], 3, axis=2)
         cad_only = f_slices[plane] & ~s_slices[plane]
         overlap = f_slices[plane] & s_slices[plane]
         img[cad_only] = GREEN
         img[overlap] = 0.5 * img[overlap] + 0.5 * GREEN
-        p = out_dir / f"{prefix}_{plane}.ppm"
-        write_ppm(p, np.clip(img, 0, 255).astype(np.uint8))
-        paths.append(str(p))
-    return paths
+        images[plane] = np.clip(img, 0, 255).astype(np.uint8)
+    return _export(images, out_dir, prefix)
 
 
-def export_bdm_slices(result: BdmResult, out_dir, prefix: str = "bdm") -> list[str]:
+def export_bdm_slices(bdm_map: np.ndarray, out_dir, prefix: str = "bdm") -> list[str]:
     """Blue = material missing in the scan, white = match, red = excess."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for plane, sl in central_slices(result.map).items():
-        img = np.empty(sl.shape + (3,), dtype=np.uint8)
-        img[:] = BDM_OUTSIDE_COLOR
-        for value, color in BDM_COLORS.items():
-            img[sl == value] = color
-        img[sl == BDM_OUTSIDE] = BDM_OUTSIDE_COLOR
-        p = out_dir / f"{prefix}_{plane}.ppm"
-        write_ppm(p, img)
-        paths.append(str(p))
-    return paths
+    images = {plane: _BDM_PALETTE[sl.view(np.uint8)] for plane, sl in central_slices(bdm_map).items()}
+    return _export(images, out_dir, prefix)
 
 
 def export_displacement_magnitude(
@@ -112,10 +103,8 @@ def export_displacement_magnitude(
     mag = squared_norm(disp.data)
     np.sqrt(mag, out=mag)
     lo, hi = float(mag.min()), float(mag.max())
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    paths = []
     inside = central_slices(mask.mask)
+    images = {}
     for plane, sl in central_slices(mag).items():  # only the slices are scaled
         if hi > lo:
             scaled = (sl - lo) / (hi - lo) * 255.0
@@ -124,7 +113,5 @@ def export_displacement_magnitude(
         else:
             scaled = np.full_like(sl, 128.0)
         scaled[~inside[plane]] = 0.0
-        p = out_dir / f"{prefix}_{plane}.pgm"
-        write_pgm(p, np.clip(scaled, 0, 255).astype(np.uint8))
-        paths.append(str(p))
-    return paths
+        images[plane] = np.clip(scaled, 0, 255).astype(np.uint8)
+    return _export(images, out_dir, prefix)

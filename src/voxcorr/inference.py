@@ -45,4 +45,5 @@ def sliding_register(
         disp, _, _ = model_forward(params, cfg, mdata[sl], fdata[sl], want_tape=False)
         acc.add(disp, (x, y, z))
     disp = DisplacementField(acc.finalize().astype(np.float32), moving.voxel_size)
+    del acc  # frees the float64 sums before the warp allocates
     return warp(moving, disp), disp

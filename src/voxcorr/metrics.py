@@ -1,6 +1,7 @@
-"""Registration quality metrics: Dice overlap, binary difference maps and
-endpoint error against synthetic ground truth, on masks that the caller
-binarizes once per volume and shares with the figure exports."""
+"""Registration quality metrics: Dice overlap, binary difference maps (BDM)
+with the report's shares of each BDM value, and endpoint error against
+synthetic ground truth, on masks that the caller binarizes once per volume
+and shares with the figure exports."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -14,24 +15,6 @@ from .volume import BinaryVolume, DisplacementField, VolumeError
 BDM_OUTSIDE = np.int8(127)
 
 
-@dataclass(frozen=True)
-class BdmResult:
-    """Trinary scan-minus-nominal map on the foreground union.
-
-    map values: -1 material missing in the scan, 0 match, +1 excess material;
-    BDM_OUTSIDE elsewhere. Percentages are of the union voxel count.
-    """
-
-    map: np.ndarray
-    bdm_minus1_pct: float
-    bdm_zero_pct: float
-    bdm_plus1_pct: float
-
-    @property
-    def union(self) -> np.ndarray:
-        return self.map != BDM_OUTSIDE
-
-
 def dice(a: BinaryVolume, b: BinaryVolume) -> float:
     """Dice overlap in percent; two empty masks count as perfect agreement."""
     if a.mask.shape != b.mask.shape:
@@ -43,25 +26,27 @@ def dice(a: BinaryVolume, b: BinaryVolume) -> float:
     return 100.0 * 2.0 * inter / (na + nb)
 
 
-def bdm(xct_bin: BinaryVolume, cad_bin: BinaryVolume) -> BdmResult:
-    """Per-voxel difference scan - nominal restricted to the foreground union."""
-    if xct_bin.mask.shape != cad_bin.mask.shape:
+def bdm(xct_bin: BinaryVolume, cad_bin: BinaryVolume) -> tuple[np.ndarray, dict]:
+    """(map, shares) of the difference scan - nominal on the foreground union.
+
+    map values: -1 material missing in the scan, 0 match, +1 excess material;
+    BDM_OUTSIDE elsewhere. shares: the percentage of the union voxel count
+    taken by each value, keyed "minus1", "zero" and "plus1".
+    """
+    scan, nominal = xct_bin.mask, cad_bin.mask
+    if scan.shape != nominal.shape:
         raise VolumeError(f"dims mismatch: {xct_bin.dims} vs {cad_bin.dims}")
-    union = xct_bin.mask | cad_bin.mask
-    n_union = int(union.sum())
+    union = scan | nominal
+    n_union = np.count_nonzero(union)
     if n_union == 0:
         raise VolumeError("empty union: nothing to compare")
-    diff = xct_bin.mask.astype(np.int8) - cad_bin.mask.astype(np.int8)
-    out = np.where(union, diff, BDM_OUTSIDE).astype(np.int8)
-    n_minus = int((diff[union] == -1).sum())
-    n_zero = int((diff[union] == 0).sum())
-    n_plus = n_union - n_minus - n_zero
-    return BdmResult(
-        map=out,
-        bdm_minus1_pct=100.0 * n_minus / n_union,
-        bdm_zero_pct=100.0 * n_zero / n_union,
-        bdm_plus1_pct=100.0 * n_plus / n_union,
-    )
+    out = np.where(union, scan.astype(np.int8) - nominal, BDM_OUTSIDE)
+    shares = {
+        "minus1": 100.0 * np.count_nonzero(nominal & ~scan) / n_union,
+        "zero": 100.0 * np.count_nonzero(nominal & scan) / n_union,
+        "plus1": 100.0 * np.count_nonzero(scan & ~nominal) / n_union,
+    }
+    return out, shares
 
 
 def squared_norm(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
@@ -106,10 +91,6 @@ class EvalReport(Jsonable):
     runtime_sec: float
 
 
-def _bdm_summary(r: BdmResult) -> dict:
-    return {"minus1": r.bdm_minus1_pct, "zero": r.bdm_zero_pct, "plus1": r.bdm_plus1_pct}
-
-
 def evaluate_pair(
     cad_bin: BinaryVolume,
     xct_bin: BinaryVolume,
@@ -119,18 +100,18 @@ def evaluate_pair(
     sample_id: str = "",
     method: str = "learned",
     runtime_sec: float = 0.0,
-) -> tuple[EvalReport, BdmResult, BdmResult]:
+) -> tuple[EvalReport, np.ndarray, np.ndarray]:
     """Full before/after evaluation of one registration from the nominal, scan
     and moved-scan masks.
 
     Endpoint error uses the nominal foreground as evaluation mask and is
-    reported only when ground truth is available. Returns the report plus both
-    BDM maps for figure export.
+    reported only when ground truth is available. Returns the report plus the
+    before and after BDM maps for figure export.
     """
     if not (cad_bin.dims == xct_bin.dims == moved_bin.dims == disp.dims):
         raise VolumeError("evaluate_pair requires consistent dims")
-    bdm_before = bdm(xct_bin, cad_bin)
-    bdm_after = bdm(moved_bin, cad_bin)
+    map_before, bdm_before = bdm(xct_bin, cad_bin)
+    map_after, bdm_after = bdm(moved_bin, cad_bin)
     mean_epe = max_epe = None
     if gt_disp is not None:
         mean_epe, max_epe = endpoint_error(disp, gt_disp, cad_bin)
@@ -139,10 +120,10 @@ def evaluate_pair(
         method=method,
         dice_before_pct=dice(xct_bin, cad_bin),
         dice_after_pct=dice(moved_bin, cad_bin),
-        bdm_before=_bdm_summary(bdm_before),
-        bdm_after=_bdm_summary(bdm_after),
+        bdm_before=bdm_before,
+        bdm_after=bdm_after,
         mean_epe_vox=mean_epe,
         max_epe_vox=max_epe,
         runtime_sec=runtime_sec,
     )
-    return report, bdm_before, bdm_after
+    return report, map_before, map_after

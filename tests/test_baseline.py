@@ -36,7 +36,7 @@ def reference_correlate_node(moving, fixed, center, cfg, halfsize=None, base=(0,
     nz, ny, nx = fixed.shape
     if not (h <= cx < nx - h and h <= cy < ny - h and h <= cz < nz - h):
         return np.zeros(3), 0.0
-    f = fixed[cz - h : cz + h + 1, cy - h : cy + h + 1, cx - h : cx + h + 1]
+    f = fixed[cz - h : cz + h + 1, cy - h : cy + h + 1, cx - h : cx + h + 1].astype(np.float64, copy=False)
     fc = f - f.mean()
     var_f = float((fc * fc).sum())
     if var_f <= 1e-12:

@@ -6,11 +6,10 @@ from voxcorr.figures import (
     export_bdm_slices,
     export_displacement_magnitude,
     export_overlay_slices,
-    write_pgm,
-    write_ppm,
+    write_pnm,
 )
-from voxcorr.metrics import bdm
-from voxcorr.volume import BinaryVolume, DisplacementField, ScalarVolume
+from voxcorr.metrics import BDM_OUTSIDE, bdm
+from voxcorr.volume import BinaryVolume, DisplacementField, ScalarVolume, VolumeError
 
 
 def read_pnm(path):
@@ -33,14 +32,23 @@ class TestWriters:
     def test_pgm_roundtrip(self, tmp_path):
         img = np.arange(12, dtype=np.uint8).reshape(3, 4)
         p = tmp_path / "x.pgm"
-        write_pgm(p, img)
+        write_pnm(p, img)
+        assert open(p, "rb").read().startswith(b"P5\n4 3\n255\n")
         np.testing.assert_array_equal(read_pnm(p), img)
 
     def test_ppm_roundtrip(self, tmp_path):
         img = np.arange(36, dtype=np.uint8).reshape(3, 4, 3)
         p = tmp_path / "x.ppm"
-        write_ppm(p, img)
+        write_pnm(p, img)
+        assert open(p, "rb").read().startswith(b"P6\n4 3\n255\n")
         np.testing.assert_array_equal(read_pnm(p), img)
+
+    @pytest.mark.parametrize("img", [np.zeros((3, 4), np.float32), np.zeros((3, 4, 4), np.uint8),
+                                     np.zeros((2, 3, 4, 3), np.uint8)])
+    def test_rejects_other_images(self, tmp_path, img):
+        with pytest.raises(VolumeError):
+            write_pnm(tmp_path / "x.pnm", img)
+        assert not (tmp_path / "x.pnm").exists()
 
 
 def mask_of(vol):
@@ -77,8 +85,8 @@ class TestOverlay:
 class TestBdmSlices:
     def test_all_match_is_white(self, tmp_path):
         m = box_volume().data > 0.5
-        r = bdm(BinaryVolume(m), BinaryVolume(m))
-        paths = export_bdm_slices(r, tmp_path)
+        bdm_map, _ = bdm(BinaryVolume(m), BinaryVolume(m))
+        paths = export_bdm_slices(bdm_map, tmp_path)
         img = read_pnm(paths[0])
         union = central_slice_union = (img == 255).all(axis=2)
         assert union.any()
@@ -91,8 +99,8 @@ class TestBdmSlices:
         cad[2:7, 2:7, 2:7] = True
         xct = cad.copy()
         xct[4, 4, 8] = True  # +1 voxel on the central xz/yz slices
-        r = bdm(BinaryVolume(xct), BinaryVolume(cad))
-        paths = export_bdm_slices(r, tmp_path)
+        bdm_map, _ = bdm(BinaryVolume(xct), BinaryVolume(cad))
+        paths = export_bdm_slices(bdm_map, tmp_path)
         xz = read_pnm(paths[0]).astype(int)
         red = (xz[..., 0] == 255) & (xz[..., 1] == 0) & (xz[..., 2] == 0)
         assert red.sum() == 1
@@ -104,16 +112,16 @@ class TestBdmSlices:
         xct = rng.random((1, 16, 16)) > 0.5
         if not (cad | xct).any():
             cad[0, 0, 0] = True
-        r = bdm(BinaryVolume(xct), BinaryVolume(cad))
-        paths = export_bdm_slices(r, tmp_path, prefix="hist")
+        bdm_map, shares = bdm(BinaryVolume(xct), BinaryVolume(cad))
+        paths = export_bdm_slices(bdm_map, tmp_path, prefix="hist")
         xy = read_pnm(paths[2]).astype(int)
-        n_union = int(r.union.sum())
+        n_union = int((bdm_map != BDM_OUTSIDE).sum())
         red = ((xy == [255, 0, 0]).all(axis=2)).sum()
         blue = ((xy == [0, 0, 255]).all(axis=2)).sum()
         white = ((xy == [255, 255, 255]).all(axis=2)).sum()
-        assert red / n_union * 100 == pytest.approx(r.bdm_plus1_pct)
-        assert blue / n_union * 100 == pytest.approx(r.bdm_minus1_pct)
-        assert white / n_union * 100 == pytest.approx(r.bdm_zero_pct)
+        assert red / n_union * 100 == pytest.approx(shares["plus1"])
+        assert blue / n_union * 100 == pytest.approx(shares["minus1"])
+        assert white / n_union * 100 == pytest.approx(shares["zero"])
 
 
 class TestDisplacementMagnitude:

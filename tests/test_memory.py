@@ -14,7 +14,9 @@ import pytest
 
 from voxcorr import volume
 from voxcorr.baseline import DvcConfig, multiscale_dvc
+from voxcorr.inference import sliding_register
 from voxcorr.metrics import endpoint_error
+from voxcorr.model import ModelConfig, init_params
 from voxcorr.tpms import DeformSpec, gyroid_field, synth_displacement
 from voxcorr.volume import BinaryVolume, ScalarVolume, invert_field, trilinear_gather, warp_array
 
@@ -53,9 +55,9 @@ def test_invert_field(field):
 
 
 def test_warp_array(field):
-    # measured 15.5: the float64 output and one chunk's coordinates
+    # measured 9.5: the float32 output and one chunk's coordinates
     moving = np.random.default_rng(0).random((N, N, N), dtype=np.float32)
-    assert bytes_per_voxel(warp_array, moving, field.data) <= 19
+    assert bytes_per_voxel(warp_array, moving, field.data) <= 11
 
 
 def test_synth_displacement():
@@ -70,11 +72,27 @@ def test_endpoint_error(field):
     assert bytes_per_voxel(endpoint_error, field, gt, mask) <= 20
 
 
-def test_multiscale_dvc(field):
-    # measured 41.7: the float64 pyramids of both volumes and the float32 dense field
+@pytest.fixture(scope="module")
+def pair(field):
     fixed = gyroid_field((N, N, N), 80.0, 2.5)
-    moving = ScalarVolume(warp_array(fixed.data, field.data).astype(np.float32))
-    assert bytes_per_voxel(multiscale_dvc, moving, fixed, DvcConfig()) <= 49
+    return ScalarVolume(warp_array(fixed.data, field.data).astype(np.float32)), fixed
+
+
+def test_multiscale_dvc(pair):
+    # measured 27.2: the float64 copy each volume's coarse level is averaged
+    # from, the coarse levels and the float32 dense field
+    assert bytes_per_voxel(multiscale_dvc, *pair, DvcConfig()) <= 33
+
+
+def test_sliding_register(pair):
+    # measured 47.4: the float64 blend sums, then the float32 field and the
+    # warp. A tiny model, so the patch forwards cost little; random head, so
+    # the warp does not see a zero field
+    cfg = ModelConfig(enc_features=(2, 2), dec_features=(2, 2, 2), patch_size=16)
+    rng = np.random.default_rng(3)
+    params = init_params(cfg, rng)
+    params["head.w"] = 0.02 * rng.standard_normal(params["head.w"].shape).astype(np.float32)
+    assert bytes_per_voxel(sliding_register, params, cfg, *pair) <= 54
 
 
 def test_gather_on_broadcast_views():

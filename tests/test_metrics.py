@@ -56,40 +56,39 @@ class TestDice:
 class TestBdm:
     def test_identical_masks(self):
         a, _ = random_mask_pair(2)
-        r = bdm(a, a)
-        assert (r.bdm_minus1_pct, r.bdm_zero_pct, r.bdm_plus1_pct) == (0.0, 100.0, 0.0)
+        _, shares = bdm(a, a)
+        assert shares == {"minus1": 0.0, "zero": 100.0, "plus1": 0.0}
 
     def test_hand_arithmetic(self):
         cad = np.zeros((4, 4, 4), bool)
         cad.ravel()[:8] = True
         xct = cad.copy()
         xct.ravel()[8:10] = True
-        r = bdm(mask_of(xct), mask_of(cad))
-        assert r.bdm_minus1_pct == pytest.approx(0.0)
-        assert r.bdm_zero_pct == pytest.approx(80.0)
-        assert r.bdm_plus1_pct == pytest.approx(20.0)
+        _, shares = bdm(mask_of(xct), mask_of(cad))
+        assert shares == pytest.approx({"minus1": 0.0, "zero": 80.0, "plus1": 20.0})
 
     def test_percentages_partition_union(self):
         for seed in range(50):
             a, b = random_mask_pair(seed)
-            r = bdm(a, b)
-            assert abs(r.bdm_minus1_pct + r.bdm_zero_pct + r.bdm_plus1_pct - 100.0) <= 1e-9
+            _, shares = bdm(a, b)
+            assert abs(sum(shares.values()) - 100.0) <= 1e-9
 
     def test_antisymmetry(self):
         a, b = random_mask_pair(3)
-        r1 = bdm(a, b)
-        r2 = bdm(b, a)
-        assert r1.bdm_plus1_pct == r2.bdm_minus1_pct
-        assert r1.bdm_minus1_pct == r2.bdm_plus1_pct
-        u = r1.union
-        np.testing.assert_array_equal(r1.map[u], -r2.map[u])
-        np.testing.assert_array_equal(r1.union, r2.union)
+        map1, shares1 = bdm(a, b)
+        map2, shares2 = bdm(b, a)
+        assert shares1["plus1"] == shares2["minus1"]
+        assert shares1["minus1"] == shares2["plus1"]
+        u = map1 != BDM_OUTSIDE
+        np.testing.assert_array_equal(map1[u], -map2[u])
+        np.testing.assert_array_equal(u, map2 != BDM_OUTSIDE)
 
     def test_outside_is_sentinel_only(self):
         a, b = random_mask_pair(4)
-        r = bdm(a, b)
-        assert np.all(r.map[~r.union] == BDM_OUTSIDE)
-        assert np.all(np.isin(r.map[r.union], (-1, 0, 1)))
+        bdm_map, _ = bdm(a, b)
+        assert bdm_map.dtype == np.int8
+        np.testing.assert_array_equal(bdm_map != BDM_OUTSIDE, a.mask | b.mask)
+        assert np.all(np.isin(bdm_map[a.mask | b.mask], (-1, 0, 1)))
 
     def test_empty_union_rejected(self):
         e = mask_of(np.zeros((3, 3, 3), bool))
@@ -103,9 +102,9 @@ class TestBdm:
             a, b = random_mask_pair(seed, p=0.3 + 0.4 * (seed % 3) / 2)
             inter = int((a.mask & b.mask).sum())
             union = int((a.mask | b.mask).sum())
-            r = bdm(a, b)
-            assert r.bdm_zero_pct == pytest.approx(100.0 * inter / union, abs=1e-12)
-            j = r.bdm_zero_pct / 100.0
+            _, shares = bdm(a, b)
+            assert shares["zero"] == pytest.approx(100.0 * inter / union, abs=1e-12)
+            j = shares["zero"] / 100.0
             assert dice(a, b) == pytest.approx(200.0 * j / (1.0 + j), abs=1e-9)
 
 
@@ -173,9 +172,10 @@ class TestEvaluatePair:
     def test_perfect_registration(self):
         cad, xct = self._pair()
         disp = DisplacementField(np.zeros((3, 12, 12, 12), dtype=np.float32))
-        report, _, after = evaluate_pair(cad, xct, cad, disp, sample_id="t", method="learned")
+        report, _, map_after = evaluate_pair(cad, xct, cad, disp, sample_id="t", method="learned")
         assert report.dice_after_pct == 100.0
         assert report.bdm_after["zero"] == 100.0
+        np.testing.assert_array_equal(map_after, np.where(cad.mask, 0, BDM_OUTSIDE))
         assert report.mean_epe_vox is None
 
     def test_noop_registration_keeps_before_metrics(self):
@@ -210,7 +210,7 @@ class TestEvaluatePair:
 @given(seed=st.integers(0, 2 ** 31), p=st.floats(0.1, 0.9))
 def test_metric_identities_property(seed, p):
     a, b = random_mask_pair(seed, p=p)
-    r = bdm(a, b)
-    assert abs(r.bdm_minus1_pct + r.bdm_zero_pct + r.bdm_plus1_pct - 100.0) <= 1e-9
-    j = r.bdm_zero_pct / 100.0
+    _, shares = bdm(a, b)
+    assert abs(sum(shares.values()) - 100.0) <= 1e-9
+    j = shares["zero"] / 100.0
     assert dice(a, b) == pytest.approx(200.0 * j / (1.0 + j), abs=1e-9)

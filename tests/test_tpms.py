@@ -325,7 +325,7 @@ class TestDegradeToXct:
 
             cad, xct, _ = synthesize_sample(self.spec, self.c, STILL, deg, 2)
             _, xct_bin = otsu_threshold(xct)
-            return bdm(xct_bin, cad).bdm_minus1_pct
+            return bdm(xct_bin, cad)[1]["minus1"]
 
         assert bdm_minus1(broken) > bdm_minus1(base)
 
