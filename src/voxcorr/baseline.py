@@ -15,10 +15,10 @@ outside its hull.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 from .jsonable import Jsonable
 from .volume import DisplacementField, ScalarVolume, VolumeError, downsample2, trilinear_gather, window_sums, z_chunks
@@ -72,6 +72,22 @@ def build_node_grid(dims, cfg: DvcConfig) -> tuple[list[int], list[int], list[in
         _axis_nodes(ny, margin, cfg.node_spacing),
         _axis_nodes(nz, margin, cfg.node_spacing),
     )
+
+
+@functools.cache
+def next_fast_len(n: int) -> int:
+    """The smallest 5-smooth number (2^a 3^b 5^c) >= n, a length the real FFT
+    transforms fast; scipy.fft.next_fast_len(n, real=True) gives the same."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # p35 times the smallest power of 2 that takes it to n or past
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def _quadratic_refine(scores: np.ndarray, peak: tuple[int, int, int]) -> np.ndarray:
@@ -144,7 +160,7 @@ def correlate_node(
     # shift's share of the cross term is added back, as the rounded fc need not sum to 0
     shift = block.mean()
     block -= shift
-    grid = [next_fast_len(n, real=True) for n in block.shape]
+    grid = [next_fast_len(n) for n in block.shape]
     spec = np.fft.rfftn(block, grid, axes=(0, 1, 2))
     spec *= np.conj(np.fft.rfftn(fc, grid, axes=(0, 1, 2)))
     cross = np.fft.irfftn(spec, grid, axes=(0, 1, 2))[: tz1 - tz0 + 1, : ty1 - ty0 + 1, : tx1 - tx0 + 1]

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .metrics import squared_norm
-from .volume import BinaryVolume, DisplacementField, ScalarVolume, VolumeError
+from .volume import BinaryVolume, DisplacementField, ScalarVolume, VolumeError, z_chunks
 
 GREEN = np.array([0, 200, 0], dtype=np.float64)
 # BDM colours by the uint8 bits of the int8 map: blue for -1 (material missing
@@ -47,12 +47,12 @@ def _export(images: dict[str, np.ndarray], out_dir, prefix: str) -> list[str]:
 
 
 def central_slices(data: np.ndarray) -> dict[str, np.ndarray]:
-    """Central XZ, YZ, XY planes of a [z, y, x] grid."""
-    nz, ny, nx = data.shape
+    """Central XZ, YZ, XY planes of a [..., z, y, x] grid; leading axes are kept."""
+    nz, ny, nx = data.shape[-3:]
     return {
-        "xz": data[:, ny // 2, :],
-        "yz": data[:, :, nx // 2],
-        "xy": data[nz // 2, :, :],
+        "xz": data[..., :, ny // 2, :],
+        "yz": data[..., :, :, nx // 2],
+        "xy": data[..., nz // 2, :, :],
     }
 
 
@@ -97,15 +97,22 @@ def export_displacement_magnitude(
     """Per-voxel field magnitude, min-max scaled to 8 bits, background black.
 
     A constant nonzero magnitude (degenerate scaling) renders as mid-gray.
+    The scale's bounds are the square roots of the squared magnitude's min
+    and max, taken chunk by chunk (sqrt is monotonic and correctly rounded,
+    so they equal the whole magnitude's min and max); only the three slices'
+    magnitudes are made.
     """
     if disp.dims != mask.dims:
         raise VolumeError(f"dims mismatch: {disp.dims} vs {mask.dims}")
-    mag = squared_norm(disp.data)
-    np.sqrt(mag, out=mag)
-    lo, hi = float(mag.min()), float(mag.max())
+    lo, hi = np.inf, -np.inf
+    for zs in z_chunks(disp.data.shape[1:]):
+        sq = squared_norm(disp.data[:, zs])
+        lo, hi = min(lo, sq.min()), max(hi, sq.max())
+    lo, hi = float(np.sqrt(lo)), float(np.sqrt(hi))
     inside = central_slices(mask.mask)
     images = {}
-    for plane, sl in central_slices(mag).items():  # only the slices are scaled
+    for plane, sl in central_slices(disp.data).items():
+        sl = np.sqrt(squared_norm(sl))
         if hi > lo:
             scaled = (sl - lo) / (hi - lo) * 255.0
         elif hi == 0.0:

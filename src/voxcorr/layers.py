@@ -24,7 +24,11 @@ of whole slabs, one per worker and at least two slabs each; a conv with
 fewer (at patch 32, the 8^3 and 4^3 levels) runs on the caller: split in
 two, a 32-channel conv at 4^3 took 0.47 ms instead of 0.23. Each range has
 its own operand stack and accumulator and writes only its own z-planes of
-the output. The weight gradient's ranges return their per-slab products,
+the output. A slab is finished in the range that computed it, while its
+planes are in cache (_conv_slabs): conv3d_forward adds the bias as it
+copies the slab into its planes of the output and, given a slope, applies
+the LeakyReLU to those planes, so the model's activations make no pass of
+their own. The weight gradient's ranges return their per-slab products,
 which the caller adds in slab order. A slab computes the same whichever
 range it falls in, so every output is the same bytes on any number of
 workers.
@@ -37,12 +41,21 @@ fine taps a = 0..k-1 (p = (k-1)/2), so each of the 8 output parities
 (rz, ry, rx) is a (p+1)^3 kernel on the coarse grid whose taps are sums of the
 k^3 taps (for k = 3: w[0] and w[1] + w[2] at coarse offsets -1 and 0 for even
 r, w[0] + w[1] and w[2] at 0 and +1 for odd r). One conv with 8*cout output
-channels computes all parities, and strided adds place them in the fine
-output. That half costs (p+1)^3 multiply-adds per output voxel and channel
-pair instead of k^3, and no upsampled or concatenated tensor is made. Its
-weight gradient is the adjoint of the tap sums applied to the parity
-kernels' gradient; its output gradient is gathered parity by parity, the
-adjoint of the scatter.
+channels computes all parities. It walks the coarse output in the same
+slabs, and each slab adds its 8 parity blocks straight into the fine
+output's parity views: coarse plane i + shift[rz] lands on fine plane
+2i + rz. The fine planes a slab finished are then activated. Each fine
+plane is finished by exactly one coarse slab, so the ranges still write
+disjoint planes, and neither the [8*cout, ...] parity tensor nor a scatter
+or activation pass over the block's output is left: at patch 32 that
+tensor was 4.8 MiB at dec3, beside its 4 MiB output. Adding each GEMM's tap
+blocks straight into cropped output views, with no slab accumulator, was
+measured slower (84.9 -> 96.5 ms per patch-32 forward at two workers), so
+the accumulator stays. That half costs (p+1)^3 multiply-adds per output
+voxel and channel pair instead of k^3, and no upsampled or concatenated
+tensor is made. Its weight gradient is the adjoint of the tap sums applied
+to the parity kernels' gradient; its output gradient is gathered parity by
+parity, the adjoint of the scatter.
 
 Max pooling keeps its input and the factor as context and finds each block's
 winner again in the backward pass. Every backward returns exact analytic
@@ -141,28 +154,12 @@ def _slab_operands(x: np.ndarray, k: int, pad: int, group: int, nb: int, dtype, 
         yield z0, s, n, [rows[:, base + o:base + o + width] for o in offsets[::group * nb]]
 
 
-def conv3d_forward(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray | None = None, pad: int | None = None):
-    """Stride-1 cross-correlation of the input zero-padded by pad on each side.
-
-    x [cin, D, H, W], kernel [cout, cin, k, k, k], bias [cout] or None for
-    no bias (the slabs are then copied out with no add). pad defaults to
-    (k - 1) // 2, same padding, for odd k; an even k needs an explicit pad in
-    [0, k - 1]. Returns (out [cout, D + 2*pad - k + 1, ...], ctx) with
-    ctx = (x, kernel, pad).
-    """
-    cout, cin, k, k2, k3 = kernel.shape
-    if k != k2 or k != k3:
-        raise VolumeError(f"kernel must be cubic, got {kernel.shape}")
-    if pad is None:
-        if k % 2 == 0:
-            raise VolumeError(f"an even kernel {kernel.shape} needs an explicit pad")
-        pad = (k - 1) // 2
-    if not 0 <= pad <= k - 1:
-        raise VolumeError(f"pad {pad} outside [0, {k - 1}] for kernel size {k}")
-    if x.ndim != 4 or x.shape[0] != cin or min(x.shape[1:]) + 2 * pad < k:
-        raise VolumeError(f"input {x.shape} incompatible with kernel {kernel.shape} at pad {pad}")
-    if bias is not None and bias.shape != (cout,):
-        raise VolumeError(f"bias shape {bias.shape} != ({cout},)")
+def _conv_slabs(x: np.ndarray, kernel: np.ndarray, pad: int, finish) -> None:
+    """The conv of x with kernel at pad, slab by slab on the ranges of
+    _slab_ranges: in the thread that computed it, each slab calls
+    finish(z0, slab) with its output planes z0 .. z0 + s as a [cout, s, oh, ow]
+    view of the range's accumulator, which the next slab overwrites."""
+    cout, cin, k = kernel.shape[:3]
     _, d, h, w = x.shape
     hp, wp = h + 2 * pad, w + 2 * pad
     od, oh, ow = d + 2 * pad - k + 1, hp - k + 1, wp - k + 1
@@ -171,7 +168,6 @@ def conv3d_forward(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray | None = 
     # weight columns (tap, ci) of each group meet the stacked operand rows
     # (tap, ci); the nb groups of one GEMM stack on its rows
     wgemms = kernel.reshape(cout, cin, -1, group).transpose(2, 0, 3, 1).reshape(-1, nb * cout, group * cin)
-    out = np.empty((cout, od, oh, ow), dtype=dtype if bias is None else np.result_type(dtype, bias))
 
     def run(zs: tuple[int, int]) -> None:
         acc = np.empty((cout, min(SLAB, zs[1] - zs[0]) * hp * wp), dtype=dtype)
@@ -190,14 +186,51 @@ def conv3d_forward(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray | None = 
                         parts = parts[2:]
                     for part in parts:
                         acc_n += part
-            slab = acc[:, :s * hp * wp].reshape(cout, s, hp, wp)[:, :, :oh, :ow]
-            if bias is None:
-                out[:, z0:z0 + s] = slab
-            else:
-                np.add(slab, bias.reshape(cout, 1, 1, 1), out=out[:, z0:z0 + s])
+            finish(z0, acc[:, :s * hp * wp].reshape(cout, s, hp, wp)[:, :, :oh, :ow])
 
-    # each range writes only its own z-planes of out
     volume.parallel_map(run, _slab_ranges(od))
+
+
+def conv3d_forward(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray | None = None, pad: int | None = None,
+                   slope: float | None = None):
+    """Stride-1 cross-correlation of the input zero-padded by pad on each side,
+    then, if slope is given, leaky_relu_forward(out, slope).
+
+    x [cin, D, H, W], kernel [cout, cin, k, k, k], bias [cout] or None for
+    no bias (the slabs are then copied out with no add). pad defaults to
+    (k - 1) // 2, same padding, for odd k; an even k needs an explicit pad in
+    [0, k - 1]. Each slab is finished in the thread that computed it: its
+    bias add writes its planes of out, and the LeakyReLU runs on those planes
+    while they are in cache. Returns (out [cout, D + 2*pad - k + 1, ...], ctx)
+    with ctx = (x, kernel, pad).
+    """
+    cout, cin, k, k2, k3 = kernel.shape
+    if k != k2 or k != k3:
+        raise VolumeError(f"kernel must be cubic, got {kernel.shape}")
+    if pad is None:
+        if k % 2 == 0:
+            raise VolumeError(f"an even kernel {kernel.shape} needs an explicit pad")
+        pad = (k - 1) // 2
+    if not 0 <= pad <= k - 1:
+        raise VolumeError(f"pad {pad} outside [0, {k - 1}] for kernel size {k}")
+    if x.ndim != 4 or x.shape[0] != cin or min(x.shape[1:]) + 2 * pad < k:
+        raise VolumeError(f"input {x.shape} incompatible with kernel {kernel.shape} at pad {pad}")
+    if bias is not None and bias.shape != (cout,):
+        raise VolumeError(f"bias shape {bias.shape} != ({cout},)")
+    dtype = np.result_type(x, kernel)
+    out = np.empty((cout,) + tuple(n + 2 * pad - k + 1 for n in x.shape[1:]),
+                   dtype=dtype if bias is None else np.result_type(dtype, bias))
+
+    def finish(z0: int, slab: np.ndarray) -> None:
+        planes = out[:, z0:z0 + slab.shape[1]]  # each range writes only its own z-planes of out
+        if bias is None:
+            planes[...] = slab
+        else:
+            np.add(slab, bias.reshape(cout, 1, 1, 1), out=planes)
+        if slope is not None:
+            leaky_relu_forward(planes, slope)
+
+    _conv_slabs(x, kernel, pad, finish)
     return out, (x, kernel, pad)
 
 
@@ -269,15 +302,20 @@ def _parity_taps(k: int) -> tuple[np.ndarray, int, tuple[int, int]]:
     return m, cpad, tuple((r - p) // 2 + cpad for r in (0, 1))
 
 
-def _parities(fine: np.ndarray, coarse_dims, shift):
-    """Yield (r, fine view, coarse-output slice) per parity r = (rz, ry, rx):
-    the view is fine's voxels (2i + rz, 2j + ry, 2l + rx), and the slice picks
-    the coarse conv's outputs (i + shift[rz], j + shift[ry], l + shift[rx])."""
+def _parities(fine: np.ndarray, coarse_dims, shift, zs: tuple[int, int]):
+    """Yield (r, fine view, coarse-output slice) per parity r = (rz, ry, rx)
+    for the coarse conv's output planes zs[0] .. zs[1]: the view is fine's
+    voxels (2i + rz, 2j + ry, 2l + rx) whose plane i + shift[rz] lies among
+    them, and the slice picks their outputs (i + shift[rz], j + shift[ry],
+    l + shift[rx]) from those planes, counted from zs[0]."""
     d, h, w = coarse_dims
+    z0, z1 = zs
     f6 = fine.reshape(fine.shape[0], d, 2, h, 2, w, 2)
     for r, (rz, ry, rx) in enumerate(np.ndindex(2, 2, 2)):
         sz, sy, sx = shift[rz], shift[ry], shift[rx]
-        yield r, f6[:, :, rz, :, ry, :, rx], np.s_[:, sz:sz + d, sy:sy + h, sx:sx + w]
+        i0 = max(z0 - sz, 0)
+        i1 = max(min(z1 - sz, d), i0)
+        yield r, f6[:, i0:i1, rz, :, ry, :, rx], np.s_[:, i0 + sz - z0:i1 + sz - z0, sy:sy + h, sx:sx + w]
 
 
 def _parity_kernels(kernel: np.ndarray) -> np.ndarray:
@@ -290,17 +328,17 @@ def _parity_kernels(kernel: np.ndarray) -> np.ndarray:
     return taps.reshape(8, t ** 3, cout, c).transpose(0, 2, 3, 1).reshape(8 * cout, c, t, t, t)
 
 
-def upconv3d_forward(coarse: np.ndarray, skip: np.ndarray, kernel: np.ndarray, bias: np.ndarray):
-    """conv3d_forward(concat(upsample3d_forward(coarse, 2), skip), kernel, bias),
-    computed without the upsampled or concatenated tensors.
+def upconv3d_forward(coarse: np.ndarray, skip: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
+                     slope: float | None = None):
+    """conv3d_forward(concat(upsample3d_forward(coarse, 2), skip), kernel, bias,
+    slope=slope), computed without the upsampled or concatenated tensors.
 
     coarse [c, d, h, w], skip [s, 2d, 2h, 2w], kernel [cout, c + s, k, k, k]
-    with odd k. The skip half is a conv of skip with kernel[:, c:]. The
-    upsampled half is one conv of coarse with 8*cout output channels, one
-    (p+1)^3 kernel per output parity whose taps are sums of the k^3 taps
-    (_parity_taps); its outputs are added into the fine grid parity by parity.
-    The skip conv runs first, so its buffers are gone before the parity conv
-    makes its own. Returns (out, ctx) with ctx = (coarse conv ctx, skip conv ctx).
+    with odd k. The conv of skip with kernel[:, c:] writes the output first;
+    the parity conv of coarse (_parity_taps) then adds each of its slabs into
+    the output's parity views and activates the fine planes that slab
+    finished (see the module docstring). Returns (out, ctx) with
+    ctx = (coarse conv ctx, skip conv ctx).
     """
     c, d, h, w = coarse.shape
     cout, k = kernel.shape[0], kernel.shape[2]
@@ -309,11 +347,24 @@ def upconv3d_forward(coarse: np.ndarray, skip: np.ndarray, kernel: np.ndarray, b
         raise VolumeError(f"coarse {coarse.shape} and skip {skip.shape} incompatible with kernel {kernel.shape}")
     _, cpad, shift = _parity_taps(k)
     out, sctx = conv3d_forward(skip, kernel[:, c:], bias)
-    par, cctx = conv3d_forward(coarse, _parity_kernels(kernel[:, :c]), pad=cpad)
-    par = par.reshape(8, cout, *par.shape[1:])
-    for r, view, at in _parities(out, (d, h, w), shift):
-        view += par[r][at]
-    return out, (cctx, sctx)
+    pk = _parity_kernels(kernel[:, :c])
+
+    def first_fine(z: int) -> int:
+        """The first fine plane read from coarse output plane z or later. Fine
+        plane f reads plane f // 2 + shift[f % 2], which never decreases with
+        f, so each slab finishes a run of whole fine planes no other touches."""
+        return min(2 * max(z - shift[0], 0), 2 * max(z - shift[1], 0) + 1, 2 * d)
+
+    def finish(z0: int, slab: np.ndarray) -> None:
+        zs = (z0, z0 + slab.shape[1])
+        par = slab.reshape(8, cout, *slab.shape[1:])
+        for r, view, at in _parities(out, (d, h, w), shift, zs):
+            view += par[r][at]
+        if slope is not None:
+            leaky_relu_forward(out[:, first_fine(zs[0]):first_fine(zs[1])], slope)
+
+    _conv_slabs(coarse, pk, cpad, finish)
+    return out, ((coarse, pk, cpad), sctx)
 
 
 def upconv3d_backward(gout: np.ndarray, ctx):
@@ -326,7 +377,7 @@ def upconv3d_backward(gout: np.ndarray, ctx):
     t = k // 2 + 1
     # the adjoint of the parity scatter: gout gathered parity-major
     gpar = np.zeros((8, cout) + tuple(n + 2 * cpad - t + 1 for n in (d, h, w)), dtype=gout.dtype)
-    for r, view, at in _parities(gout, (d, h, w), shift):
+    for r, view, at in _parities(gout, (d, h, w), shift, (0, gpar.shape[2])):
         gpar[r][at] = view
     dcoarse, dpk, _ = conv3d_backward(gpar.reshape(8 * cout, *gpar.shape[2:]), cctx)
     dskip, dks, dbias = conv3d_backward(gout, sctx)

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jsonable import Jsonable
-from .volume import BinaryVolume, DisplacementField, VolumeError
+from .volume import BinaryVolume, DisplacementField, VolumeError, z_chunks
 
 # int8 sentinel marking voxels outside the foreground union in a BDM map
 BDM_OUTSIDE = np.int8(127)
@@ -68,12 +68,21 @@ def squared_norm(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
 def endpoint_error(
     pred: DisplacementField, gt: DisplacementField, mask: BinaryVolume
 ) -> tuple[float, float]:
-    """Mean and max Euclidean error between fields over the mask (voxels)."""
+    """Mean and max Euclidean error between fields over the mask (voxels).
+
+    The masked errors are gathered chunk by chunk (volume.z_chunks) in C
+    order, so the mean sums the same array as over the whole grid, with only
+    one chunk's squared norm made at a time."""
     if pred.dims != gt.dims or pred.dims != mask.dims:
         raise VolumeError("field/mask dims mismatch")
     if not mask.mask.any():
         raise VolumeError("empty evaluation mask")
-    epe = squared_norm(pred.data, gt.data)[mask.mask]
+    epe = np.empty(np.count_nonzero(mask.mask))
+    at = 0
+    for zs in z_chunks(mask.mask.shape):
+        part = squared_norm(pred.data[:, zs], gt.data[:, zs])[mask.mask[zs]]
+        epe[at:at + part.size] = part
+        at += part.size
     np.sqrt(epe, out=epe)
     return float(epe.mean()), float(epe.max())
 

@@ -9,7 +9,9 @@ coarse features with one 2x2x2 kernel per output parity (for kernel_size 3),
 so neither the upsampled nor the concatenated tensor is made or taped. The
 k^3 kernels stay the parameters. Two further full-resolution conv blocks
 refine the features and a final convolution emits the 3-channel
-displacement field.
+displacement field. Every LeakyReLU is applied by the conv before it
+(slope=cfg.leaky_slope), slab by slab as the conv finishes each slab's
+output planes; the head has none.
 For training, the moving patch warped by that field is returned along with a
 tape of intermediates for the hand-written backward pass; inference returns
 the field only.
@@ -34,7 +36,6 @@ from .layers import (
     conv3d_forward,
     conv3d_param_grads,
     leaky_relu_backward,
-    leaky_relu_forward,
     maxpool3d_backward,
     maxpool3d_forward,
     upconv3d_backward,
@@ -129,11 +130,11 @@ def model_forward(params: dict, cfg: ModelConfig, moving: np.ndarray, fixed: np.
     """Run the network on one patch pair.
 
     Returns (disp [3, p, p, p], moved [p, p, p], tape) for training; with
-    want_tape False (inference) it returns (disp, None, None). Each
-    activation is written over its conv output, which the tape keeps anyway
-    as the input of the pool or the next conv, so it tapes no masks. Without
-    a tape each block's input dies once the block has run, and each skip
-    once its decoder block has used it.
+    want_tape False (inference) it returns (disp, None, None). Each conv
+    writes its activation over its own output, slab by slab, and the tape
+    keeps that output anyway as the input of the pool or the next conv, so
+    it tapes no masks. Without a tape each block's input dies once the block
+    has run, and each skip once its decoder block has used it.
     The sliding window frees and allocates those buffers patch after patch;
     the CLI's malloc policy (cli.apply_malloc_policy) keeps the freed memory
     in the heap, so no patch faults it back in.
@@ -149,19 +150,22 @@ def model_forward(params: dict, cfg: ModelConfig, moving: np.ndarray, fixed: np.
     x = np.stack([moving, fixed])
     enc_tape, dec_tape, skips = [], [], []
     for i in range(n_up):
-        y, cctx = conv3d_forward(x, params[f"enc{i}.w"], params[f"enc{i}.b"])
-        skips.append(leaky_relu_forward(y, slope))
+        y, cctx = conv3d_forward(x, params[f"enc{i}.w"], params[f"enc{i}.b"], slope=slope)
+        skips.append(y)
         x, pctx = maxpool3d_forward(y, 2)
         if want_tape:
             enc_tape.append((cctx, pctx))
         del cctx, pctx  # without a tape, the block's input dies here, and its skip after use
     for j in range(len(cfg.dec_features)):
         w, b = params[f"dec{j}.w"], params[f"dec{j}.b"]
-        y, cctx = upconv3d_forward(x, skips.pop(), w, b) if j < n_up else conv3d_forward(x, w, b)
+        if j < n_up:
+            y, cctx = upconv3d_forward(x, skips.pop(), w, b, slope=slope)
+        else:
+            y, cctx = conv3d_forward(x, w, b, slope=slope)
         if want_tape:
             dec_tape.append(cctx)
         del x, cctx  # without a tape, the block's inputs die here
-        x = leaky_relu_forward(y, slope)
+        x = y
     disp, head_ctx = conv3d_forward(x, params["head.w"], params["head.b"])
     if not want_tape:
         return disp, None, None

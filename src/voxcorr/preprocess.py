@@ -21,7 +21,6 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
-from scipy import ndimage
 
 from .jsonable import Jsonable, from_json, read_json, to_json
 from .volume import (
@@ -29,7 +28,9 @@ from .volume import (
 )
 from .vvol import vvol_read, vvol_write
 
-CROSS6 = ndimage.generate_binary_structure(3, 1)   # faces only
+CROSS6 = np.array([[[0, 0, 0], [0, 1, 0], [0, 0, 0]],
+                   [[0, 1, 0], [1, 1, 1], [0, 1, 0]],
+                   [[0, 0, 0], [0, 1, 0], [0, 0, 0]]], dtype=bool)   # faces only
 CUBE26 = np.ones((3, 3, 3), dtype=bool)
 
 _STRUCTURES = {6: CROSS6, 26: CUBE26}
@@ -122,6 +123,8 @@ def morph_op(bin_vol: BinaryVolume, op: str, radius: int, connectivity: int = 6)
         raise VolumeError(f"unknown morphology op {op!r}")
     if radius == 0:
         return BinaryVolume(bin_vol.mask.copy(), bin_vol.voxel_size)
+    from scipy import ndimage
+
     st = _STRUCTURES[connectivity]
     m = bin_vol.mask
 
@@ -149,6 +152,8 @@ def largest_component(bin_vol: BinaryVolume, connectivity: int = 6) -> BinaryVol
         raise VolumeError(f"connectivity must be 6 or 26, got {connectivity}")
     if not bin_vol.mask.any():
         raise VolumeError("empty mask has no components")
+    from scipy import ndimage
+
     labels, n = ndimage.label(bin_vol.mask, structure=_STRUCTURES[connectivity])
     sizes = np.bincount(labels.ravel())
     sizes[0] = 0
@@ -164,6 +169,8 @@ def largest_component(bin_vol: BinaryVolume, connectivity: int = 6) -> BinaryVol
 
 def fill_enclosed_voids(bin_vol: BinaryVolume) -> BinaryVolume:
     """Fill background regions not 6-connected to any volume face."""
+    from scipy import ndimage
+
     return BinaryVolume(ndimage.binary_fill_holes(bin_vol.mask, structure=CROSS6), bin_vol.voxel_size)
 
 

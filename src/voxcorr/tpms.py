@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import binary_erosion, gaussian_filter
 
 from .preprocess import CROSS6, MIN_GRID
 from .volume import (
@@ -169,6 +168,8 @@ def synth_displacement(dims: IVec3, spec: DeformSpec, seed: int) -> Displacement
     filter, the three through parallel_map. A filter never mixes channels, and
     each pass filters a line from a copy of it, so the field is bit for bit the
     one 4-D filter with sigma (0, s, s, s) into a new array would give."""
+    from scipy.ndimage import gaussian_filter
+
     nx, ny, nz = (int(d) for d in dims)
     rng = np.random.default_rng(seed)
     s = rng.standard_normal((3, nz, ny, nx))
@@ -190,6 +191,8 @@ def leveled_grayscale(mask: BinaryVolume, deg: DegradeSpec) -> ScalarVolume:
     """Intensity image of a mask: bg/fg levels plus PSF blur, no noise."""
     g = np.where(mask.mask, deg.fg_level, deg.bg_level).astype(np.float32)
     if deg.psf_sigma > 0:
+        from scipy.ndimage import gaussian_filter
+
         g = gaussian_filter(g, deg.psf_sigma)
     return ScalarVolume(g, mask.voxel_size)
 
@@ -219,6 +222,8 @@ def degrade_to_xct(
     Returns (scan volume, ground-truth field); warping the scan by the field
     recovers the nominal grayscale.
     """
+    from scipy.ndimage import binary_erosion, gaussian_filter
+
     gt = synth_displacement(cad_field.dims, spec_def, seed)  # first, while the least else is held
     rng = np.random.default_rng(seed + 1)
     f = cad_field.data.astype(np.float64)

@@ -51,8 +51,12 @@ GEMMs, and spun through the numpy work between them (operand copies,
 accumulator adds, the bias copy-out), which on one thread is 13% of a
 32-channel conv at 32^3 and 36% of a 16-channel one; a slab range runs that
 work on its own core too. trilinear_gather itself stays serial, and so
-does the register patch loop: two patch threads raised its peak memory by
-27%.
+does the register patch loop. Two patch threads once raised its peak memory
+by 27%; two patches in flight beside the slab ranges took 12% off the
+register_w64 benchmark's op_s but added 14% to its peak_mib (one run read
+2.43 -> 2.14 s and 94.4 -> 98.3 MiB), so the memory that the per-slab
+decoder blocks free (layers.upconv3d_forward) is kept, not spent on a
+second patch.
 """
 from __future__ import annotations
 
@@ -443,11 +447,14 @@ def minmax_normalize(vol: ScalarVolume) -> ScalarVolume:
 def crop_or_pad(vol: ScalarVolume | DisplacementField, target_dims: IVec3, fill: float = 0.0):
     """Center-crop axes that are too large, pad symmetrically (extra voxel on the
     high side) where too small. target_dims is (nx, ny, nz); a displacement
-    field's channels are shaped alike. Returns the input's type."""
+    field's channels are shaped alike. Returns the input's type: the input
+    itself when it already has the target dims, else a new volume."""
     tx, ty, tz = (int(t) for t in target_dims)
     if min(tx, ty, tz) < 1:
         raise VolumeError(f"target dims must be positive, got {target_dims}")
     src = vol.data
+    if src.shape[-3:] == (tz, ty, tx):
+        return vol
     out = np.full(src.shape[:-3] + (tz, ty, tx), fill, dtype=src.dtype)
 
     def spans(n: int, t: int) -> tuple[slice, slice]:

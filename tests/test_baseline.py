@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.fft
 from scipy.ndimage import gaussian_filter, shift
 
 from voxcorr.baseline import (
@@ -10,6 +11,7 @@ from voxcorr.baseline import (
     build_node_grid,
     correlate_node,
     multiscale_dvc,
+    next_fast_len,
 )
 from voxcorr.volume import ScalarVolume, VolumeError, trilinear_gather
 
@@ -82,6 +84,12 @@ def oracle_pair(n=48, seed=11):
     rng = np.random.default_rng(seed + 1)
     moving = shift(fixed, (0.6, -1.3, 2.2), order=3, mode="nearest")
     return moving + 0.05 * rng.standard_normal(fixed.shape), fixed
+
+
+def test_next_fast_len_is_scipys():
+    # the FFT grid sets the correlation's bits, so it must be scipy's real-FFT length
+    assert [next_fast_len(n) for n in range(1, 4097)] == [scipy.fft.next_fast_len(n, real=True)
+                                                          for n in range(1, 4097)]
 
 
 class TestNodeGrid:

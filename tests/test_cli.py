@@ -665,6 +665,16 @@ def test_malloc_policy_keeps_the_patch_loop_fault_free():
     assert all(f < 1000 for f in faults[1:]), faults
 
 
+def test_cli_import_loads_no_scipy():
+    # only the stages that filter or label import scipy, inside the functions that do
+    path = os.pathsep.join(filter(None, [str(Path(voxcorr.cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]))
+    script = "import sys, voxcorr.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    p = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+                       env={**os.environ, "PYTHONPATH": path})
+    assert p.returncode == 0, p.stderr
+    assert p.stdout.strip() == "[]"
+
+
 def test_blas_pin_leaves_openblas_one_thread():
     try:
         with open("/proc/self/maps") as f:

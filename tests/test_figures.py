@@ -8,6 +8,7 @@ from voxcorr.figures import (
     export_overlay_slices,
     write_pnm,
 )
+from voxcorr import volume
 from voxcorr.metrics import BDM_OUTSIDE, bdm
 from voxcorr.volume import BinaryVolume, DisplacementField, ScalarVolume, VolumeError
 
@@ -151,9 +152,13 @@ class TestDisplacementMagnitude:
         xy = read_pnm(paths[2])  # central xy plane holds the |u|=3 voxel
         assert xy.max() == 255
 
+    @pytest.mark.parametrize("block", [None, 100], ids=["one-chunk", "chunk-per-plane"])
     @pytest.mark.parametrize("case", ["random", "constant", "zero"])
-    def test_same_bytes_as_scaling_the_whole_volume(self, tmp_path, case):
-        # the slices-only scaling against the whole-volume formula it replaced
+    def test_same_bytes_as_scaling_the_whole_volume(self, tmp_path, monkeypatch, case, block):
+        # the slices-only scaling, with bounds taken chunk by chunk, against
+        # the whole-volume formula it replaced
+        if block:
+            monkeypatch.setattr(volume, "BLOCK", block)
         rng = np.random.default_rng(2)
         data = {"random": rng.uniform(-3, 3, (3, 7, 8, 9)), "constant": np.full((3, 7, 8, 9), 0.75),
                 "zero": np.zeros((3, 7, 8, 9))}[case].astype(np.float32)

@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -314,6 +315,71 @@ def upconv_inputs(c, s, cout, k, dims, rng, dtype=np.float64):
     skip = rng.standard_normal((s,) + tuple(2 * n for n in dims)).astype(dtype)
     kern = rng.standard_normal((cout, c + s, k, k, k)).astype(dtype)
     return coarse, skip, kern, rng.standard_normal(cout).astype(dtype)
+
+
+def upconv_parity_oracle(coarse, skip, kern, b, slope, pk):
+    """The decoder block pass by pass: the skip conv, the whole [8*cout, ...]
+    parity tensor of the parity kernels pk, its strided scatter into the fine
+    grid and, if slope is given, the LeakyReLU."""
+    c, d, h, w = coarse.shape
+    cout, k = kern.shape[0], kern.shape[2]
+    p = (k - 1) // 2
+    cpad = (p + 1) // 2
+    shift = [(r - p) // 2 + cpad for r in (0, 1)]
+    out, _ = conv3d_forward(skip, kern[:, c:], b)
+    par, _ = conv3d_forward(coarse, pk, pad=cpad)
+    for r, (rz, ry, rx) in enumerate(np.ndindex(2, 2, 2)):
+        sz, sy, sx = shift[rz], shift[ry], shift[rx]
+        out[:, rz::2, ry::2, rx::2] += par[r * cout:(r + 1) * cout, sz:sz + d, sy:sy + h, sx:sx + w]
+    return out if slope is None else leaky_relu_forward(out, slope)
+
+
+class TestSlabFinish:
+    """Bias, LeakyReLU and parity scatter, done slab by slab in the thread
+    that computed the slab, give the bytes of the separate passes."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("k, pad", K_PADS, ids=K_PAD_IDS)
+    @pytest.mark.parametrize("dims", SLAB_DIMS, ids=SLAB_IDS)
+    @pytest.mark.parametrize("with_bias", [True, False], ids=["bias", "no-bias"])
+    def test_conv_slope_is_leaky_relu_of_the_conv(self, workers, n, k, pad, dims, with_bias):
+        workers(n)
+        rng = np.random.default_rng(14)
+        x = rng.standard_normal((3,) + dims).astype(np.float32)
+        kern = rng.standard_normal((4, 3, k, k, k)).astype(np.float32)
+        b = rng.standard_normal(4).astype(np.float32) if with_bias else None
+        out, ctx = conv3d_forward(x, kern, b, pad, slope=0.2)
+        ref, _ = conv3d_forward(x, kern, b, pad)
+        assert out.tobytes() == leaky_relu_forward(ref, 0.2).tobytes()
+        assert ctx[0] is x and ctx[1] is kern and ctx[2] == pad
+
+    # at two workers the 10-plane coarse grid's parity conv runs in two ranges of two slabs
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("k", [1, 3, 5], ids=["k1", "k3", "k5"])
+    @pytest.mark.parametrize("c, s, cout", [(2, 3, 2), (9, 1, 1)], ids=["folded", "x-fold"])
+    @pytest.mark.parametrize("dims", [(2, 3, 4), (10, 3, 4)], ids=["unequal", "4slabs"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("slope", [None, 0.2])
+    def test_upconv_matches_parity_tensor_oracle(self, workers, n, k, c, s, cout, dims, dtype, slope):
+        workers(n)
+        args = upconv_inputs(c, s, cout, k, dims, np.random.default_rng(15), dtype)
+        out, ctx = upconv3d_forward(*args, slope=slope)
+        assert out.tobytes() == upconv_parity_oracle(*args, slope, pk=ctx[0][1]).tobytes()
+
+    def test_upconv_eight_ranges_write_the_bytes_of_one(self, workers):
+        # 49 coarse output planes give eight ranges of two or three slabs; a
+        # short switch interval interleaves their scatters and activations
+        args = upconv_inputs(2, 3, 2, 3, (48, 2, 3), np.random.default_rng(16), np.float32)
+        runs = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for n in (1, 8):
+                workers(n)
+                runs.append(upconv3d_forward(*args, slope=0.2)[0].tobytes())
+        finally:
+            sys.setswitchinterval(interval)
+        assert runs[1] == runs[0]
 
 
 class TestUpconv3d:

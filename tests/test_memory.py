@@ -7,6 +7,7 @@ pool is switched off: each thread adds its own block temporaries, so the
 peak would depend on the number of CPUs. Measured with numpy 2.4 and scipy
 1.17 on Python 3.11.
 """
+import json
 import tracemalloc
 
 import numpy as np
@@ -14,11 +15,14 @@ import pytest
 
 from voxcorr import volume
 from voxcorr.baseline import DvcConfig, multiscale_dvc
+from voxcorr.figures import export_displacement_magnitude
 from voxcorr.inference import sliding_register
 from voxcorr.metrics import endpoint_error
-from voxcorr.model import ModelConfig, init_params
-from voxcorr.tpms import DeformSpec, gyroid_field, synth_displacement
+from voxcorr.model import ModelConfig, init_params, model_forward
+from voxcorr.preprocess import build_dataset
+from voxcorr.tpms import DegradeSpec, DeformSpec, TpmsSpec, gyroid_field, synth_displacement, synthesize_sample
 from voxcorr.volume import BinaryVolume, ScalarVolume, invert_field, trilinear_gather, warp_array
+from voxcorr.vvol import vvol_write
 
 N = 64
 VOXELS = N ** 3
@@ -66,10 +70,11 @@ def test_synth_displacement():
 
 
 def test_endpoint_error(field):
-    # measured 16.3: the float64 squared norm and one channel's difference
+    # measured 5.5: the float64 errors of the masked voxels (half the grid
+    # here) and one chunk's squared norm
     gt = synth_displacement((N, N, N), DeformSpec(), 1)
     mask = BinaryVolume(np.random.default_rng(1).random((N, N, N)) > 0.5)
-    assert bytes_per_voxel(endpoint_error, field, gt, mask) <= 20
+    assert bytes_per_voxel(endpoint_error, field, gt, mask) <= 7
 
 
 @pytest.fixture(scope="module")
@@ -104,3 +109,41 @@ def test_gather_on_broadcast_views():
     pts = (np.broadcast_to(g, (N, N, N)), np.broadcast_to(g[:, None], (N, N, N)),
            np.broadcast_to(g[:, None, None], (N, N, N)))
     assert bytes_per_voxel(trilinear_gather, lattice, *pts) <= 44
+
+
+def test_model_forward():
+    # one no-tape forward of the whole grid at the default widths. Measured
+    # 330.5: a block's input and output, the skips still ahead, and one slab
+    # range's buffers; no decoder block makes its [8*cout, ...] parity tensor
+    cfg = ModelConfig(patch_size=32)
+    rng = np.random.default_rng(4)
+    params = init_params(cfg, rng)
+    moving, fixed = rng.random((2, N, N, N), dtype=np.float32)
+    assert bytes_per_voxel(model_forward, params, cfg, moving, fixed, False) <= 396
+
+
+@pytest.fixture(scope="module")
+def raw_dir(tmp_path_factory):
+    """raw/s0/ holding one phantom on the grid, with its ground-truth field."""
+    spec = TpmsSpec(part_extent=N * 0.08, voxel_size=80.0, band_halfwidth=0.69)
+    cad, xct, gt = synthesize_sample(spec, 0.0, DeformSpec(), DegradeSpec(), 0)
+    raw = tmp_path_factory.mktemp("raw")
+    d = raw / "s0"
+    d.mkdir()
+    vvol_write(d / "cad.vvol", ScalarVolume(cad.mask.astype(np.float32), cad.voxel_size))
+    vvol_write(d / "xct.vvol", xct)
+    vvol_write(d / "gt_disp.vvol", gt)
+    (d / "sample.json").write_text(json.dumps({"id": "s0", "c_param": 0.0}))
+    return raw
+
+
+def test_build_dataset(raw_dir, tmp_path):
+    # measured 32.0: the volumes of the cleaning and alignment; the ground-truth
+    # field already has the target dims, so it is written as read, not copied
+    assert bytes_per_voxel(build_dataset, raw_dir, tmp_path / "manifest.json") <= 38
+
+
+def test_export_displacement_magnitude(field, tmp_path):
+    # measured 1.5: one chunk's squared magnitude, and the three slices'
+    mask = BinaryVolume(np.random.default_rng(5).random((N, N, N)) > 0.5)
+    assert bytes_per_voxel(export_displacement_magnitude, field, mask, tmp_path) <= 2

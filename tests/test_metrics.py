@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from voxcorr import volume
 from voxcorr.metrics import BDM_OUTSIDE, bdm, dice, endpoint_error, evaluate_pair, squared_norm
 from voxcorr.preprocess import otsu_threshold
 from voxcorr.volume import BinaryVolume, DisplacementField, ScalarVolume, VolumeError
@@ -136,9 +137,13 @@ class TestEndpointError:
         with pytest.raises(VolumeError):
             endpoint_error(u, u, mask_of(np.zeros((3, 3, 3), bool)))
 
+    @pytest.mark.parametrize("block", [None, 100], ids=["one-chunk", "chunk-per-plane"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_same_bits_as_the_three_channel_formula(self, dtype):
-        # the per-channel sum against the float64 3-channel arrays it replaced
+    def test_same_bits_as_the_three_channel_formula(self, monkeypatch, dtype, block):
+        # the per-channel sum, chunk by chunk, against the float64 3-channel
+        # arrays it replaced
+        if block:
+            monkeypatch.setattr(volume, "BLOCK", block)
         rng = np.random.default_rng(3)
         pred = DisplacementField(rng.uniform(-4, 4, (3, 9, 10, 11)).astype(dtype))
         gt = DisplacementField(rng.uniform(-4, 4, (3, 9, 10, 11)).astype(dtype))

@@ -125,8 +125,8 @@ class TestModelForward:
         fixed = rng.uniform(0, 1, (16, 16, 16))
         disp, _, _ = model_forward(params, cfg, moving, fixed, want_tape=False)
 
-        def upsample_concat_conv(coarse, skip, kernel, bias):
-            return conv3d_forward(np.concatenate([upsample3d_forward(coarse, 2), skip]), kernel, bias)
+        def upsample_concat_conv(coarse, skip, kernel, bias, slope):
+            return conv3d_forward(np.concatenate([upsample3d_forward(coarse, 2), skip]), kernel, bias, slope=slope)
 
         monkeypatch.setattr(voxcorr.model, "upconv3d_forward", upsample_concat_conv)
         ref, _, _ = model_forward(params, cfg, moving, fixed, want_tape=False)
@@ -167,16 +167,16 @@ class TestModelForward:
         patch = np.random.default_rng(16).uniform(0, 1, (16, 16, 16)).astype(np.float32)
         inputs, alive_at_head = [], []
 
-        def conv(x, kernel, bias):
+        def conv(x, kernel, bias, slope=None):
             if kernel is params["head.w"]:
                 alive_at_head.append(sum(any(r() is not None for r in refs) for refs in inputs))
             else:
                 inputs.append([weakref.ref(x)])
-            return conv3d_forward(x, kernel, bias)
+            return conv3d_forward(x, kernel, bias, slope=slope)
 
-        def upconv(coarse, skip, kernel, bias):
+        def upconv(coarse, skip, kernel, bias, slope):
             inputs.append([weakref.ref(coarse), weakref.ref(skip)])
-            return upconv3d_forward(coarse, skip, kernel, bias)
+            return upconv3d_forward(coarse, skip, kernel, bias, slope)
 
         monkeypatch.setattr(voxcorr.model, "conv3d_forward", conv)
         monkeypatch.setattr(voxcorr.model, "upconv3d_forward", upconv)

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from voxcorr import preprocess
 from voxcorr.preprocess import (
+    CROSS6,
     CleanSpec,
     DatasetManifest,
     SampleEntry,
@@ -154,6 +156,9 @@ class TestBinIndices:
 
 
 class TestMorphology:
+    def test_cross6_is_scipys_face_structure(self):
+        assert CROSS6.dtype == bool and np.array_equal(CROSS6, ndimage.generate_binary_structure(3, 1))
+
     def test_erode_cube_to_center(self):
         m = np.zeros((5, 5, 5), bool)
         m[1:4, 1:4, 1:4] = True

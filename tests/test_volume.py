@@ -556,6 +556,16 @@ class TestCropOrPad:
         out = crop_or_pad(vol, (4, 4, 4), fill=0.0)
         np.testing.assert_array_equal(out.data, vol.data)
 
+    def test_target_dims_return_the_input(self):
+        field = DisplacementField(np.zeros((3, 4, 5, 6), dtype=np.float32))
+        assert crop_or_pad(field, (6, 5, 4)) is field
+
+    @pytest.mark.parametrize("target", [(4, 4, 3), (4, 4, 5), (3, 5, 4)], ids=["crop", "pad", "both"])
+    def test_crop_or_pad_returns_a_new_array(self, target):
+        vol = rand_volume((4, 4, 4), seed=13)
+        out = crop_or_pad(vol, target)
+        assert out.dims == target and not np.shares_memory(out.data, vol.data)
+
     def test_center_crop(self):
         data = np.zeros((6, 6, 6))
         data[1:5, 1:5, 1:5] = 1.0
