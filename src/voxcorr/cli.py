@@ -29,14 +29,15 @@ scan warped by the field), disp.vvol and a JSON record; reports/<id>/<method>/
 from evaluate, which binarizes each volume once for metrics and figures.
 
 Exit codes: 0 success; 2 validation failure (bad flags; a config file that is
-missing, malformed or has an unknown key or a wrong type; a flag value the
-config rejects; a generator grid or target dims under preprocess.MIN_GRID
-voxels per axis, which preprocessing could not carry; a plate or sphere off
-the resolved grid; c values whose sample ids collide; a register stride
-outside [1, patch size]; a training or checkpoint patch, or a DVC node grid,
-that does not fit the manifest's target_dims, checked before any volume is
-read; missing inputs); 1 runtime error, including a corrupt side file
-(manifest, sample.json, a JSON record).
+missing, malformed or has an unknown key, a wrong type or a non-finite number;
+a flag value the config rejects; a generator grid or target dims under
+preprocess.MIN_GRID voxels per axis, which preprocessing could not carry; a
+plate or sphere off the resolved grid; c values whose sample ids collide; a
+register stride outside [1, patch size]; a training or checkpoint patch, or a
+DVC node grid, that does not fit the manifest's target_dims, checked before any
+volume is read; missing inputs); 1 runtime error: a corrupt side file
+(manifest, sample.json, a JSON record), a non-finite number in one or in a VVOL
+payload, diverged training.
 
 main runs every command under one malloc policy (apply_malloc_policy): glibc
 serves blocks below 32 MiB from its heap and keeps up to 1 GiB of freed heap
@@ -66,13 +67,13 @@ import numpy as np
 from .baseline import build_node_grid, multiscale_dvc
 from .config import RunConfig
 from .inference import sliding_register
-from .jsonable import read_json, to_json
+from .jsonable import decode, read_json, to_json
 from .metrics import evaluate_pair
 from .figures import export_bdm_slices, export_displacement_magnitude, export_overlay_slices
 from .model import CheckpointError, checkpoint_load, checkpoint_save
 from .preprocess import DatasetManifest, build_dataset, otsu_threshold, sample_paths
 from .tpms import synthesize_sample
-from .training import train
+from .training import TrainingError, train
 from .volume import BinaryVolume, DisplacementField, ScalarVolume, VolumeError, warp
 from .vvol import VvolError, vvol_read, vvol_write
 
@@ -281,7 +282,8 @@ def cmd_train(cfg: RunConfig) -> dict:
     """train the registration network on the dataset"""
     manifest = _load_manifest(cfg)
     _check_patch_fits(cfg, manifest, cfg.model.patch_size, "training")
-    params, history = train(manifest, cfg.manifest_path().parent, cfg.model, cfg.train, cfg.seed, print)
+    with np.errstate(over="ignore", invalid="ignore"):  # divergence is train's one TrainingError, not warnings
+        params, history = train(manifest, cfg.manifest_path().parent, cfg.model, cfg.train, cfg.seed, print)
     ckpt = cfg.checkpoint_path()
     ckpt.parent.mkdir(parents=True, exist_ok=True)
     checkpoint_save(params, cfg.model, ckpt)
@@ -394,9 +396,7 @@ def cmd_baseline(cfg: RunConfig, sample: str | None = None) -> dict:
 def _read_runtime(meta_file: Path) -> float:
     """runtime_sec of a register/baseline record; 0 when the record is absent."""
     runtime = read_json(meta_file).get("runtime_sec", 0.0) if meta_file.exists() else 0.0
-    if isinstance(runtime, bool) or not isinstance(runtime, (int, float)):
-        raise VolumeError(f"{meta_file}: runtime_sec must be a number, got {runtime!r}")
-    return float(runtime)
+    return float(decode(float, runtime, f"{meta_file}: runtime_sec"))
 
 
 def cmd_evaluate(cfg: RunConfig, sample: str | None = None, method: str = "learned") -> dict:
@@ -528,7 +528,7 @@ def main(argv=None) -> int:
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (VolumeError, VvolError, CheckpointError, OSError) as e:
+    except (VolumeError, VvolError, CheckpointError, TrainingError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

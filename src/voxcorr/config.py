@@ -5,10 +5,10 @@ window 9, more epochs) are reachable purely through the config file. The JSON
 mirrors the dataclasses field for field (see jsonable). A file may name any
 subset of keys at any depth: each section it names is overlaid onto
 RunConfig()'s own default for that section, so a partial "train" block keeps
-the desk ncc_window. An unknown key, a wrong type or a value a __post_init__
-rejects raises VolumeError, which the CLI reports as exit code 2. The CLI
-writes its flags (cli.FLAGS) into the document before the one decode, so the
-checks, the marker bounds among them, see the resolved settings.
+the desk ncc_window. An unknown key, a wrong type, a non-finite number or a
+value a __post_init__ rejects raises VolumeError, which the CLI reports as exit
+code 2. The CLI writes its flags (cli.FLAGS) into the document before the one
+decode, so the checks, the marker bounds among them, see the resolved settings.
 """
 from __future__ import annotations
 

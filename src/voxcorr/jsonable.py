@@ -5,7 +5,8 @@ and report dataclasses.
 into plain JSON values. `from_json` rebuilds one from its field type hints; a
 wrong type or an unknown key is a VolumeError that names the key. With a
 `base` instance, keys the document leaves out, at any depth, keep the base's
-values; without one, every key is required.
+values; without one, every key is required. `decode` checks one value against
+a type hint, and is the one check of JSON numbers: NaN and infinities fail it.
 """
 from __future__ import annotations
 
@@ -64,14 +65,14 @@ def from_json(cls, d, base=None, where: str = ""):
         bad = "unknown key" if unknown else "missing key"
         raise VolumeError(f"{where}: {bad} {', '.join(map(repr, unknown or missing))}")
     hints = typing.get_type_hints(cls)
-    kw = {n: _decode(hints[n], d[n], getattr(base, n, None), f"{where}.{n}") for n in names if n in d}
+    kw = {n: decode(hints[n], d[n], f"{where}.{n}", getattr(base, n, None)) for n in names if n in d}
     try:
         return cls(**kw) if base is None else replace(base, **kw)
     except VolumeError as e:  # a __post_init__ check
         raise VolumeError(f"{where}: {e}") from e
 
 
-def _decode(tp, v, base, where: str):
+def decode(tp, v, where: str, base=None):
     if is_dataclass(tp):
         return from_json(tp, v, base, where)
     args = typing.get_args(tp)
@@ -79,7 +80,7 @@ def _decode(tp, v, base, where: str):
         if v is None and type(None) in args:
             return None
         (tp,) = [a for a in args if a is not type(None)]
-        return _decode(tp, v, base, where)
+        return decode(tp, v, where, base)
     origin = typing.get_origin(tp)
     if origin in (list, tuple):
         if not isinstance(v, (list, tuple)):
@@ -88,8 +89,10 @@ def _decode(tp, v, base, where: str):
             args = args[:1] * len(v)
         if len(args) != len(v):
             raise VolumeError(f"{where}: expected {len(args)} values, got {len(v)}")
-        return origin(_decode(a, x, None, f"{where}[{i}]") for i, (a, x) in enumerate(zip(args, v)))
+        return origin(decode(a, x, f"{where}[{i}]") for i, (a, x) in enumerate(zip(args, v)))
     ok = (int, float) if tp is float else (tp,)
     if isinstance(v, bool) != (tp is bool) or not isinstance(v, ok):
         raise VolumeError(f"{where}: expected {tp.__name__}, got {type(v).__name__}")
+    if isinstance(v, float) and not np.isfinite(v):
+        raise VolumeError(f"{where}: expected a finite number, got {v}")
     return v

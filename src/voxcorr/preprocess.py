@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .jsonable import Jsonable, from_json, read_json, to_json
+from .jsonable import Jsonable, decode, from_json, read_json, to_json
 from .volume import (
     BLOCK, BinaryVolume, DisplacementField, IVec3, ScalarVolume, VolumeError, crop_or_pad, minmax_normalize,
 )
@@ -300,9 +300,7 @@ def build_dataset(
     out_dir = manifest_path.parent
     cs = {}  # id -> c_param
     for sidecar in raw_dir.glob("*/sample.json"):
-        c = cs[sidecar.parent.name] = read_json(sidecar).get("c_param")
-        if isinstance(c, bool) or not isinstance(c, (int, float)):
-            raise VolumeError(f"{sidecar}: c_param must be a number, got {c!r}")
+        cs[sidecar.parent.name] = decode(float, read_json(sidecar).get("c_param"), f"{sidecar}: c_param")
     if not cs:
         raise VolumeError(f"no samples under {raw_dir}")
     by_c = assign_splits(list(cs.values()))

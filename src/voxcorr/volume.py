@@ -92,7 +92,8 @@ def parallel_map(fn, items) -> list:
     The caller and up to WORKERS - 1 pool threads each take the next untaken
     item until none is left, so the results come back in item order whichever
     thread ran each one. If items raised, the first of them in item order is
-    re-raised in the caller once every started item has finished. fn must
+    re-raised in the caller once every started item has finished. Items run
+    under the caller's np.errstate, which pool threads do not inherit. fn must
     write nothing that another item reads or writes.
     """
     items = list(items)
@@ -102,14 +103,15 @@ def parallel_map(fn, items) -> list:
     for i in range(len(items)):
         todo.put(i)
 
-    def work() -> None:
+    def work(fp_state=np.geterr()) -> None:  # the default is taken on the calling thread
         while True:
             try:
                 i = todo.get_nowait()
             except queue.Empty:
                 return
             try:
-                results[i] = fn(items[i])
+                with np.errstate(**fp_state):
+                    results[i] = fn(items[i])
             except Exception as e:  # re-raised in the caller
                 errors[i] = e
 
@@ -137,22 +139,21 @@ def _check_grid(a: np.ndarray, name: str) -> None:
 
 def _check_voxel_size(vs) -> Vec3:
     vx, vy, vz = (float(v) for v in vs)
-    if not (vx > 0 and vy > 0 and vz > 0):
-        raise VolumeError(f"voxel_size must be strictly positive, got {vs}")
+    if not all(0 < v < math.inf for v in (vx, vy, vz)):
+        raise VolumeError(f"voxel_size must be strictly positive and finite, got {vs}")
     return (vx, vy, vz)
 
 
 @dataclass(frozen=True)
 class ScalarVolume:
-    """Single-channel intensity grid. data[z, y, x], voxel_size in µm (vx, vy, vz)."""
+    """Single-channel intensity grid. data[z, y, x], voxel_size in µm (vx, vy, vz).
+    Finiteness is not checked here but where data enters or leaves: by vvol_read and vvol_write."""
 
     data: np.ndarray
     voxel_size: Vec3 = (1.0, 1.0, 1.0)
 
     def __post_init__(self):
         _check_grid(self.data, "data")
-        if not np.all(np.isfinite(self.data)):
-            raise VolumeError("volume data contains non-finite values")
         object.__setattr__(self, "voxel_size", _check_voxel_size(self.voxel_size))
 
     @property
@@ -170,8 +171,7 @@ class BinaryVolume:
 
     def __post_init__(self):
         _check_grid(self.mask, "mask")
-        if self.mask.dtype != np.bool_:
-            object.__setattr__(self, "mask", self.mask.astype(bool))
+        object.__setattr__(self, "mask", self.mask.astype(bool, copy=False))
         object.__setattr__(self, "voxel_size", _check_voxel_size(self.voxel_size))
 
     @property
@@ -185,7 +185,8 @@ class BinaryVolume:
 
 @dataclass(frozen=True)
 class DisplacementField:
-    """Per-voxel shifts in voxel units, channel-major: data[c, z, y, x], c = (ux, uy, uz)."""
+    """Per-voxel shifts in voxel units, channel-major: data[c, z, y, x], c = (ux, uy, uz).
+    Like ScalarVolume, it leaves finiteness to vvol_read and vvol_write."""
 
     data: np.ndarray
     voxel_size: Vec3 = (1.0, 1.0, 1.0)
@@ -193,8 +194,6 @@ class DisplacementField:
     def __post_init__(self):
         if self.data.ndim != 4 or self.data.shape[0] != 3:
             raise VolumeError(f"displacement data must be [3, nz, ny, nx], got {self.data.shape}")
-        if not np.all(np.isfinite(self.data)):
-            raise VolumeError("displacement field contains non-finite values")
         object.__setattr__(self, "voxel_size", _check_voxel_size(self.voxel_size))
 
     @property

@@ -7,9 +7,10 @@ Layout (little-endian): magic "VVOL" | u32 version=1 | u32 dtype=0 (float32)
 
 The reader is strict: a file shorter or longer than its header implies, another
 magic, version or dtype code, or metadata that is not UTF-8 JSON raises
-VvolError. A model checkpoint (model.checkpoint_save) is one such file: its
-metadata is the ModelConfig and its payload one row (1 channel, nz = ny = 1)
-holding every parameter tensor in param_shapes order.
+VvolError. Payloads are finite: write_raw refuses others (VvolError), vvol_read
+and checkpoint_load reject them. A model checkpoint (model.checkpoint_save) is
+one such file: its metadata is the ModelConfig and its payload one row (1
+channel, nz = ny = 1) holding every parameter tensor in param_shapes order.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ import struct
 
 import numpy as np
 
-from .volume import DisplacementField, ScalarVolume
+from .volume import DisplacementField, ScalarVolume, VolumeError, z_chunks
 
 MAGIC = b"VVOL"
 VERSION = 1
@@ -31,6 +32,12 @@ class VvolError(IOError):
     pass
 
 
+def _check_finite(data: np.ndarray, path, error: type[Exception]) -> None:
+    """Raise error naming path unless data[c, z, y, x] is all finite; z_chunks at a time, no whole-volume bool."""
+    if not all(np.isfinite(ch[z]).all() for ch in data for z in z_chunks(data.shape[1:])):
+        raise error(f"{path}: the payload holds non-finite values")
+
+
 def write_raw(path, data: np.ndarray, voxel_size=(1.0, 1.0, 1.0), meta: dict | None = None) -> None:
     """Write a float32 [c, nz, ny, nx] (or [nz, ny, nx]) array."""
     if data.ndim == 3:
@@ -39,6 +46,7 @@ def write_raw(path, data: np.ndarray, voxel_size=(1.0, 1.0, 1.0), meta: dict | N
         raise VvolError(f"expected 3D or 4D array, got shape {data.shape}")
     if data.dtype != np.float32:
         raise VvolError(f"dtype {data.dtype} not storable; cast to float32 first")
+    _check_finite(data, path, VvolError)  # before the file is opened
     c, nz, ny, nx = data.shape
     vx, vy, vz = (float(v) for v in voxel_size)
     meta_bytes = json.dumps(meta or {}, sort_keys=True).encode("utf-8")
@@ -82,12 +90,14 @@ def vvol_write(path, obj: ScalarVolume | DisplacementField) -> None:
     """Write a ScalarVolume or DisplacementField as float32."""
     if not isinstance(obj, (ScalarVolume, DisplacementField)):
         raise VvolError(f"cannot serialize object of type {type(obj).__name__}")
-    write_raw(path, obj.data.astype(np.float32, copy=False), obj.voxel_size)
+    with np.errstate(over="ignore"):  # a value beyond float32's range becomes inf, which write_raw refuses
+        write_raw(path, obj.data.astype(np.float32, copy=False), obj.voxel_size)
 
 
 def vvol_read(path):
     """Read a file back into the matching domain type (by channel count)."""
     data, voxel_size, _meta = read_raw(path)
+    _check_finite(data, path, VolumeError)
     c = data.shape[0]
     if c == 1:
         return ScalarVolume(data[0], voxel_size)

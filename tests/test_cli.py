@@ -137,6 +137,13 @@ class TestTrain:
         assert len(hist["train_loss"]) == 2
         assert len(hist["val_loss"]) == 2
 
+    def test_diverged_training_exits_1_with_one_error_line(self, workspace, tmp_path, capsys):
+        # at learning rate 1e30 the second step's gradient is not finite; it used to end in a traceback
+        argv = ["train", "--workspace", str(tmp_path), "--manifest", str(workspace / "dataset" / "manifest.json"),
+                "--lr", "1e30", "--patch-size", "16", "--epochs", "1", "--steps-per-epoch", "2"]
+        assert "non-finite" in exit_1_error(argv, capsys)
+        assert not any(tmp_path.iterdir())
+
     def test_missing_manifest_exits_2(self, tmp_path):
         assert main(["train", "--workspace", str(tmp_path)]) == 2
 
@@ -379,12 +386,24 @@ class TestCorruptSideFiles:
         b'["c0", 0.0]',                       # not an object
         b'{"id": "c0"}',                      # no c_param
         b'{"id": "c0", "c_param": "0"}',      # c_param not a number
-    ], ids=["truncated", "not-utf8", "not-object", "no-c_param", "c_param-string"])
+        b'{"id": "c0", "c_param": NaN}',      # used to reach the manifest and reshuffle the splits
+    ], ids=["truncated", "not-utf8", "not-object", "no-c_param", "c_param-string", "c_param-nan"])
     def test_sample_json(self, tmp_path, capsys, blob):
         sdir = tmp_path / "raw" / "c0"
         sdir.mkdir(parents=True)
         (sdir / "sample.json").write_bytes(blob)
         assert "raw/c0/sample.json" in exit_1_error(["preprocess", "--workspace", str(tmp_path)], capsys)
+
+    def test_nonfinite_voxel_in_raw_scan(self, tmp_path, capsys):
+        ws = tmp_path / "ws"
+        assert main(["generate", "--workspace", str(ws), "--c-values", "0,-0.3,-0.6", "--extent-mm", "1.92"]) == 0
+        xct = ws / "raw" / "c-0.3" / "xct.vvol"  # the first sample preprocess reads
+        blob = bytearray(xct.read_bytes())
+        blob[-4000:-3996] = np.float32(np.nan).tobytes()
+        xct.write_bytes(bytes(blob))
+        err = exit_1_error(["preprocess", "--workspace", str(ws)], capsys)
+        assert str(xct) in err and "non-finite" in err
+        assert not (ws / "dataset" / "manifest.json").exists()
 
     @pytest.mark.parametrize("text, needle", [
         ('{"samples": [{"id": "c0", ', "unreadable JSON"),
@@ -392,7 +411,9 @@ class TestCorruptSideFiles:
         ('{"samples": [{"id": "c0", "c_param": 0.0, "cad_path": "ws/dataset/c0/cad.vvol", '
          '"xct_path": "ws/dataset/c0/xct.vvol", "split": "test", "gt_disp_path": null}], '
          '"target_dims": [32, 32, 32], "created_at": ""}', "unknown key 'cad_path'"),
-    ], ids=["truncated", "path-keys"])
+        ('{"samples": [{"id": "c0", "c_param": NaN, "split": "test"}], "target_dims": [32, 32, 32], '
+         '"created_at": ""}', "c_param: expected a finite number"),
+    ], ids=["truncated", "path-keys", "c_param-nan"])
     @pytest.mark.parametrize("cmd", ["train", "baseline"])
     def test_manifest(self, tmp_path, capsys, text, needle, cmd):
         mpath = tmp_path / "dataset" / "manifest.json"
@@ -401,15 +422,16 @@ class TestCorruptSideFiles:
         err = exit_1_error([cmd, "--workspace", str(tmp_path)], capsys)
         assert str(mpath) in err and needle in err
 
+    @pytest.mark.parametrize("runtime", ['"x"', "NaN"])
     @pytest.mark.parametrize("method", list(METHODS))
-    def test_runtime_not_a_number(self, workspace, tmp_path, capsys, method):
+    def test_runtime_not_a_number(self, workspace, tmp_path, capsys, method, runtime):
         folder, record = METHODS[method]
         odir = tmp_path / folder / "c-0.6"
         odir.mkdir(parents=True)
         xct = vvol_read(workspace / "dataset" / "c-0.6" / "xct.vvol")
         vvol_write(odir / "moved.vvol", xct)
         vvol_write(odir / "disp.vvol", DisplacementField(np.zeros((3,) + xct.data.shape, np.float32)))
-        (odir / record).write_text('{"sample_id": "c-0.6", "runtime_sec": "x"}')
+        (odir / record).write_text(f'{{"sample_id": "c-0.6", "runtime_sec": {runtime}}}')
         manifest = workspace / "dataset" / "manifest.json"
         err = exit_1_error(["evaluate", "--workspace", str(tmp_path), "--manifest", str(manifest),
                             "--sample", "c-0.6", "--method", method], capsys)
@@ -554,6 +576,11 @@ class TestCliSurface:
             ({"train": {"plateau_patience": 0}}, "plateau_patience"),
             ({"train": {"min_lr": -1}}, "min_lr"),
             ({"train": {"plateau_min_improvement": -1e-4}}, "plateau_min_improvement"),
+            # json writes these as NaN and Infinity, which Python's parser reads back; they used to
+            # give an undeformed phantom, a noiseless scan and a 100%-solid part
+            ({"deform": {"warp_amplitude": float("nan")}}, "deform.warp_amplitude: expected a finite number"),
+            ({"degrade": {"noise_sigma": float("nan")}}, "degrade.noise_sigma: expected a finite number"),
+            ({"tpms": {"cell_size": float("inf")}}, "tpms.cell_size: expected a finite number"),
         ],
     )
     def test_bad_config_exits_2_with_one_error_line(self, tmp_path, monkeypatch, capsys, doc, needle):
@@ -585,6 +612,10 @@ class TestCliSurface:
             (["generate", "--c-values", "0", "--extent-mm", "0.24"], "grid (3, 3, 3) must have at least 4"),
             (["preprocess", "--target-dims", "1,1,1"], "target_dims must have at least 4"),
             (["preprocess", "--target-dims", "32,3,32"], "target_dims must have at least 4"),
+            # used to train an all-NaN checkpoint, which register then rejected
+            (["train", "--lr", "nan"], "train.lr: expected a finite number"),
+            # used to end in a traceback
+            (["generate", "--extent-mm", "nan"], "tpms.part_extent: expected a finite number"),
         ],
     )
     def test_rejected_value_exits_2_with_one_error_line(self, tmp_path, monkeypatch, capsys, argv, needle):

@@ -21,7 +21,7 @@ from voxcorr.model import (
     param_shapes,
 )
 from voxcorr.volume import VolumeError, warp_array
-from voxcorr.vvol import read_raw, write_raw
+from voxcorr.vvol import VvolError, read_raw, write_raw
 
 TOY = ModelConfig(enc_features=(2, 2, 2, 2), dec_features=(2, 2, 2, 2, 2, 2), patch_size=16)
 
@@ -311,12 +311,27 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nonfinite_weights_rejected(self, tmp_path, bad):
+        # checkpoint_save refuses such weights, so the value is written into a saved file
+        p = tmp_path / "m.vmck"
+        checkpoint_save(init_params(TOY, np.random.default_rng(8), dtype=np.float32), TOY, p)
+        shapes = param_shapes(TOY)
+        names = list(shapes)
+        at = sum(math.prod(shapes[n]) for n in names[: names.index("dec2.w")]) + 5
+        blob = bytearray(p.read_bytes())
+        offset = len(blob) - 4 * (sum(math.prod(s) for s in shapes.values()) - at)
+        blob[offset : offset + 4] = np.float32(bad).tobytes()
+        p.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match="dec2.w"):
+            checkpoint_load(p)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_save_refuses_nonfinite_weights(self, tmp_path, bad):
         params = init_params(TOY, np.random.default_rng(8), dtype=np.float32)
         params["dec2.w"].flat[5] = bad
         p = tmp_path / "m.vmck"
-        checkpoint_save(params, TOY, p)
-        with pytest.raises(CheckpointError, match="dec2.w"):
-            checkpoint_load(p)
+        with pytest.raises(VvolError, match="non-finite"):
+            checkpoint_save(params, TOY, p)
+        assert not p.exists()
 
     @pytest.mark.parametrize(
         "edit",

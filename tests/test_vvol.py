@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from voxcorr.volume import DisplacementField, ScalarVolume
+from voxcorr.volume import DisplacementField, ScalarVolume, VolumeError, z_chunks
 from voxcorr.vvol import VvolError, read_raw, vvol_read, vvol_write, write_raw
 
 
@@ -112,6 +112,15 @@ def test_write_rejects_unknown_object(tmp_path):
         vvol_write(tmp_path / "x.vvol", object())
 
 
+def inject(p, flat_index, value):
+    """Overwrite payload value flat_index of the VVOL file p with float32 value."""
+    blob = bytearray(p.read_bytes())
+    _, _, _, c, nx, ny, nz = struct.unpack_from("<4sII IIII", blob)
+    at = len(blob) - 4 * (c * nz * ny * nx - flat_index)
+    blob[at : at + 4] = np.float32(value).tobytes()
+    p.write_bytes(bytes(blob))
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     channels=st.sampled_from([1, 3]),
@@ -119,8 +128,9 @@ def test_write_rejects_unknown_object(tmp_path):
     ny=st.integers(1, 6),
     nz=st.integers(1, 6),
     seed=st.integers(0, 2 ** 31),
+    bad=st.sampled_from([np.nan, np.inf, -np.inf]),
 )
-def test_raw_roundtrip_property(tmp_path_factory, channels, nx, ny, nz, seed):
+def test_raw_roundtrip_property(tmp_path_factory, channels, nx, ny, nz, seed, bad):
     rng = np.random.default_rng(seed)
     data = rng.standard_normal((channels, nz, ny, nx)).astype(np.float32)
     p = tmp_path_factory.mktemp("vvol") / "r.vvol"
@@ -129,3 +139,68 @@ def test_raw_roundtrip_property(tmp_path_factory, channels, nx, ny, nz, seed):
     assert back.tobytes() == data.tobytes()
     assert voxel_size == (1.0, 2.0, 3.0)
     assert meta == {"k": int(seed)}
+    # one injected non-finite value: write_raw refuses it, and vvol_read
+    # rejects a file that holds it, which read_raw returns bit for bit
+    at = int(rng.integers(data.size))
+    data.flat[at] = bad
+    q = p.with_name("bad.vvol")
+    with pytest.raises(VvolError, match="non-finite"):
+        write_raw(q, data)
+    assert not q.exists()
+    inject(p, at, bad)
+    assert read_raw(p)[0].tobytes() == data.tobytes()
+    with pytest.raises(VolumeError, match="non-finite"):
+        vvol_read(p)
+
+
+def chunk_edges(shape_zyx):
+    """Flat indices of one [z, y, x] grid to test: the first and last voxel, and
+    the voxels on each side of the first z_chunks boundary."""
+    nz, ny, nx = shape_zyx
+    z = z_chunks(shape_zyx)[1].start
+    return [0, z * ny * nx - 1, z * ny * nx, nz * ny * nx - 1]
+
+
+SHAPE = (40, 32, 32)  # 16 planes per z-chunk: three chunks
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", range(4), ids=["first", "chunk-end", "chunk-start", "last"])
+@pytest.mark.parametrize("channels", [1, 3], ids=["scalar", "field-channel-2"])
+def test_read_rejects_nonfinite_voxel(tmp_path, bad, where, channels):
+    assert len(z_chunks(SHAPE)) > 1
+    p = tmp_path / "v.vvol"
+    data = np.random.default_rng(0).random((channels, *SHAPE), dtype=np.float32)
+    write_raw(p, data)
+    at = (channels - 1) * data[0].size + chunk_edges(SHAPE)[where]
+    inject(p, at, bad)
+    with pytest.raises(VolumeError, match="non-finite") as e:
+        vvol_read(p)
+    assert str(p) in str(e.value)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", range(4), ids=["first", "chunk-end", "chunk-start", "last"])
+def test_write_refuses_nonfinite_and_leaves_no_file(tmp_path, bad, where):
+    field = np.zeros((3, *SHAPE), dtype=np.float32)
+    field[2].flat[chunk_edges(SHAPE)[where]] = bad
+    p = tmp_path / "f.vvol"
+    with pytest.raises(VvolError, match="non-finite") as e:
+        vvol_write(p, DisplacementField(field))
+    assert str(p) in str(e.value) and not p.exists()
+
+
+def test_write_refuses_a_value_beyond_float32(tmp_path):
+    data = np.ones((4, 4, 4))
+    data[1, 2, 3] = 1e39  # finite in float64, inf once cast to float32
+    p = tmp_path / "v.vvol"
+    with pytest.raises(VvolError, match="non-finite"):
+        vvol_write(p, ScalarVolume(data))
+    assert not p.exists()
+
+
+def test_read_rejects_infinite_voxel_size(tmp_path):
+    p = tmp_path / "v.vvol"
+    write_raw(p, np.ones((2, 2, 2), dtype=np.float32), (1.0, np.inf, 1.0))
+    with pytest.raises(VolumeError, match="voxel_size"):
+        vvol_read(p)
