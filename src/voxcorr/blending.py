@@ -4,8 +4,10 @@ Patch grids cover the whole volume: origins step by the stride (at most the
 patch size) along each axis and a clamped final origin at dims - patch_size is
 appended whenever the regular stepping stops short, so inference never needs
 padding. Overlapping [c, p, p, p] patches blend with a Gaussian window of
-sigma p / 4 (every weight above exp(-6)). The accumulator's float64 sums are
-finalized once, in place, into the weighted mean.
+sigma p / 4 (every weight above exp(-6)). Patches are added in the grid's
+z-major order, so the float64 sums cover only the band of p z-planes that a
+patch can still reach: once a patch starts at oz, the planes below oz are
+divided into the float32 field and shifted out of the band.
 """
 from __future__ import annotations
 
@@ -52,7 +54,8 @@ def gaussian_window(patch_size: int) -> np.ndarray:
 
 
 class BlendAccumulator:
-    """Gaussian-weighted overlap-add of [c, p, p, p] patches into a full grid."""
+    """Gaussian-weighted overlap-add of [c, p, p, p] patches into a float32
+    field, added in make_patch_grid's z-major order."""
 
     def __init__(self, dims: IVec3, channels: int, patch_size: int):
         nx, ny, nz = (int(d) for d in dims)
@@ -60,11 +63,28 @@ class BlendAccumulator:
         self.channels = int(channels)
         self.patch_size = int(patch_size)
         self.window = gaussian_window(patch_size)
-        self.weighted_sum = np.zeros((self.channels, nz, ny, nx), dtype=np.float64)
-        self.weight_sum = np.zeros((nz, ny, nx), dtype=np.float64)
+        self.field = np.empty((self.channels, nz, ny, nx), dtype=np.float32)
+        self.z0 = 0  # the band holds the sums of planes z0 .. z0 + p - 1
+        self.weighted_sum = np.zeros((self.channels, self.patch_size, ny, nx), dtype=np.float64)
+        self.weight_sum = np.zeros((self.patch_size, ny, nx), dtype=np.float64)
+
+    def _flush(self, z: int) -> None:
+        """Divide planes z0 .. z - 1 into the field and shift them out of the band."""
+        p, n = self.patch_size, z - self.z0
+        ws, wt = self.weighted_sum[:, :n], self.weight_sum[:n]
+        if n > p or np.any(wt == 0.0):
+            raise VolumeError(f"uncovered voxels (zero blend weight) in z planes {self.z0}..{z - 1}")
+        self.field[:, self.z0:z] = np.divide(ws, wt, out=ws)
+        # shift along flat 1-D views: numpy copies those in place, with no temporary
+        for band in (*self.weighted_sum, self.weight_sum):
+            flat = band.reshape(-1)
+            keep = (p - n) * (flat.size // p)
+            flat[:keep] = flat[flat.size - keep:]
+            flat[keep:] = 0.0
+        self.z0 = z
 
     def add(self, patch_data: np.ndarray, origin: IVec3) -> None:
-        """Accumulate a [c, p, p, p] patch at (x, y, z) origin."""
+        """Accumulate a [c, p, p, p] patch at (x, y, z) origin, z no lower than the last."""
         p = self.patch_size
         if patch_data.shape != (self.channels, p, p, p):
             raise VolumeError(
@@ -74,13 +94,16 @@ class BlendAccumulator:
         nx, ny, nz = self.dims
         if not (0 <= ox <= nx - p and 0 <= oy <= ny - p and 0 <= oz <= nz - p):
             raise VolumeError(f"patch at {origin} does not fit inside dims {self.dims}")
-        sl = (slice(oz, oz + p), slice(oy, oy + p), slice(ox, ox + p))
+        if oz < self.z0:
+            raise VolumeError(f"patch at {origin} breaks z-major order: the planes below z={self.z0} are final")
+        if oz > self.z0:
+            self._flush(oz)
+        sl = (slice(0, p), slice(oy, oy + p), slice(ox, ox + p))
         self.weighted_sum[(slice(None),) + sl] += self.window * patch_data
         self.weight_sum[sl] += self.window
 
     def finalize(self) -> np.ndarray:
-        """Weighted mean per voxel, [c, nz, ny, nx], divided in place into the
-        weighted sum: call it once, after the last add."""
-        if np.any(self.weight_sum == 0.0):
-            raise VolumeError("finalize called with uncovered voxels (zero blend weight)")
-        return np.divide(self.weighted_sum, self.weight_sum, out=self.weighted_sum)
+        """Weighted mean per voxel, the float32 field [c, nz, ny, nx]: call it
+        once, after the last add."""
+        self._flush(self.dims[2])
+        return self.field

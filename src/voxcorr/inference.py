@@ -7,10 +7,11 @@ scan warped by that field, as for the baseline, so a report's Dice and BDM
 describe the same field as its endpoint error.
 
 Each patch's forward allocates its buffers anew and frees them before the
-next patch. The malloc policy that cli.main sets (cli.apply_malloc_policy)
-keeps the freed memory in the process's heap, so later patches reuse it
-without faulting pages back in. The outputs do not depend on the policy;
-only the time does.
+next patch; the blend keeps float64 sums only for the z-planes that later
+patches still reach. The malloc policy that cli.main sets
+(cli.apply_malloc_policy) keeps the freed memory in the process's heap, so
+later patches reuse it without faulting pages back in. The outputs do not
+depend on the policy; only the time does.
 """
 from __future__ import annotations
 
@@ -44,6 +45,6 @@ def sliding_register(
         sl = (slice(z, z + p), slice(y, y + p), slice(x, x + p))
         disp, _, _ = model_forward(params, cfg, mdata[sl], fdata[sl], want_tape=False)
         acc.add(disp, (x, y, z))
-    disp = DisplacementField(acc.finalize().astype(np.float32), moving.voxel_size)
-    del acc  # frees the float64 sums before the warp allocates
+    disp = DisplacementField(acc.finalize(), moving.voxel_size)
+    del acc  # frees the float64 band before the warp allocates
     return warp(moving, disp), disp

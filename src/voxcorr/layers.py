@@ -380,6 +380,7 @@ def upconv3d_backward(gout: np.ndarray, ctx):
     for r, view, at in _parities(gout, (d, h, w), shift, (0, gpar.shape[2])):
         gpar[r][at] = view
     dcoarse, dpk, _ = conv3d_backward(gpar.reshape(8 * cout, *gpar.shape[2:]), cctx)
+    del gpar  # its last reader is done: the skip conv's backward runs without it
     dskip, dks, dbias = conv3d_backward(gout, sctx)
     # the adjoint of the tap sums
     dku = m.T.astype(dpk.dtype) @ dpk.reshape(8, cout * c, t ** 3).transpose(0, 2, 1).reshape(-1, cout * c)

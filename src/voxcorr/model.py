@@ -186,11 +186,14 @@ def model_backward(tape: dict, d_moved: np.ndarray, d_disp: np.ndarray) -> dict[
 
     Consumes the tape: each block's context is dropped once its gradients are
     taken, so the pass holds only the contexts still ahead of it. Each
-    LeakyReLU mask is read off the activated output in the context that
-    holds it, just before that context is dropped. For 0 < slope <= 1 the
-    output's sign is the input's, except where slope*x underflows to -0 (at
-    slope 0.2 the two smallest negative subnormals, in float32 and float64):
-    there the backward uses scale 1, as at 0.
+    gradient is dropped once its last reader (a mask, a pool or a skip add)
+    has it, so no block's backward runs beside the gradient its output
+    gradient was made from. Each LeakyReLU mask is read off the activated
+    output in the context that holds it, just before that context is
+    dropped. For 0 < slope <= 1 the output's sign is the input's, except
+    where slope*x underflows to -0 (at slope 0.2 the two smallest negative
+    subnormals, in float32 and float64): there the backward uses scale 1,
+    as at 0.
     """
     slope = tape["slope"]
     n_up = tape["n_up"]
@@ -203,12 +206,13 @@ def model_backward(tape: dict, d_moved: np.ndarray, d_disp: np.ndarray) -> dict[
     grads: dict[str, np.ndarray] = {}
     cctx = tape.pop("head")
     dx, grads["head.w"], grads["head.b"] = conv3d_backward(g_disp, cctx)
+    del g_disp
     skip_grads: list[np.ndarray | None] = [None] * n_up
     for j in reversed(range(len(tape["dec"]))):
         neg = (cctx[0][0] if j + 1 < n_up else cctx[0]) < 0  # block j's output: the next block's (coarse) input
         cctx = tape["dec"].pop()
         dy = leaky_relu_backward(dx, neg, slope)
-        del neg
+        del dx, neg
         if j < n_up:
             dx, skip_grads[n_up - 1 - j], grads[f"dec{j}.w"], grads[f"dec{j}.b"] = upconv3d_backward(dy, cctx)
         else:
@@ -216,8 +220,11 @@ def model_backward(tape: dict, d_moved: np.ndarray, d_disp: np.ndarray) -> dict[
     for i in reversed(range(n_up)):
         cctx, pctx = tape["enc"].pop()
         da = maxpool3d_backward(dx, pctx)
+        del dx
         da += skip_grads[i]
+        skip_grads[i] = None
         dy = leaky_relu_backward(da, pctx[0] < 0, slope)
+        del da, pctx
         if i:
             dx, grads[f"enc{i}.w"], grads[f"enc{i}.b"] = conv3d_backward(dy, cctx)
         else:  # nothing needs the gradient with respect to the input patches

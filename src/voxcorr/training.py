@@ -67,7 +67,8 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 def adam_step(params: dict, grads: dict, state: dict, lr: float, t: int = 1) -> None:
-    """Standard bias-corrected Adam update, in place. t counts from 1."""
+    """Standard bias-corrected Adam update, in place. t counts from 1.
+    Raises TrainingError on a non-finite gradient or updated weight."""
     for name, p in params.items():
         g = grads[name]
         if not np.all(np.isfinite(g)):
@@ -82,6 +83,8 @@ def adam_step(params: dict, grads: dict, state: dict, lr: float, t: int = 1) -> 
         m_hat = m / (1.0 - ADAM_BETA1 ** t)
         v_hat = v / (1.0 - ADAM_BETA2 ** t)
         p -= (lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)).astype(p.dtype)
+        if not np.all(np.isfinite(p)):
+            raise TrainingError(f"non-finite weights in {name!r} after the update")
 
 
 class PlateauScheduler:
@@ -210,6 +213,8 @@ def train(
                 raise TrainingError(f"epoch {epoch}, step {step + 1}: {e}") from e
             epoch_losses.append(mean_loss)
         val_loss = _batch_eval(params, model_cfg, val_batch, lam, window)
+        if not np.isfinite(val_loss):
+            raise TrainingError(f"non-finite validation loss at epoch {epoch}, step {step + 1}")
         lr_used = sched.lr
         sched.step(val_loss)
         history.train_loss.append(float(np.mean(epoch_losses)))

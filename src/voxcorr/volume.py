@@ -53,7 +53,7 @@ accumulator adds, the bias copy-out), which on one thread is 13% of a
 work on its own core too. trilinear_gather itself stays serial, and so
 does the register patch loop. Two patch threads once raised its peak memory
 by 27%; two patches in flight beside the slab ranges took 12% off the
-register_w64 benchmark's op_s but added 14% to its peak_mib (one run read
+register_w64 benchmark's op_s but added 4% to its peak_mib (one run read
 2.43 -> 2.14 s and 94.4 -> 98.3 MiB), so the memory that the per-slab
 decoder blocks free (layers.upconv3d_forward) is kept, not spent on a
 second patch.

@@ -100,3 +100,42 @@ class TestBlendAccumulator:
         with pytest.raises(VolumeError):
             acc.finalize()
 
+    def test_out_of_z_order_add_rejected(self):
+        acc = BlendAccumulator((16, 16, 24), 1, 16)
+        acc.add(np.ones((1, 16, 16, 16)), (0, 0, 0))
+        acc.add(np.ones((1, 16, 16, 16)), (0, 0, 8))  # planes 0..7 are final
+        with pytest.raises(VolumeError, match="breaks z-major order"):
+            acc.add(np.ones((1, 16, 16, 16)), (0, 0, 0))
+
+
+def whole_grid_blend(patches, dims, p):
+    """Oracle: the overlap-add in float64 sums over the whole grid, divided
+    once and rounded to float32."""
+    nx, ny, nz = dims
+    weighted = np.zeros((patches[0][0].shape[0], nz, ny, nx))
+    weight = np.zeros((nz, ny, nx))
+    window = gaussian_window(p)
+    for data, (x, y, z) in patches:
+        sl = (slice(z, z + p), slice(y, y + p), slice(x, x + p))
+        weighted[(slice(None),) + sl] += window * data
+        weight[sl] += window
+    return (weighted / weight).astype(np.float32)
+
+
+@pytest.mark.parametrize("dims, p, stride", [
+    ((37, 41, 53), 16, 12),  # dims no multiple of the stride
+    ((10, 9, 11), 4, 1),  # stride 1: a new band start at every plane
+    ((24, 24, 24), 8, 8),  # stride = p: no overlap
+    ((20, 21, 21), 8, 8),  # clamped last origins, 12 and 13
+    ((30, 25, 16), 16, 8),  # one patch deep in z: a single band
+])
+def test_band_equals_whole_grid_oracle(dims, p, stride):
+    rng = np.random.default_rng(sum(dims) + p + stride)
+    patches = [(rng.standard_normal((3, p, p, p)).astype(np.float32), o)
+               for o in make_patch_grid(dims, p, stride)]
+    acc = BlendAccumulator(dims, 3, p)
+    for data, origin in patches:
+        acc.add(data, origin)
+    field = acc.finalize()
+    assert field.dtype == np.float32
+    assert field.tobytes() == whole_grid_blend(patches, dims, p).tobytes()

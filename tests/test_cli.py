@@ -144,6 +144,15 @@ class TestTrain:
         assert "non-finite" in exit_1_error(argv, capsys)
         assert not any(tmp_path.iterdir())
 
+    def test_overflowing_update_exits_1_at_the_step(self, workspace, tmp_path, capsys):
+        # at learning rate 1e39 the first update overflows the float32 weights; the run used to log
+        # val +nan and then fail at checkpoint_save with a message about the file
+        argv = ["train", "--workspace", str(tmp_path), "--manifest", str(workspace / "dataset" / "manifest.json"),
+                "--lr", "1e39", "--patch-size", "16", "--epochs", "1", "--steps-per-epoch", "1"]
+        err = exit_1_error(argv, capsys)
+        assert "epoch 1, step 1" in err and "non-finite weights" in err
+        assert not any(tmp_path.iterdir())
+
     def test_missing_manifest_exits_2(self, tmp_path):
         assert main(["train", "--workspace", str(tmp_path)]) == 2
 

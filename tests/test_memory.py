@@ -1,11 +1,12 @@
-"""tracemalloc budgets of the whole-volume stages' kernels at 64^3.
+"""tracemalloc budgets of the whole-volume stages' kernels at 64^3, and of
+one patch-32 training step.
 
 Each budget is the traced peak of one call, above what was traced before it,
-in bytes per voxel of the 64^3 grid, about 20% over the value measured when
-it was set, so a stray full-volume float64 copy (8 B/voxel) fails it. The
-pool is switched off: each thread adds its own block temporaries, so the
-peak would depend on the number of CPUs. Measured with numpy 2.4 and scipy
-1.17 on Python 3.11.
+in bytes per voxel of the 64^3 grid (of the 32^3 patch for the training
+step), about 20% over the value measured when it was set, so a stray
+full-volume float64 copy (8 B/voxel) fails it. The pool is switched off:
+each thread adds its own block temporaries, so the peak would depend on the
+number of CPUs. Measured with numpy 2.4 and scipy 1.17 on Python 3.11.
 """
 import json
 import tracemalloc
@@ -18,7 +19,8 @@ from voxcorr.baseline import DvcConfig, multiscale_dvc
 from voxcorr.figures import export_displacement_magnitude
 from voxcorr.inference import sliding_register
 from voxcorr.metrics import endpoint_error
-from voxcorr.model import ModelConfig, init_params, model_forward
+from voxcorr.losses import total_loss
+from voxcorr.model import ModelConfig, init_params, model_backward, model_forward
 from voxcorr.preprocess import build_dataset
 from voxcorr.tpms import DegradeSpec, DeformSpec, TpmsSpec, gyroid_field, synth_displacement, synthesize_sample
 from voxcorr.volume import BinaryVolume, ScalarVolume, invert_field, trilinear_gather, warp_array
@@ -90,14 +92,14 @@ def test_multiscale_dvc(pair):
 
 
 def test_sliding_register(pair):
-    # measured 47.4: the float64 blend sums, then the float32 field and the
-    # warp. A tiny model, so the patch forwards cost little; random head, so
-    # the warp does not see a zero field
+    # measured 21.6: the float32 field, a patch-deep band of float64 blend
+    # sums, then the warp. A tiny model, so the patch forwards cost little;
+    # random head, so the warp does not see a zero field
     cfg = ModelConfig(enc_features=(2, 2), dec_features=(2, 2, 2), patch_size=16)
     rng = np.random.default_rng(3)
     params = init_params(cfg, rng)
     params["head.w"] = 0.02 * rng.standard_normal(params["head.w"].shape).astype(np.float32)
-    assert bytes_per_voxel(sliding_register, params, cfg, *pair) <= 54
+    assert bytes_per_voxel(sliding_register, params, cfg, *pair) <= 26
 
 
 def test_gather_on_broadcast_views():
@@ -120,6 +122,25 @@ def test_model_forward():
     params = init_params(cfg, rng)
     moving, fixed = rng.random((2, N, N, N), dtype=np.float32)
     assert bytes_per_voxel(model_forward, params, cfg, moving, fixed, False) <= 396
+
+
+def test_training_step():
+    # one patch-32 forward, loss and backward at the default widths, per patch
+    # voxel. Measured 808: the tape, and in the backward one gradient besides
+    # the block's own. The budget is 16% over, so that the 976 read while each
+    # old gradient outlived the next block's backward fails it
+    cfg = ModelConfig(patch_size=32)
+    rng = np.random.default_rng(6)
+    params = init_params(cfg, rng)
+    params["head.w"] = 0.01 * rng.standard_normal(params["head.w"].shape).astype(np.float32)
+    moving, fixed = rng.random((2, 32, 32, 32), dtype=np.float32)
+
+    def step():
+        disp, moved, tape = model_forward(params, cfg, moving, fixed)
+        _, d_moved, d_disp = total_loss(moved, fixed, disp, 0.05, 9)
+        model_backward(tape, d_moved, d_disp)
+
+    assert bytes_per_voxel(step) * VOXELS / 32 ** 3 <= 940
 
 
 @pytest.fixture(scope="module")

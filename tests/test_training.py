@@ -57,6 +57,11 @@ class TestAdam:
         with pytest.raises(TrainingError):
             adam_step({"w": np.array([1.0])}, {"w": np.array([np.nan])}, {}, lr=1e-3, t=1)
 
+    def test_overflowing_update_rejected(self):
+        # a finite gradient whose step overflows float32
+        with np.errstate(over="ignore"), pytest.raises(TrainingError, match="non-finite weights in 'w'"):
+            adam_step({"w": np.ones(2, dtype=np.float32)}, {"w": np.ones(2)}, {}, lr=1e39, t=1)
+
 
 class TestPlateauScheduler:
     def test_never_improving_sequence(self):
@@ -153,6 +158,16 @@ class TestTrain:
         assert h1.to_json() == {**h2.to_json(), "wall_time": h1.wall_time}
         for name in p1:
             assert p1[name].tobytes() == p2[name].tobytes()
+
+    def test_nonfinite_validation_loss_rejected(self, tmp_path, monkeypatch):
+        import voxcorr.training
+
+        manifest = make_manifest(tmp_path)
+        losses = iter([1.0, float("nan")])  # the baseline, then epoch 1
+        monkeypatch.setattr(voxcorr.training, "_batch_eval", lambda *args: next(losses))
+        cfg = TrainConfig(epochs=2, steps_per_epoch=2, batch_size=1, val_batch_size=1, ncc_window=5)
+        with pytest.raises(TrainingError, match="non-finite validation loss at epoch 1, step 2"):
+            train(manifest, tmp_path, TOY, cfg, seed=0)
 
     def test_requires_nonempty_splits(self, tmp_path):
         manifest = make_manifest(tmp_path)
