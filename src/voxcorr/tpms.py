@@ -13,12 +13,16 @@ the seed are per-sample arguments: the deformation draws from `seed` and the
 degradations from `seed + 1`. A base plate and marker spheres form one mask
 that is OR-ed into both the nominal and the scan's solid mask.
 
-degrade_to_xct holds only what its next step needs. It makes the field first,
-while the least else is held; it drops the float64 implicit field once the
-solid mask is taken; it smooths its noise in place, and finds max |s| as
-max(s.max(), -s.min()), with no |s| array; and it warps the float64 scan by
-the float32 inverse field, whose warp samples as its float64 copy would (see
-volume). The outputs are the bits of the whole-volume float64 formulas.
+degrade_to_xct holds only what its next step needs, and no float64 copy of a
+volume that is kept in float32. It makes the field first, while the least
+else is held, and builds its own implicit field from the TpmsSpec, so the
+caller holds none through the synthesis. It finds the pore candidates one
+chunk of z-planes at a time, and casts the implicit field to float32, freeing
+its float64 copy, before the solid mask is taken. It smooths its noise in
+place and finds max |s| as max(s.max(), -s.min()), with no |s| array. It
+warps the float32 scan by the float32 inverse field with float64 arithmetic
+(volume.trilinear_gather's dtype), chunk by chunk into a float32 scan. The
+outputs are the bits of the whole-volume float64 formulas.
 """
 from __future__ import annotations
 
@@ -33,9 +37,11 @@ from .volume import (
     IVec3,
     ScalarVolume,
     VolumeError,
+    grid_coords,
     invert_field,
     parallel_map,
-    warp_array,
+    trilinear_gather,
+    z_chunks,
 )
 
 
@@ -164,27 +170,41 @@ def synth_displacement(dims: IVec3, spec: DeformSpec, seed: int) -> Displacement
     """u(x) = (shrink - 1) * (x - centre) + s(x), with s smoothed seeded noise
     rescaled so max |s| equals warp_amplitude. Deterministic given the seed.
 
-    Each channel of the noise is smoothed in place by its own 3-D Gaussian
-    filter, the three through parallel_map. A filter never mixes channels, and
-    each pass filters a line from a copy of it, so the field is bit for bit the
-    one 4-D filter with sigma (0, s, s, s) into a new array would give."""
+    Each channel of the noise is its own float64 array, drawn by its own
+    standard_normal call (the values of one draw of all three) and smoothed
+    in place by its own 3-D Gaussian filter, the three through parallel_map.
+    A filter never mixes channels, and each pass filters a line from a copy
+    of it, so the field is bit for bit the one 4-D filter with sigma
+    (0, s, s, s) into a new array would give. Once the global extreme is
+    known, each channel is finished, cast to float32 and freed before the
+    next, so the float64 noise is never held beside the whole float32 field."""
     from scipy.ndimage import gaussian_filter
 
     nx, ny, nz = (int(d) for d in dims)
-    rng = np.random.default_rng(seed)
-    s = rng.standard_normal((3, nz, ny, nx))
     if spec.warp_amplitude > 0:
-        parallel_map(lambda c: gaussian_filter(s[c], spec.warp_smoothness, output=s[c]), range(3))
-        s -= s.mean(axis=(1, 2, 3), keepdims=True)  # finite-sample mean would otherwise be amplified by the rescale
-        s *= spec.warp_amplitude / max(s.max(), -s.min())
+        rng = np.random.default_rng(seed)
+        s = [rng.standard_normal((nz, ny, nx)) for _ in range(3)]
+        parallel_map(lambda ch: gaussian_filter(ch, spec.warp_smoothness, output=ch), s)
+        for ch in s:
+            ch -= ch.mean()  # finite-sample mean would otherwise be amplified by the rescale
+        scale = spec.warp_amplitude / max(max(ch.max(), -ch.min()) for ch in s)
+        for ch in s:
+            ch *= scale
     else:
-        s[...] = 0.0
+        s = [np.zeros((nz, ny, nx)) for _ in range(3)]
     a = spec.shrink_factor - 1.0
-    u = s
-    u[0] += a * (np.arange(nx, dtype=np.float64) - (nx - 1) / 2.0)[None, None, :]
-    u[1] += a * (np.arange(ny, dtype=np.float64) - (ny - 1) / 2.0)[None, :, None]
-    u[2] += a * (np.arange(nz, dtype=np.float64) - (nz - 1) / 2.0)[:, None, None]
-    return DisplacementField(u.astype(np.float32))
+    ramps = (
+        (np.arange(nx, dtype=np.float64) - (nx - 1) / 2.0)[None, None, :],
+        (np.arange(ny, dtype=np.float64) - (ny - 1) / 2.0)[None, :, None],
+        (np.arange(nz, dtype=np.float64) - (nz - 1) / 2.0)[:, None, None],
+    )
+    u = []
+    for ramp in ramps:
+        ch = s.pop(0)
+        ch += a * ramp
+        u.append(ch.astype(np.float32))
+        del ch  # its float64 dies before the next channel's cast, and before the stack
+    return DisplacementField(np.stack(u))
 
 
 def leveled_grayscale(mask: BinaryVolume, deg: DegradeSpec) -> ScalarVolume:
@@ -205,7 +225,6 @@ def _pick_voxels(rng: np.random.Generator, where: np.ndarray, count: int) -> np.
 
 
 def degrade_to_xct(
-    cad_field: ScalarVolume,
     spec_tpms: TpmsSpec,
     c: float,
     spec_def: DeformSpec,
@@ -213,7 +232,8 @@ def degrade_to_xct(
     seed: int,
     markers: np.ndarray,
 ) -> tuple[ScalarVolume, DisplacementField]:
-    """Simulate a scan of the as-built part from the nominal implicit field.
+    """Simulate a scan of the as-built part from the nominal implicit field,
+    gyroid_field on spec_tpms's grid.
 
     Defects are applied before the geometric deformation so they ride along
     with the material. `markers` (base plate, marker spheres) is OR-ed into
@@ -221,12 +241,19 @@ def degrade_to_xct(
     mask. The degradations draw from `seed + 1`, the deformation from `seed`.
     Returns (scan volume, ground-truth field); warping the scan by the field
     recovers the nominal grayscale.
+
+    The float32 scan is warped by the float32 inverse field with float64
+    arithmetic, one chunk of z-planes at a time, each chunk cast to float32 as
+    it is made: the bits of warping the scan's float64 copy into a float64
+    volume and casting that, without either float64 volume.
     """
     from scipy.ndimage import binary_erosion, gaussian_filter
 
-    gt = synth_displacement(cad_field.dims, spec_def, seed)  # first, while the least else is held
+    dims = spec_tpms.grid_dims()
+    voxel_size = (spec_tpms.voxel_size,) * 3
+    gt = synth_displacement(dims, spec_def, seed)  # first, while the least else is held
     rng = np.random.default_rng(seed + 1)
-    f = cad_field.data.astype(np.float64)
+    f = gyroid_field(dims, spec_tpms.voxel_size, spec_tpms.cell_size).data.astype(np.float64)
 
     if spec_deg.roughness_amplitude > 0:
         r = rng.standard_normal(f.shape)
@@ -236,11 +263,16 @@ def degrade_to_xct(
         del r
 
     if spec_deg.pore_close_count > 0:
-        for flat in _pick_voxels(rng, np.abs(f - c) > spec_tpms.band_halfwidth, spec_deg.pore_close_count):
+        outside = np.empty(f.shape, bool)
+        for z in z_chunks(f.shape):
+            outside[z] = np.abs(f[z] - c) > spec_tpms.band_halfwidth
+        for flat in _pick_voxels(rng, outside, spec_deg.pore_close_count):
             z, y, x = np.unravel_index(flat, f.shape)
             _stamp_sphere(f, (x, y, z), spec_deg.pore_close_radius, c)
+        del outside
 
-    mask = tpms_solid(ScalarVolume(f.astype(np.float32), cad_field.voxel_size), spec_tpms, c).mask
+    f = f.astype(np.float32)  # frees the float64 field
+    mask = tpms_solid(ScalarVolume(f, voxel_size), spec_tpms, c).mask
     del f  # the scan carries on from the solid mask alone
     mask |= markers
 
@@ -250,18 +282,17 @@ def degrade_to_xct(
             z, y, x = np.unravel_index(flat, mask.shape)
             _stamp_sphere(mask, (x, y, z), spec_deg.breakage_radius, False)
 
-    gray = leveled_grayscale(BinaryVolume(mask, cad_field.voxel_size), spec_deg).data
+    gray = leveled_grayscale(BinaryVolume(mask, voxel_size), spec_deg).data
     del mask
     if spec_deg.noise_sigma > 0:
         gray += rng.normal(0.0, spec_deg.noise_sigma, gray.shape).astype(np.float32)
 
     g_inv = invert_field(gt).data
-    # the float64 scan sets the warp's coordinates to float64, so the float32
-    # inverse samples as its float64 copy would
-    gray = gray.astype(np.float64)
-    xct = warp_array(gray, g_inv)
-    del gray, g_inv
-    return ScalarVolume(xct.astype(np.float32), cad_field.voxel_size), gt
+    xct = np.empty(gray.shape, np.float32)
+    zz, yy, xx = grid_coords(gray.shape)
+    for z in z_chunks(gray.shape):
+        xct[z] = trilinear_gather(gray, xx + g_inv[0, z], yy + g_inv[1, z], zz[z] + g_inv[2, z], dtype=np.float64)
+    return ScalarVolume(xct, voxel_size), gt
 
 
 def synthesize_sample(
@@ -278,7 +309,8 @@ def synthesize_sample(
     The markers are the bottom `plate_voxels` z-slices (the base plate) and
     the balls of `marker_spheres`, each (x, y, z, radius) in voxels. Both only
     set voxels solid, so one mask of them is OR-ed into the nominal mask and,
-    through degrade_to_xct, into the scan's.
+    through degrade_to_xct, into the scan's. The nominal implicit field is
+    dropped once its mask is taken; degrade_to_xct makes its own.
     """
     dims = spec.grid_dims()
     check_markers(dims, plate_voxels, marker_spheres)
@@ -287,8 +319,7 @@ def synthesize_sample(
     markers[:plate_voxels] = True
     for cx, cy, cz, r in marker_spheres:
         _stamp_sphere(markers, (cx, cy, cz), r, True)
-    f = gyroid_field(dims, spec.voxel_size, spec.cell_size)
-    nominal = tpms_solid(f, spec, c)
+    nominal = tpms_solid(gyroid_field(dims, spec.voxel_size, spec.cell_size), spec, c)
     nominal.mask[markers] = True
-    scan, gt = degrade_to_xct(f, spec, c, deform, degrade, seed, markers)
+    scan, gt = degrade_to_xct(spec, c, deform, degrade, seed, markers)
     return nominal, scan, gt

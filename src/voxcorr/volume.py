@@ -7,12 +7,16 @@ metadata in micrometers.
 
 trilinear_gather is the one trilinear sampler. It takes leading channel axes,
 vol[..., z, y, x], and samples every channel at the same points with one set
-of clamped indices and weights: warp_array passes one channel, invert_field
-and the baseline's dense field pass the three displacement channels. Its one
-dtype rule: values and gradients come back in result_type(vol, float32),
-whatever dtype the points have, so a float32 volume stays float32. Each
-fraction is taken in the points' float dtype, where it is exact, and cast
-once to that dtype, in which the corners are read and the lerps run.
+of clamped indices and weights: warp_array and the phantom scan's warp pass
+one channel, and the baseline's dense field passes the three displacement
+channels. Its one dtype rule: values and gradients come back in
+result_type(vol, float32), whatever dtype the points have, so a float32 volume
+stays float32. Each fraction is taken in the points' float dtype, where it is
+exact, and cast once to that dtype, in which the corners are read and the
+lerps run. A caller may name that dtype instead (dtype=np.float64): a float32
+volume is then sampled with float64 arithmetic, each corner read as its exact
+float64 value, and the values are the bits its float64 copy would give,
+without that copy being made.
 
 The sampler walks its points in blocks of at most BLOCK, in C order, so that
 each block's indices, weights and corner reads stay in cache instead of
@@ -26,11 +30,11 @@ chunk of whole z-planes at a time, about BLOCK voxels, and builds only that
 chunk's coordinates, in result_type(moving, disp, float32): a float64 volume
 samples a float32 field as it would the field's float64 copy. The baseline's
 dense field is built per chunk too, each cast to float32 as it is made.
-invert_field samples u in float64 and writes its inverse in u's dtype. It runs
-all its fixed-point iterations on one block of voxels before the next, since
-an iteration at voxel y reads only that voxel's own estimate and the fixed
-field; each of its items, a range of z-planes, reads a float64 copy of only
-the planes of u its points can reach.
+invert_field samples u with float64 arithmetic, through the block gather that
+reads each corner of u as its float64 value, and writes its inverse in u's
+dtype. It runs all its fixed-point iterations on one block of voxels before
+the next, since an iteration at voxel y reads only that voxel's own estimate
+and the fixed field, so no float64 copy of u, whole or in part, is made.
 
 parallel_map runs independent items on every CPU the process may use, and
 every use is exact, because every item writes only its own output.
@@ -228,7 +232,7 @@ def _lerp(a: np.ndarray, b: np.ndarray, f: np.ndarray) -> np.ndarray:
     return b
 
 
-def trilinear_gather(vol: np.ndarray, px, py, pz, with_grad: bool = False):
+def trilinear_gather(vol: np.ndarray, px, py, pz, with_grad: bool = False, dtype=None):
     """Trilinear interpolation of vol[..., z, y, x] at continuous points (px, py, pz).
 
     Leading axes of vol are channels: every channel is sampled at the same
@@ -239,14 +243,15 @@ def trilinear_gather(vol: np.ndarray, px, py, pz, with_grad: bool = False):
     open interval (0, n-1).
 
     The value and the gradients are in result_type(vol, float32), whatever
-    the points' dtype (see the module docstring). The points are sampled at
-    most BLOCK at a time (see BLOCK), each by the same per-point formula, so
-    the result does not depend on the block size.
+    the points' dtype, or in `dtype` when it is given, which is then also
+    the dtype of the arithmetic (see the module docstring). The points are
+    sampled at most BLOCK at a time (see BLOCK), each by the same per-point
+    formula, so the result does not depend on the block size.
     """
     *lead, nz, ny, nx = vol.shape
     px = np.asarray(px)
     pdtype = np.result_type(px.dtype, np.float32)
-    dtype = np.result_type(vol, np.float32)
+    dtype = np.result_type(vol, np.float32) if dtype is None else np.dtype(dtype)
     pts = np.broadcast_arrays(px, np.asarray(py), np.asarray(pz))
     shape = pts[0].shape
     flat = vol.reshape(*lead, nz * ny * nx)
@@ -366,47 +371,32 @@ def invert_field(disp: DisplacementField) -> DisplacementField:
     The update at voxel y reads only g(y) and the fixed field u, so every
     iteration runs on one block of BLOCK voxels before the next block starts;
     the result is the same as iterating on the whole grid. For the same
-    reason the work runs through parallel_map, on any thread and in any
-    order: an item is a range of z-planes, and its blocks write only their
-    own slice of g. The caller works through a share of the items, since
-    each extra thread costs a malloc arena of peak memory. The gathers
-    inside a block stay serial (see the module docstring).
+    reason the blocks run through parallel_map, on any thread and in any
+    order, each writing only its own slice of g. The caller works through a
+    share of them, since each extra thread costs a malloc arena of peak
+    memory. The gathers inside a block stay serial (see the module
+    docstring).
 
-    u is sampled in float64, and g is written in u's dtype. No float64 copy
-    of the whole of u is made: |g_z| <= max |u_z|, since each estimate is a
-    trilinear blend of u's values, so an item's points fall within `reach`
-    planes of its own, and the item samples a float64 copy of those planes
-    only. Its z coordinates are shifted by the slab's first plane `lo`; the
-    shift is exact (z + g_z >= lo, and lo is an integer), so the fractions,
-    corners and results are the bits a whole-grid float64 u would give.
+    u is sampled with float64 arithmetic and g is written in u's dtype. The
+    block gather reads each corner of u as its float64 value, so the bits are
+    those of iterating on a float64 copy of u, and no copy is made: a block
+    holds only its own float64 estimate and temporaries.
     """
     u = disp.data
-    nz, ny, nx = u.shape[1:]
-    plane = ny * nx
+    dims = u.shape[1:]
     uf = u.reshape(3, -1)
     g = np.empty(uf.shape, u.dtype)
-    # 2 planes of margin: the corner above a point, and rounding in the blends
-    reach = int(np.ceil(max(u[2].max(), -u[2].min()))) + 2
-    # planes per item: whole blocks, and at least `reach`, so a slab is at most 3 items' planes
-    per_block = max(1, BLOCK // plane)
-    step = per_block * -(-reach // per_block)
 
-    def item(z0: int) -> None:
-        z1 = min(z0 + step, nz)
-        lo = max(0, z0 - reach)
-        slab = u[:, lo : min(nz, z1 + reach)].astype(np.float64)
-        for s in range(z0 * plane, z1 * plane, BLOCK):
-            e = min(s + BLOCK, z1 * plane)
-            z, y, x = np.unravel_index(np.arange(s, e), (nz, ny, nx))
-            gb = -uf[:, s:e].astype(np.float64)
-            for _ in range(INVERT_ITERATIONS):
-                pz = z + gb[2]
-                pz -= lo
-                gb = trilinear_gather(slab, x + gb[0], y + gb[1], pz)
-                np.negative(gb, out=gb)
-            g[:, s:e] = gb
+    def item(s: int) -> None:
+        e = min(s + BLOCK, uf.shape[1])
+        z, y, x = np.unravel_index(np.arange(s, e), dims)
+        gb = -uf[:, s:e].astype(np.float64)
+        for _ in range(INVERT_ITERATIONS):
+            gb = _gather_block(uf, dims, x + gb[0], y + gb[1], z + gb[2], False, np.float64)[0]
+            np.negative(gb, out=gb)
+        g[:, s:e] = gb
 
-    parallel_map(item, range(0, nz, step))
+    parallel_map(item, range(0, uf.shape[1], BLOCK))
     return DisplacementField(g.reshape(u.shape), disp.voxel_size)
 
 

@@ -2,6 +2,7 @@ import ctypes
 import hashlib
 import json
 import os
+import platform
 import shutil
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 import voxcorr.cli
 import voxcorr.training
@@ -508,7 +510,8 @@ class TestCliSurface:
         records = [json.loads(line) for line in (workspace / "run_log.jsonl").read_text().splitlines()]
         assert records
         for record in records:
-            assert set(record) == {"timestamp", "stage", "config", "args", "params", "duration_sec", "peak_rss_mib"}
+            assert set(record) == {"timestamp", "stage", "config", "args", "params", "duration_sec", "peak_rss_mib",
+                                   "versions"}
             cfg = RunConfig.from_json(record["config"])
             assert cfg.to_json() == record["config"] and cfg.workspace == str(workspace)
         generate = next(r for r in records if r["stage"] == "generate")
@@ -525,6 +528,13 @@ class TestCliSurface:
         # the process's peak so far: one process ran every stage, so it never falls
         peaks = [r["peak_rss_mib"] for r in records]
         assert peaks == sorted(peaks)
+
+    def test_every_run_log_record_holds_the_versions(self, workspace):
+        records = [json.loads(line) for line in (workspace / "run_log.jsonl").read_text().splitlines()]
+        assert records
+        want = {"python": platform.python_version(), "numpy": np.__version__, "scipy": scipy.__version__}
+        for record in records:
+            assert record["versions"] == want
 
     def test_run_log_records_the_handler_arguments(self, workspace, tmp_path):
         manifest = workspace / "dataset" / "manifest.json"

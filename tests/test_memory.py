@@ -56,8 +56,9 @@ def field():
 
 
 def test_invert_field(field):
-    # measured 33.3: its float32 output, one item's float64 slab and one block's temporaries
-    assert bytes_per_voxel(invert_field, field) <= 40
+    # measured 26.8: its float32 output and one block's temporaries (34.8
+    # while each item sampled a float64 slab of u)
+    assert bytes_per_voxel(invert_field, field) <= 32
 
 
 def test_warp_array(field):
@@ -67,8 +68,18 @@ def test_warp_array(field):
 
 
 def test_synth_displacement():
-    # measured 39.0: the float64 noise, smoothed in place, and the float32 field
-    assert bytes_per_voxel(synth_displacement, (N, N, N), DeformSpec(), 0) <= 46
+    # measured 28.0: the three float64 noise channels, smoothed in place, and
+    # the first channel's float32 copy (36.0 while the float64 noise was held
+    # beside the whole float32 field)
+    assert bytes_per_voxel(synth_displacement, (N, N, N), DeformSpec(), 0) <= 34
+
+
+def test_synthesize_sample():
+    # measured 44.8, set by invert_field: the ground-truth and inverse fields,
+    # the float32 scan, the masks and one block's temporaries (56.8 with the
+    # float64 scan and its float64 warp)
+    spec = TpmsSpec(part_extent=N * 0.08, voxel_size=80.0, band_halfwidth=0.69)
+    assert bytes_per_voxel(synthesize_sample, spec, 0.0, DeformSpec(), DegradeSpec(), 0) <= 54
 
 
 def test_endpoint_error(field):

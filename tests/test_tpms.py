@@ -1,9 +1,11 @@
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.ndimage import binary_erosion, gaussian_filter, generate_binary_structure
 
+from voxcorr import volume
 from voxcorr.tpms import (
     DeformSpec,
     DegradeSpec,
@@ -336,6 +338,24 @@ class TestDegradeToXct:
         assert x1.data.tobytes() == x2.data.tobytes()
         assert g1.data.tobytes() == g2.data.tobytes()
 
+    def test_same_bytes_on_one_thread_and_the_pool(self, monkeypatch):
+        # invert_field's blocks and the noise's channel filters run on the pool;
+        # 4096-voxel blocks give the 32^3 grid 8 invert items
+        spec = TpmsSpec(part_extent=2.56, voxel_size=80.0, band_halfwidth=0.69)
+        deg = DegradeSpec(pore_close_count=3, breakage_count=2, breakage_radius=3.0)
+        monkeypatch.setattr(volume, "BLOCK", 4096)
+        pool = ThreadPoolExecutor(3)
+        runs = []
+        try:
+            for workers, p in ((1, None), (4, pool)):
+                monkeypatch.setattr(volume, "WORKERS", workers)
+                monkeypatch.setattr(volume, "_POOL", p)
+                cad, xct, gt = synthesize_sample(spec, -0.3, DeformSpec(), deg, 5, 2, [(16, 16, 20, 4.0)])
+                runs.append([cad.mask.tobytes(), xct.data.tobytes(), gt.data.tobytes()])
+        finally:
+            pool.shutdown()
+        assert runs[1] == runs[0]
+
     @pytest.mark.parametrize("deg", [
         DegradeSpec(),
         DegradeSpec(pore_close_count=3, breakage_count=2, breakage_radius=3.0, noise_sigma=0.05),
@@ -377,7 +397,7 @@ class TestDegradeToXct:
         g = g.astype(np.float32).astype(np.float64)
         want = trilinear_gather(gray.astype(np.float64), xx + g[0], yy + g[1], zz + g[2]).astype(np.float32)
 
-        xct, gt_got = degrade_to_xct(cad, spec, c, deform, deg, seed, markers)
+        xct, gt_got = degrade_to_xct(spec, c, deform, deg, seed, markers)
         assert gt_got.data.tobytes() == gt.data.tobytes()
         assert xct.data.tobytes() == want.tobytes()
 

@@ -136,6 +136,17 @@ class TestTrilinearGather:
         assert out.dtype == vol_dtype and all(g.dtype == vol_dtype for g in grads)
 
     @pytest.mark.parametrize("shape", GATHER_SHAPES)
+    @pytest.mark.parametrize("pt_dtype", FLOATS)
+    @pytest.mark.parametrize("with_grad", [False, True])
+    def test_float64_arithmetic_matches_the_float64_copy(self, shape, pt_dtype, with_grad):
+        vol, px, py, pz = gather_case(shape, np.float32, pt_dtype)
+        got = trilinear_gather(vol, px, py, pz, with_grad=with_grad, dtype=np.float64)
+        want = trilinear_gather(vol.astype(np.float64), px, py, pz, with_grad=with_grad)
+        got, want = ([r[0], *r[1]] if with_grad else [r] for r in (got, want))
+        for g, w in zip(got, want, strict=True):
+            assert g.dtype == np.float64 and g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("shape", GATHER_SHAPES)
     def test_matches_scipy_linear_nearest(self, shape):
         vol, px, py, pz = gather_case(shape, np.float64, np.float64, channels=2, seed=3)
         got = trilinear_gather(vol, px, py, pz)
@@ -335,10 +346,10 @@ class TestChunkedWarp:
         assert warp_array(moving, disp).tobytes() == warp_array(moving, disp.astype(np.float64)).tobytes()
 
 
-class TestInvertFieldSlabs:
-    """invert_field samples float64 slabs of the planes an item's points can
-    reach, and writes g in u's dtype: the bits must be those of the whole-grid
-    iteration on a float64 copy of u, cast to u's dtype."""
+class TestInvertFieldBits:
+    """invert_field samples u, block by block, with float64 arithmetic and
+    writes g in u's dtype: the bits must be those of the whole-grid iteration
+    on a float64 copy of u, cast to u's dtype."""
 
     @staticmethod
     def float64_then_cast(u: np.ndarray) -> np.ndarray:
@@ -360,12 +371,22 @@ class TestInvertFieldSlabs:
     @pytest.mark.parametrize("block", [7, 64, volume.BLOCK])
     def test_smooth_field(self, monkeypatch, dtype, block):
         monkeypatch.setattr(volume, "BLOCK", block)
-        u = smooth_field((30, 6, 7), amplitude=2.5, sigma=2.0, seed=31).data.astype(dtype)  # items of 5 planes
+        u = smooth_field((30, 6, 7), amplitude=2.5, sigma=2.0, seed=31).data.astype(dtype)
+        self.check(u)
+
+    @pytest.mark.parametrize("shape", [(1, 9, 11), (2, 9, 11), (40, 3, 4)])
+    def test_u_z_reaching_far_beyond_a_block(self, monkeypatch, shape):
+        # with 7-voxel blocks an item spans at most 2 planes, and its points
+        # land up to 13 planes away: past many items' planes on the 40-plane
+        # grid, clamped at the faces on the grids of 1 and 2
+        monkeypatch.setattr(volume, "BLOCK", 7)
+        u = smooth_field(shape, amplitude=1.0, sigma=1.0, seed=35).data.astype(np.float32)
+        u[2] += np.float32(12.0) * np.cos(np.arange(shape[0], dtype=np.float32) / 3.0)[:, None, None]
         self.check(u)
 
     @pytest.mark.parametrize("uz", [-4.75, 3.5, 40.0])
     def test_points_beyond_the_faces(self, monkeypatch, uz):
-        # every point clamps at a face, in the slab exactly as in the whole grid
+        # every point clamps at a face, exactly as in the whole grid
         monkeypatch.setattr(volume, "BLOCK", 7)
         u = smooth_field((20, 5, 6), amplitude=1.0, sigma=1.5, seed=32).data.astype(np.float32)
         u[2] += np.float32(uz)
@@ -374,8 +395,8 @@ class TestInvertFieldSlabs:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("uz", [-2.0, 2.0, -3.0])
     def test_points_on_the_planes_max_u_z_away(self, monkeypatch, dtype, uz):
-        # g_z = -u_z exactly: the points sit on the farthest planes a slab must
-        # hold without clamping them, as the interior of the whole grid does not
+        # g_z = -u_z exactly: the points sit on whole planes max |u_z| away,
+        # interior ones unclamped, as on the whole grid
         monkeypatch.setattr(volume, "BLOCK", 7)
         u = smooth_field((24, 5, 6), amplitude=1.5, sigma=1.0, seed=34).data.astype(dtype)
         u[2] = uz
