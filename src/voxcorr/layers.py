@@ -271,9 +271,18 @@ def conv3d_param_grads(gout: np.ndarray, ctx) -> tuple[np.ndarray, np.ndarray]:
 
 
 def conv3d_backward(gout: np.ndarray, ctx) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients (dx, dkernel, dbias) for conv3d_forward."""
-    _, kernel, pad = ctx
+    """Gradients (dx, dkernel, dbias) for conv3d_forward.
+
+    The weight gradient is the input's last reader, so the context is dropped
+    once it is taken and x is never bound here: a caller that passes the
+    context with no other reference to it (model_backward, straight off the
+    tape) frees the input before the input gradient's conv. That relies on
+    the call taking over its arguments' references, as CPython does from
+    3.11; on 3.10 the caller's stack holds them until the call returns.
+    """
+    kernel, pad = ctx[1:]
     dkernel, dbias = conv3d_param_grads(gout, ctx)
+    del ctx
     # dx: convolution of gout with the flipped, transposed kernel at pad k - 1 - pad
     kt = kernel[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4)
     dx, _ = conv3d_forward(gout, kt, pad=kernel.shape[2] - 1 - pad)

@@ -18,7 +18,12 @@ NCC_EPS = 1e-5
 
 
 def ncc_loss(a: np.ndarray, b: np.ndarray, window: int = 9) -> tuple[float, np.ndarray]:
-    """Negated mean local squared NCC between a and b, plus d(loss)/da."""
+    """Negated mean local squared NCC between a and b, plus d(loss)/da.
+
+    Each float64 intermediate is dropped after its last reader, and the
+    gradient is summed term by term into one array. The expressions and
+    their order are those of the single-expression form, so are the bits.
+    """
     if a.shape != b.shape:
         raise VolumeError(f"shape mismatch {a.shape} vs {b.shape}")
     if window % 2 == 0 or window < 1:
@@ -41,21 +46,32 @@ def ncc_loss(a: np.ndarray, b: np.ndarray, window: int = 9) -> tuple[float, np.n
     sbb = box(bf * bf)
 
     cross = sab - sa * sb / n
+    del sab
     var_a = saa - sa * sa / n
+    del saa
     var_b = sbb - sb * sb / n
+    del sbb
     den = var_a * var_b + NCC_EPS
+    del var_a
     cc = cross * cross / den
     m = cc.size
     loss = -float(cc.mean())
 
     alpha = 2.0 * cross / den
+    del cross
     beta = cc * var_b / den  # cross^2 * var_b / den^2
-    grad = -(
-        bf * box(alpha)
-        - box(alpha * (sb / n))
-        - 2.0 * af * box(beta)
-        + 2.0 * box(beta * (sa / n))
-    ) / m
+    del cc, var_b, den
+    # -(bf*box(alpha) - box(alpha*(sb/n)) - 2*af*box(beta) + 2*box(beta*(sa/n))) / m
+    grad = bf * box(alpha)
+    del bf
+    grad -= box(alpha * (sb / n))
+    del alpha, sb
+    grad -= 2.0 * af * box(beta)
+    del af
+    grad += 2.0 * box(beta * (sa / n))
+    del beta, sa, n
+    np.negative(grad, out=grad)
+    grad /= m
     return loss, grad.astype(a.dtype, copy=False)
 
 
@@ -63,31 +79,27 @@ def grad_l2_loss(disp: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean squared forward difference over channels, axes and voxels.
 
     The last slice along each axis has no forward difference and is excluded
-    from both the sum and the sample count.
+    from both the sum and the sample count. The count is known from the views'
+    sizes, so each axis's difference is made, added into the loss and the
+    gradient, and dropped before the next, in the order of making all three
+    first.
     """
     d = disp.astype(np.float64, copy=False)
     grad = np.zeros_like(d)
-    diffs = []
-    count = 0
-    for axis in range(1, 4):
-        hi = [slice(None)] * 4
-        lo = [slice(None)] * 4
-        hi[axis] = slice(1, None)
-        lo[axis] = slice(None, -1)
-        delta = d[tuple(hi)] - d[tuple(lo)]
-        diffs.append((axis, delta))
-        count += delta.size
-    total = sum(float((delta * delta).sum()) for _, delta in diffs)
-    loss = total / count
-    for axis, delta in diffs:
-        hi = [slice(None)] * 4
-        lo = [slice(None)] * 4
-        hi[axis] = slice(1, None)
-        lo[axis] = slice(None, -1)
+    # the (later, earlier) voxels of each forward difference, along each spatial axis
+    views = [((slice(None),) * axis + (slice(1, None),), (slice(None),) * axis + (slice(None, -1),))
+             for axis in (1, 2, 3)]
+    count = sum(d[hi].size for hi, _ in views)
+    total = 0.0
+    for hi, lo in views:
+        delta = d[hi] - d[lo]
+        total += float((delta * delta).sum())
         g = 2.0 * delta / count
-        grad[tuple(hi)] += g
-        grad[tuple(lo)] -= g
-    return loss, grad.astype(disp.dtype, copy=False)
+        del delta
+        grad[hi] += g
+        grad[lo] -= g
+        del g
+    return total / count, grad.astype(disp.dtype, copy=False)
 
 
 def total_loss(

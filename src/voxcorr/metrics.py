@@ -119,11 +119,11 @@ def evaluate_pair(
     """
     if not (cad_bin.dims == xct_bin.dims == moved_bin.dims == disp.dims):
         raise VolumeError("evaluate_pair requires consistent dims")
+    mean_epe = max_epe = None
+    if gt_disp is not None:  # first, so the two int8 maps are not held beside its float64 errors
+        mean_epe, max_epe = endpoint_error(disp, gt_disp, cad_bin)
     map_before, bdm_before = bdm(xct_bin, cad_bin)
     map_after, bdm_after = bdm(moved_bin, cad_bin)
-    mean_epe = max_epe = None
-    if gt_disp is not None:
-        mean_epe, max_epe = endpoint_error(disp, gt_disp, cad_bin)
     report = EvalReport(
         sample_id=sample_id,
         method=method,

@@ -186,11 +186,16 @@ def model_backward(tape: dict, d_moved: np.ndarray, d_disp: np.ndarray) -> dict[
 
     Consumes the tape: each block's context is dropped once its gradients are
     taken, so the pass holds only the contexts still ahead of it. Each
-    gradient is dropped once its last reader (a mask, a pool or a skip add)
-    has it, so no block's backward runs beside the gradient its output
-    gradient was made from. Each LeakyReLU mask is read off the activated
-    output in the context that holds it, just before that context is
-    dropped. For 0 < slope <= 1 the output's sign is the input's, except
+    gradient is dropped once its last reader (a mask, a pool, a skip add or
+    its block's backward) has it, so no block's backward runs beside the
+    gradient its output gradient was made from. Each LeakyReLU mask is read
+    off the activated output, the input of the block after, before that
+    block's context is handed to its backward. The head's and the
+    full-resolution conv blocks' contexts go to conv3d_backward straight off
+    the tape, so each input is freed once its weight gradient is taken (from
+    Python 3.11; see conv3d_backward) and the input gradient's conv runs
+    beside the one-byte mask instead. For 0 < slope <= 1 the output's sign
+    is the input's, except
     where slope*x underflows to -0 (at slope 0.2 the two smallest negative
     subnormals, in float32 and float64): there the backward uses scale 1,
     as at 0.
@@ -204,19 +209,21 @@ def model_backward(tape: dict, d_moved: np.ndarray, d_disp: np.ndarray) -> dict[
     g_disp[2] += d_moved * gz
 
     grads: dict[str, np.ndarray] = {}
-    cctx = tape.pop("head")
-    dx, grads["head.w"], grads["head.b"] = conv3d_backward(g_disp, cctx)
+    neg = tape["head"][0] < 0  # the last decoder block's output: the head's input
+    dx, grads["head.w"], grads["head.b"] = conv3d_backward(g_disp, tape.pop("head"))
     del g_disp
     skip_grads: list[np.ndarray | None] = [None] * n_up
     for j in reversed(range(len(tape["dec"]))):
-        neg = (cctx[0][0] if j + 1 < n_up else cctx[0]) < 0  # block j's output: the next block's (coarse) input
-        cctx = tape["dec"].pop()
         dy = leaky_relu_backward(dx, neg, slope)
         del dx, neg
+        if j:  # block j-1's output: this block's (coarse) input
+            neg = (tape["dec"][-1][0][0] if j < n_up else tape["dec"][-1][0]) < 0
         if j < n_up:
-            dx, skip_grads[n_up - 1 - j], grads[f"dec{j}.w"], grads[f"dec{j}.b"] = upconv3d_backward(dy, cctx)
+            dx, skip_grads[n_up - 1 - j], dw, db = upconv3d_backward(dy, tape["dec"].pop())
         else:
-            dx, grads[f"dec{j}.w"], grads[f"dec{j}.b"] = conv3d_backward(dy, cctx)
+            dx, dw, db = conv3d_backward(dy, tape["dec"].pop())
+        grads[f"dec{j}.w"], grads[f"dec{j}.b"] = dw, db
+        del dy
     for i in reversed(range(n_up)):
         cctx, pctx = tape["enc"].pop()
         da = maxpool3d_backward(dx, pctx)

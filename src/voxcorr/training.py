@@ -4,7 +4,8 @@ Each step draws random (scan, nominal) patch pairs from the training split,
 accumulates hand-computed gradients over the batch in a fixed element order
 and applies a bias-corrected Adam update. Validation runs on a fixed, seeded
 set of patches so the plateau-based learning-rate schedule is reproducible;
-the schedule baseline is the pre-training validation loss.
+the schedule baseline is the pre-training validation loss. The weights are
+float32 and so are Adam's moments: each moment takes the dtype of its weight.
 """
 from __future__ import annotations
 
@@ -68,13 +69,18 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 def adam_step(params: dict, grads: dict, state: dict, lr: float, t: int = 1) -> None:
     """Standard bias-corrected Adam update, in place. t counts from 1.
-    Raises TrainingError on a non-finite gradient or updated weight."""
+    Raises TrainingError on a non-finite gradient or updated weight.
+
+    The moments are allocated on a weight's first update in that weight's
+    dtype: float32 weights keep float32 moments (half the bytes of float64
+    ones, and the update is rounded to float32 anyway), float64 weights
+    float64 ones."""
     for name, p in params.items():
         g = grads[name]
         if not np.all(np.isfinite(g)):
             raise TrainingError(f"non-finite gradient in {name!r}")
         if name not in state:
-            state[name] = (np.zeros_like(p, dtype=np.float64), np.zeros_like(p, dtype=np.float64))
+            state[name] = (np.zeros_like(p), np.zeros_like(p))
         m, v = state[name]
         m *= ADAM_BETA1
         m += (1.0 - ADAM_BETA1) * g
@@ -82,7 +88,7 @@ def adam_step(params: dict, grads: dict, state: dict, lr: float, t: int = 1) -> 
         v += (1.0 - ADAM_BETA2) * (g * g)
         m_hat = m / (1.0 - ADAM_BETA1 ** t)
         v_hat = v / (1.0 - ADAM_BETA2 ** t)
-        p -= (lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)).astype(p.dtype)
+        p -= (lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)).astype(p.dtype, copy=False)
         if not np.all(np.isfinite(p)):
             raise TrainingError(f"non-finite weights in {name!r} after the update")
 
@@ -180,7 +186,13 @@ def train(
     val_batch = sample_training_batch(
         manifest, data_dir, "val", train_cfg.val_batch_size, p, val_rng, cache
     )
-    baseline = _batch_eval(params, model_cfg, val_batch, lam, window)
+    # the untrained network's validation loss without running it: init_params
+    # zeroes the head, so the field is exactly 0 and this is _batch_eval's value.
+    # The warp stays: at an axis's last voxel it lerps with fraction 1, which
+    # can miss the voxel's value by a rounding
+    zero = np.zeros((3, p, p, p), np.float32)
+    baseline = float(np.mean([total_loss(warp_array(moving, zero), fixed, zero, lam, window)[0]
+                              for moving, fixed in val_batch]))
     sched = PlateauScheduler(train_cfg, baseline)
     history = TrainHistory()
     t = 0

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from voxcorr.losses import grad_l2_loss, ncc_loss, total_loss
-from voxcorr.volume import VolumeError
+from voxcorr.losses import NCC_EPS, grad_l2_loss, ncc_loss, total_loss
+from voxcorr.volume import VolumeError, window_sums
 
 from .test_layers import fd_check
 
@@ -58,6 +58,38 @@ class TestNccLoss:
         assert l1 == pytest.approx(l2, abs=2e-3)
 
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape, window", [((12, 12, 12), 5), ((7, 9, 11), 3), ((2, 8, 8, 8), 3)])
+    def test_same_bits_as_whole_expression(self, dtype, shape, window):
+        # ncc_loss frees each intermediate after its last reader; this oracle
+        # holds every term to the end and sums the gradient as one expression
+        rng = np.random.default_rng(9)
+        a, b = rng.uniform(0, 1, (2, *shape)).astype(dtype)
+        r = window // 2
+
+        def box(x):
+            return window_sums(np.pad(x, [(0, 0)] * (x.ndim - 3) + [(r, r)] * 3), window)
+
+        af, bf = a.astype(np.float64), b.astype(np.float64)
+        n = box(np.ones(shape[-3:]))
+        sa, sb = box(af), box(bf)
+        sab, saa, sbb = box(af * bf), box(af * af), box(bf * bf)
+        cross = sab - sa * sb / n
+        var_a = saa - sa * sa / n
+        var_b = sbb - sb * sb / n
+        den = var_a * var_b + NCC_EPS
+        cc = cross * cross / den
+        alpha = 2.0 * cross / den
+        beta = cc * var_b / den
+        grad = -(
+            bf * box(alpha) - box(alpha * (sb / n)) - 2.0 * af * box(beta) + 2.0 * box(beta * (sa / n))
+        ) / cc.size
+        loss, g = ncc_loss(a, b, window)
+        assert loss == -float(cc.mean())
+        assert g.dtype == dtype
+        assert g.tobytes() == grad.astype(dtype).tobytes()
+
+
 class TestGradL2Loss:
     def test_constant_field_zero(self):
         loss, g = grad_l2_loss(np.full((3, 5, 5, 5), 2.5))
@@ -81,6 +113,26 @@ class TestGradL2Loss:
 
         _, g = grad_l2_loss(u)
         fd_check(loss, u, g, rng, rel=1e-3)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(3, 6, 7, 8), (3, 1, 4, 5), (2, 2, 2, 2)])
+    def test_same_bits_as_all_differences_at_once(self, dtype, shape):
+        # grad_l2_loss holds one axis's difference at a time; this oracle makes
+        # all three first and adds them in the same order
+        u = np.random.default_rng(10).standard_normal(shape).astype(dtype)
+        d = u.astype(np.float64)
+        views = [((slice(None),) * axis + (slice(1, None),), (slice(None),) * axis + (slice(None, -1),))
+                 for axis in (1, 2, 3)]
+        diffs = [d[hi] - d[lo] for hi, lo in views]
+        count = sum(delta.size for delta in diffs)
+        grad = np.zeros_like(d)
+        for (hi, lo), delta in zip(views, diffs):
+            grad[hi] += 2.0 * delta / count
+            grad[lo] -= 2.0 * delta / count
+        loss, g = grad_l2_loss(u)
+        assert loss == sum(float((delta * delta).sum()) for delta in diffs) / count
+        assert g.dtype == dtype
+        assert g.tobytes() == grad.astype(dtype).tobytes()
 
 
 class TestTotalLoss:

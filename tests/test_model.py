@@ -226,6 +226,43 @@ class TestModelForward:
         assert results == {t: serial[t % 2] for t in range(6)}
 
 
+class TestModelBackward:
+    @pytest.mark.skipif(sys.version_info < (3, 11),
+                        reason="before 3.11 the caller's stack holds a call's arguments until it returns")
+    def test_full_resolution_inputs_freed_before_their_input_gradient(self, monkeypatch):
+        # the head's, dec5's and dec4's contexts go to conv3d_backward off the
+        # tape: each input is gone by the time that block's input-gradient conv
+        # (layers.conv3d_forward, called from conv3d_backward) starts
+        import voxcorr.layers
+
+        params = toy_params(seed=24, dtype=np.float32)
+        moving, fixed = np.random.default_rng(24).uniform(0, 1, (2, 16, 16, 16)).astype(np.float32)
+        refs, alive = [], []
+        conv = voxcorr.layers.conv3d_forward
+
+        def probe(x, kernel, bias=None, pad=None, slope=None):
+            if refs:  # the backward's calls; the forward's upconvs call it too
+                alive.append([r() is not None for r in refs])
+            return conv(x, kernel, bias, pad, slope)
+
+        monkeypatch.setattr(voxcorr.layers, "conv3d_forward", probe)
+        runs = []
+        for hold in (True, False):
+            refs.clear()
+            alive.clear()
+            disp, moved, tape = model_forward(params, TOY, moving, fixed)
+            _, d_moved, d_disp = total_loss(moved, fixed, disp, 0.05, 3)
+            contexts = [tape["head"], tape["dec"][-1], tape["dec"][-2]]
+            refs.extend(weakref.ref(ctx[0]) for ctx in contexts)
+            if not hold:
+                del contexts
+            model_backward(tape, d_moved, d_disp)
+            runs.append(alive[:3])
+        # a context still referenced elsewhere shows its input alive to the probe
+        assert runs[0] == [[True] * 3] * 3
+        assert runs[1] == [[False, True, True], [False, False, True], [False, False, False]]
+
+
 class TestFullModelGradients:
     def test_end_to_end_gradient_check(self):
         rng = np.random.default_rng(5)

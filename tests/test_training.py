@@ -62,6 +62,29 @@ class TestAdam:
         with np.errstate(over="ignore"), pytest.raises(TrainingError, match="non-finite weights in 'w'"):
             adam_step({"w": np.ones(2, dtype=np.float32)}, {"w": np.ones(2)}, {}, lr=1e39, t=1)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_moments_take_the_weights_dtype(self, dtype):
+        state = {}
+        adam_step({"w": np.ones(3, dtype=dtype)}, {"w": np.full(3, 0.5, dtype=dtype)}, state, lr=1e-3, t=1)
+        assert [m.dtype for m in state["w"]] == [dtype, dtype]
+
+    def test_float32_moments_track_a_float64_reference(self):
+        # 20 steps on the gradient of a quadratic: float32 weights and moments
+        # stay within 1e-5 relative of the same run in float64
+        rng = np.random.default_rng(11)
+        w0 = rng.uniform(0.5, 1.5, 64)
+        target = rng.uniform(-1.0, 1.0, 64)
+        scales = rng.uniform(0.5, 2.0, 20)
+        runs = {}
+        for dtype in (np.float32, np.float64):
+            p = {"w": w0.astype(dtype)}
+            state = {}
+            for t, scale in enumerate(scales, 1):
+                adam_step(p, {"w": (p["w"] - target.astype(dtype)) * scale}, state, lr=1e-2, t=t)
+            runs[dtype] = p["w"]
+        assert runs[np.float32].dtype == np.float32
+        np.testing.assert_allclose(runs[np.float32], runs[np.float64], rtol=1e-5)
+
 
 class TestPlateauScheduler:
     def test_never_improving_sequence(self):
@@ -159,12 +182,33 @@ class TestTrain:
         for name in p1:
             assert p1[name].tobytes() == p2[name].tobytes()
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_schedule_baseline_is_the_untrained_networks_val_loss(self, tmp_path, monkeypatch, seed):
+        # train takes the baseline from the zero field, without a forward pass;
+        # it must be the value _batch_eval gives the initial weights
+        import voxcorr.training
+
+        baselines = []
+
+        class Recording(PlateauScheduler):
+            def __init__(self, cfg, baseline):
+                baselines.append(baseline)
+                super().__init__(cfg, baseline)
+
+        monkeypatch.setattr(voxcorr.training, "PlateauScheduler", Recording)
+        manifest = make_manifest(tmp_path)
+        cfg = TrainConfig(epochs=1, steps_per_epoch=1, batch_size=1, val_batch_size=3, ncc_window=5)
+        train(manifest, tmp_path, TOY, cfg, seed=seed)
+        val = sample_training_batch(manifest, tmp_path, "val", 3, TOY.patch_size, np.random.default_rng(seed + 1))
+        params = init_params(TOY, np.random.default_rng(seed), dtype=np.float32)
+        assert baselines == [voxcorr.training._batch_eval(params, TOY, val, cfg.lambda_smooth, cfg.ncc_window)]
+
     def test_nonfinite_validation_loss_rejected(self, tmp_path, monkeypatch):
         import voxcorr.training
 
         manifest = make_manifest(tmp_path)
-        losses = iter([1.0, float("nan")])  # the baseline, then epoch 1
-        monkeypatch.setattr(voxcorr.training, "_batch_eval", lambda *args: next(losses))
+        # the baseline is the zero field's loss; _batch_eval runs first at epoch 1
+        monkeypatch.setattr(voxcorr.training, "_batch_eval", lambda *args: float("nan"))
         cfg = TrainConfig(epochs=2, steps_per_epoch=2, batch_size=1, val_batch_size=1, ncc_window=5)
         with pytest.raises(TrainingError, match="non-finite validation loss at epoch 1, step 2"):
             train(manifest, tmp_path, TOY, cfg, seed=0)
