@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jsonable import Jsonable
 from .volume import DisplacementField, ScalarVolume, VolumeError, downsample2, trilinear_gather, window_sums, z_chunks
 
 
@@ -45,7 +44,7 @@ class DvcConfig:
 
 
 @dataclass
-class NodeField(Jsonable):
+class NodeField:
     lattice_dims: tuple[int, int, int]   # nodes per axis (x, y, z)
     positions: np.ndarray                # [n, 3] as (x, y, z), z-major order
     displacements: np.ndarray            # [n, 3] voxels

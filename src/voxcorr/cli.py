@@ -3,7 +3,7 @@
 
 Each command runs exactly one stage, reads/writes artifacts under the
 workspace and appends one JSON line to <workspace>/run_log.jsonl: timestamp,
-stage, the resolved `config` (RunConfig.to_json()), the handler `args` given
+stage, the resolved `config` (to_json of the RunConfig), the handler `args` given
 (sample, stride, method), `params` (results the config does not hold, such as
 baseline's node statistics), duration_sec, peak_rss_mib, the process's
 peak resident memory so far (ru_maxrss) at the end of the stage, and
@@ -27,6 +27,7 @@ checkpoint.vmck and history.json from train; registered/<id>/ and
 baseline/<id>/ (METHODS), where register and baseline write moved.vvol (the
 scan warped by the field), disp.vvol and a JSON record; reports/<id>/<method>/
 from evaluate, which binarizes each volume once for metrics and figures.
+jsonable.write_json is the one writer of these JSON side files.
 
 Exit codes: 0 success; 2 validation failure (bad flags; a config file that is
 missing, malformed or has an unknown key, a wrong type or a non-finite number;
@@ -68,7 +69,7 @@ import numpy as np
 from .baseline import build_node_grid, multiscale_dvc
 from .config import RunConfig
 from .inference import sliding_register
-from .jsonable import decode, read_json, to_json
+from .jsonable import decode, read_json, to_json, write_json
 from .metrics import evaluate_pair
 from .figures import export_bdm_slices, export_displacement_magnitude, export_overlay_slices
 from .model import CheckpointError, checkpoint_load, checkpoint_save
@@ -240,7 +241,7 @@ def _log_run(cfg: RunConfig, stage: str, args: dict, params: dict, duration: flo
     line = {
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "stage": stage,
-        "config": cfg.to_json(),
+        "config": to_json(cfg),
         "args": args,
         "params": params,
         "duration_sec": duration,
@@ -273,8 +274,7 @@ def cmd_generate(cfg: RunConfig) -> dict:
         specs = {"tpms": cfg.tpms, "deform": cfg.deform, "degrade": cfg.degrade,
                  "plate_voxels": cfg.plate_voxels, "marker_spheres": cfg.marker_spheres}
         seeds = {"deform": seed, "degrade": seed + 1}
-        sidecar = to_json({"id": sid, "c_param": c, "specs": specs, "seeds": seeds})
-        (cad_path.parent / "sample.json").write_text(json.dumps(sidecar, indent=2, sort_keys=True))
+        write_json(cad_path.parent / "sample.json", {"id": sid, "c_param": c, "specs": specs, "seeds": seeds})
         nx, ny, nz = cad.dims
         print(f"{sid}: dims {nx}x{ny}x{nz}, solid {cad.mask.mean():.1%}, max |gt| {np.abs(gt.data).max():.2f} vox")
         del cad, xct, gt  # written: the next sample need not share the peak with this one
@@ -303,7 +303,7 @@ def cmd_train(cfg: RunConfig) -> dict:
     ckpt.parent.mkdir(parents=True, exist_ok=True)
     checkpoint_save(params, cfg.model, ckpt)
     hist_path = Path(cfg.workspace) / "history.json"
-    hist_path.write_text(json.dumps(history.to_json(), indent=2))
+    write_json(hist_path, history)
     print(f"checkpoint: {ckpt}")
     print(f"history: {hist_path}")
     return {}
@@ -348,7 +348,7 @@ def _write_registration(
     odir.mkdir(parents=True, exist_ok=True)
     vvol_write(odir / "moved.vvol", moved)
     vvol_write(odir / "disp.vvol", disp)
-    (odir / METHODS[method][1]).write_text(json.dumps({"sample_id": sample_id, **record}, indent=2))
+    write_json(odir / METHODS[method][1], {"sample_id": sample_id, **record})
     return odir
 
 
@@ -392,9 +392,9 @@ def cmd_baseline(cfg: RunConfig, sample: str | None = None) -> dict:
         disp, nodes = multiscale_dvc(moving, fixed, cfg.dvc)
         moved = warp(moving, disp)
         runtime = time.perf_counter() - t_reg
-        record = {"runtime_sec": runtime, "dvc": to_json(cfg.dvc)}
+        record = {"runtime_sec": runtime, "dvc": cfg.dvc}
         odir = _write_registration(cfg, "baseline", sid, moved, disp, record)
-        (odir / "nodes.json").write_text(json.dumps(nodes.to_json(), indent=2))
+        write_json(odir / "nodes.json", nodes)
         valid_pct = 100.0 * nodes.valid.mean()
         samples.append({
             "sample": sid,
@@ -447,7 +447,7 @@ def _evaluate_method(
     )
     rdir = Path(cfg.workspace) / "reports" / sid / method
     rdir.mkdir(parents=True, exist_ok=True)
-    (rdir / "report.json").write_text(json.dumps(report.to_json(), indent=2))
+    write_json(rdir / "report.json", report)
     export_overlay_slices(cad_bin, xct, xct_bin, rdir, prefix="overlay_before")
     export_overlay_slices(cad_bin, moved, moved_bin, rdir, prefix="overlay_after")
     export_bdm_slices(map_before, rdir, prefix="bdm_before")
@@ -463,7 +463,7 @@ def _evaluate_method(
 
 def cmd_info(cfg: RunConfig) -> None:
     """print the resolved config and workspace artifacts"""
-    print(json.dumps(cfg.to_json(), indent=2, sort_keys=True))
+    print(json.dumps(to_json(cfg), indent=2, sort_keys=True))
     ws = Path(cfg.workspace)
     artifacts = {
         "raw samples": sorted(p.parent.name for p in ws.glob("raw/*/sample.json")),

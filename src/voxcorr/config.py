@@ -12,12 +12,11 @@ decode, so the checks, the marker bounds among them, see the resolved settings.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .baseline import DvcConfig
-from .jsonable import Jsonable, from_json
+from .jsonable import from_json, write_json
 from .model import ModelConfig
 from .preprocess import MIN_GRID, CleanSpec
 from .tpms import DeformSpec, DegradeSpec, TpmsSpec, check_markers
@@ -28,7 +27,7 @@ PAPER_C_SWEEP = (0.0, -0.1, -0.2, -0.3, -0.4, -0.5, -0.6)
 
 
 @dataclass(frozen=True)
-class RunConfig(Jsonable):
+class RunConfig:
     workspace: str = "workspace"
     manifest: str | None = None         # default: <workspace>/dataset/manifest.json
     checkpoint: str | None = None       # default: <workspace>/checkpoint.vmck
@@ -69,5 +68,5 @@ class RunConfig(Jsonable):
         return from_json(cls, d, base=cls())
 
     def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_json(), indent=2, sort_keys=True))
+        write_json(path, self)
 

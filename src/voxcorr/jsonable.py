@@ -1,12 +1,13 @@
 """JSON side files and the (de)serialisation of the package's config, manifest
 and report dataclasses.
 
-`read_json` is the one parser of a JSON side file. `to_json` turns a dataclass
-into plain JSON values. `from_json` rebuilds one from its field type hints; a
-wrong type or an unknown key is a VolumeError that names the key. With a
-`base` instance, keys the document leaves out, at any depth, keep the base's
-values; without one, every key is required. `decode` checks one value against
-a type hint, and is the one check of JSON numbers: NaN and infinities fail it.
+`write_json` is the one writer of a JSON side file (indent 2, sorted keys) and
+`read_json` the one parser. `to_json` turns a dataclass into plain JSON values.
+`from_json` rebuilds one from its field type hints; a wrong type or an unknown
+key is a VolumeError that names the key. With a `base` instance, keys the
+document leaves out, at any depth, keep the base's values; without one, every
+key is required. `decode` checks one value against a type hint, and is the one
+check of JSON numbers: NaN and infinities fail it.
 """
 from __future__ import annotations
 
@@ -21,15 +22,9 @@ import numpy as np
 from .volume import VolumeError
 
 
-class Jsonable:
-    """Mixin giving a dataclass to_json() and a strict from_json()."""
-
-    def to_json(self) -> dict:
-        return to_json(self)
-
-    @classmethod
-    def from_json(cls, d: dict):
-        return from_json(cls, d)
+def write_json(path, obj) -> None:
+    """Write to_json(obj) to `path` as JSON, indented by 2 with sorted keys."""
+    Path(path).write_text(json.dumps(to_json(obj), indent=2, sort_keys=True))
 
 
 def read_json(path) -> dict:

@@ -1,52 +1,46 @@
 """Registration quality metrics: Dice overlap, binary difference maps (BDM)
 with the report's shares of each BDM value, and endpoint error against
 synthetic ground truth, on masks that the caller binarizes once per volume
-and shares with the figure exports."""
+and shares with the figure exports. Dice and BDM share one count: bdm counts
+the missing, match and excess voxels once and derives both from them."""
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .jsonable import Jsonable
 from .volume import BinaryVolume, DisplacementField, VolumeError, z_chunks
 
 # int8 sentinel marking voxels outside the foreground union in a BDM map
 BDM_OUTSIDE = np.int8(127)
 
 
-def dice(a: BinaryVolume, b: BinaryVolume) -> float:
-    """Dice overlap in percent; two empty masks count as perfect agreement."""
-    if a.mask.shape != b.mask.shape:
-        raise VolumeError(f"dims mismatch: {a.dims} vs {b.dims}")
-    na, nb = a.count(), b.count()
-    if na + nb == 0:
-        return 100.0
-    inter = int((a.mask & b.mask).sum())
-    return 100.0 * 2.0 * inter / (na + nb)
-
-
-def bdm(xct_bin: BinaryVolume, cad_bin: BinaryVolume) -> tuple[np.ndarray, dict]:
-    """(map, shares) of the difference scan - nominal on the foreground union.
+def bdm(xct_bin: BinaryVolume, cad_bin: BinaryVolume) -> tuple[np.ndarray, dict, float]:
+    """(map, shares, dice) of the difference scan - nominal on the foreground union.
 
     map values: -1 material missing in the scan, 0 match, +1 excess material;
     BDM_OUTSIDE elsewhere. shares: the percentage of the union voxel count
-    taken by each value, keyed "minus1", "zero" and "plus1".
+    taken by each value, keyed "minus1", "zero" and "plus1". dice: the Dice
+    overlap of the two masks in percent, from the same three counts.
     """
     scan, nominal = xct_bin.mask, cad_bin.mask
     if scan.shape != nominal.shape:
         raise VolumeError(f"dims mismatch: {xct_bin.dims} vs {cad_bin.dims}")
-    union = scan | nominal
-    n_union = np.count_nonzero(union)
+    n_minus = np.count_nonzero(nominal & ~scan)
+    n_zero = np.count_nonzero(nominal & scan)
+    n_plus = np.count_nonzero(scan & ~nominal)
+    n_union = n_minus + n_zero + n_plus
     if n_union == 0:
         raise VolumeError("empty union: nothing to compare")
-    out = np.where(union, scan.astype(np.int8) - nominal, BDM_OUTSIDE)
+    out = np.where(scan | nominal, scan.astype(np.int8) - nominal, BDM_OUTSIDE)
     shares = {
-        "minus1": 100.0 * np.count_nonzero(nominal & ~scan) / n_union,
-        "zero": 100.0 * np.count_nonzero(nominal & scan) / n_union,
-        "plus1": 100.0 * np.count_nonzero(scan & ~nominal) / n_union,
+        "minus1": 100.0 * n_minus / n_union,
+        "zero": 100.0 * n_zero / n_union,
+        "plus1": 100.0 * n_plus / n_union,
     }
-    return out, shares
+    # |scan| + |nominal|, each counted as its match plus its own excess
+    dice = 100.0 * 2.0 * n_zero / ((n_zero + n_plus) + (n_zero + n_minus))
+    return out, shares, dice
 
 
 def squared_norm(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
@@ -88,7 +82,7 @@ def endpoint_error(
 
 
 @dataclass
-class EvalReport(Jsonable):
+class EvalReport:
     sample_id: str
     method: str
     dice_before_pct: float
@@ -122,13 +116,13 @@ def evaluate_pair(
     mean_epe = max_epe = None
     if gt_disp is not None:  # first, so the two int8 maps are not held beside its float64 errors
         mean_epe, max_epe = endpoint_error(disp, gt_disp, cad_bin)
-    map_before, bdm_before = bdm(xct_bin, cad_bin)
-    map_after, bdm_after = bdm(moved_bin, cad_bin)
+    map_before, bdm_before, dice_before = bdm(xct_bin, cad_bin)
+    map_after, bdm_after, dice_after = bdm(moved_bin, cad_bin)
     report = EvalReport(
         sample_id=sample_id,
         method=method,
-        dice_before_pct=dice(xct_bin, cad_bin),
-        dice_after_pct=dice(moved_bin, cad_bin),
+        dice_before_pct=dice_before,
+        dice_after_pct=dice_after,
         bdm_before=bdm_before,
         bdm_after=bdm_after,
         mean_epe_vox=mean_epe,

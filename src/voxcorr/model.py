@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jsonable import Jsonable
+from .jsonable import from_json, to_json
 from .layers import (
     conv3d_backward,
     conv3d_forward,
@@ -46,7 +46,7 @@ from .vvol import VvolError, read_raw, write_raw
 
 
 @dataclass(frozen=True)
-class ModelConfig(Jsonable):
+class ModelConfig:
     enc_features: tuple[int, ...] = (32, 32, 32, 32)
     dec_features: tuple[int, ...] = (32, 32, 32, 32, 32, 16)
     kernel_size: int = 3
@@ -251,7 +251,7 @@ def checkpoint_save(params: dict, cfg: ModelConfig, path) -> None:
     in param_shapes order, concatenated into one float32 row."""
     _check_params(params, cfg)
     flat = np.concatenate([params[name].ravel() for name in param_shapes(cfg)], dtype=np.float32)
-    write_raw(path, flat.reshape(1, 1, -1), meta=cfg.to_json())
+    write_raw(path, flat.reshape(1, 1, -1), meta=to_json(cfg))
 
 
 def checkpoint_load(path) -> tuple[dict[str, np.ndarray], ModelConfig]:
@@ -260,7 +260,7 @@ def checkpoint_load(path) -> tuple[dict[str, np.ndarray], ModelConfig]:
     is not the config's parameter count, or non-finite weights."""
     try:
         data, _, meta = read_raw(path)
-        cfg = ModelConfig.from_json(meta)
+        cfg = from_json(ModelConfig, meta)
     except VvolError as e:
         raise CheckpointError(str(e)) from e
     except VolumeError as e:

@@ -15,16 +15,16 @@ folder.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
-from .jsonable import Jsonable, decode, from_json, read_json, to_json
+from .jsonable import decode, from_json, read_json, write_json
 from .volume import (
     BLOCK, BinaryVolume, DisplacementField, IVec3, ScalarVolume, VolumeError, crop_or_pad, minmax_normalize,
+    shift_into,
 )
 from .vvol import vvol_read, vvol_write
 
@@ -109,17 +109,17 @@ def _bin_indices(v: np.ndarray, edges: np.ndarray) -> np.ndarray:
 
 
 def morph_op(bin_vol: BinaryVolume, op: str, radius: int, connectivity: int = 6) -> BinaryVolume:
-    """Erode/dilate/open/close with an r-ball structuring element (Manhattan
-    metric for 6-connectivity, Chebyshev for 26). Radius 0 is the identity.
+    """Erode/dilate/open with an r-ball structuring element (Manhattan metric
+    for 6-connectivity, Chebyshev for 26). Radius 0 is the identity.
 
     The domain border is neutral: erosion treats the outside as solid and
-    dilation as empty, so open(X) <= X <= close(X) holds on the full grid.
+    dilation as empty, so open(X) <= X holds on the full grid.
     """
     if radius < 0:
         raise VolumeError("radius must be >= 0")
     if connectivity not in _STRUCTURES:
         raise VolumeError(f"connectivity must be 6 or 26, got {connectivity}")
-    if op not in ("erode", "dilate", "open", "close"):
+    if op not in ("erode", "dilate", "open"):
         raise VolumeError(f"unknown morphology op {op!r}")
     if radius == 0:
         return BinaryVolume(bin_vol.mask.copy(), bin_vol.voxel_size)
@@ -138,10 +138,8 @@ def morph_op(bin_vol: BinaryVolume, op: str, radius: int, connectivity: int = 6)
         out = erode(m)
     elif op == "dilate":
         out = dilate(m)
-    elif op == "open":
-        out = dilate(erode(m))
     else:
-        out = erode(dilate(m))
+        out = dilate(erode(m))
     return BinaryVolume(out, bin_vol.voxel_size)
 
 
@@ -188,20 +186,6 @@ def clean_xct(vol: ScalarVolume, spec: CleanSpec) -> tuple[ScalarVolume, BinaryV
     return ScalarVolume(gray.astype(vol.data.dtype, copy=False), vol.voxel_size), m
 
 
-def translate_int(vol: ScalarVolume, shift: IVec3, fill: float) -> ScalarVolume:
-    """Shift content by integer (sx, sy, sz): out(x) = in(x - shift)."""
-    sx, sy, sz = (int(s) for s in shift)
-    out = np.full_like(vol.data, fill)
-    nz, ny, nx = vol.data.shape
-
-    def spans(n, s):
-        return (slice(max(s, 0), min(n + s, n)), slice(max(-s, 0), min(n - s, n)))
-
-    (dz, sz_), (dy, sy_), (dx, sx_) = spans(nz, sz), spans(ny, sy), spans(nx, sx)
-    out[dz, dy, dx] = vol.data[sz_, sy_, sx_]
-    return ScalarVolume(out, vol.voxel_size)
-
-
 def foreground_centroid(vol: ScalarVolume) -> np.ndarray:
     """Otsu-foreground centroid as (x, y, z)."""
     _, b = otsu_threshold(vol)
@@ -215,7 +199,7 @@ def coarse_align(moving: ScalarVolume, fixed: ScalarVolume) -> tuple[ScalarVolum
     """Integer translation bringing the moving foreground centroid onto the
     fixed one; fill is the moving minimum. Returns (aligned, shift)."""
     shift = np.rint(foreground_centroid(fixed) - foreground_centroid(moving)).astype(int)
-    aligned = translate_int(moving, tuple(shift), float(moving.data.min()))
+    aligned = shift_into(moving, moving.dims, shift, float(moving.data.min()))
     return aligned, (int(shift[0]), int(shift[1]), int(shift[2]))
 
 
@@ -233,7 +217,7 @@ class SampleEntry:
 
 
 @dataclass
-class DatasetManifest(Jsonable):
+class DatasetManifest:
     samples: list[SampleEntry]
     target_dims: IVec3
     created_at: str = ""
@@ -245,9 +229,6 @@ class DatasetManifest(Jsonable):
 
     def split(self, name: str) -> list[SampleEntry]:
         return [s for s in self.samples if s.split == name]
-
-    def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_json(), indent=2))
 
     @classmethod
     def load(cls, path) -> "DatasetManifest":
@@ -317,7 +298,7 @@ def build_dataset(
         target_dims=tuple(int(t) for t in target_dims),
         created_at=datetime.now(timezone.utc).isoformat(),
     )
-    manifest.save(manifest_path)
+    write_json(manifest_path, manifest)
     return manifest
 
 
@@ -350,9 +331,9 @@ def _preprocess_sample(
     sidecar = {
         "id": sid,
         "c_param": c,
-        "clean": to_json(clean_spec),
+        "clean": clean_spec,
         "coarse_shift": list(shift),
         "target_dims": list(target_dims),
     }
-    (cad_out.parent / "preprocess.json").write_text(json.dumps(sidecar, indent=2, sort_keys=True))
+    write_json(cad_out.parent / "preprocess.json", sidecar)
     return target_dims

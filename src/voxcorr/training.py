@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .jsonable import Jsonable
 from .losses import total_loss
 from .model import ModelConfig, init_params, model_backward, model_forward
 from .preprocess import DatasetManifest, sample_paths
@@ -56,7 +55,7 @@ class TrainConfig:
 
 
 @dataclass
-class TrainHistory(Jsonable):
+class TrainHistory:
     train_loss: list[float] = field(default_factory=list)
     val_loss: list[float] = field(default_factory=list)
     lr: list[float] = field(default_factory=list)

@@ -183,9 +183,6 @@ class BinaryVolume:
         nz, ny, nx = self.mask.shape
         return (nx, ny, nz)
 
-    def count(self) -> int:
-        return int(self.mask.sum())
-
 
 @dataclass(frozen=True)
 class DisplacementField:
@@ -433,6 +430,23 @@ def minmax_normalize(vol: ScalarVolume) -> ScalarVolume:
     return ScalarVolume(out, vol.voxel_size)
 
 
+def shift_into(vol: ScalarVolume | DisplacementField, target_dims: IVec3, offset: IVec3, fill: float = 0.0):
+    """A new volume of the input's type on a (tx, ty, tz) grid, with out[x + offset]
+    = in[x] where both voxels are on their grids and `fill` elsewhere; offset is
+    (ox, oy, oz), and a displacement field's channels are shifted alike."""
+    src = vol.data
+    shape = tuple(int(t) for t in reversed(target_dims))  # (tz, ty, tx)
+    out = np.full(src.shape[:-3] + shape, fill, dtype=src.dtype)
+    dst_s, src_s = [], []
+    for n, t, o in zip(src.shape[-3:], shape, (int(o) for o in reversed(offset))):
+        lo = max(o, 0)
+        hi = max(lo, min(n + o, t))  # [lo, hi) is the destination span, empty off the grid
+        dst_s.append(slice(lo, hi))
+        src_s.append(slice(lo - o, hi - o))
+    out[(..., *dst_s)] = src[(..., *src_s)]
+    return type(vol)(out, vol.voxel_size)
+
+
 def crop_or_pad(vol: ScalarVolume | DisplacementField, target_dims: IVec3, fill: float = 0.0):
     """Center-crop axes that are too large, pad symmetrically (extra voxel on the
     high side) where too small. target_dims is (nx, ny, nz); a displacement
@@ -441,18 +455,7 @@ def crop_or_pad(vol: ScalarVolume | DisplacementField, target_dims: IVec3, fill:
     tx, ty, tz = (int(t) for t in target_dims)
     if min(tx, ty, tz) < 1:
         raise VolumeError(f"target dims must be positive, got {target_dims}")
-    src = vol.data
-    if src.shape[-3:] == (tz, ty, tx):
+    if vol.dims == (tx, ty, tz):
         return vol
-    out = np.full(src.shape[:-3] + (tz, ty, tx), fill, dtype=src.dtype)
-
-    def spans(n: int, t: int) -> tuple[slice, slice]:
-        if n >= t:  # crop: keep the central t, favouring the low side on odd excess
-            s = (n - t) // 2
-            return slice(s, s + t), slice(0, t)
-        p = (t - n) // 2
-        return slice(0, n), slice(p, p + n)
-
-    (sz, dz), (sy, dy), (sx, dx) = (spans(n, t) for n, t in zip(src.shape[-3:], (tz, ty, tx)))
-    out[..., dz, dy, dx] = src[..., sz, sy, sx]
-    return type(vol)(out, vol.voxel_size)
+    # (t - n) / 2 rounded toward zero: an odd crop keeps the low side, an odd pad grows high
+    return shift_into(vol, (tx, ty, tz), tuple(int((t - n) / 2) for n, t in zip(vol.dims, (tx, ty, tz))), fill)

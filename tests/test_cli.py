@@ -17,6 +17,7 @@ import voxcorr.cli
 import voxcorr.training
 from voxcorr.cli import FLAGS, METHODS, _build_parser, _resolve_config, main
 from voxcorr.config import RunConfig
+from voxcorr.jsonable import read_json, to_json
 from voxcorr.model import ModelConfig, checkpoint_save, init_params
 from voxcorr.preprocess import assign_splits, otsu_threshold
 from voxcorr.volume import DisplacementField, warp
@@ -470,6 +471,25 @@ class TestMovedWorkspace:
             assert (tmp_path / "b" / "moved" / "reports" / "c-0.6" / method / "report.json").exists()
 
 
+class TestJsonSideFiles:
+    def test_every_side_file_has_the_one_format(self, workspace, tmp_path):
+        # generate, preprocess and train ran in the fixture; the copy runs the rest
+        ws = tmp_path / "ws"
+        shutil.copytree(workspace, ws)
+        assert main(["register", "--workspace", str(ws)]) == 0
+        assert main(["baseline", "--workspace", str(ws), "--node-spacing", "8", "--window-halfsize", "5",
+                     "--search-radius", "3", "--levels", "1"]) == 0
+        assert main(["evaluate", "--workspace", str(ws), "--method", "both"]) == 0
+        RunConfig(workspace=str(ws), seed=3).save(ws / "run.json")
+        paths = sorted(ws.rglob("*.json"))
+        assert {p.name for p in paths} == {
+            "sample.json", "preprocess.json", "manifest.json", "history.json", "register.json",
+            "baseline.json", "nodes.json", "report.json", "run.json",
+        }
+        for p in paths:
+            assert p.read_text() == json.dumps(read_json(p), indent=2, sort_keys=True), p
+
+
 class TestCliSurface:
     @pytest.mark.parametrize(
         "cmd", ["generate", "preprocess", "train", "register", "baseline", "evaluate", "info"]
@@ -513,7 +533,7 @@ class TestCliSurface:
             assert set(record) == {"timestamp", "stage", "config", "args", "params", "duration_sec", "peak_rss_mib",
                                    "versions"}
             cfg = RunConfig.from_json(record["config"])
-            assert cfg.to_json() == record["config"] and cfg.workspace == str(workspace)
+            assert to_json(cfg) == record["config"] and cfg.workspace == str(workspace)
         generate = next(r for r in records if r["stage"] == "generate")
         assert generate["config"]["seed"] == 3 and generate["config"]["c_values"] == [0.0, -0.3, -0.6]
         train = next(r for r in records if r["stage"] == "train")
@@ -549,7 +569,7 @@ class TestCliSurface:
         cfg.save(cpath)
         loaded = _resolve_config(_build_parser().parse_args(["info", "--config", str(cpath)]))
         assert loaded.seed == 9
-        assert loaded.to_json() == cfg.to_json()
+        assert to_json(loaded) == to_json(cfg)
 
     @pytest.mark.parametrize(
         "section, partial",
@@ -778,6 +798,6 @@ def _flatten(d, prefix=""):
 def test_flag_sets_exactly_its_config_paths(flag, cmd):
     args = _build_parser().parse_args([cmd, flag.name, FLAG_VALUES[flag.name]])
     assert getattr(args, flag.dest) is not None
-    before = _flatten(RunConfig().to_json())
-    after = _flatten(_resolve_config(args).to_json())
+    before = _flatten(to_json(RunConfig()))
+    after = _flatten(to_json(_resolve_config(args)))
     assert {k for k in before if before[k] != after[k]} == {flag.path} - {None}

@@ -86,7 +86,7 @@ class TestOverlay:
 class TestBdmSlices:
     def test_all_match_is_white(self, tmp_path):
         m = box_volume().data > 0.5
-        bdm_map, _ = bdm(BinaryVolume(m), BinaryVolume(m))
+        bdm_map, _, _ = bdm(BinaryVolume(m), BinaryVolume(m))
         paths = export_bdm_slices(bdm_map, tmp_path)
         img = read_pnm(paths[0])
         union = central_slice_union = (img == 255).all(axis=2)
@@ -100,7 +100,7 @@ class TestBdmSlices:
         cad[2:7, 2:7, 2:7] = True
         xct = cad.copy()
         xct[4, 4, 8] = True  # +1 voxel on the central xz/yz slices
-        bdm_map, _ = bdm(BinaryVolume(xct), BinaryVolume(cad))
+        bdm_map, _, _ = bdm(BinaryVolume(xct), BinaryVolume(cad))
         paths = export_bdm_slices(bdm_map, tmp_path)
         xz = read_pnm(paths[0]).astype(int)
         red = (xz[..., 0] == 255) & (xz[..., 1] == 0) & (xz[..., 2] == 0)
@@ -113,7 +113,7 @@ class TestBdmSlices:
         xct = rng.random((1, 16, 16)) > 0.5
         if not (cad | xct).any():
             cad[0, 0, 0] = True
-        bdm_map, shares = bdm(BinaryVolume(xct), BinaryVolume(cad))
+        bdm_map, shares, _ = bdm(BinaryVolume(xct), BinaryVolume(cad))
         paths = export_bdm_slices(bdm_map, tmp_path, prefix="hist")
         xy = read_pnm(paths[2]).astype(int)
         n_union = int((bdm_map != BDM_OUTSIDE).sum())

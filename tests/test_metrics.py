@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from voxcorr import volume
-from voxcorr.metrics import BDM_OUTSIDE, bdm, dice, endpoint_error, evaluate_pair, squared_norm
+from voxcorr.jsonable import to_json
+from voxcorr.metrics import BDM_OUTSIDE, bdm, endpoint_error, evaluate_pair, squared_norm
 from voxcorr.preprocess import otsu_threshold
 from voxcorr.volume import BinaryVolume, DisplacementField, ScalarVolume, VolumeError
 
@@ -22,42 +23,61 @@ def random_mask_pair(seed, shape=(6, 6, 6), p=0.4):
     return mask_of(a), mask_of(b)
 
 
+def dice_of(a, b):
+    return bdm(a, b)[2]
+
+
+def set_count_dice(a, b):
+    """Dice in percent from the two masks' own counts."""
+    return 100.0 * 2.0 * np.count_nonzero(a.mask & b.mask) / (np.count_nonzero(a.mask) + np.count_nonzero(b.mask))
+
+
 class TestDice:
     def test_identical_masks(self):
         a, _ = random_mask_pair(0)
-        assert dice(a, a) == 100.0
+        assert dice_of(a, a) == 100.0
 
     def test_disjoint_masks(self):
         a = np.zeros((4, 4, 4), bool)
         b = np.zeros((4, 4, 4), bool)
         a[0, 0, 0] = True
         b[3, 3, 3] = True
-        assert dice(mask_of(a), mask_of(b)) == 0.0
+        assert dice_of(mask_of(a), mask_of(b)) == 0.0
 
     def test_hand_arithmetic(self):
         a = np.zeros((4, 4, 4), bool)
         b = np.zeros((4, 4, 4), bool)
         a.ravel()[:8] = True
         b.ravel()[4:12] = True
-        assert dice(mask_of(a), mask_of(b)) == pytest.approx(50.0)
-
-    def test_both_empty_is_perfect(self):
-        e = mask_of(np.zeros((3, 3, 3), bool))
-        assert dice(e, e) == 100.0
+        assert dice_of(mask_of(a), mask_of(b)) == pytest.approx(50.0)
 
     def test_symmetry(self):
         a, b = random_mask_pair(1)
-        assert dice(a, b) == dice(b, a)
+        assert dice_of(a, b) == dice_of(b, a)
 
     def test_dims_mismatch(self):
         with pytest.raises(VolumeError):
-            dice(mask_of(np.zeros((3, 3, 3), bool)), mask_of(np.zeros((4, 4, 4), bool)))
+            bdm(mask_of(np.zeros((3, 3, 3), bool)), mask_of(np.zeros((4, 4, 4), bool)))
+
+    def test_equals_the_set_count(self):
+        # exact: the BDM counts add up to the same integers as |A| + |B|
+        for seed in range(100):
+            a, b = random_mask_pair(seed, shape=(5, 7, 6), p=0.1 + 0.8 * (seed % 5) / 4)
+            assert dice_of(a, b) == set_count_dice(a, b)
+            assert dice_of(b, a) == set_count_dice(b, a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 31), p=st.floats(0.01, 0.99))
+def test_dice_equals_the_set_count_property(seed, p):
+    a, b = random_mask_pair(seed, p=p)
+    assert dice_of(a, b) == set_count_dice(a, b)
 
 
 class TestBdm:
     def test_identical_masks(self):
         a, _ = random_mask_pair(2)
-        _, shares = bdm(a, a)
+        _, shares, _ = bdm(a, a)
         assert shares == {"minus1": 0.0, "zero": 100.0, "plus1": 0.0}
 
     def test_hand_arithmetic(self):
@@ -65,19 +85,19 @@ class TestBdm:
         cad.ravel()[:8] = True
         xct = cad.copy()
         xct.ravel()[8:10] = True
-        _, shares = bdm(mask_of(xct), mask_of(cad))
+        _, shares, _ = bdm(mask_of(xct), mask_of(cad))
         assert shares == pytest.approx({"minus1": 0.0, "zero": 80.0, "plus1": 20.0})
 
     def test_percentages_partition_union(self):
         for seed in range(50):
             a, b = random_mask_pair(seed)
-            _, shares = bdm(a, b)
+            _, shares, _ = bdm(a, b)
             assert abs(sum(shares.values()) - 100.0) <= 1e-9
 
     def test_antisymmetry(self):
         a, b = random_mask_pair(3)
-        map1, shares1 = bdm(a, b)
-        map2, shares2 = bdm(b, a)
+        map1, shares1, _ = bdm(a, b)
+        map2, shares2, _ = bdm(b, a)
         assert shares1["plus1"] == shares2["minus1"]
         assert shares1["minus1"] == shares2["plus1"]
         u = map1 != BDM_OUTSIDE
@@ -86,7 +106,7 @@ class TestBdm:
 
     def test_outside_is_sentinel_only(self):
         a, b = random_mask_pair(4)
-        bdm_map, _ = bdm(a, b)
+        bdm_map, _, _ = bdm(a, b)
         assert bdm_map.dtype == np.int8
         np.testing.assert_array_equal(bdm_map != BDM_OUTSIDE, a.mask | b.mask)
         assert np.all(np.isin(bdm_map[a.mask | b.mask], (-1, 0, 1)))
@@ -103,10 +123,10 @@ class TestBdm:
             a, b = random_mask_pair(seed, p=0.3 + 0.4 * (seed % 3) / 2)
             inter = int((a.mask & b.mask).sum())
             union = int((a.mask | b.mask).sum())
-            _, shares = bdm(a, b)
+            _, shares, _ = bdm(a, b)
             assert shares["zero"] == pytest.approx(100.0 * inter / union, abs=1e-12)
             j = shares["zero"] / 100.0
-            assert dice(a, b) == pytest.approx(200.0 * j / (1.0 + j), abs=1e-9)
+            assert dice_of(a, b) == pytest.approx(200.0 * j / (1.0 + j), abs=1e-9)
 
 
 class TestEndpointError:
@@ -202,7 +222,7 @@ class TestEvaluatePair:
         cad, xct = self._pair()
         disp = DisplacementField(np.zeros((3, 12, 12, 12), dtype=np.float32))
         report, _, _ = evaluate_pair(cad, xct, cad, disp, sample_id="s", method="learned", runtime_sec=1.5)
-        d = report.to_json()
+        d = to_json(report)
         assert set(d) == {
             "sample_id", "method", "dice_before_pct", "dice_after_pct",
             "bdm_before", "bdm_after", "mean_epe_vox", "max_epe_vox", "runtime_sec",
@@ -215,7 +235,7 @@ class TestEvaluatePair:
 @given(seed=st.integers(0, 2 ** 31), p=st.floats(0.1, 0.9))
 def test_metric_identities_property(seed, p):
     a, b = random_mask_pair(seed, p=p)
-    _, shares = bdm(a, b)
+    _, shares, _ = bdm(a, b)
     assert abs(sum(shares.values()) - 100.0) <= 1e-9
     j = shares["zero"] / 100.0
-    assert dice(a, b) == pytest.approx(200.0 * j / (1.0 + j), abs=1e-9)
+    assert dice_of(a, b) == pytest.approx(200.0 * j / (1.0 + j), abs=1e-9)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import voxcorr.model
+from voxcorr.jsonable import from_json, to_json
 from voxcorr.layers import conv3d_forward, upconv3d_forward, upsample3d_forward
 from voxcorr.losses import total_loss
 from voxcorr.model import (
@@ -76,7 +77,7 @@ class TestModelConfig:
 
     def test_json_roundtrip(self):
         cfg = ModelConfig(enc_features=(4, 4, 4, 4), dec_features=(4, 4, 4, 4, 4, 2), patch_size=32)
-        assert ModelConfig.from_json(cfg.to_json()) == cfg
+        assert from_json(ModelConfig, to_json(cfg)) == cfg
 
 
 class TestModelForward:
@@ -312,7 +313,7 @@ class TestCheckpoint:
             assert loaded[name].tobytes() == params[name].tobytes()
         data, _, meta = read_raw(p)  # one row of every tensor, the config as metadata
         assert data.shape == (1, 1, 1, sum(math.prod(s) for s in param_shapes(TOY).values()))
-        assert meta == TOY.to_json()
+        assert meta == to_json(TOY)
 
     def test_truncated_rejected(self, tmp_path):
         rng = np.random.default_rng(8)
@@ -387,7 +388,7 @@ class TestCheckpoint:
              "slope-0", "slope-negative", "zero-features"],
     )
     def test_invalid_embedded_config_rejected(self, tmp_path, edit):
-        cfg = TOY.to_json()
+        cfg = to_json(TOY)
         edit(cfg)
         p = tmp_path / "m.vmck"
         write_raw(p, np.zeros((1, 1, 1), dtype=np.float32), meta=cfg)
@@ -399,6 +400,6 @@ class TestCheckpoint:
         checkpoint_save(init_params(TOY, np.random.default_rng(9)), TOY, p)
         data, _, _ = read_raw(p)
         other = replace(TOY, dec_features=(2, 2, 2, 2, 2, 4))  # the same payload, another architecture
-        write_raw(p, data, meta=other.to_json())
+        write_raw(p, data, meta=to_json(other))
         with pytest.raises(CheckpointError, match=f"payload has {data.size} values"):
             checkpoint_load(p)

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from voxcorr.jsonable import to_json
 from voxcorr.model import ModelConfig, init_params, param_shapes
 from voxcorr.preprocess import DatasetManifest, SampleEntry
 from voxcorr.training import (
@@ -178,7 +179,7 @@ class TestTrain:
         model_cfg = ModelConfig(enc_features=(2, 2, 2, 2), dec_features=(2, 2, 2, 2, 2, 2), patch_size=16)
         p1, h1 = train(manifest, tmp_path, model_cfg, cfg, seed=3)
         p2, h2 = train(manifest, tmp_path, model_cfg, cfg, seed=3)
-        assert h1.to_json() == {**h2.to_json(), "wall_time": h1.wall_time}
+        assert to_json(h1) == {**to_json(h2), "wall_time": h1.wall_time}
         for name in p1:
             assert p1[name].tobytes() == p2[name].tobytes()
 

@@ -6,6 +6,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.ndimage import gaussian_filter, map_coordinates
 
 from voxcorr import volume
@@ -19,6 +21,7 @@ from voxcorr.volume import (
     invert_field,
     minmax_normalize,
     parallel_map,
+    shift_into,
     trilinear_gather,
     warp,
     warp_array,
@@ -567,7 +570,64 @@ class TestMinmaxNormalize:
             minmax_normalize(ScalarVolume(np.full((3, 3, 3), 2.0)))
 
 
+def shift_oracle(data, target_dims, offset, fill):
+    """out[x + offset] = in[x] voxel by voxel where both are on their grids, fill elsewhere."""
+    tx, ty, tz = target_dims
+    ox, oy, oz = offset
+    out = np.full(data.shape[:-3] + (tz, ty, tx), fill, dtype=data.dtype)
+    nz, ny, nx = data.shape[-3:]
+    for z in range(nz):
+        for y in range(ny):
+            for x in range(nx):
+                if 0 <= z + oz < tz and 0 <= y + oy < ty and 0 <= x + ox < tx:
+                    out[..., z + oz, y + oy, x + ox] = data[..., z, y, x]
+    return out
+
+
+class TestShiftInto:
+    CASES = {
+        "shift": ((5, 4, 6), (2, -1, 3)),
+        "crop": ((3, 2, 4), (-1, -1, -1)),
+        "pad": ((8, 7, 9), (1, 2, 2)),
+        "mixed": ((3, 7, 6), (-2, 1, 0)),
+        "off_grid": ((5, 4, 6), (5, -4, 0)),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_scalar_matches_the_voxel_map(self, case):
+        target, offset = self.CASES[case]
+        vol = rand_volume((6, 4, 5), seed=21)
+        out = shift_into(vol, target, offset, fill=-2.0)
+        assert isinstance(out, ScalarVolume) and out.dims == target
+        np.testing.assert_array_equal(out.data, shift_oracle(vol.data, target, offset, -2.0))
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_field_matches_the_voxel_map(self, case):
+        target, offset = self.CASES[case]
+        data = np.random.default_rng(22).standard_normal((3, 6, 4, 5)).astype(np.float32)
+        out = shift_into(DisplacementField(data, (2.0, 2.0, 2.0)), target, offset)
+        assert isinstance(out, DisplacementField) and out.dims == target and out.voxel_size == (2.0, 2.0, 2.0)
+        assert out.data.dtype == np.float32
+        np.testing.assert_array_equal(out.data, shift_oracle(data, target, offset, 0.0))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        target=st.tuples(*[st.integers(1, 7)] * 3),
+        offset=st.tuples(*[st.integers(-8, 8)] * 3),
+        seed=st.integers(0, 2 ** 31),
+    )
+    def test_property(self, target, offset, seed):
+        vol = rand_volume((4, 5, 3), seed=seed)
+        out = shift_into(vol, target, offset, fill=7.0)
+        np.testing.assert_array_equal(out.data, shift_oracle(vol.data, target, offset, 7.0))
+
+
 class TestCropOrPad:
+    def test_odd_crop_keeps_the_low_side(self):
+        data = np.broadcast_to(np.arange(5.0), (5, 5, 5)).copy()  # value = x
+        out = crop_or_pad(ScalarVolume(data), (4, 5, 5))
+        np.testing.assert_array_equal(out.data[0, 0], [0.0, 1.0, 2.0, 3.0])
+
     def test_identity(self):
         vol = rand_volume((4, 4, 4), seed=12)
         out = crop_or_pad(vol, (4, 4, 4), fill=0.0)
