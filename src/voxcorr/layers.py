@@ -278,7 +278,7 @@ def conv3d_backward(gout: np.ndarray, ctx) -> tuple[np.ndarray, np.ndarray, np.n
     context with no other reference to it (model_backward, straight off the
     tape) frees the input before the input gradient's conv. That relies on
     the call taking over its arguments' references, as CPython does from
-    3.11; on 3.10 the caller's stack holds them until the call returns.
+    3.11, the package's floor.
     """
     kernel, pad = ctx[1:]
     dkernel, dbias = conv3d_param_grads(gout, ctx)

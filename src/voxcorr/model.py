@@ -192,10 +192,9 @@ def model_backward(tape: dict, d_moved: np.ndarray, d_disp: np.ndarray) -> dict[
     off the activated output, the input of the block after, before that
     block's context is handed to its backward. The head's and the
     full-resolution conv blocks' contexts go to conv3d_backward straight off
-    the tape, so each input is freed once its weight gradient is taken (from
-    Python 3.11; see conv3d_backward) and the input gradient's conv runs
-    beside the one-byte mask instead. For 0 < slope <= 1 the output's sign
-    is the input's, except
+    the tape, so each input is freed once its weight gradient is taken (see
+    conv3d_backward) and the input gradient's conv runs beside the one-byte
+    mask instead. For 0 < slope <= 1 the output's sign is the input's, except
     where slope*x underflows to -0 (at slope 0.2 the two smallest negative
     subnormals, in float32 and float64): there the backward uses scale 1,
     as at 0.

@@ -186,12 +186,10 @@ def train(
         manifest, data_dir, "val", train_cfg.val_batch_size, p, val_rng, cache
     )
     # the untrained network's validation loss without running it: init_params
-    # zeroes the head, so the field is exactly 0 and this is _batch_eval's value.
-    # The warp stays: at an axis's last voxel it lerps with fraction 1, which
-    # can miss the voxel's value by a rounding
+    # zeroes the head, so the field is exactly 0, its warp is the identity and
+    # this is _batch_eval's value
     zero = np.zeros((3, p, p, p), np.float32)
-    baseline = float(np.mean([total_loss(warp_array(moving, zero), fixed, zero, lam, window)[0]
-                              for moving, fixed in val_batch]))
+    baseline = float(np.mean([total_loss(moving, fixed, zero, lam, window)[0] for moving, fixed in val_batch]))
     sched = PlateauScheduler(train_cfg, baseline)
     history = TrainHistory()
     t = 0

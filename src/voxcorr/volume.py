@@ -214,10 +214,10 @@ def grid_coords(shape_zyx, dtype=np.float64) -> tuple[np.ndarray, np.ndarray, np
 
 def _cell(p: np.ndarray, n: int, dtype) -> tuple[np.ndarray, np.ndarray]:
     """Lower corner index of the clamped coordinate p on an axis of n voxels, and
-    its fraction: taken in p's dtype, where it is exact, then cast to dtype."""
+    its fraction: taken in p's dtype, where it is exact, then cast to dtype. At
+    the axis's last voxel the corner is that voxel and the fraction is exactly 0."""
     c = np.clip(p, 0.0, n - 1)
-    i0 = np.zeros(c.shape, np.intp) if n == 1 else np.minimum(np.floor(c).astype(np.intp), n - 2)
-    i0 = np.maximum(i0, 0)  # floor(nan) casts to a negative index
+    i0 = np.maximum(np.floor(c).astype(np.intp), 0)  # floor(nan) casts to a negative index
     return i0, np.subtract(c, i0, dtype=c.dtype).astype(dtype, copy=False)
 
 
@@ -290,13 +290,13 @@ def _gather_block(flat: np.ndarray, dims: IVec3, px, py, pz, with_grad: bool, dt
     y0, fy = _cell(py, ny, dtype)
     z0, fz = _cell(pz, nz, dtype)
 
-    # corner (z0+a, y0+b, x0+c) sits at flat index i + a*oz + b*oy + c*ox; an
-    # axis of one voxel reads its only slice twice
+    # corner (z0+a, y0+b, x0+c) sits at flat index i + a*oz + b*oy + c*ox
     i = (z0 * ny + y0) * nx + x0
-    ox, oy, oz = int(nx > 1), nx * (ny > 1), nx * ny * (nz > 1)
+    ox, oy, oz = 1, nx, nx * ny
 
     def at(o: int) -> np.ndarray:
-        return np.take(flat, i + o, axis=-1).astype(dtype, copy=False)
+        # an upper corner past an axis's last voxel has weight exactly 0: any finite value will do
+        return np.take(flat, i + o, axis=-1, mode="clip").astype(dtype, copy=False)
 
     if not with_grad:
         # corners are read in the order the lerps use them: at most four live at once

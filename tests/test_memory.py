@@ -9,7 +9,6 @@ each thread adds its own block temporaries, so the peak would depend on the
 number of CPUs. Measured with numpy 2.4 and scipy 1.17 on Python 3.11.
 """
 import json
-import sys
 import tracemalloc
 
 import numpy as np
@@ -168,9 +167,7 @@ def test_training_step():
     # one patch-32 forward, loss and backward at the default widths, per patch
     # voxel. Measured 728.5: the tape, and in the backward one gradient besides
     # the block's own; the head's, dec5's and dec4's inputs are freed before
-    # their input-gradient convs (808 while they were held). Before Python
-    # 3.11 a call's arguments live until it returns, so those inputs do too,
-    # with the masks already taken: 840, and the budget there stays 940
+    # their input-gradient convs (808 while they were held)
     cfg, params, moving, fixed = _patch_step()
 
     def step():
@@ -178,8 +175,7 @@ def test_training_step():
         _, d_moved, d_disp = total_loss(moved, fixed, disp, 0.05, 9)
         model_backward(tape, d_moved, d_disp)
 
-    budget = 845 if sys.version_info >= (3, 11) else 940
-    assert bytes_per_voxel(step) * VOXELS / 32 ** 3 <= budget
+    assert bytes_per_voxel(step) * VOXELS / 32 ** 3 <= 845
 
 
 @pytest.fixture(scope="module")

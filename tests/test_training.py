@@ -233,7 +233,13 @@ class TestSlidingRegister:
         params = {k: np.zeros(s, dtype=np.float32) for k, s in param_shapes(TOY).items()}
         moved, disp = sliding_register(params, TOY, moving, fixed, stride=8)
         assert np.abs(disp.data).max() == 0.0
-        np.testing.assert_allclose(moved.data, moving.data, atol=1e-5)
+        np.testing.assert_array_equal(moved.data, moving.data)
+        # standard-normal values make b - a inexact in the sampler's lerps
+        rng = np.random.default_rng(6)
+        for dtype in (np.float32, np.float64):
+            moving, fixed = (ScalarVolume(rng.standard_normal((24, 20, 16)).astype(dtype)) for _ in range(2))
+            moved, _ = sliding_register(params, TOY, moving, fixed, stride=8)
+            assert moved.data.dtype == dtype and moved.data.tobytes() == moving.data.tobytes()
 
     def test_single_patch_equals_direct_forward(self, tmp_path):
         from voxcorr.inference import sliding_register

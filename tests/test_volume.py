@@ -69,10 +69,7 @@ def reference_gather(vol, px, py, pz, with_grad=False):
     cx = np.clip(px, 0.0, nx - 1)
     cy = np.clip(py, 0.0, ny - 1)
     cz = np.clip(pz, 0.0, nz - 1)
-    x0 = np.minimum(np.floor(cx).astype(np.intp), nx - 2) if nx > 1 else np.zeros(cx.shape, np.intp)
-    y0 = np.minimum(np.floor(cy).astype(np.intp), ny - 2) if ny > 1 else np.zeros(cy.shape, np.intp)
-    z0 = np.minimum(np.floor(cz).astype(np.intp), nz - 2) if nz > 1 else np.zeros(cz.shape, np.intp)
-    x0, y0, z0 = np.maximum(x0, 0), np.maximum(y0, 0), np.maximum(z0, 0)
+    x0, y0, z0 = (np.maximum(np.floor(c).astype(np.intp), 0) for c in (cx, cy, cz))
     fx, fy, fz = ((c - i.astype(c.dtype)).astype(dt) for c, i in ((cx, x0), (cy, y0), (cz, z0)))
     x1 = np.minimum(x0 + 1, nx - 1)
     y1 = np.minimum(y0 + 1, ny - 1)
@@ -264,11 +261,19 @@ class TestBlocks:
 
 
 class TestWarp:
-    def test_identity(self):
+    @pytest.mark.parametrize("shape", [(6, 5, 4), (1, 5, 4), (6, 1, 4), (6, 5, 1), (1, 1, 3), (1, 1, 1)])
+    @pytest.mark.parametrize("dtype", FLOATS)
+    @pytest.mark.parametrize("with_grad", [False, True])
+    def test_identity(self, shape, dtype, with_grad):
+        # standard-normal values make b - a inexact, so only a fraction of
+        # exactly 0 at an axis's last voxel returns that voxel's value
+        for seed in range(4):
+            moving = np.random.default_rng(seed).standard_normal(shape).astype(dtype)
+            res = warp_array(moving, np.zeros((3, *shape), dtype), with_grad=with_grad)
+            out = res[0] if with_grad else res
+            assert out.dtype == dtype and out.tobytes() == moving.tobytes()
         vol = rand_volume((6, 5, 4), seed=4)
-        disp = DisplacementField(np.zeros((3, 6, 5, 4)))
-        out = warp(vol, disp)
-        np.testing.assert_array_equal(out.data, vol.data)
+        np.testing.assert_array_equal(warp(vol, DisplacementField(np.zeros((3, 6, 5, 4)))).data, vol.data)
 
     def test_unit_translation_pulls_backward(self):
         data = np.zeros((10, 10, 10))
