@@ -20,7 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .volume import DisplacementField, ScalarVolume, VolumeError, downsample2, trilinear_gather, window_sums, z_chunks
+from .volume import (
+    DisplacementField, ScalarVolume, VolumeError, blocks, downsample2, grid_coords, trilinear_gather, window_sums,
+)
 
 
 @dataclass(frozen=True)
@@ -249,13 +251,12 @@ def multiscale_dvc(
     sp_x = xs[1] - xs[0] if nnx > 1 else 1
     sp_y = ys[1] - ys[0] if nny > 1 else 1
     sp_z = zs[1] - zs[0] if nnz > 1 else 1
-    gx = (np.arange(nx) - xs[0]) / sp_x
-    gy = (np.arange(ny) - ys[0]) / sp_y
-    gz = (np.arange(nz) - zs[0]) / sp_z
+    zz, yy, xx = grid_coords((nz, ny, nx))
     lattice = np.moveaxis(disp, -1, 0)
     dense = np.empty((3, nz, ny, nx), np.float32)
-    for z in z_chunks(dense.shape[1:]):  # each chunk cast to float32 as it is made
-        dense[:, z] = trilinear_gather(lattice, gx, gy[:, None], gz[z, None, None])
+    for b in blocks((nz, ny, nx)):  # each block cast to float32 as it is made
+        p = ((xx[b] - xs[0]) / sp_x, (yy[b] - ys[0]) / sp_y, (zz[b] - zs[0]) / sp_z)
+        dense[:, *b] = trilinear_gather(lattice, *p)
     field = DisplacementField(dense, moving.voxel_size)
     nodes = NodeField(
         lattice_dims=(nnx, nny, nnz),

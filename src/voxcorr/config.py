@@ -51,6 +51,8 @@ class RunConfig:
         for c in self.c_values:
             if not (-1.0 <= c <= 1.0):
                 raise VolumeError(f"c value {c} outside [-1, 1]")
+        if self.seed < 0:  # numpy's default_rng rejects it, after raw/ or nothing was made
+            raise VolumeError(f"seed must be >= 0, got {self.seed}")
         if self.target_dims is not None and min(self.target_dims) < MIN_GRID:
             raise VolumeError(f"target_dims must have at least {MIN_GRID} voxels per axis, got {self.target_dims}")
         check_markers(self.tpms.grid_dims(), self.plate_voxels, self.marker_spheres)

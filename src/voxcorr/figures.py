@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .metrics import squared_norm
-from .volume import BinaryVolume, DisplacementField, ScalarVolume, VolumeError, z_chunks
+from .volume import BinaryVolume, DisplacementField, ScalarVolume, VolumeError, blocks
 
 GREEN = np.array([0, 200, 0], dtype=np.float64)
 # BDM colours by the uint8 bits of the int8 map: blue for -1 (material missing
@@ -98,15 +98,15 @@ def export_displacement_magnitude(
 
     A constant nonzero magnitude (degenerate scaling) renders as mid-gray.
     The scale's bounds are the square roots of the squared magnitude's min
-    and max, taken chunk by chunk (sqrt is monotonic and correctly rounded,
+    and max, taken block by block (sqrt is monotonic and correctly rounded,
     so they equal the whole magnitude's min and max); only the three slices'
     magnitudes are made.
     """
     if disp.dims != mask.dims:
         raise VolumeError(f"dims mismatch: {disp.dims} vs {mask.dims}")
     lo, hi = np.inf, -np.inf
-    for zs in z_chunks(disp.data.shape[1:]):
-        sq = squared_norm(disp.data[:, zs])
+    for b in blocks(disp.data.shape[1:]):
+        sq = squared_norm(disp.data[:, *b])
         lo, hi = min(lo, sq.min()), max(hi, sq.max())
     lo, hi = float(np.sqrt(lo)), float(np.sqrt(hi))
     inside = central_slices(mask.mask)

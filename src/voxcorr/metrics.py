@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .volume import BinaryVolume, DisplacementField, VolumeError, z_chunks
+from .volume import BinaryVolume, DisplacementField, VolumeError, blocks
 
 # int8 sentinel marking voxels outside the foreground union in a BDM map
 BDM_OUTSIDE = np.int8(127)
@@ -64,17 +64,17 @@ def endpoint_error(
 ) -> tuple[float, float]:
     """Mean and max Euclidean error between fields over the mask (voxels).
 
-    The masked errors are gathered chunk by chunk (volume.z_chunks) in C
+    The masked errors are gathered block by block (volume.blocks) in C
     order, so the mean sums the same array as over the whole grid, with only
-    one chunk's squared norm made at a time."""
+    one block's squared norm made at a time."""
     if pred.dims != gt.dims or pred.dims != mask.dims:
         raise VolumeError("field/mask dims mismatch")
     if not mask.mask.any():
         raise VolumeError("empty evaluation mask")
     epe = np.empty(np.count_nonzero(mask.mask))
     at = 0
-    for zs in z_chunks(mask.mask.shape):
-        part = squared_norm(pred.data[:, zs], gt.data[:, zs])[mask.mask[zs]]
+    for b in blocks(mask.mask.shape):
+        part = squared_norm(pred.data[:, *b], gt.data[:, *b])[mask.mask[b]]
         epe[at:at + part.size] = part
         at += part.size
     np.sqrt(epe, out=epe)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .jsonable import decode, from_json, read_json, write_json
 from .volume import (
-    BLOCK, BinaryVolume, DisplacementField, IVec3, ScalarVolume, VolumeError, crop_or_pad, minmax_normalize,
+    BinaryVolume, DisplacementField, IVec3, ScalarVolume, VolumeError, blocks, crop_or_pad, minmax_normalize,
     shift_into,
 )
 from .vvol import vvol_read, vvol_write
@@ -92,19 +92,19 @@ def _bin_indices(v: np.ndarray, edges: np.ndarray) -> np.ndarray:
     edges it must lie between. The values that fail the check, next to an
     edge or all of them when the edges are only ulps apart, are looked up by
     searchsorted instead, so the result is exact either way. A value's bin
-    depends on that value alone, so the values go through BLOCK at a time,
-    and only the index array is as long as v.
+    depends on that value alone, so the values go through one block
+    (volume.blocks) at a time, and only the index array is as long as v.
     """
     bins = edges.size - 1
     lo, hi = edges[0], edges[-1]
     idx = np.empty(v.size, np.intp)
-    for s in range(0, v.size, BLOCK):
-        b = v[s : s + BLOCK]
-        i = np.minimum(((b - lo) / (hi - lo) * bins).astype(np.intp), bins - 1)  # (b - lo) / (hi - lo) stays in [0, 1]
-        miss = (b > edges[i + 1]) | ((b <= edges[i]) & (i > 0))
+    for b in blocks(v.shape):
+        w = v[b]  # (w - lo) / (hi - lo) stays in [0, 1]
+        i = np.minimum(((w - lo) / (hi - lo) * bins).astype(np.intp), bins - 1)
+        miss = (w > edges[i + 1]) | ((w <= edges[i]) & (i > 0))
         if miss.any():
-            i[miss] = np.clip(np.searchsorted(edges, b[miss], side="left") - 1, 0, bins - 1)
-        idx[s : s + BLOCK] = i
+            i[miss] = np.clip(np.searchsorted(edges, w[miss], side="left") - 1, 0, bins - 1)
+        idx[b] = i
     return idx
 
 

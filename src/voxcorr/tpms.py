@@ -17,12 +17,12 @@ degrade_to_xct holds only what its next step needs, and no float64 copy of a
 volume that is kept in float32. It makes the field first, while the least
 else is held, and builds its own implicit field from the TpmsSpec, so the
 caller holds none through the synthesis. It finds the pore candidates one
-chunk of z-planes at a time, and casts the implicit field to float32, freeing
-its float64 copy, before the solid mask is taken. It smooths its noise in
-place and finds max |s| as max(s.max(), -s.min()), with no |s| array. It
-warps the float32 scan by the float32 inverse field with float64 arithmetic
-(volume.trilinear_gather's dtype), chunk by chunk into a float32 scan. The
-outputs are the bits of the whole-volume float64 formulas.
+block of the grid at a time (volume.blocks), and casts the implicit field to
+float32, freeing its float64 copy, before the solid mask is taken. It smooths
+its noise in place and finds max |s| as max(s.max(), -s.min()), with no |s|
+array. It warps the float32 scan by the float32 inverse field with float64
+arithmetic (volume.trilinear_gather's dtype), block by block into a float32
+scan. The outputs are the bits of the whole-volume float64 formulas.
 """
 from __future__ import annotations
 
@@ -37,11 +37,11 @@ from .volume import (
     IVec3,
     ScalarVolume,
     VolumeError,
+    blocks,
     grid_coords,
     invert_field,
     parallel_map,
     trilinear_gather,
-    z_chunks,
 )
 
 
@@ -157,13 +157,16 @@ def _stamp_sphere(arr: np.ndarray, center, radius: float, value) -> None:
 
 
 def check_markers(dims: IVec3, plate_voxels: int, marker_spheres) -> None:
-    """Raise VolumeError unless the plate and each (x, y, z, radius) sphere centre fit in the grid."""
+    """Raise VolumeError unless the plate and each (x, y, z, radius) sphere centre
+    fit in the grid and each radius is at least 0."""
     nx, ny, nz = dims
     if not 0 <= plate_voxels <= nz:
         raise VolumeError(f"plate thickness {plate_voxels} outside [0, {nz}]")
-    for cx, cy, cz, _ in marker_spheres:
+    for cx, cy, cz, r in marker_spheres:
         if not (0 <= cx < nx and 0 <= cy < ny and 0 <= cz < nz):
             raise VolumeError(f"sphere centre ({cx}, {cy}, {cz}) outside dims {dims}")
+        if r < 0:
+            raise VolumeError(f"sphere radius {r} is negative")
 
 
 def synth_displacement(dims: IVec3, spec: DeformSpec, seed: int) -> DisplacementField:
@@ -243,7 +246,7 @@ def degrade_to_xct(
     recovers the nominal grayscale.
 
     The float32 scan is warped by the float32 inverse field with float64
-    arithmetic, one chunk of z-planes at a time, each chunk cast to float32 as
+    arithmetic, one block of the grid at a time, each block cast to float32 as
     it is made: the bits of warping the scan's float64 copy into a float64
     volume and casting that, without either float64 volume.
     """
@@ -264,8 +267,8 @@ def degrade_to_xct(
 
     if spec_deg.pore_close_count > 0:
         outside = np.empty(f.shape, bool)
-        for z in z_chunks(f.shape):
-            outside[z] = np.abs(f[z] - c) > spec_tpms.band_halfwidth
+        for b in blocks(f.shape):
+            outside[b] = np.abs(f[b] - c) > spec_tpms.band_halfwidth
         for flat in _pick_voxels(rng, outside, spec_deg.pore_close_count):
             z, y, x = np.unravel_index(flat, f.shape)
             _stamp_sphere(f, (x, y, z), spec_deg.pore_close_radius, c)
@@ -290,8 +293,9 @@ def degrade_to_xct(
     g_inv = invert_field(gt).data
     xct = np.empty(gray.shape, np.float32)
     zz, yy, xx = grid_coords(gray.shape)
-    for z in z_chunks(gray.shape):
-        xct[z] = trilinear_gather(gray, xx + g_inv[0, z], yy + g_inv[1, z], zz[z] + g_inv[2, z], dtype=np.float64)
+    for b in blocks(gray.shape):
+        p = (xx[b] + g_inv[0][b], yy[b] + g_inv[1][b], zz[b] + g_inv[2][b])
+        xct[b] = trilinear_gather(gray, *p, dtype=np.float64)
     return ScalarVolume(xct, voxel_size), gt
 
 

@@ -18,19 +18,19 @@ volume is then sampled with float64 arithmetic, each corner read as its exact
 float64 value, and the values are the bits its float64 copy would give,
 without that copy being made.
 
-The sampler walks its points in blocks of at most BLOCK, in C order, so that
-each block's indices, weights and corner reads stay in cache instead of
-streaming full-volume temporaries through memory. A strided point array, such
-as the baseline's coordinate ramps broadcast to the grid, is copied one block
-at a time, never flattened whole. Each point's result is computed by the same
-formula as in one pass, so blocking changes no output bit.
+The sampler is one pass over the points it is given. Every whole-grid pass
+in the package walks its grid with blocks(shape) instead: C-ordered index
+tuples of at most BLOCK elements, whose indices, weights and corner reads
+stay in cache instead of streaming whole-volume temporaries through memory.
+grid_coords gives broadcast views of the full shape, so a block indexes the
+coordinates as it does the grid, and only the block's are made. Each point's
+result depends on that point alone, so the cut changes no output bit.
 
-No stage holds a coordinate array of the whole volume. warp_array samples a
-chunk of whole z-planes at a time, about BLOCK voxels, and builds only that
-chunk's coordinates, in result_type(moving, disp, float32): a float64 volume
+No stage holds a coordinate array of the whole volume. warp_array samples
+one block at a time, in result_type(moving, disp, float32): a float64 volume
 samples a float32 field as it would the field's float64 copy. The baseline's
-dense field is built per chunk too, each cast to float32 as it is made.
-invert_field samples u with float64 arithmetic, through the block gather that
+dense field is built per block too, each cast to float32 as it is made.
+invert_field samples u with float64 arithmetic (dtype=np.float64), which
 reads each corner of u as its float64 value, and writes its inverse in u's
 dtype. It runs all its fixed-point iterations on one block of voxels before
 the next, since an iteration at voxel y reads only that voxel's own estimate
@@ -75,11 +75,11 @@ import numpy as np
 Vec3 = tuple[float, float, float]
 IVec3 = tuple[int, int, int]
 
-# points per block of trilinear_gather, of invert_field, of warp_array's chunks
-# and of the Otsu binning: the indices, weights and corner reads of a 3-channel
-# float64 block fit a 2 MiB L2 cache. Gathering 3 float64 channels at 64^3
-# points took 17.6 ms at 16384, against 23.5 ms at 4096 (per-block overhead)
-# and 31.5 ms at 65536 (spills L2), on a 2-core Xeon with 2 MiB of L2 per core.
+# elements per block of blocks(), the walk of every whole-grid pass: the
+# indices, weights and corner reads of a 3-channel float64 block of points fit
+# a 2 MiB L2 cache. Gathering 3 float64 channels at 64^3 points took 17.6 ms
+# at 16384, against 23.5 ms at 4096 (per-block overhead) and 31.5 ms at 65536
+# (spills L2), on a 2-core Xeon with 2 MiB of L2 per core.
 BLOCK = 16384
 INVERT_ITERATIONS = 8  # fixed-point iterations of invert_field
 
@@ -204,12 +204,25 @@ class DisplacementField:
 
 
 def grid_coords(shape_zyx, dtype=np.float64) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Broadcastable (zz, yy, xx) index grids for a [z, y, x] array shape."""
-    nz, ny, nx = shape_zyx
-    zz = np.arange(nz, dtype=dtype)[:, None, None]
-    yy = np.arange(ny, dtype=dtype)[None, :, None]
-    xx = np.arange(nx, dtype=dtype)[None, None, :]
-    return zz, yy, xx
+    """(zz, yy, xx) index grids for a [z, y, x] array shape: read-only broadcast
+    views of the full shape, so a block of the grid (see blocks) indexes them too."""
+    axes = np.meshgrid(*(np.arange(n, dtype=dtype) for n in shape_zyx), indexing="ij", sparse=True)
+    return tuple(np.broadcast_to(a, tuple(shape_zyx)) for a in axes)
+
+
+def blocks(shape) -> list[tuple]:
+    """Index tuples that cut an array of `shape` into blocks of at most BLOCK
+    elements, in C order: a range on one axis under fixed indices on the axes
+    before it. A 0-d or empty shape is one block, so no elements still make
+    one (empty) block."""
+    if not shape or 0 in shape:
+        return [()]
+    axis = 0
+    while math.prod(shape[axis + 1 :]) > BLOCK:
+        axis += 1
+    step = BLOCK // math.prod(shape[axis + 1 :])
+    return [(*prefix, slice(s, s + step)) for prefix in np.ndindex(*shape[:axis])
+            for s in range(0, shape[axis], step)]
 
 
 def _cell(p: np.ndarray, n: int, dtype) -> tuple[np.ndarray, np.ndarray]:
@@ -242,50 +255,16 @@ def trilinear_gather(vol: np.ndarray, px, py, pz, with_grad: bool = False, dtype
     The value and the gradients are in result_type(vol, float32), whatever
     the points' dtype, or in `dtype` when it is given, which is then also
     the dtype of the arithmetic (see the module docstring). The points are
-    sampled at most BLOCK at a time (see BLOCK), each by the same per-point
-    formula, so the result does not depend on the block size.
+    sampled in one pass, with temporaries as large as the points: a caller
+    with a whole grid of them passes one block at a time (see blocks).
     """
     *lead, nz, ny, nx = vol.shape
-    px = np.asarray(px)
-    pdtype = np.result_type(px.dtype, np.float32)
+    pdtype = np.result_type(np.asarray(px).dtype, np.float32)
     dtype = np.result_type(vol, np.float32) if dtype is None else np.dtype(dtype)
-    pts = np.broadcast_arrays(px, np.asarray(py), np.asarray(pz))
-    shape = pts[0].shape
+    px, py, pz = np.broadcast_arrays(px, py, pz)
+    shape = px.shape
+    px, py, pz = (p.reshape(-1).astype(pdtype, copy=False) for p in (px, py, pz))
     flat = vol.reshape(*lead, nz * ny * nx)
-    outs = [np.empty((*lead, pts[0].size), dtype) for _ in range(4 if with_grad else 1)]
-    s = 0
-    for idx in _blocks(shape):
-        # a copy only of the block of a strided view, such as a broadcast one
-        bp = [p[idx].reshape(-1).astype(pdtype, copy=False) for p in pts]
-        e = s + bp[0].size
-        for o, r in zip(outs, _gather_block(flat, (nz, ny, nx), *bp, with_grad, dtype)):
-            o[..., s:e] = r
-        s = e
-    out, *grads = (o.reshape(*lead, *shape) for o in outs)
-    return (out, tuple(grads)) if with_grad else out
-
-
-def _blocks(shape):
-    """Index tuples that cut an array of `shape` into blocks of at most BLOCK
-    elements, in C order: a range on one axis under fixed indices on the axes
-    before it. A 0-d or empty shape is one block, so no points still make one
-    (empty) block."""
-    if not shape or 0 in shape:
-        yield ()
-        return
-    axis = 0
-    while math.prod(shape[axis + 1 :]) > BLOCK:
-        axis += 1
-    step = BLOCK // math.prod(shape[axis + 1 :])
-    for prefix in np.ndindex(*shape[:axis]):
-        for s in range(0, shape[axis], step):
-            yield (*prefix, slice(s, s + step))
-
-
-def _gather_block(flat: np.ndarray, dims: IVec3, px, py, pz, with_grad: bool, dtype) -> list[np.ndarray]:
-    """[value] or, with with_grad, [value, gx, gy, gz] of trilinear_gather for
-    flat[..., nz*ny*nx] at the 1-D points px, py, pz, computed in dtype."""
-    nz, ny, nx = dims
     x0, fx = _cell(px, nx, dtype)
     y0, fy = _cell(py, ny, dtype)
     z0, fz = _cell(pz, nz, dtype)
@@ -302,7 +281,7 @@ def _gather_block(flat: np.ndarray, dims: IVec3, px, py, pz, with_grad: bool, dt
         # corners are read in the order the lerps use them: at most four live at once
         c0 = _lerp(_lerp(at(0), at(ox), fx), _lerp(at(oy), at(oy + ox), fx), fy)
         c1 = _lerp(_lerp(at(oz), at(oz + ox), fx), _lerp(at(oz + oy), at(oz + oy + ox), fx), fy)
-        return [_lerp(c0, c1, fz)]
+        return _lerp(c0, c1, fz).reshape(*lead, *shape)
 
     # x-differences of the four x-edges, shared by the x-lerps and d/dfx
     edges = (0, oy, oz, oz + oy)
@@ -323,15 +302,8 @@ def _gather_block(flat: np.ndarray, dims: IVec3, px, py, pz, with_grad: bool, dt
     gx = gx * ((px > 0) & (px < nx - 1))
     gy = gy * ((py > 0) & (py < ny - 1))
     gz = gz * ((pz > 0) & (pz < nz - 1))
-    return [out, gx, gy, gz]
-
-
-def z_chunks(shape_zyx) -> list[slice]:
-    """Slices of whole z-planes of a [z, y, x] grid, each of about BLOCK voxels
-    and at least one plane; a grid of no planes is one empty chunk."""
-    nz, ny, nx = shape_zyx
-    step = max(1, BLOCK // max(1, ny * nx))
-    return [slice(s, s + step) for s in range(0, max(nz, 1), step)]
+    out, gx, gy, gz = (a.reshape(*lead, *shape) for a in (out, gx, gy, gz))
+    return out, (gx, gy, gz)
 
 
 def warp_array(moving: np.ndarray, disp: np.ndarray, with_grad: bool = False):
@@ -345,10 +317,11 @@ def warp_array(moving: np.ndarray, disp: np.ndarray, with_grad: bool = False):
         raise VolumeError(f"moving {moving.shape} and displacement {disp.shape[1:]} dims differ")
     zz, yy, xx = grid_coords(moving.shape, dtype=np.result_type(moving, disp, np.float32))
     outs = [np.empty(moving.shape, np.result_type(moving, np.float32)) for _ in range(4 if with_grad else 1)]
-    for z in z_chunks(moving.shape):
-        res = trilinear_gather(moving, xx + disp[0, z], yy + disp[1, z], zz[z] + disp[2, z], with_grad=with_grad)
+    for b in blocks(moving.shape):
+        p = (xx[b] + disp[0][b], yy[b] + disp[1][b], zz[b] + disp[2][b])
+        res = trilinear_gather(moving, *p, with_grad=with_grad)
         for o, r in zip(outs, [res[0], *res[1]] if with_grad else [res]):
-            o[z] = r
+            o[b] = r
     out, *grads = outs
     return (out, tuple(grads)) if with_grad else out
 
@@ -366,7 +339,7 @@ def invert_field(disp: DisplacementField) -> DisplacementField:
     warp(warp(V, u), invert_field(u)) then round-trips V on interior voxels.
 
     The update at voxel y reads only g(y) and the fixed field u, so every
-    iteration runs on one block of BLOCK voxels before the next block starts;
+    iteration runs on one block of the grid (see blocks) before the next starts;
     the result is the same as iterating on the whole grid. For the same
     reason the blocks run through parallel_map, on any thread and in any
     order, each writing only its own slice of g. The caller works through a
@@ -375,26 +348,23 @@ def invert_field(disp: DisplacementField) -> DisplacementField:
     docstring).
 
     u is sampled with float64 arithmetic and g is written in u's dtype. The
-    block gather reads each corner of u as its float64 value, so the bits are
+    gather reads each corner of u as its float64 value, so the bits are
     those of iterating on a float64 copy of u, and no copy is made: a block
     holds only its own float64 estimate and temporaries.
     """
     u = disp.data
-    dims = u.shape[1:]
-    uf = u.reshape(3, -1)
-    g = np.empty(uf.shape, u.dtype)
+    zz, yy, xx = grid_coords(u.shape[1:])
+    g = np.empty(u.shape, u.dtype)
 
-    def item(s: int) -> None:
-        e = min(s + BLOCK, uf.shape[1])
-        z, y, x = np.unravel_index(np.arange(s, e), dims)
-        gb = -uf[:, s:e].astype(np.float64)
+    def item(b: tuple) -> None:
+        gb = -u[:, *b].astype(np.float64)
         for _ in range(INVERT_ITERATIONS):
-            gb = _gather_block(uf, dims, x + gb[0], y + gb[1], z + gb[2], False, np.float64)[0]
+            gb = trilinear_gather(u, xx[b] + gb[0], yy[b] + gb[1], zz[b] + gb[2], dtype=np.float64)
             np.negative(gb, out=gb)
-        g[:, s:e] = gb
+        g[:, *b] = gb
 
-    parallel_map(item, range(0, uf.shape[1], BLOCK))
-    return DisplacementField(g.reshape(u.shape), disp.voxel_size)
+    parallel_map(item, blocks(u.shape[1:]))
+    return DisplacementField(g, disp.voxel_size)
 
 
 def downsample2(vol: ScalarVolume) -> ScalarVolume:

@@ -20,7 +20,7 @@ import struct
 
 import numpy as np
 
-from .volume import DisplacementField, ScalarVolume, VolumeError, z_chunks
+from .volume import DisplacementField, ScalarVolume, VolumeError, blocks
 
 MAGIC = b"VVOL"
 VERSION = 1
@@ -33,8 +33,9 @@ class VvolError(IOError):
 
 
 def _check_finite(data: np.ndarray, path, error: type[Exception]) -> None:
-    """Raise error naming path unless data[c, z, y, x] is all finite; z_chunks at a time, no whole-volume bool."""
-    if not all(np.isfinite(ch[z]).all() for ch in data for z in z_chunks(data.shape[1:])):
+    """Raise error naming path unless data[c, z, y, x] is all finite; one block
+    (volume.blocks) at a time, so no whole-volume bool is made."""
+    if not all(np.isfinite(data[b]).all() for b in blocks(data.shape)):
         raise error(f"{path}: the payload holds non-finite values")
 
 

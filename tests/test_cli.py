@@ -608,6 +608,8 @@ class TestCliSurface:
             ({"plate_voxels": 99}, "plate thickness 99 outside [0, 64]"),
             ({"plate_voxels": -1}, "plate thickness -1"),
             ({"marker_spheres": [[100, 1, 1, 2]]}, "sphere centre"),
+            # used to exit 0 and stamp no sphere
+            ({"marker_spheres": [[4, 4, 4, -3]]}, "sphere radius -3 is negative"),
             ({"tpms": {"cell_size": 0}}, "cell_size"),
             ({"tpms": {"band_halfwidth": 0}}, "band_halfwidth"),
             ({"train": {"plateau_factor": 2.0}}, "plateau_factor"),
@@ -655,6 +657,8 @@ class TestCliSurface:
             (["train", "--lr", "nan"], "train.lr: expected a finite number"),
             # used to end in a traceback
             (["generate", "--extent-mm", "nan"], "tpms.part_extent: expected a finite number"),
+            (["generate", "--seed", "-1"], "seed must be >= 0, got -1"),
+            (["train", "--seed", "-1"], "seed must be >= 0, got -1"),
         ],
     )
     def test_rejected_value_exits_2_with_one_error_line(self, tmp_path, monkeypatch, capsys, argv, needle):

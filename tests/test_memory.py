@@ -23,7 +23,7 @@ from voxcorr.losses import total_loss
 from voxcorr.model import ModelConfig, init_params, model_backward, model_forward
 from voxcorr.preprocess import build_dataset
 from voxcorr.tpms import DegradeSpec, DeformSpec, TpmsSpec, gyroid_field, synth_displacement, synthesize_sample
-from voxcorr.volume import BinaryVolume, ScalarVolume, invert_field, trilinear_gather, warp_array
+from voxcorr.volume import BinaryVolume, ScalarVolume, invert_field, warp_array
 from voxcorr.vvol import vvol_write
 
 N = 64
@@ -119,17 +119,6 @@ def test_sliding_register(pair):
     params = init_params(cfg, rng)
     params["head.w"] = 0.02 * rng.standard_normal(params["head.w"].shape).astype(np.float32)
     assert bytes_per_voxel(sliding_register, params, cfg, *pair) <= 26
-
-
-def test_gather_on_broadcast_views():
-    # the baseline's coordinate ramps, broadcast to the grid: copied block by
-    # block, not flattened whole. Measured 37.0: the 3-channel float64 output
-    # and one block's temporaries
-    g = np.arange(N) / 16.0
-    lattice = np.random.default_rng(2).random((3, 5, 5, 5))
-    pts = (np.broadcast_to(g, (N, N, N)), np.broadcast_to(g[:, None], (N, N, N)),
-           np.broadcast_to(g[:, None, None], (N, N, N)))
-    assert bytes_per_voxel(trilinear_gather, lattice, *pts) <= 44
 
 
 def test_model_forward():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
-from voxcorr import preprocess
+from voxcorr import preprocess, volume
 from voxcorr.preprocess import (
     CROSS6,
     CleanSpec,
@@ -149,7 +149,7 @@ class TestBinIndices:
     @pytest.mark.parametrize("block", [1, 7, 500])
     def test_blocks_of_values(self, monkeypatch, block):
         # values binned BLOCK at a time, some blocks with look-ups and some without
-        monkeypatch.setattr(preprocess, "BLOCK", block)
+        monkeypatch.setattr(volume, "BLOCK", block)
         edges = np.linspace(-1.0, 2.0, 257)
         v = np.concatenate([self.around(edges)[1:-1], np.random.default_rng(9).uniform(-1.0, 2.0, 1500)])
         self.check(v, 256)

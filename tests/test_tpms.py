@@ -208,6 +208,10 @@ class TestMaskEdits:
         with pytest.raises(VolumeError, match="sphere centre"):
             self.nominal(spheres=[(*centre, 2.0)])
 
+    def test_negative_sphere_radius_rejected(self):
+        with pytest.raises(VolumeError, match="sphere radius -3 is negative"):
+            self.nominal(spheres=[(4, 4, 4, -3)])
+
     def test_scan_bright_inside_markers(self):
         # the scan's solid mask gets the markers too: warped back by its own
         # field, the scan is bright deep inside the plate and the sphere,

@@ -1,3 +1,4 @@
+import math
 import sys
 import threading
 import time
@@ -198,8 +199,42 @@ class TestTrilinearGather:
 
 
 class TestBlocks:
-    """Point counts and shapes against a block of 7 points, so every case
-    spans several blocks or ends in a partial one."""
+    """volume.blocks, the walk of every whole-grid pass: each element once, in
+    C order, at most BLOCK at a time."""
+
+    SHAPES = st.one_of(
+        st.just(()),
+        st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)).filter(lambda s: 0 in s),
+        st.tuples(st.integers(1, 50)),
+        st.tuples(*[st.integers(1, 9)] * 3),  # planes of 1 to 81 elements, under and over the block
+        st.tuples(st.just(3), *[st.integers(1, 9)] * 3),  # a displacement field's [3, z, y, x]
+    )
+
+    @staticmethod
+    def check(shape, seed):
+        a = np.random.default_rng(seed).permutation(math.prod(shape)).reshape(shape)
+        cuts = volume.blocks(shape)
+        assert all(np.size(a[b]) <= volume.BLOCK for b in cuts)
+        assert np.array_equal(np.concatenate([a[b].ravel() for b in cuts]), a.ravel())
+
+    @settings(max_examples=200, deadline=None)
+    @given(shape=SHAPES, block=st.integers(1, 40), seed=st.integers(0, 2 ** 31))
+    def test_every_element_once_in_c_order(self, shape, block, seed):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(volume, "BLOCK", block)
+            self.check(shape, seed)
+
+    @pytest.mark.parametrize("shape", [(), (0, 4, 4), (40000,), (16, 64, 64), (5, 136, 136), (3, 4, 136, 136)])
+    def test_default_block(self, shape):
+        self.check(shape, 0)
+
+    def test_planes_over_the_block_are_cut_into_rows(self):
+        assert volume.blocks((2, 136, 136))[:3] == [(0, slice(0, 120)), (0, slice(120, 240)), (1, slice(0, 120))]
+
+
+class TestPointShapes:
+    """Point counts and shapes, each sampled in one pass, against the
+    per-point reference."""
 
     @staticmethod
     def check(vol, px, py, pz, with_grad):
@@ -211,10 +246,6 @@ class TestBlocks:
             for g, w in zip(got, want, strict=True):
                 assert g.dtype == w.dtype and g[c].shape == np.shape(w)
                 assert np.array_equal(g[c], w)
-
-    @pytest.fixture(autouse=True)
-    def small_block(self, monkeypatch):
-        monkeypatch.setattr(volume, "BLOCK", 7)
 
     @pytest.mark.parametrize("n", [0, 1, 6, 7, 8, 20, 21, 22])
     @pytest.mark.parametrize("with_grad", [False, True])
@@ -246,7 +277,9 @@ class TestBlocks:
         self.check(vol, *(p.reshape(3, 4, 5) for p in (px, py, pz)), with_grad)
         self.check(vol, *(p.reshape(5, 3, 4)[:, ::2].T for p in (px, py, pz)), with_grad)
 
-    def test_invert_field_matches_whole_grid_iteration(self):
+    def test_invert_field_matches_whole_grid_iteration(self, monkeypatch):
+        monkeypatch.setattr(volume, "BLOCK", 7)
+
         def whole_grid(u, iterations=8):  # the fixed-point loop over the whole grid at once
             zz, yy, xx = grid_coords(u.shape[1:])
             g = -u
@@ -255,7 +288,7 @@ class TestBlocks:
                 np.negative(g, out=g)
             return g
 
-        u = smooth_field((4, 5, 6), amplitude=2.0, sigma=1.5, seed=17)  # 120 voxels: 17 blocks of 7, then 1
+        u = smooth_field((4, 5, 6), amplitude=2.0, sigma=1.5, seed=17)  # 120 voxels: 20 blocks of one 6-voxel row
         got = invert_field(u).data
         assert got.tobytes() == whole_grid(u.data).tobytes()
 
@@ -312,7 +345,7 @@ class TestWarp:
 
 
 class TestChunkedWarp:
-    """warp_array samples a chunk of whole z-planes at a time; each chunk must
+    """warp_array samples one block of the grid at a time; each block must
     give the bits of one trilinear_gather on the whole grid's coordinates."""
 
     @staticmethod
@@ -328,7 +361,7 @@ class TestChunkedWarp:
         (np.float32, np.float32), (np.float64, np.float64), (np.float64, np.float32), (np.float32, np.float64),
     ])
     @pytest.mark.parametrize("with_grad", [False, True])
-    @pytest.mark.parametrize("block", [7, 40, volume.BLOCK])  # 1 plane, 2 planes, the whole grid per chunk
+    @pytest.mark.parametrize("block", [7, 40, volume.BLOCK])  # 1 row, 2 planes, the whole grid per block
     def test_matches_one_gather_on_whole_grid(self, monkeypatch, moving_dtype, disp_dtype, with_grad, block):
         monkeypatch.setattr(volume, "BLOCK", block)
         rng = np.random.default_rng(21)
@@ -342,7 +375,7 @@ class TestChunkedWarp:
 
     def test_several_chunks_at_the_default_block(self):
         rng = np.random.default_rng(22)
-        moving = rng.random((23, 40, 50), dtype=np.float32)  # 8 planes per chunk, the last one short
+        moving = rng.random((23, 40, 50), dtype=np.float32)  # 8 planes per block, the last one short
         disp = rng.uniform(-2.0, 2.0, (3, 23, 40, 50)).astype(np.float32)
         assert warp_array(moving, disp).tobytes() == self.whole_grid(moving, disp, False).tobytes()
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from voxcorr.volume import DisplacementField, ScalarVolume, VolumeError, z_chunks
+from voxcorr.volume import DisplacementField, ScalarVolume, VolumeError, blocks
 from voxcorr.vvol import VvolError, read_raw, vvol_read, vvol_write, write_raw
 
 
@@ -155,20 +155,20 @@ def test_raw_roundtrip_property(tmp_path_factory, channels, nx, ny, nz, seed, ba
 
 def chunk_edges(shape_zyx):
     """Flat indices of one [z, y, x] grid to test: the first and last voxel, and
-    the voxels on each side of the first z_chunks boundary."""
+    the voxels on each side of the first boundary of its blocks."""
     nz, ny, nx = shape_zyx
-    z = z_chunks(shape_zyx)[1].start
+    z = blocks(shape_zyx)[1][0].start
     return [0, z * ny * nx - 1, z * ny * nx, nz * ny * nx - 1]
 
 
-SHAPE = (40, 32, 32)  # 16 planes per z-chunk: three chunks
+SHAPE = (40, 32, 32)  # 16 planes per block: three blocks
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("where", range(4), ids=["first", "chunk-end", "chunk-start", "last"])
 @pytest.mark.parametrize("channels", [1, 3], ids=["scalar", "field-channel-2"])
 def test_read_rejects_nonfinite_voxel(tmp_path, bad, where, channels):
-    assert len(z_chunks(SHAPE)) > 1
+    assert len(blocks(SHAPE)) > 1
     p = tmp_path / "v.vvol"
     data = np.random.default_rng(0).random((channels, *SHAPE), dtype=np.float32)
     write_raw(p, data)
