@@ -65,8 +65,12 @@ def _axis_nodes(n: int, margin: int, spacing: int) -> list[int]:
 
 
 def build_node_grid(dims, cfg: DvcConfig) -> tuple[list[int], list[int], list[int]]:
-    """Per-axis node coordinates with a window + search margin from each face."""
+    """Per-axis node coordinates with a window + search margin from each face.
+    Each pyramid level halves the grid, so every axis needs 2^(levels-1) voxels."""
     nx, ny, nz = dims
+    if min(dims) < 2 ** (cfg.pyramid_levels - 1):
+        raise VolumeError(f"{cfg.pyramid_levels} pyramid levels need at least "
+                          f"{2 ** (cfg.pyramid_levels - 1)} voxels per axis, got {tuple(dims)}")
     margin = cfg.window_halfsize + cfg.search_radius
     return (
         _axis_nodes(nx, margin, cfg.node_spacing),

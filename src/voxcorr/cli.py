@@ -35,10 +35,11 @@ a flag value the config rejects; a generator grid or target dims under
 preprocess.MIN_GRID voxels per axis, which preprocessing could not carry; a
 plate or sphere off the resolved grid; c values whose sample ids collide; a
 register stride outside [1, patch size]; a training or checkpoint patch, or a
-DVC node grid, that does not fit the manifest's target_dims, checked before any
-volume is read; missing inputs); 1 runtime error: a corrupt side file
-(manifest, sample.json, a JSON record), a non-finite number in one or in a VVOL
-payload, diverged training.
+DVC node grid or pyramid, that does not fit the manifest's target_dims, or a
+manifest without train or val samples for train, checked before any volume is
+read; missing inputs, which evaluate checks for every selected output first);
+1 runtime error: a corrupt side file (manifest, sample.json, a JSON record), a
+non-finite number in one or in a VVOL payload, diverged training.
 
 main runs every command under one malloc policy (apply_malloc_policy): glibc
 serves blocks below 32 MiB from its heap and keeps up to 1 GiB of freed heap
@@ -297,6 +298,9 @@ def cmd_train(cfg: RunConfig) -> dict:
     """train the registration network on the dataset"""
     manifest = _load_manifest(cfg)
     _check_patch_fits(cfg, manifest, cfg.model.patch_size, "training")
+    for split in ("train", "val"):
+        if not manifest.split(split):
+            raise CliError(f"manifest {cfg.manifest_path()} has no {split} samples")
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is train's one TrainingError, not warnings
         params, history = train(manifest, cfg.manifest_path().parent, cfg.model, cfg.train, cfg.seed, print)
     ckpt = cfg.checkpoint_path()
@@ -417,7 +421,13 @@ def _read_runtime(meta_file: Path) -> float:
 def cmd_evaluate(cfg: RunConfig, sample: str | None = None, method: str = "learned") -> dict:
     """metrics report and figure export for registered samples"""
     methods = list(METHODS) if method == "both" else [method]
-    for sid, (cad_path, xct_path, gt_path) in _select_samples(cfg, _load_manifest(cfg), sample):
+    selected = _select_samples(cfg, _load_manifest(cfg), sample)
+    for sid, _ in selected:  # every output, before any volume is read or report written
+        for m in methods:
+            moved_path = Path(cfg.workspace) / METHODS[m][0] / sid / "moved.vvol"
+            if not moved_path.exists():
+                raise CliError(f"no {m} output for {sid}; expected {moved_path}")
+    for sid, (cad_path, xct_path, gt_path) in selected:
         _, cad_bin = otsu_threshold(vvol_read(cad_path))  # the nominal volume serves only as its mask
         xct = vvol_read(xct_path)
         _, xct_bin = otsu_threshold(xct)
@@ -434,10 +444,7 @@ def _evaluate_method(
     """Report and figures of one method's output for sample `sid`; its volumes
     die on return, before the next method's are read."""
     mdir = Path(cfg.workspace) / METHODS[method][0] / sid
-    moved_path = mdir / "moved.vvol"
-    if not moved_path.exists():
-        raise CliError(f"no {method} output for {sid}; expected {moved_path}")
-    moved = vvol_read(moved_path)
+    moved = vvol_read(mdir / "moved.vvol")
     _, moved_bin = otsu_threshold(moved)
     disp = vvol_read(mdir / "disp.vvol")
     runtime = _read_runtime(mdir / METHODS[method][1])

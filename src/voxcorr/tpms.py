@@ -20,9 +20,8 @@ caller holds none through the synthesis. It finds the pore candidates one
 block of the grid at a time (volume.blocks), and casts the implicit field to
 float32, freeing its float64 copy, before the solid mask is taken. It smooths
 its noise in place and finds max |s| as max(s.max(), -s.min()), with no |s|
-array. It warps the float32 scan by the float32 inverse field with float64
-arithmetic (volume.trilinear_gather's dtype), block by block into a float32
-scan. The outputs are the bits of the whole-volume float64 formulas.
+array. It warps the float32 scan by the float32 inverse field with
+volume.warp_array.
 """
 from __future__ import annotations
 
@@ -38,10 +37,9 @@ from .volume import (
     ScalarVolume,
     VolumeError,
     blocks,
-    grid_coords,
     invert_field,
     parallel_map,
-    trilinear_gather,
+    warp_array,
 )
 
 
@@ -244,11 +242,6 @@ def degrade_to_xct(
     mask. The degradations draw from `seed + 1`, the deformation from `seed`.
     Returns (scan volume, ground-truth field); warping the scan by the field
     recovers the nominal grayscale.
-
-    The float32 scan is warped by the float32 inverse field with float64
-    arithmetic, one block of the grid at a time, each block cast to float32 as
-    it is made: the bits of warping the scan's float64 copy into a float64
-    volume and casting that, without either float64 volume.
     """
     from scipy.ndimage import binary_erosion, gaussian_filter
 
@@ -290,13 +283,7 @@ def degrade_to_xct(
     if spec_deg.noise_sigma > 0:
         gray += rng.normal(0.0, spec_deg.noise_sigma, gray.shape).astype(np.float32)
 
-    g_inv = invert_field(gt).data
-    xct = np.empty(gray.shape, np.float32)
-    zz, yy, xx = grid_coords(gray.shape)
-    for b in blocks(gray.shape):
-        p = (xx[b] + g_inv[0][b], yy[b] + g_inv[1][b], zz[b] + g_inv[2][b])
-        xct[b] = trilinear_gather(gray, *p, dtype=np.float64)
-    return ScalarVolume(xct, voxel_size), gt
+    return ScalarVolume(warp_array(gray, invert_field(gt).data), voxel_size), gt
 
 
 def synthesize_sample(

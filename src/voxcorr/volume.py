@@ -7,16 +7,13 @@ metadata in micrometers.
 
 trilinear_gather is the one trilinear sampler. It takes leading channel axes,
 vol[..., z, y, x], and samples every channel at the same points with one set
-of clamped indices and weights: warp_array and the phantom scan's warp pass
-one channel, and the baseline's dense field passes the three displacement
+of clamped indices and weights: warp_array and invert_field pass one and three
+channels, and the baseline's dense field passes the three displacement
 channels. Its one dtype rule: values and gradients come back in
 result_type(vol, float32), whatever dtype the points have, so a float32 volume
 stays float32. Each fraction is taken in the points' float dtype, where it is
 exact, and cast once to that dtype, in which the corners are read and the
-lerps run. A caller may name that dtype instead (dtype=np.float64): a float32
-volume is then sampled with float64 arithmetic, each corner read as its exact
-float64 value, and the values are the bits its float64 copy would give,
-without that copy being made.
+lerps run.
 
 The sampler is one pass over the points it is given. Every whole-grid pass
 in the package walks its grid with blocks(shape) instead: C-ordered index
@@ -26,15 +23,14 @@ grid_coords gives broadcast views of the full shape, so a block indexes the
 coordinates as it does the grid, and only the block's are made. Each point's
 result depends on that point alone, so the cut changes no output bit.
 
-No stage holds a coordinate array of the whole volume. warp_array samples
-one block at a time, in result_type(moving, disp, float32): a float64 volume
-samples a float32 field as it would the field's float64 copy. The baseline's
-dense field is built per block too, each cast to float32 as it is made.
-invert_field samples u with float64 arithmetic (dtype=np.float64), which
-reads each corner of u as its float64 value, and writes its inverse in u's
-dtype. It runs all its fixed-point iterations on one block of voxels before
-the next, since an iteration at voxel y reads only that voxel's own estimate
-and the fixed field, so no float64 copy of u, whole or in part, is made.
+No stage holds a coordinate array of the whole volume. warp_array, the one
+warp by a field, samples one block at a time, in result_type(moving, disp,
+float32): a float64 volume samples a float32 field as it would the field's
+float64 copy. The baseline's dense field is built per block too, each cast
+to float32 as it is made. invert_field iterates in u's dtype and runs all
+its fixed-point iterations on one block of voxels before the next, since an
+iteration at voxel y reads only that voxel's own estimate and the fixed
+field.
 
 parallel_map runs independent items on every CPU the process may use, and
 every use is exact, because every item writes only its own output.
@@ -242,7 +238,7 @@ def _lerp(a: np.ndarray, b: np.ndarray, f: np.ndarray) -> np.ndarray:
     return b
 
 
-def trilinear_gather(vol: np.ndarray, px, py, pz, with_grad: bool = False, dtype=None):
+def trilinear_gather(vol: np.ndarray, px, py, pz, with_grad: bool = False):
     """Trilinear interpolation of vol[..., z, y, x] at continuous points (px, py, pz).
 
     Leading axes of vol are channels: every channel is sampled at the same
@@ -253,14 +249,13 @@ def trilinear_gather(vol: np.ndarray, px, py, pz, with_grad: bool = False, dtype
     open interval (0, n-1).
 
     The value and the gradients are in result_type(vol, float32), whatever
-    the points' dtype, or in `dtype` when it is given, which is then also
-    the dtype of the arithmetic (see the module docstring). The points are
-    sampled in one pass, with temporaries as large as the points: a caller
-    with a whole grid of them passes one block at a time (see blocks).
+    the points' dtype (see the module docstring). The points are sampled in
+    one pass, with temporaries as large as the points: a caller with a whole
+    grid of them passes one block at a time (see blocks).
     """
     *lead, nz, ny, nx = vol.shape
     pdtype = np.result_type(np.asarray(px).dtype, np.float32)
-    dtype = np.result_type(vol, np.float32) if dtype is None else np.dtype(dtype)
+    dtype = np.result_type(vol, np.float32)
     px, py, pz = np.broadcast_arrays(px, py, pz)
     shape = px.shape
     px, py, pz = (p.reshape(-1).astype(pdtype, copy=False) for p in (px, py, pz))
@@ -346,20 +341,15 @@ def invert_field(disp: DisplacementField) -> DisplacementField:
     share of them, since each extra thread costs a malloc arena of peak
     memory. The gathers inside a block stay serial (see the module
     docstring).
-
-    u is sampled with float64 arithmetic and g is written in u's dtype. The
-    gather reads each corner of u as its float64 value, so the bits are
-    those of iterating on a float64 copy of u, and no copy is made: a block
-    holds only its own float64 estimate and temporaries.
     """
     u = disp.data
-    zz, yy, xx = grid_coords(u.shape[1:])
+    zz, yy, xx = grid_coords(u.shape[1:], dtype=np.result_type(u, np.float32))
     g = np.empty(u.shape, u.dtype)
 
     def item(b: tuple) -> None:
-        gb = -u[:, *b].astype(np.float64)
+        gb = -u[:, *b]
         for _ in range(INVERT_ITERATIONS):
-            gb = trilinear_gather(u, xx[b] + gb[0], yy[b] + gb[1], zz[b] + gb[2], dtype=np.float64)
+            gb = trilinear_gather(u, xx[b] + gb[0], yy[b] + gb[1], zz[b] + gb[2])
             np.negative(gb, out=gb)
         g[:, *b] = gb
 

@@ -115,6 +115,13 @@ class TestNodeGrid:
         with pytest.raises(VolumeError):
             build_node_grid((20, 64, 64), DvcConfig())
 
+    @pytest.mark.parametrize("dims", [(32, 32, 32), (64, 32, 64)])
+    def test_pyramid_levels_fit_the_smallest_axis(self, dims):
+        # level k halves the grid k times, and downsampling needs 2 voxels per axis
+        build_node_grid(dims, DvcConfig(pyramid_levels=6))
+        with pytest.raises(VolumeError, match="7 pyramid levels need at least 64 voxels"):
+            build_node_grid(dims, DvcConfig(pyramid_levels=7))
+
 
 class TestCorrelateNode:
     def test_identical_volumes_zero_offset(self):

@@ -159,6 +159,20 @@ class TestTrain:
     def test_missing_manifest_exits_2(self, tmp_path):
         assert main(["train", "--workspace", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("split", ["train", "val"])
+    def test_manifest_without_a_split_exits_2(self, workspace, tmp_path, monkeypatch, capsys, split):
+        # the volumes stay beside the original manifest; none may be read
+        monkeypatch.setattr(voxcorr.training, "vvol_read", lambda path: pytest.fail(f"read {path}"))
+        doc = read_json(workspace / "dataset" / "manifest.json")
+        for s in doc["samples"]:
+            if s["split"] == split:
+                s["split"] = "test"
+        (tmp_path / "m.json").write_text(json.dumps(doc))
+        assert main(["train", "--workspace", str(tmp_path), "--manifest", str(tmp_path / "m.json")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and f"no {split} samples" in err[0], err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json"]
+
     def test_run_log_tells_two_smoothness_weights_apart(self, workspace, tmp_path):
         argv = ["train", "--workspace", str(tmp_path), "--manifest", str(workspace / "dataset" / "manifest.json"),
                 "--epochs", "1", "--steps-per-epoch", "1", "--batch-size", "1", "--patch-size", "16",
@@ -303,6 +317,10 @@ class TestDimsCheckedBeforeReading:
     def test_baseline(self, small_workspace, monkeypatch, capsys):
         self.check(small_workspace, ["baseline"], "(24, 24, 24)", monkeypatch, capsys)
 
+    def test_baseline_pyramid(self, workspace, monkeypatch, capsys):
+        # 32^3 holds the default node grid, and 7 levels would halve it to 1 voxel and below
+        self.check(workspace, ["baseline", "--levels", "7"], "7 pyramid levels", monkeypatch, capsys)
+
     def test_train(self, small_workspace, monkeypatch, capsys):
         self.check(small_workspace, ["train", "--patch-size", "32"], "patch size 32", monkeypatch, capsys)
 
@@ -381,6 +399,20 @@ class TestEvaluate:
         rc = main(["evaluate", "--workspace", str(workspace), "--sample", "c0",
                    "--method", "baseline"])
         assert rc == 2
+
+    def test_one_missing_method_output_exits_2_before_any_report(self, workspace, tmp_path, capsys):
+        # a learned output alone: "both" used to write the learned report before it failed
+        cad = vvol_read(workspace / "dataset" / "c-0.6" / "cad.vvol")
+        odir = tmp_path / "registered" / "c-0.6"
+        odir.mkdir(parents=True)
+        vvol_write(odir / "moved.vvol", cad)
+        vvol_write(odir / "disp.vvol", DisplacementField(np.zeros((3, *cad.data.shape), np.float32)))
+        argv = ["evaluate", "--workspace", str(tmp_path), "--manifest", str(workspace / "dataset" / "manifest.json"),
+                "--method", "both"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "no baseline output for c-0.6" in err[0], err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["registered"]
 
 
 def exit_1_error(argv, capsys) -> str:

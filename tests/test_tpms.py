@@ -364,11 +364,10 @@ class TestDegradeToXct:
         DegradeSpec(),
         DegradeSpec(pore_close_count=3, breakage_count=2, breakage_radius=3.0, noise_sigma=0.05),
     ])
-    def test_same_bytes_as_whole_grid_float64_synthesis(self, deg):
-        """degrade_to_xct against the whole-volume formulas it replaced: the
-        inverse iterated in float64 on the whole grid, then cast to float32,
-        and the float64 scan warped by one gather on the whole grid's float64
-        coordinates."""
+    def test_same_bytes_as_whole_grid_synthesis(self, deg):
+        """degrade_to_xct against the whole-volume formulas: the inverse
+        iterated in float32 on the whole grid, and the float32 scan warped by
+        one gather on the whole grid's float32 coordinates."""
         spec, c, deform, seed = TpmsSpec(part_extent=1.92, voxel_size=80.0, band_halfwidth=0.69), -0.3, DeformSpec(), 7
         cad = gyroid_field(spec.grid_dims(), spec.voxel_size, spec.cell_size)  # 24^3
         markers = np.zeros(cad.data.shape, bool)
@@ -393,13 +392,12 @@ class TestDegradeToXct:
         gray = leveled_grayscale(BinaryVolume(mask, cad.voxel_size), deg).data
         gray = gray + rng.normal(0.0, deg.noise_sigma, gray.shape).astype(np.float32)
         gt = synth_displacement(cad.dims, deform, seed)
-        u = gt.data.astype(np.float64)
-        zz, yy, xx = grid_coords(u.shape[1:])
+        u = gt.data
+        zz, yy, xx = grid_coords(u.shape[1:], dtype=np.float32)
         g = -u
         for _ in range(8):
             g = -trilinear_gather(u, xx + g[0], yy + g[1], zz + g[2])
-        g = g.astype(np.float32).astype(np.float64)
-        want = trilinear_gather(gray.astype(np.float64), xx + g[0], yy + g[1], zz + g[2]).astype(np.float32)
+        want = trilinear_gather(gray, xx + g[0], yy + g[1], zz + g[2])
 
         xct, gt_got = degrade_to_xct(spec, c, deform, deg, seed, markers)
         assert gt_got.data.tobytes() == gt.data.tobytes()

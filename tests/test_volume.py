@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from scipy.ndimage import gaussian_filter, map_coordinates
 
 from voxcorr import volume
+from voxcorr.tpms import DeformSpec, synth_displacement
 from voxcorr.volume import (
     DisplacementField,
     ScalarVolume,
@@ -135,17 +136,6 @@ class TestTrilinearGather:
         assert trilinear_gather(vol[0], px, py, pz).dtype == vol_dtype
         out, grads = trilinear_gather(vol[0], px, py, pz, with_grad=True)
         assert out.dtype == vol_dtype and all(g.dtype == vol_dtype for g in grads)
-
-    @pytest.mark.parametrize("shape", GATHER_SHAPES)
-    @pytest.mark.parametrize("pt_dtype", FLOATS)
-    @pytest.mark.parametrize("with_grad", [False, True])
-    def test_float64_arithmetic_matches_the_float64_copy(self, shape, pt_dtype, with_grad):
-        vol, px, py, pz = gather_case(shape, np.float32, pt_dtype)
-        got = trilinear_gather(vol, px, py, pz, with_grad=with_grad, dtype=np.float64)
-        want = trilinear_gather(vol.astype(np.float64), px, py, pz, with_grad=with_grad)
-        got, want = ([r[0], *r[1]] if with_grad else [r] for r in (got, want))
-        for g, w in zip(got, want, strict=True):
-            assert g.dtype == np.float64 and g.tobytes() == w.tobytes()
 
     @pytest.mark.parametrize("shape", GATHER_SHAPES)
     def test_matches_scipy_linear_nearest(self, shape):
@@ -388,23 +378,21 @@ class TestChunkedWarp:
 
 
 class TestInvertFieldBits:
-    """invert_field samples u, block by block, with float64 arithmetic and
-    writes g in u's dtype: the bits must be those of the whole-grid iteration
-    on a float64 copy of u, cast to u's dtype."""
+    """invert_field iterates on u, block by block, in u's dtype: the bits must
+    be those of the same iteration on the whole grid."""
 
     @staticmethod
-    def float64_then_cast(u: np.ndarray) -> np.ndarray:
-        u64 = u.astype(np.float64)
-        zz, yy, xx = grid_coords(u.shape[1:])
-        g = -u64
+    def whole_grid(u: np.ndarray) -> np.ndarray:
+        zz, yy, xx = grid_coords(u.shape[1:], dtype=u.dtype)
+        g = -u
         for _ in range(volume.INVERT_ITERATIONS):
-            g = trilinear_gather(u64, xx + g[0], yy + g[1], zz + g[2])
+            g = trilinear_gather(u, xx + g[0], yy + g[1], zz + g[2])
             np.negative(g, out=g)
-        return g.astype(u.dtype)
+        return g
 
     def check(self, u: np.ndarray) -> None:
         got = invert_field(DisplacementField(u)).data
-        want = self.float64_then_cast(u)
+        want = self.whole_grid(u)
         assert got.dtype == u.dtype
         assert got.tobytes() == want.tobytes()
 
@@ -472,6 +460,21 @@ class TestInvertField:
         u_at = trilinear_gather(u.data, xx + g.data[0], yy + g.data[1], zz + g.data[2])
         residual = np.abs(u_at + g.data).max()
         assert residual <= 0.05
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_float32_phantom_field_residual(self, seed):
+        # the synthesis field is float32 and so is its inverse; the benchmark's
+        # inverse check samples u's float64 copy with scipy and bounds |g + u(y + g)|
+        # by 1e-3 vox on voxels a field's reach away from the faces
+        u = synth_displacement((64, 64, 64), DeformSpec(), seed).data
+        g = invert_field(DisplacementField(u)).data
+        assert g.dtype == np.float32
+        u64, g64 = u.astype(np.float64), g.astype(np.float64)
+        zz, yy, xx = grid_coords(u.shape[1:])
+        coords = [zz + g64[2], yy + g64[1], xx + g64[0]]
+        res = np.stack([g64[c] + map_coordinates(u64[c], coords, order=1, mode="nearest") for c in range(3)])
+        m = math.ceil(np.abs(u64).max()) + 1
+        assert np.sqrt((res ** 2).sum(axis=0))[m:-m, m:-m, m:-m].max() <= 1e-3
 
     def test_warp_roundtrip(self):
         u = smooth_field((32, 32, 32), amplitude=2.0, sigma=8.0, seed=13)
