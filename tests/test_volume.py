@@ -138,6 +138,26 @@ class TestTrilinearGather:
         assert out.dtype == vol_dtype and all(g.dtype == vol_dtype for g in grads)
 
     @pytest.mark.parametrize("shape", GATHER_SHAPES)
+    @pytest.mark.parametrize("vol_dtype", [np.uint8, np.float16])
+    @pytest.mark.parametrize("with_grad", [False, True])
+    def test_narrow_volume_matches_its_float32_copy(self, shape, vol_dtype, with_grad):
+        # a volume narrower than float32 is sampled in result_type(vol, float32):
+        # the bits of its float32 copy, and the oracle's values (which, as in
+        # test_matches_reference_per_channel, may differ in the sign of a zero)
+        _, px, py, pz = gather_case(shape, np.float32, np.float64)
+        vol = np.random.default_rng(1).integers(0, 256, (3, *shape)).astype(vol_dtype)
+        got = trilinear_gather(vol, px, py, pz, with_grad=with_grad)
+        want = trilinear_gather(vol.astype(np.float32), px, py, pz, with_grad=with_grad)
+        got, want = ([r[0], *r[1]] if with_grad else [r] for r in (got, want))
+        for g, w in zip(got, want, strict=True):
+            assert g.dtype == np.float32 and g.tobytes() == w.tobytes()
+        for c in range(vol.shape[0]):
+            ref = reference_gather(vol[c], px, py, pz, with_grad=with_grad)
+            ref = [ref[0], *ref[1]] if with_grad else [ref]
+            for g, r in zip(got, ref, strict=True):
+                assert r.dtype == np.float32 and np.array_equal(g[c], r)
+
+    @pytest.mark.parametrize("shape", GATHER_SHAPES)
     def test_matches_scipy_linear_nearest(self, shape):
         vol, px, py, pz = gather_case(shape, np.float64, np.float64, channels=2, seed=3)
         got = trilinear_gather(vol, px, py, pz)
