@@ -189,8 +189,6 @@ def correlate_node(
 
 def _inpaint_invalid(disp: np.ndarray, valid: np.ndarray) -> np.ndarray:
     """Fill invalid lattice nodes with the mean of valid 6-neighbours, iterated."""
-    if not valid.any():
-        raise VolumeError("all correlation nodes invalid")
     out = disp.copy()
     filled = valid.copy()
     nnz, nny, nnx = valid.shape
@@ -232,6 +230,7 @@ def multiscale_dvc(
     disp = np.zeros((nnz, nny, nnx, 3))
     corr = np.zeros((nnz, nny, nnx))
     valid = np.zeros((nnz, nny, nnx), dtype=bool)
+    found = False
     for level in reversed(range(cfg.pyramid_levels)):
         scale = 2 ** level
         h_l = max(2, cfg.window_halfsize // scale)
@@ -248,7 +247,11 @@ def multiscale_dvc(
                         disp[iz, iy, ix] = off * scale
                     corr[iz, iy, ix] = peak
                     valid[iz, iy, ix] = ok
-        disp = _inpaint_invalid(disp, valid)
+        if valid.any():  # else every node keeps the level above's estimate (zero at the coarsest)
+            disp = _inpaint_invalid(disp, valid)
+            found = True
+    if not found:
+        raise VolumeError("all correlation nodes invalid")
 
     # dense field: trilinear over the node lattice, edge-clamped outside
     nx, ny, nz = moving.dims

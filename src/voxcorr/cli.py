@@ -35,11 +35,12 @@ a flag value the config rejects; a generator grid or target dims under
 preprocess.MIN_GRID voxels per axis, which preprocessing could not carry; a
 plate or sphere off the resolved grid; c values whose sample ids collide; a
 register stride outside [1, patch size]; a training or checkpoint patch, or a
-DVC node grid or pyramid, that does not fit the manifest's target_dims, or a
-manifest without train or val samples for train, checked before any volume is
-read; missing inputs, which evaluate checks for every selected output first);
-1 runtime error: a corrupt side file (manifest, sample.json, a JSON record), a
-non-finite number in one or in a VVOL payload, diverged training.
+DVC node grid or pyramid, that does not fit the manifest's target_dims, or for
+train a manifest without train or val samples or an NCC window over the patch
+size, checked before any volume is read; missing inputs, which evaluate checks
+for every selected output first); 1 runtime error: a corrupt side file
+(manifest, sample.json, a JSON record), a non-finite number in one or in a
+VVOL payload, diverged training.
 
 main runs every command under one malloc policy (apply_malloc_policy): glibc
 serves blocks below 32 MiB from its heap and keeps up to 1 GiB of freed heap
@@ -298,6 +299,8 @@ def cmd_train(cfg: RunConfig) -> dict:
     """train the registration network on the dataset"""
     manifest = _load_manifest(cfg)
     _check_patch_fits(cfg, manifest, cfg.model.patch_size, "training")
+    if cfg.train.ncc_window > cfg.model.patch_size:
+        raise CliError(f"NCC window {cfg.train.ncc_window} exceeds the training patch size {cfg.model.patch_size}")
     for split in ("train", "val"):
         if not manifest.split(split):
             raise CliError(f"manifest {cfg.manifest_path()} has no {split} samples")
@@ -448,7 +451,7 @@ def _evaluate_method(
     _, moved_bin = otsu_threshold(moved)
     disp = vvol_read(mdir / "disp.vvol")
     runtime = _read_runtime(mdir / METHODS[method][1])
-    report, map_before, map_after = evaluate_pair(
+    report = evaluate_pair(
         cad_bin, xct_bin, moved_bin, disp, gt_disp=gt,
         sample_id=sid, method=method, runtime_sec=runtime,
     )
@@ -457,8 +460,8 @@ def _evaluate_method(
     write_json(rdir / "report.json", report)
     export_overlay_slices(cad_bin, xct, xct_bin, rdir, prefix="overlay_before")
     export_overlay_slices(cad_bin, moved, moved_bin, rdir, prefix="overlay_after")
-    export_bdm_slices(map_before, rdir, prefix="bdm_before")
-    export_bdm_slices(map_after, rdir, prefix="bdm_after")
+    export_bdm_slices(xct_bin, cad_bin, rdir, prefix="bdm_before")
+    export_bdm_slices(moved_bin, cad_bin, rdir, prefix="bdm_after")
     export_displacement_magnitude(disp, cad_bin, rdir, prefix="dispmag")
     epe = "-" if report.mean_epe_vox is None else f"{report.mean_epe_vox:.3f}"
     print(

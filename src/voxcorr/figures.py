@@ -4,9 +4,9 @@ Images are written by one binary PNM writer with maxval 255: PGM (P5) for a
 2-D gray image, PPM (P6) for an [h, w, 3] colour one. For each volume the
 three central orthogonal slices are exported; image dimensions equal the
 slice dimensions (XZ: rows z, cols x; YZ: rows z, cols y; XY: rows y,
-cols x). A BDM slice is coloured through one 256-entry palette indexed by the
-map's uint8 bits. Masks come from the caller, which binarizes each volume
-once for both the metrics and the figures.
+cols x). A BDM slice is coloured through one 4-entry colour table indexed by
+scan + 2·nominal on the two masks' slices. Masks come from the caller, which
+binarizes each volume once for both the metrics and the figures.
 """
 from __future__ import annotations
 
@@ -18,11 +18,10 @@ from .metrics import squared_norm
 from .volume import BinaryVolume, DisplacementField, ScalarVolume, VolumeError, blocks
 
 GREEN = np.array([0, 200, 0], dtype=np.float64)
-# BDM colours by the uint8 bits of the int8 map: blue for -1 (material missing
-# in the scan), white for 0 (match), red for +1 (excess); light gray for
-# BDM_OUTSIDE and any other value
-_BDM_PALETTE = np.full((256, 3), 220, dtype=np.uint8)
-_BDM_PALETTE[np.array([-1, 0, 1], dtype=np.int8).view(np.uint8)] = [[0, 0, 255], [255, 255, 255], [255, 0, 0]]
+# BDM colours by scan + 2·nominal: light gray outside both masks, red for
+# excess (scan only), blue for material missing in the scan (nominal only),
+# white for a match
+_BDM_COLOURS = np.array([[220, 220, 220], [255, 0, 0], [0, 0, 255], [255, 255, 255]], dtype=np.uint8)
 
 
 def write_pnm(path, img: np.ndarray) -> None:
@@ -85,9 +84,10 @@ def export_overlay_slices(
     return _export(images, out_dir, prefix)
 
 
-def export_bdm_slices(bdm_map: np.ndarray, out_dir, prefix: str = "bdm") -> list[str]:
-    """Blue = material missing in the scan, white = match, red = excess."""
-    images = {plane: _BDM_PALETTE[sl.view(np.uint8)] for plane, sl in central_slices(bdm_map).items()}
+def export_bdm_slices(scan_bin: BinaryVolume, nominal_bin: BinaryVolume, out_dir, prefix: str = "bdm") -> list[str]:
+    """BDM scan - nominal: blue = missing in the scan, white = match, red = excess, gray = neither."""
+    nominal = central_slices(nominal_bin.mask)
+    images = {plane: _BDM_COLOURS[sl + 2 * nominal[plane]] for plane, sl in central_slices(scan_bin.mask).items()}
     return _export(images, out_dir, prefix)
 
 

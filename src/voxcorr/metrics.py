@@ -1,8 +1,9 @@
-"""Registration quality metrics: Dice overlap, binary difference maps (BDM)
-with the report's shares of each BDM value, and endpoint error against
-synthetic ground truth, on masks that the caller binarizes once per volume
-and shares with the figure exports. Dice and BDM share one count: bdm counts
-the missing, match and excess voxels once and derives both from them."""
+"""Registration quality metrics: Dice overlap, the binary difference map's
+(BDM) shares of each value, and endpoint error against synthetic ground
+truth, on masks that the caller binarizes once per volume and shares with the
+figure exports. Dice and BDM come from three counts, |scan|, |nominal| and
+|scan ∧ nominal|; no map is made (figures draws the BDM slices from the
+masks)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -11,36 +12,29 @@ import numpy as np
 
 from .volume import BinaryVolume, DisplacementField, VolumeError, blocks
 
-# int8 sentinel marking voxels outside the foreground union in a BDM map
-BDM_OUTSIDE = np.int8(127)
 
+def bdm(xct_bin: BinaryVolume, cad_bin: BinaryVolume) -> tuple[dict, float]:
+    """(shares, dice) of the difference scan - nominal on the foreground union.
 
-def bdm(xct_bin: BinaryVolume, cad_bin: BinaryVolume) -> tuple[np.ndarray, dict, float]:
-    """(map, shares, dice) of the difference scan - nominal on the foreground union.
-
-    map values: -1 material missing in the scan, 0 match, +1 excess material;
-    BDM_OUTSIDE elsewhere. shares: the percentage of the union voxel count
-    taken by each value, keyed "minus1", "zero" and "plus1". dice: the Dice
-    overlap of the two masks in percent, from the same three counts.
+    The difference is -1 where material is missing in the scan, 0 where the
+    masks match and +1 for excess material. shares: the percentage of the
+    union voxel count taken by each value, keyed "minus1", "zero" and
+    "plus1". dice: the Dice overlap of the two masks in percent.
     """
     scan, nominal = xct_bin.mask, cad_bin.mask
     if scan.shape != nominal.shape:
         raise VolumeError(f"dims mismatch: {xct_bin.dims} vs {cad_bin.dims}")
-    n_minus = np.count_nonzero(nominal & ~scan)
-    n_zero = np.count_nonzero(nominal & scan)
-    n_plus = np.count_nonzero(scan & ~nominal)
-    n_union = n_minus + n_zero + n_plus
+    n_scan, n_nominal = np.count_nonzero(scan), np.count_nonzero(nominal)
+    overlap = np.count_nonzero(scan & nominal)
+    n_union = n_scan + n_nominal - overlap
     if n_union == 0:
         raise VolumeError("empty union: nothing to compare")
-    out = np.where(scan | nominal, scan.astype(np.int8) - nominal, BDM_OUTSIDE)
     shares = {
-        "minus1": 100.0 * n_minus / n_union,
-        "zero": 100.0 * n_zero / n_union,
-        "plus1": 100.0 * n_plus / n_union,
+        "minus1": 100.0 * (n_nominal - overlap) / n_union,
+        "zero": 100.0 * overlap / n_union,
+        "plus1": 100.0 * (n_scan - overlap) / n_union,
     }
-    # |scan| + |nominal|, each counted as its match plus its own excess
-    dice = 100.0 * 2.0 * n_zero / ((n_zero + n_plus) + (n_zero + n_minus))
-    return out, shares, dice
+    return shares, 100.0 * 2.0 * overlap / (n_scan + n_nominal)
 
 
 def squared_norm(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
@@ -103,22 +97,21 @@ def evaluate_pair(
     sample_id: str = "",
     method: str = "learned",
     runtime_sec: float = 0.0,
-) -> tuple[EvalReport, np.ndarray, np.ndarray]:
-    """Full before/after evaluation of one registration from the nominal, scan
-    and moved-scan masks.
+) -> EvalReport:
+    """Before/after report of one registration from the nominal, scan and
+    moved-scan masks.
 
     Endpoint error uses the nominal foreground as evaluation mask and is
-    reported only when ground truth is available. Returns the report plus the
-    before and after BDM maps for figure export.
+    reported only when ground truth is available.
     """
     if not (cad_bin.dims == xct_bin.dims == moved_bin.dims == disp.dims):
         raise VolumeError("evaluate_pair requires consistent dims")
     mean_epe = max_epe = None
-    if gt_disp is not None:  # first, so the two int8 maps are not held beside its float64 errors
+    if gt_disp is not None:
         mean_epe, max_epe = endpoint_error(disp, gt_disp, cad_bin)
-    map_before, bdm_before, dice_before = bdm(xct_bin, cad_bin)
-    map_after, bdm_after, dice_after = bdm(moved_bin, cad_bin)
-    report = EvalReport(
+    bdm_before, dice_before = bdm(xct_bin, cad_bin)
+    bdm_after, dice_after = bdm(moved_bin, cad_bin)
+    return EvalReport(
         sample_id=sample_id,
         method=method,
         dice_before_pct=dice_before,
@@ -129,4 +122,3 @@ def evaluate_pair(
         max_epe_vox=max_epe,
         runtime_sec=runtime_sec,
     )
-    return report, map_before, map_after

@@ -5,8 +5,10 @@ import pytest
 import scipy.fft
 from scipy.ndimage import gaussian_filter, shift
 
+from voxcorr import baseline
 from voxcorr.baseline import (
     DvcConfig,
+    _inpaint_invalid,
     _quadratic_refine,
     build_node_grid,
     correlate_node,
@@ -304,3 +306,64 @@ class TestMultiscaleDvc:
         flat = ScalarVolume(np.zeros((64, 64, 64)))
         with pytest.raises(VolumeError):
             multiscale_dvc(flat, flat, DvcConfig())
+
+    def test_level_without_a_valid_node_keeps_the_estimate_above(self, monkeypatch):
+        # at 32^3 the default lattice is one node at voxel 15; at the fourth level (scale 8) it
+        # sits at voxel 1 of 4, where no window of half-size 2 fits, so that level has no valid node
+        fixed = textured_volume(32, seed=8)
+        moving = ScalarVolume(rolled(fixed, (1, 0, -1)))
+        peaks = []
+
+        def spy(*args, **kwargs):
+            offset, peak = correlate_node(*args, **kwargs)
+            peaks.append(peak)
+            return offset, peak
+
+        monkeypatch.setattr(baseline, "correlate_node", spy)
+        field4, nodes4 = multiscale_dvc(moving, ScalarVolume(fixed), DvcConfig(pyramid_levels=4))
+        assert len(peaks) == 4 and peaks[0] == 0.0 and min(peaks[1:]) >= 0.3
+        field3, nodes3 = multiscale_dvc(moving, ScalarVolume(fixed), DvcConfig(pyramid_levels=3))
+        assert field4.data.tobytes() == field3.data.tobytes()
+        assert nodes4.valid.all() and nodes4.displacements.tobytes() == nodes3.displacements.tobytes()
+
+
+class TestInpaintInvalid:
+    @staticmethod
+    def lattice(shape, values):
+        """A [z, y, x, 3] lattice whose nodes in `values` ({(z, y, x): vector}) are valid."""
+        disp = np.full((*shape, 3), np.nan)
+        valid = np.zeros(shape, dtype=bool)
+        for node, v in values.items():
+            disp[node] = v
+            valid[node] = True
+        return disp, valid
+
+    def test_single_node_takes_the_mean_of_its_valid_neighbours(self):
+        rng = np.random.default_rng(9)
+        disp = rng.integers(-9, 10, (3, 3, 3, 3)).astype(np.float64)
+        valid = np.ones((3, 3, 3), dtype=bool)
+        valid[1, 1, 1] = valid[0, 0, 2] = False
+        out = _inpaint_invalid(disp, valid)
+        # the six neighbours of the centre, in the order +z, -z, +y, -y, +x, -x; the corner's three
+        centre = (disp[2, 1, 1] + disp[0, 1, 1] + disp[1, 2, 1] + disp[1, 0, 1] + disp[1, 1, 2] + disp[1, 1, 0]) / 6
+        corner = (disp[1, 0, 2] + disp[0, 1, 2] + disp[0, 0, 1]) / 3
+        assert out[1, 1, 1].tobytes() == centre.tobytes()
+        assert out[0, 0, 2].tobytes() == corner.tobytes()
+        np.testing.assert_array_equal(out[valid], disp[valid])
+
+    def test_runs_fill_in_argwhere_order_within_each_wave(self):
+        a, b = [4.0, 8.0, 0.0], [0.0, 0.0, 16.0]
+        disp, valid = self.lattice((1, 2, 4), {(0, 0, 3): a, (0, 1, 3): b})
+        out = _inpaint_invalid(disp, valid)
+        # wave 1: (0, 0, 2) takes a; (0, 1, 2) then sees it beside b: (a + b) / 2 = [2, 4, 8].
+        # wave 2: (0, 0, 1) takes a; (0, 1, 1) then sees a and [2, 4, 8]: [3, 6, 4].
+        # wave 3: (0, 0, 0) takes a; (0, 1, 0) then sees a and [3, 6, 4]: [3.5, 7, 2].
+        want = np.array([[[a, a, a, a], [[3.5, 7.0, 2.0], [3.0, 6.0, 4.0], [2.0, 4.0, 8.0], b]]])
+        assert out.tobytes() == want.tobytes()
+
+    def test_both_ends_of_a_run_in_one_wave(self):
+        # (0, 0, 1) and (0, 0, 2) take a from the node filled just before them; (0, 0, 3) sees b, then a
+        a, b = [2.0, 4.0, 6.0], [4.0, 8.0, -2.0]
+        disp, valid = self.lattice((1, 1, 5), {(0, 0, 0): a, (0, 0, 4): b})
+        out = _inpaint_invalid(disp, valid)
+        assert out.tobytes() == np.array([[[a, a, a, [3.0, 6.0, 2.0], b]]]).tobytes()

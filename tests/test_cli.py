@@ -173,6 +173,16 @@ class TestTrain:
         assert len(err) == 1 and err[0].startswith("error:") and f"no {split} samples" in err[0], err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json"]
 
+    def test_ncc_window_over_the_patch_exits_2(self, workspace, tmp_path, monkeypatch, capsys):
+        # the loss would reject the window only after the volumes are read
+        monkeypatch.setattr(voxcorr.training, "vvol_read", lambda path: pytest.fail(f"read {path}"))
+        argv = ["train", "--workspace", str(tmp_path), "--manifest", str(workspace / "dataset" / "manifest.json"),
+                "--patch-size", "16", "--ncc-window", "17"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "NCC window 17" in err[0], err
+        assert not any(tmp_path.iterdir())
+
     def test_run_log_tells_two_smoothness_weights_apart(self, workspace, tmp_path):
         argv = ["train", "--workspace", str(tmp_path), "--manifest", str(workspace / "dataset" / "manifest.json"),
                 "--epochs", "1", "--steps-per-epoch", "1", "--batch-size", "1", "--patch-size", "16",
@@ -283,6 +293,15 @@ class TestBaseline:
         assert stats["min_peak_ncc"] == pytest.approx(corr.min())
         assert stats["median_peak_ncc"] == pytest.approx(np.median(corr))
         assert 0 < stats["runtime_sec"] <= record["duration_sec"]
+
+    def test_level_without_a_valid_node_keeps_the_estimate_above(self, workspace, tmp_path):
+        # at 32^3 the fourth level holds the one node at voxel 1 of 4, where no window fits
+        manifest = str(workspace / "dataset" / "manifest.json")
+        for n in ("3", "4"):
+            assert main(["baseline", "--workspace", str(tmp_path / n), "--manifest", manifest, "--levels", n]) == 0
+        three, four = (tmp_path / n / "baseline" / "c-0.6" for n in ("3", "4"))
+        for name in ("disp.vvol", "moved.vvol"):
+            assert file_hash(three / name) == file_hash(four / name), name
 
 
 @pytest.fixture(scope="module")

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from voxcorr.figures import (
     write_pnm,
 )
 from voxcorr import volume
-from voxcorr.metrics import BDM_OUTSIDE, bdm
+from voxcorr.metrics import bdm
 from voxcorr.volume import BinaryVolume, DisplacementField, ScalarVolume, VolumeError
 
 
@@ -85,9 +87,8 @@ class TestOverlay:
 
 class TestBdmSlices:
     def test_all_match_is_white(self, tmp_path):
-        m = box_volume().data > 0.5
-        bdm_map, _, _ = bdm(BinaryVolume(m), BinaryVolume(m))
-        paths = export_bdm_slices(bdm_map, tmp_path)
+        m = BinaryVolume(box_volume().data > 0.5)
+        paths = export_bdm_slices(m, m, tmp_path)
         img = read_pnm(paths[0])
         union = central_slice_union = (img == 255).all(axis=2)
         assert union.any()
@@ -100,8 +101,7 @@ class TestBdmSlices:
         cad[2:7, 2:7, 2:7] = True
         xct = cad.copy()
         xct[4, 4, 8] = True  # +1 voxel on the central xz/yz slices
-        bdm_map, _, _ = bdm(BinaryVolume(xct), BinaryVolume(cad))
-        paths = export_bdm_slices(bdm_map, tmp_path)
+        paths = export_bdm_slices(BinaryVolume(xct), BinaryVolume(cad), tmp_path)
         xz = read_pnm(paths[0]).astype(int)
         red = (xz[..., 0] == 255) & (xz[..., 1] == 0) & (xz[..., 2] == 0)
         assert red.sum() == 1
@@ -113,16 +113,48 @@ class TestBdmSlices:
         xct = rng.random((1, 16, 16)) > 0.5
         if not (cad | xct).any():
             cad[0, 0, 0] = True
-        bdm_map, shares, _ = bdm(BinaryVolume(xct), BinaryVolume(cad))
-        paths = export_bdm_slices(bdm_map, tmp_path, prefix="hist")
+        shares, _ = bdm(BinaryVolume(xct), BinaryVolume(cad))
+        paths = export_bdm_slices(BinaryVolume(xct), BinaryVolume(cad), tmp_path, prefix="hist")
         xy = read_pnm(paths[2]).astype(int)
-        n_union = int((bdm_map != BDM_OUTSIDE).sum())
+        n_union = int((xct | cad).sum())
         red = ((xy == [255, 0, 0]).all(axis=2)).sum()
         blue = ((xy == [0, 0, 255]).all(axis=2)).sum()
         white = ((xy == [255, 255, 255]).all(axis=2)).sum()
         assert red / n_union * 100 == pytest.approx(shares["plus1"])
         assert blue / n_union * 100 == pytest.approx(shares["minus1"])
         assert white / n_union * 100 == pytest.approx(shares["zero"])
+
+    def test_antisymmetry(self, tmp_path):
+        # swapping scan and nominal swaps red and blue, and keeps white and gray
+        rng = np.random.default_rng(4)
+        a, b = (BinaryVolume(m) for m in rng.random((2, 7, 8, 9)) < 0.4)
+        red, blue = [255, 0, 0], [0, 0, 255]
+        for p_ab, p_ba in zip(export_bdm_slices(a, b, tmp_path, "ab"), export_bdm_slices(b, a, tmp_path, "ba")):
+            ab, ba = read_pnm(p_ab), read_pnm(p_ba)
+            is_red, is_blue = (ab == red).all(axis=2), (ab == blue).all(axis=2)
+            assert is_red.any() and is_blue.any()
+            want = ab.copy()
+            want[is_red], want[is_blue] = blue, red
+            np.testing.assert_array_equal(ba, want)
+
+    @pytest.mark.parametrize("shape", [(6, 6, 6), (7, 9, 11), (1, 13, 10), (5, 1, 8), (9, 12, 1)])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_same_bytes_as_the_int8_map_rendering(self, tmp_path, shape, seed):
+        # the reference is the former rendering: a whole-volume int8 map, -1 missing, 0 match,
+        # +1 excess and 127 outside the union, whose central slices' uint8 bits index a 256-entry palette
+        palette = np.full((256, 3), 220, dtype=np.uint8)
+        palette[np.array([-1, 0, 1], dtype=np.int8).view(np.uint8)] = [[0, 0, 255], [255, 255, 255], [255, 0, 0]]
+        rng = np.random.default_rng(seed)
+        s, n = rng.random((2, *shape)) < (0.1 + 0.25 * seed)
+        bdm_map = np.where(s | n, s.astype(np.int8) - n, np.int8(127))
+        want = tmp_path / "want"
+        want.mkdir()
+        for plane, sl in central_slices(bdm_map).items():
+            write_pnm(want / f"bdm_{plane}.ppm", palette[sl.view(np.uint8)])
+        paths = export_bdm_slices(BinaryVolume(s), BinaryVolume(n), tmp_path / "got")
+        assert len(paths) == 3
+        for p in paths:
+            assert Path(p).read_bytes() == (want / Path(p).name).read_bytes(), p
 
 
 class TestDisplacementMagnitude:

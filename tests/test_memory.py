@@ -18,7 +18,7 @@ from voxcorr import volume
 from voxcorr.baseline import DvcConfig, multiscale_dvc
 from voxcorr.figures import export_displacement_magnitude
 from voxcorr.inference import sliding_register
-from voxcorr.metrics import endpoint_error, evaluate_pair
+from voxcorr.metrics import bdm, endpoint_error, evaluate_pair
 from voxcorr.losses import total_loss
 from voxcorr.model import ModelConfig, init_params, model_backward, model_forward
 from voxcorr.preprocess import build_dataset
@@ -90,11 +90,30 @@ def test_endpoint_error(field):
     assert bytes_per_voxel(endpoint_error, field, gt, mask) <= 7
 
 
+def masks(seed):
+    """Three random masks on the grid: nominal, scan and moved scan."""
+    return [BinaryVolume(m) for m in np.random.default_rng(seed).random((3, N, N, N)) > 0.5]
+
+
+def test_bdm():
+    # measured 1.0: the one bool mask of the overlap (3.0 while it built an
+    # int8 map, with its temporaries, beside the counts)
+    cad, xct, _ = masks(7)
+    assert bytes_per_voxel(bdm, xct, cad) <= 1.2
+
+
+def test_evaluate_pair_without_ground_truth(field):
+    # measured 1.0: each BDM's overlap mask in turn (4.0 while it returned
+    # two int8 maps)
+    cad, xct, moved = masks(7)
+    assert bytes_per_voxel(evaluate_pair, cad, xct, moved, field) <= 1.2
+
+
 def test_evaluate_pair(field):
-    # measured 5.5: endpoint error's float64 errors and chunk, then the two
-    # int8 BDM maps (7.5 while the maps were made first and held beside EPE)
+    # measured 5.5: endpoint error's float64 errors and chunk; the BDM counts
+    # that follow add one overlap mask at a time
     gt = synth_displacement((N, N, N), DeformSpec(), 1)
-    cad, xct, moved = (BinaryVolume(m) for m in np.random.default_rng(7).random((3, N, N, N)) > 0.5)
+    cad, xct, moved = masks(7)
     assert bytes_per_voxel(evaluate_pair, cad, xct, moved, field, gt) <= 6.5
 
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from voxcorr import volume
 from voxcorr.jsonable import to_json
-from voxcorr.metrics import BDM_OUTSIDE, bdm, endpoint_error, evaluate_pair, squared_norm
+from voxcorr.metrics import EvalReport, bdm, endpoint_error, evaluate_pair, squared_norm
 from voxcorr.preprocess import otsu_threshold
 from voxcorr.volume import BinaryVolume, DisplacementField, ScalarVolume, VolumeError
 
@@ -24,7 +24,7 @@ def random_mask_pair(seed, shape=(6, 6, 6), p=0.4):
 
 
 def dice_of(a, b):
-    return bdm(a, b)[2]
+    return bdm(a, b)[1]
 
 
 def set_count_dice(a, b):
@@ -77,7 +77,7 @@ def test_dice_equals_the_set_count_property(seed, p):
 class TestBdm:
     def test_identical_masks(self):
         a, _ = random_mask_pair(2)
-        _, shares, _ = bdm(a, a)
+        shares, _ = bdm(a, a)
         assert shares == {"minus1": 0.0, "zero": 100.0, "plus1": 0.0}
 
     def test_hand_arithmetic(self):
@@ -85,31 +85,21 @@ class TestBdm:
         cad.ravel()[:8] = True
         xct = cad.copy()
         xct.ravel()[8:10] = True
-        _, shares, _ = bdm(mask_of(xct), mask_of(cad))
+        shares, _ = bdm(mask_of(xct), mask_of(cad))
         assert shares == pytest.approx({"minus1": 0.0, "zero": 80.0, "plus1": 20.0})
 
     def test_percentages_partition_union(self):
         for seed in range(50):
             a, b = random_mask_pair(seed)
-            _, shares, _ = bdm(a, b)
+            shares, _ = bdm(a, b)
             assert abs(sum(shares.values()) - 100.0) <= 1e-9
 
     def test_antisymmetry(self):
         a, b = random_mask_pair(3)
-        map1, shares1, _ = bdm(a, b)
-        map2, shares2, _ = bdm(b, a)
+        shares1, _ = bdm(a, b)
+        shares2, _ = bdm(b, a)
         assert shares1["plus1"] == shares2["minus1"]
         assert shares1["minus1"] == shares2["plus1"]
-        u = map1 != BDM_OUTSIDE
-        np.testing.assert_array_equal(map1[u], -map2[u])
-        np.testing.assert_array_equal(u, map2 != BDM_OUTSIDE)
-
-    def test_outside_is_sentinel_only(self):
-        a, b = random_mask_pair(4)
-        bdm_map, _, _ = bdm(a, b)
-        assert bdm_map.dtype == np.int8
-        np.testing.assert_array_equal(bdm_map != BDM_OUTSIDE, a.mask | b.mask)
-        assert np.all(np.isin(bdm_map[a.mask | b.mask], (-1, 0, 1)))
 
     def test_empty_union_rejected(self):
         e = mask_of(np.zeros((3, 3, 3), bool))
@@ -123,7 +113,7 @@ class TestBdm:
             a, b = random_mask_pair(seed, p=0.3 + 0.4 * (seed % 3) / 2)
             inter = int((a.mask & b.mask).sum())
             union = int((a.mask | b.mask).sum())
-            _, shares, _ = bdm(a, b)
+            shares, _ = bdm(a, b)
             assert shares["zero"] == pytest.approx(100.0 * inter / union, abs=1e-12)
             j = shares["zero"] / 100.0
             assert dice_of(a, b) == pytest.approx(200.0 * j / (1.0 + j), abs=1e-9)
@@ -197,16 +187,15 @@ class TestEvaluatePair:
     def test_perfect_registration(self):
         cad, xct = self._pair()
         disp = DisplacementField(np.zeros((3, 12, 12, 12), dtype=np.float32))
-        report, _, map_after = evaluate_pair(cad, xct, cad, disp, sample_id="t", method="learned")
+        report = evaluate_pair(cad, xct, cad, disp, sample_id="t", method="learned")
         assert report.dice_after_pct == 100.0
         assert report.bdm_after["zero"] == 100.0
-        np.testing.assert_array_equal(map_after, np.where(cad.mask, 0, BDM_OUTSIDE))
         assert report.mean_epe_vox is None
 
     def test_noop_registration_keeps_before_metrics(self):
         cad, xct = self._pair()
         disp = DisplacementField(np.zeros((3, 12, 12, 12), dtype=np.float32))
-        report, _, _ = evaluate_pair(cad, xct, xct, disp)
+        report = evaluate_pair(cad, xct, xct, disp)
         assert report.dice_after_pct == pytest.approx(report.dice_before_pct)
         assert report.bdm_after == pytest.approx(report.bdm_before)
 
@@ -214,14 +203,15 @@ class TestEvaluatePair:
         cad, xct = self._pair()
         disp = DisplacementField(np.zeros((3, 12, 12, 12), dtype=np.float32))
         gt = DisplacementField(np.ones((3, 12, 12, 12), dtype=np.float32))
-        report, _, _ = evaluate_pair(cad, xct, xct, disp, gt_disp=gt)
+        report = evaluate_pair(cad, xct, xct, disp, gt_disp=gt)
         assert report.mean_epe_vox == pytest.approx(np.sqrt(3.0))
         assert report.max_epe_vox == pytest.approx(np.sqrt(3.0))
 
     def test_report_json_schema(self):
         cad, xct = self._pair()
         disp = DisplacementField(np.zeros((3, 12, 12, 12), dtype=np.float32))
-        report, _, _ = evaluate_pair(cad, xct, cad, disp, sample_id="s", method="learned", runtime_sec=1.5)
+        report = evaluate_pair(cad, xct, cad, disp, sample_id="s", method="learned", runtime_sec=1.5)
+        assert isinstance(report, EvalReport)
         d = to_json(report)
         assert set(d) == {
             "sample_id", "method", "dice_before_pct", "dice_after_pct",
@@ -235,7 +225,7 @@ class TestEvaluatePair:
 @given(seed=st.integers(0, 2 ** 31), p=st.floats(0.1, 0.9))
 def test_metric_identities_property(seed, p):
     a, b = random_mask_pair(seed, p=p)
-    _, shares, _ = bdm(a, b)
+    shares, _ = bdm(a, b)
     assert abs(sum(shares.values()) - 100.0) <= 1e-9
     j = shares["zero"] / 100.0
     assert dice_of(a, b) == pytest.approx(200.0 * j / (1.0 + j), abs=1e-9)
